@@ -15,6 +15,7 @@ stays batched in this process).
 
 import argparse
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -54,7 +55,8 @@ def main() -> None:
                              "double-buffered cohorts that overlap the batched forward "
                              "pass with worker simulator stepping")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--checkpoint", default="rlbackfill_agent.npz")
+    parser.add_argument("--checkpoint", default=None,
+                        help="where to save the trained agent (default: a fresh temporary directory)")
     args = parser.parse_args()
 
     trace = load_trace(args.trace, num_jobs=4000)
@@ -111,7 +113,8 @@ def main() -> None:
     print()
     print(format_table(["configuration", "bsld"], rows, title=f"Held-out evaluation on {trace.name}"))
 
-    path = save_agent(agent, args.checkpoint)
+    checkpoint = args.checkpoint or Path(tempfile.mkdtemp(prefix="rlbackfill-")) / "agent.npz"
+    path = save_agent(agent, checkpoint)
     print(f"\nSaved trained agent to {path}")
     print("Reload it with repro.core.load_agent(path) and wrap it in RLBackfillPolicy "
           "to use it inside any Simulator.")

@@ -47,18 +47,23 @@ class RLBackfillAgent(ActorCritic):
         )
 
     # -- ActorCritic interface ------------------------------------------------
+    def slot_scores(self, slots: Tensor) -> Tensor:
+        return self.kernel(slots)
+
     def policy_logits(self, observations: Tensor) -> Tensor:
-        """Score every slot with the shared kernel network.
+        """Score every slot, masked or not, with the shared kernel network.
 
         ``observations`` has shape ``(batch, num_slots * job_features)``; the
         kernel sees one job vector at a time, so the batch and slot dimensions
         are folded together for the forward pass and unfolded afterwards.
+        Rollouts and the PPO update go through
+        :meth:`~repro.rl.ppo.ActorCritic.masked_log_probs` instead, which
+        scores the unmasked slots only.
         """
         cfg = self.observation_config
         batch = observations.shape[0]
         per_job = observations.reshape(batch * cfg.num_slots, cfg.job_features)
-        scores = self.kernel(per_job)
-        return scores.reshape(batch, cfg.num_slots)
+        return self.slot_scores(per_job).reshape(batch, cfg.num_slots)
 
     def value(self, observations: Tensor) -> Tensor:
         batch = observations.shape[0]

@@ -21,10 +21,7 @@ __all__ = ["save_agent", "load_agent"]
 #: Version 2 keys every parameter by its qualified attribute path (e.g.
 #: ``kernel/network.0.weight``), so a checkpoint can never load into the
 #: wrong layer of an architecture that merely matches in count and shapes.
-#: Version 1 (flat-index keys) is still readable through the deprecated
-#: index fallback of :meth:`repro.rl.nn.Module.load_state_dict`.
 _FORMAT_VERSION = 2
-_READABLE_VERSIONS = (1, 2)
 
 
 def save_agent(agent: RLBackfillAgent, path: Union[str, os.PathLike]) -> str:
@@ -55,7 +52,7 @@ def load_agent(path: Union[str, os.PathLike]) -> RLBackfillAgent:
         path = path + ".npz"
     with np.load(path) as data:
         version = int(data["__format_version__"])
-        if version not in _READABLE_VERSIONS:
+        if version != _FORMAT_VERSION:
             raise ValueError(f"unsupported checkpoint format version {version}")
         config = ObservationConfig(max_queue_size=int(data["__max_queue_size__"]))
         kernel_state = {
@@ -94,14 +91,9 @@ def _hidden_sizes_from_state(state: dict[str, np.ndarray]) -> tuple[int, ...]:
 
     Parameters are stored in ``named_parameters()`` order: weight, bias per
     Linear layer; weights are 2-D.  The hidden sizes are the output
-    dimensions of every layer except the last.  Version-1 checkpoints use
-    flat-index keys, which are sorted numerically; version-2 qualified-path
-    keys keep their stored (definition) order.
+    dimensions of every layer except the last.
     """
-    keys = list(state)
-    if keys and all(key.isdigit() for key in keys):
-        keys.sort(key=int)
-    weights = [state[key] for key in keys if state[key].ndim == 2]
+    weights = [array for array in state.values() if array.ndim == 2]
     if not weights:
         raise ValueError("checkpoint contains no weight matrices")
     return tuple(int(w.shape[1]) for w in weights[:-1])

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.core.agent import RLBackfillAgent
 from repro.core.environment import BackfillEnvironment
-from repro.obs import engine_stats_delta, get_tracer
+from repro.obs import engine_stats_delta, get_metrics, get_tracer
 from repro.rl.buffer import TrajectoryBuffer
 from repro.rl.lane_pool import make_rollout_engine
 from repro.rl.ppo import PPO, PPOConfig, PPOUpdateStats
@@ -288,6 +288,33 @@ class Trainer:
                 parts.append(f"{key}={value}")
         logger.info("epoch %d engine[%s]: %s", epoch, stats.get("engine", "?"), ", ".join(parts))
 
+    def _publish_health(
+        self, epoch: int, collect_s: float, update_s: float, update: PPOUpdateStats
+    ) -> None:
+        """Training health of one epoch: registry gauges plus one log line.
+
+        Read-only with respect to training: the values are results the update
+        already computed and two wall-clock differences.
+        """
+        health = {
+            "train_collect_seconds": collect_s,
+            "train_update_seconds": update_s,
+            "ppo_approximate_kl": update.approximate_kl,
+            "ppo_entropy": update.entropy,
+            "ppo_clip_fraction": update.clip_fraction,
+            "ppo_grad_norm": update.grad_norm,
+            "ppo_explained_variance": update.explained_variance,
+        }
+        registry = get_metrics()
+        for name, value in health.items():
+            registry.gauge(name).set(value)
+        logger.info(
+            "epoch %d health: %s, policy_iterations=%d",
+            epoch,
+            ", ".join(f"{name}={value:.4g}" for name, value in health.items()),
+            update.policy_iterations_run,
+        )
+
     # -- training -----------------------------------------------------------
     def train_epoch(self, epoch: int) -> EpochStats:
         tracer = get_tracer()
@@ -300,9 +327,11 @@ class Trainer:
         baselines: List[float] = [info["baseline_bsld"] for info in infos]
         violations: List[float] = [float(info["violations"]) for info in infos]
         steps = len(buffer)
+        collected = time.perf_counter()
         data = buffer.get()
         with tracer.span("trainer.ppo_update", cat="train", args={"epoch": epoch}):
             update: PPOUpdateStats = self.ppo.update(data)
+        self._publish_health(epoch, collected - start, time.perf_counter() - collected, update)
         stats = EpochStats(
             epoch=epoch,
             mean_episode_reward=float(np.mean(rewards)),

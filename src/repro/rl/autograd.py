@@ -13,13 +13,22 @@ general deep-learning framework.
 
 Two matrix products are provided: :meth:`Tensor.matmul` (plain BLAS, fastest,
 but output rows can vary in the last ulp with batch size because the library
-picks its algorithm from the product shape) and :meth:`Tensor.matmul_invariant`
-(the **batch-invariant kernel** built on :func:`invariant_matmul`, whose
-output rows are bit-identical regardless of how many rows share the batch).
-The model layers (:class:`~repro.rl.nn.Linear`) use the invariant kernel, so
-policy and value outputs -- and therefore rollout trajectories and PPO
-updates -- do not depend on rollout lane count, worker shard layout, pipeline
-depth, or minibatch composition.
+picks its algorithm from the product shape) and :meth:`Tensor.linear` (the
+fused ``relu(x @ W + b)`` node on the **batch-invariant kernel**
+:func:`invariant_matmul`, whose output rows are bit-identical regardless of
+how many rows share the batch; :meth:`Tensor.matmul_invariant` is the same
+node without bias or ReLU).  The model layers (:class:`~repro.rl.nn.Linear`)
+use it, so policy and value outputs -- and therefore rollout trajectories
+and PPO updates -- do not depend on rollout lane count, worker shard layout,
+pipeline depth, or minibatch composition.
+
+What is bit-stable: forward rows and input-gradient rows of
+:meth:`Tensor.linear` equal the former matmul -> bias-add -> ReLU chain float
+for float.  What is not: its weight gradient sums over the batch in one BLAS
+call (formerly 16-row blocks of ``x.T``), so trained weights differ from
+older commits in the last ulps -- identically on every rollout engine.
+:meth:`Tensor.scatter` is what lets the policy forward only unmasked slots
+(see ``docs/simulator.md``, "The determinism contract").
 """
 
 from __future__ import annotations
@@ -351,31 +360,61 @@ class Tensor:
     __matmul__ = matmul
 
     def matmul_invariant(self, other: "Tensor", row_block: Optional[int] = None) -> "Tensor":
-        """Matrix product with batch-invariant rows (see :func:`invariant_matmul`).
-
-        Forward and both backward products go through the fixed-block kernel:
-        the gradient w.r.t. this tensor (``grad @ other.T``) keeps per-row
-        batch invariance, and the gradient w.r.t. ``other`` (``self.T @
-        grad``) reduces over the batch with the same fixed blocking, so the
-        whole op is bitwise reproducible for a given batch.  ``Linear``
-        layers route through this op, which is what makes policy/value
-        outputs independent of rollout batch composition.
-
-        ``row_block`` is the per-call-site block-size hint of
-        :func:`invariant_matmul`; all three products of this op use it, so a
-        site that pins a value stays internally bit-reproducible.
-        """
+        """Matrix product with batch-invariant rows: :meth:`linear` without bias or ReLU."""
         if not isinstance(other, Tensor):
             other = Tensor(_as_array(other))
-        data = invariant_matmul(self.data, other.data, row_block=row_block)
+        return self.linear(other, row_block=row_block)
+
+    def linear(
+        self,
+        weight: "Tensor",
+        bias: Optional["Tensor"] = None,
+        relu: bool = False,
+        row_block: Optional[int] = None,
+    ) -> "Tensor":
+        """Fused ``relu(self @ weight + bias)`` as **one** graph node.
+
+        The product and the input gradient (``grad @ weight.T``) go through
+        :func:`invariant_matmul` with the call site's ``row_block``, and the
+        bias add and ReLU are elementwise (done in place on the product's
+        fresh array), so every output row and every input-gradient row is
+        bit-identical whatever other rows share the batch.  The weight
+        gradient ``self.T @ grad`` reduces over the batch in one BLAS call on
+        the transposed view -- reproducible for a given batch, which is all a
+        batch reduction can promise.
+        """
+        data = invariant_matmul(self.data, weight.data, row_block=row_block)
+        if bias is not None:
+            data += bias.data
+        if relu:
+            np.maximum(data, 0.0, out=data)
 
         def backward(grad: np.ndarray) -> None:
+            if relu:
+                grad = grad * (data > 0.0)
+            if bias is not None and bias.requires_grad:
+                bias._accumulate(grad.sum(axis=0))
+            if weight.requires_grad:
+                weight._accumulate(self.data.T @ grad)
             if self.requires_grad:
-                self._accumulate(invariant_matmul(grad, other.data.T, row_block=row_block))
-            if other.requires_grad:
-                other._accumulate(invariant_matmul(self.data.T, grad, row_block=row_block))
+                self._accumulate(invariant_matmul(grad, weight.data.T, row_block=row_block))
 
-        return Tensor._make(data, (self, other), backward)
+        parents = (self, weight) if bias is None else (self, weight, bias)
+        return Tensor._make(data, parents, backward)
+
+    def scatter(self, index: np.ndarray, shape: tuple[int, ...]) -> "Tensor":
+        """Zeros of ``shape`` with this tensor's elements at flat positions ``index``.
+
+        The backward pass gathers ``grad`` at the same positions; positions
+        not in ``index`` are constants of the graph.
+        """
+        data = np.zeros(shape, dtype=np.float64)
+        data.reshape(-1)[index] = self.data.reshape(-1)
+
+        def backward(grad: np.ndarray) -> None:
+            self._accumulate(grad.reshape(-1)[index].reshape(self.data.shape))
+
+        return Tensor._make(data, (self,), backward)
 
     def reshape(self, *shape: int) -> "Tensor":
         original = self.data.shape

@@ -5,23 +5,24 @@ initialization, tanh/relu activations, sequential containers, and a
 convenience MLP builder.  Parameters are :class:`~repro.rl.autograd.Tensor`
 objects with ``requires_grad=True``; optimizers consume ``module.parameters()``.
 
-:class:`Linear` computes its affine map through the **batch-invariant matmul
-kernel** (:meth:`Tensor.matmul_invariant`): every output row is bit-identical
-whether it is forwarded alone or inside any larger batch.  Since all model
-matmuls go through ``Linear``, the networks' outputs are invariant to rollout
-batch composition -- the property the vectorized/multiprocess/pipelined
-rollout engines' bit-parity contract rests on.
+:class:`Linear` is one fused graph node (:meth:`Tensor.linear`: product on
+the **batch-invariant matmul kernel**, bias add, optional ReLU): every output
+row is bit-identical whether it is forwarded alone or inside any larger
+batch.  Since all model matmuls go through ``Linear``, the networks' outputs
+are invariant to rollout batch composition -- the property the
+vectorized/multiprocess/pipelined rollout engines' bit-parity contract rests
+on, and the one that lets the policy forward only the unmasked slots.  The
+fusion keeps every forward float of the former three-node chain; trained
+weights move in the last ulps once (see :mod:`repro.rl.autograd`).
 
 State is (de)serialized by **qualified attribute path** (e.g.
 ``network.0.weight`` for the first layer of an :class:`MLP`), so a checkpoint
 can never load into the wrong layer of an architecture that merely happens to
-match in parameter count and shapes.  Flat-index keys (``"0"``, ``"1"``, ...)
-from older checkpoints are still accepted as a deprecated fallback.
+match in parameter count and shapes.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -96,38 +97,18 @@ class Module:
 
         Keys must match :meth:`named_parameters` exactly (missing or
         unexpected entries raise ``ValueError`` naming them) and every array
-        must match its parameter's shape.  A state dict whose keys are all
-        flat indices (``"0"``, ``"1"``, ... -- the pre-path checkpoint
-        format) is accepted as a deprecated fallback and mapped by
-        ``parameters()`` order; such a mapping cannot detect a reordered
-        architecture whose shapes happen to line up, which is why it warns.
+        must match its parameter's shape.
         """
         named = self.named_parameters()
-        if state and all(key.isdigit() for key in state):
-            warnings.warn(
-                "loading an index-keyed state dict; index keys cannot detect "
-                "architecture mismatches and will be removed -- re-save the "
-                "checkpoint to upgrade it to qualified-path keys",
-                DeprecationWarning,
-                stacklevel=2,
+        known = {name for name, _ in named}
+        missing = [name for name, _ in named if name not in state]
+        unexpected = [key for key in state if key not in known]
+        if missing or unexpected:
+            raise ValueError(
+                "state dict keys do not match the module's parameters: "
+                f"missing {missing or 'none'}, unexpected {unexpected or 'none'}"
             )
-            if len(state) != len(named):
-                raise ValueError(
-                    f"state dict has {len(state)} arrays but the module has "
-                    f"{len(named)} parameters"
-                )
-            entries = [(str(i), param) for i, (_, param) in enumerate(named)]
-        else:
-            known = {name for name, _ in named}
-            missing = [name for name, _ in named if name not in state]
-            unexpected = [key for key in state if key not in known]
-            if missing or unexpected:
-                raise ValueError(
-                    "state dict keys do not match the module's parameters: "
-                    f"missing {missing or 'none'}, unexpected {unexpected or 'none'}"
-                )
-            entries = named
-        for key, param in entries:
+        for key, param in named:
             array = np.asarray(state[key], dtype=np.float64)
             if array.shape != param.data.shape:
                 raise ValueError(
@@ -167,11 +148,11 @@ class Module:
 class Linear(Module):
     """Affine layer ``y = x @ W + b`` with scaled-uniform (Xavier) initialization.
 
-    The product runs through the batch-invariant matmul kernel
-    (:meth:`Tensor.matmul_invariant`), so each output row is bit-identical no
-    matter how many rows share the forward batch; the bias add and every
-    activation are elementwise, which leaves whole-network outputs
-    batch-invariant per row.
+    One fused node (:meth:`Tensor.linear`): the product runs through the
+    batch-invariant matmul kernel, so each output row is bit-identical no
+    matter how many rows share the forward batch; the bias add and the ReLU
+    an :class:`MLP` folds in (``relu=True``) are elementwise, which leaves
+    whole-network outputs batch-invariant per row.
 
     ``row_block`` is the layer's per-call-site block-size hint (see
     :func:`repro.rl.autograd.invariant_matmul`): ``None`` uses the default
@@ -201,11 +182,8 @@ class Linear(Module):
         )
         self.bias = Tensor(np.zeros(out_features), requires_grad=True) if bias else None
 
-    def forward(self, x: Tensor) -> Tensor:
-        out = x.matmul_invariant(self.weight, row_block=self.row_block)
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+    def forward(self, x: Tensor, relu: bool = False) -> Tensor:
+        return x.linear(self.weight, self.bias, relu=relu, row_block=self.row_block)
 
     def __repr__(self) -> str:
         return (
@@ -296,7 +274,12 @@ class MLP(Module):
         self.sizes = tuple(sizes)
 
     def forward(self, x: Tensor) -> Tensor:
-        return self.network(x)
+        # ``network`` alternates Linear and activation; a ReLU is computed
+        # inside the Linear's fused node instead of as a node of its own.
+        layers = self.network.modules
+        for linear, activation in zip(layers[::2], layers[1::2]):
+            x = linear(x, relu=True) if isinstance(activation, ReLU) else activation(linear(x))
+        return x
 
     def __repr__(self) -> str:
         return f"MLP(sizes={self.sizes})"

@@ -29,14 +29,17 @@ MASK_PENALTY = 1e8
 class ActorCritic(ABC):
     """Actor-critic model interface consumed by :class:`PPO`.
 
-    The actor produces one logit per discrete action; invalid actions are
-    suppressed by the caller through the action mask.  The critic maps the
-    same observation to a scalar state value.
+    The actor is a kernel: one shared network scores every action slot from
+    that slot's own feature row, and invalid actions are suppressed through
+    the action mask.  A masked slot's probability is exactly 0.0 and so is
+    its gradient, hence its score is never computed: only the unmasked slots
+    go through the network.  The critic maps the whole observation to a
+    scalar state value.
     """
 
     @abstractmethod
-    def policy_logits(self, observations: Tensor) -> Tensor:
-        """Batch of unmasked action logits, shape ``(batch, num_actions)``."""
+    def slot_scores(self, slots: Tensor) -> Tensor:
+        """Scores ``(n, 1)`` of ``n`` action slots from their feature rows ``(n, features)``."""
 
     @abstractmethod
     def value(self, observations: Tensor) -> Tensor:
@@ -51,11 +54,33 @@ class ActorCritic(ABC):
         ...
 
     # -- rollout helpers ------------------------------------------------------
+    def compact_slots(
+        self, observations: np.ndarray, masks: np.ndarray
+    ) -> Tuple[Tensor, np.ndarray, Tensor]:
+        """Inputs of :meth:`compacted_log_probs`: ``(rows, index, penalty)``.
+
+        ``rows`` holds the feature rows of the unmasked ``(step, slot)`` pairs,
+        ``index`` their flat positions in the ``(batch, slots)`` grid and
+        ``penalty`` the additive mask grid.  None of them depends on the
+        weights, so :meth:`PPO.update` builds them once for all its iterations.
+        """
+        masks = np.asarray(masks, dtype=np.float64)
+        index = np.flatnonzero(masks)
+        rows = observations.reshape(masks.size, -1)[index]
+        return Tensor(rows), index, Tensor((1.0 - masks) * -MASK_PENALTY)
+
+    def compacted_log_probs(self, rows: Tensor, index: np.ndarray, penalty: Tensor) -> Tensor:
+        """Score ``rows``, scatter the scores into the logit grid, mask, log-softmax.
+
+        Masked slots keep a logit of 0.0 under the penalty; a row with no
+        valid slot at all (never emitted by the environment) comes out uniform.
+        """
+        logits = self.slot_scores(rows).scatter(index, penalty.shape)
+        return (logits + penalty).log_softmax(axis=-1)
+
     def masked_log_probs(self, observations: Tensor, masks: np.ndarray) -> Tensor:
         """Log-probabilities over actions with masked actions pushed to -inf."""
-        logits = self.policy_logits(observations)
-        penalty = Tensor((1.0 - np.asarray(masks, dtype=np.float64)) * -MASK_PENALTY)
-        return (logits + penalty).log_softmax(axis=-1)
+        return self.compacted_log_probs(*self.compact_slots(observations.numpy(), masks))
 
     def step_batch(
         self,
@@ -73,7 +98,7 @@ class ActorCritic(ABC):
         in the batch and of their order -- lane ``i`` always consumes exactly
         one uniform draw from ``rngs[i]`` per decision.  Row ``i``'s floats
         are **batch-invariant**: the networks' matmuls run through
-        :meth:`Tensor.matmul_invariant` and the masking/softmax/sampling math
+        :meth:`Tensor.linear` and the masking/softmax/sampling math
         is elementwise or per-row, so ``step_batch(obs[i:i+1], ...)`` returns
         bit-identical ``(action, value, log_prob)`` to row ``i`` of any
         larger batch containing it.
@@ -181,6 +206,10 @@ class PPOUpdateStats:
     entropy: float
     clip_fraction: float
     policy_iterations_run: int
+    #: Policy-gradient L2 norm before clipping, last iteration run.
+    grad_norm: float
+    #: ``1 - Var(returns - values) / Var(returns)`` of the critic before the update.
+    explained_variance: float
 
 
 class PPO:
@@ -196,23 +225,18 @@ class PPO:
     # -- loss pieces ----------------------------------------------------------
     def _policy_loss(
         self,
-        observations: np.ndarray,
-        masks: np.ndarray,
-        actions: np.ndarray,
-        advantages: np.ndarray,
-        log_probs_old: np.ndarray,
+        slots: Tuple[Tensor, np.ndarray, Tensor],
+        one_hot: Tensor,
+        advantages: Tensor,
+        log_probs_old: Tensor,
     ) -> Tuple[Tensor, Dict[str, float]]:
         cfg = self.config
-        obs_t = Tensor(observations)
-        log_probs_all = self.actor_critic.masked_log_probs(obs_t, masks)
-        one_hot = np.zeros_like(masks, dtype=np.float64)
-        one_hot[np.arange(actions.shape[0]), actions] = 1.0
-        log_probs = (log_probs_all * Tensor(one_hot)).sum(axis=1)
+        log_probs_all = self.actor_critic.compacted_log_probs(*slots)
+        log_probs = (log_probs_all * one_hot).sum(axis=1)
 
-        adv_t = Tensor(advantages)
-        ratio = (log_probs - Tensor(log_probs_old)).exp()
+        ratio = (log_probs - log_probs_old).exp()
         clipped_ratio = ratio.clip(1.0 - cfg.clip_ratio, 1.0 + cfg.clip_ratio)
-        surrogate = (ratio * adv_t).minimum(clipped_ratio * adv_t)
+        surrogate = (ratio * advantages).minimum(clipped_ratio * advantages)
         loss = -surrogate.mean()
 
         probs = log_probs_all.exp()
@@ -222,7 +246,7 @@ class PPO:
 
         ratio_values = ratio.numpy()
         stats = {
-            "approximate_kl": float(np.mean(log_probs_old - log_probs.numpy())),
+            "approximate_kl": float(np.mean(log_probs_old.numpy() - log_probs.numpy())),
             "entropy": float(entropy.numpy()),
             "clip_fraction": float(
                 np.mean(
@@ -232,22 +256,10 @@ class PPO:
         }
         return loss, stats
 
-    def _value_loss(self, observations: np.ndarray, returns: np.ndarray) -> Tensor:
-        values = self.actor_critic.value(Tensor(observations))
-        diff = values - Tensor(returns)
-        return (diff * diff).mean()
-
     # -- update ----------------------------------------------------------------
     def update(self, data: Dict[str, np.ndarray]) -> PPOUpdateStats:
         """Run the PPO update on one epoch of trajectories (output of ``TrajectoryBuffer.get``)."""
         cfg = self.config
-        observations = data["observations"]
-        masks = data["masks"]
-        actions = data["actions"]
-        advantages = data["advantages"]
-        returns = data["returns"]
-        log_probs_old = data["log_probs"]
-
         # Update timing is diagnostic only: clocks are read when collection
         # or tracing is on, and nothing below feeds a timestamp back into the
         # gradient math, so enabling observability cannot perturb training.
@@ -259,13 +271,27 @@ class PPO:
             value_hist = registry.histogram("ppo_value_iteration_seconds")
             t_update = time.perf_counter_ns()
 
-        policy_loss_value = 0.0
+        # Everything the iterations share is built once: the tensors, the
+        # one-hot of the taken actions and the compacted policy inputs.
+        observations = Tensor(data["observations"])
+        returns = Tensor(data["returns"])
+        one_hot = np.zeros(data["masks"].shape, dtype=np.float64)
+        one_hot[np.arange(one_hot.shape[0]), data["actions"]] = 1.0
+        policy_inputs = (
+            self.actor_critic.compact_slots(data["observations"], data["masks"]),
+            Tensor(one_hot),
+            Tensor(data["advantages"]),
+            Tensor(data["log_probs"]),
+        )
+
+        max_grad_norm = np.inf if cfg.max_grad_norm is None else cfg.max_grad_norm
+        policy_loss_value = grad_norm = 0.0
         last_stats = {"approximate_kl": 0.0, "entropy": 0.0, "clip_fraction": 0.0}
         iterations_run = 0
         for _ in range(cfg.policy_iterations):
             t_iter = time.perf_counter_ns() if observing else 0
             self.policy_optimizer.zero_grad()
-            loss, stats = self._policy_loss(observations, masks, actions, advantages, log_probs_old)
+            loss, stats = self._policy_loss(*policy_inputs)
             last_stats = stats
             if stats["approximate_kl"] > 1.5 * cfg.target_kl:
                 # Early stopping as in Spinning Up: the new policy drifted far
@@ -273,8 +299,7 @@ class PPO:
                 # off-policy.
                 break
             loss.backward()
-            if cfg.max_grad_norm is not None:
-                self.policy_optimizer.clip_grad_norm(cfg.max_grad_norm)
+            grad_norm = self.policy_optimizer.clip_grad_norm(max_grad_norm)
             self.policy_optimizer.step()
             policy_loss_value = float(loss.numpy())
             iterations_run += 1
@@ -283,14 +308,18 @@ class PPO:
                 policy_hist.observe(dt / 1e9)
                 tracer.complete("ppo.policy_iteration", t_iter, dt, cat="train")
 
-        value_loss_value = 0.0
-        for _ in range(cfg.value_iterations):
+        value_loss_value = explained_variance = 0.0
+        returns_variance = float(data["returns"].var())
+        for iteration in range(cfg.value_iterations):
             t_iter = time.perf_counter_ns() if observing else 0
             self.value_optimizer.zero_grad()
-            value_loss = self._value_loss(observations, returns)
+            diff = self.actor_critic.value(observations) - returns
+            if iteration == 0 and returns_variance > 0.0:
+                # How much of the returns the critic explained before this update.
+                explained_variance = 1.0 - float(diff.numpy().var()) / returns_variance
+            value_loss = (diff * diff).mean()
             value_loss.backward()
-            if cfg.max_grad_norm is not None:
-                self.value_optimizer.clip_grad_norm(cfg.max_grad_norm)
+            self.value_optimizer.clip_grad_norm(max_grad_norm)
             self.value_optimizer.step()
             value_loss_value = float(value_loss.numpy())
             if observing:
@@ -317,4 +346,6 @@ class PPO:
             entropy=last_stats["entropy"],
             clip_fraction=last_stats["clip_fraction"],
             policy_iterations_run=iterations_run,
+            grad_norm=grad_norm,
+            explained_variance=explained_variance,
         )

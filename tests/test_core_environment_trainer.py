@@ -207,6 +207,39 @@ class TestTrainer:
         assert final.mean_baseline_bsld >= 1.0
         assert np.isfinite(final.policy_loss)
 
+    def test_epoch_publishes_training_health(self, environment, caplog):
+        """KL, entropy, clip fraction, grad norm, explained variance and the
+        collect/update seconds land in the registry and in one log line."""
+        import logging
+
+        from repro.obs import disable_metrics, enable_metrics, get_metrics, metrics_enabled
+
+        agent = RLBackfillAgent(environment.observation_config, seed=0)
+        trainer = Trainer(environment, agent, self._quick_config(), seed=0)
+        was_enabled = metrics_enabled()
+        enable_metrics()
+        try:
+            with caplog.at_level(logging.INFO, logger="repro.core.trainer"):
+                stats = trainer.train_epoch(1)
+            gauges = get_metrics().snapshot()["gauges"]
+        finally:
+            if not was_enabled:
+                disable_metrics()
+            get_metrics().reset()
+        assert gauges["ppo_approximate_kl"] == stats.approximate_kl
+        assert gauges["ppo_entropy"] == stats.entropy
+        assert gauges["ppo_grad_norm"] > 0.0
+        assert np.isfinite(gauges["ppo_explained_variance"])
+        assert 0.0 <= gauges["ppo_clip_fraction"] <= 1.0
+        assert gauges["train_collect_seconds"] > 0.0 and gauges["train_update_seconds"] > 0.0
+        assert (
+            gauges["train_collect_seconds"] + gauges["train_update_seconds"]
+            <= stats.wall_time_seconds
+        )
+        health = [r.getMessage() for r in caplog.records if "health" in r.getMessage()]
+        assert len(health) == 1
+        assert "ppo_grad_norm=" in health[0] and "train_update_seconds=" in health[0]
+
     def test_history_helpers(self, environment):
         agent = RLBackfillAgent(environment.observation_config, seed=0)
         trainer = Trainer(environment, agent, self._quick_config(), seed=0)
@@ -273,9 +306,9 @@ class TestCheckpoints:
             assert "kernel/network.0.weight" in data.files
             assert "value/network.0.weight" in data.files
 
-    def test_loads_legacy_index_keyed_checkpoint(self, tmp_path, obs_config):
-        """A format-1 checkpoint (flat-index keys) still loads bit-exactly."""
-        agent = RLBackfillAgent(obs_config, kernel_hidden=(8, 8), value_hidden=(16,), seed=3)
+    def test_rejects_format_version_1_checkpoint(self, tmp_path, obs_config):
+        """A format-1 checkpoint (flat-index keys) is no longer readable."""
+        agent = RLBackfillAgent(obs_config, seed=3)
         arrays = {
             "__format_version__": np.array(1),
             "__max_queue_size__": np.array(obs_config.max_queue_size),
@@ -283,19 +316,10 @@ class TestCheckpoints:
         }
         for i, param in enumerate(agent.kernel.parameters()):
             arrays[f"kernel/{i}"] = param.data.copy()
-        for i, param in enumerate(agent.value_net.parameters()):
-            arrays[f"value/{i}"] = param.data.copy()
         path = tmp_path / "legacy.npz"
         np.savez(path, **arrays)
-        with pytest.warns(DeprecationWarning):
-            loaded = load_agent(path)
-        from repro.rl.autograd import Tensor
-
-        obs = np.random.default_rng(0).random((2, obs_config.observation_size))
-        np.testing.assert_array_equal(
-            agent.policy_logits(Tensor(obs)).numpy(),
-            loaded.policy_logits(Tensor(obs)).numpy(),
-        )
+        with pytest.raises(ValueError, match="unsupported checkpoint format version 1"):
+            load_agent(path)
 
 
 class TestTrainedAgentSanity:

@@ -145,25 +145,12 @@ class TestQualifiedStateDict:
         with pytest.raises(ValueError, match="network.4.weight"):
             mlp.load_state_dict(state)
 
-    def test_index_keyed_fallback_loads_with_deprecation_warning(self):
-        a = MLP([4, 6, 2], seed=0)
-        b = MLP([4, 6, 2], seed=1)
-        legacy = {str(i): p.data.copy() for i, p in enumerate(a.parameters())}
-        with pytest.warns(DeprecationWarning, match="index-keyed"):
-            b.load_state_dict(legacy)
-        x = Tensor(np.ones((2, 4)))
-        np.testing.assert_allclose(a(x).numpy(), b(x).numpy())
-
-    def test_index_keyed_fallback_still_checks_count_and_shape(self):
+    def test_index_keyed_state_dict_is_rejected(self):
+        """Flat-index keys (the pre-path format) are just unexpected keys now."""
         mlp = MLP([4, 6, 2], seed=0)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="parameters"):
-                mlp.load_state_dict({"0": np.zeros((4, 6))})
         legacy = {str(i): p.data.copy() for i, p in enumerate(mlp.parameters())}
-        legacy["0"] = np.zeros((9, 9))
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="shape mismatch"):
-                mlp.load_state_dict(legacy)
+        with pytest.raises(ValueError, match="unexpected"):
+            mlp.load_state_dict(legacy)
 
     def test_shared_tensor_appears_once(self):
         class Tied(Module):

@@ -17,10 +17,8 @@ class SlotScoringAC(ActorCritic):
         self.kernel = MLP([feats, 16, 1], activation="relu", seed=seed)
         self.value_net = MLP([slots * feats, 16, 1], activation="tanh", seed=seed)
 
-    def policy_logits(self, observations):
-        batch = observations.shape[0]
-        per_slot = observations.reshape(batch * self.slots, self.feats)
-        return self.kernel(per_slot).reshape(batch, self.slots)
+    def slot_scores(self, slots):
+        return self.kernel(slots)
 
     def value(self, observations):
         return self.value_net(observations).reshape(observations.shape[0])
