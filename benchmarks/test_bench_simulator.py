@@ -12,6 +12,8 @@ from repro.prediction.predictors import UserEstimate
 from repro.rl.autograd import Tensor
 from repro.rl.buffer import TrajectoryBuffer
 from repro.rl.ppo import PPO, PPOConfig
+from repro.scenarios.registry import get_scenario
+from repro.scheduler.backfill.conservative import ConservativeBackfill
 from repro.scheduler.backfill.easy import EasyBackfill
 from repro.scheduler.simulator import Simulator
 from repro.workloads.archive import load_trace
@@ -27,6 +29,21 @@ def test_simulator_easy_backfill_throughput(benchmark):
     assert len(result.records) == 512
     benchmark.extra_info["jobs_per_run"] = 512
     benchmark.extra_info["bsld"] = round(result.bsld, 2)
+
+
+def test_simulator_conservative_backfill_throughput(benchmark):
+    """Conservative on one contended sequence (the 2x load surge).
+
+    The trend gate divides this row's mean by the EASY row's above:
+    ``cost_conservative_vs_easy`` in ``throughput_baseline.json``.
+    """
+    trace = get_scenario("load-surge-2x").build(seed=0, num_jobs=3000).trace
+    jobs = sample_sequence(trace, 256, seed=0)
+    simulator = Simulator(trace.num_processors, policy="FCFS", backfill=ConservativeBackfill())
+
+    result = benchmark(simulator.run, jobs)
+    assert len(result.records) == 256
+    benchmark.extra_info["jobs_per_run"] = 256
 
 
 def test_simulator_sjf_no_estimator_throughput(benchmark):

@@ -23,7 +23,7 @@ the agent); everything here is heuristic and usable without training.
 from repro.scheduler.backfill.base import BackfillStrategy
 from repro.scheduler.backfill.none import NoBackfill
 from repro.scheduler.backfill.easy import EasyBackfill, GreedyBackfill
-from repro.scheduler.backfill.profile import ResourceProfile
+from repro.scheduler.backfill.profile import NoFeasibleStart, ResourceProfile
 from repro.scheduler.backfill.conservative import ConservativeBackfill
 
 __all__ = [
@@ -32,5 +32,6 @@ __all__ = [
     "EasyBackfill",
     "GreedyBackfill",
     "ResourceProfile",
+    "NoFeasibleStart",
     "ConservativeBackfill",
 ]

@@ -6,27 +6,35 @@ free-processor profile, and a candidate may only start now if, after
 re-planning the whole queue with the candidate running, no higher-priority
 job's reservation moves later.
 
-The implementation re-derives the reservation plan at every decision point
-from the availability profile (running jobs under the active estimator plus
-the waiting queue in base-policy priority order).  That keeps the strategy
-stateless between decision points, which is slower than an incremental
-profile but easy to verify -- and decision points are rare relative to
-simulated events.
+The plan is re-derived at every decision point from the availability profile
+(running jobs under the active estimator plus the waiting queue in base-policy
+priority order), which keeps the strategy stateless between decision points.
+Decision points are *not* rare -- one contended quick-scale cell spent 41 s
+replanning -- so a decision does the least work that yields the same floats.
+With q waiting jobs, c candidates tried and b breakpoints (up to running + 2q):
 
-For pathologically contended workloads (hundreds of waiting jobs) the full
-re-plan is quadratic per decision; production schedulers bound it the same
-way this class optionally does: ``reservation_depth`` plans reservations for
-only the first N waiting jobs (Slurm's ``bf_max_job_test`` /Moab's
-reservation depth -- the no-delay guarantee then covers those N jobs), and
-``max_candidates`` caps how many backfill candidates are *tried* per
-decision.  Both default to ``None`` (unbounded, the textbook algorithm).
+* before (kept as the oracle in ``tests/test_conservative_fast_path.py``): 1 + c
+  profile builds from ``machine.running_jobs`` and 1 + c whole replans, every
+  reservation scanning from each breakpoint -- O(c q b^2);
+* now: one build cloned per trial (``copy()``), a one-sweep ``earliest_start``
+  (O(b)), trials that stop at the first job pushed past its baseline start,
+  and each job's duration, request and eligible groups worked out once per
+  decision -- O(c q b) at worst, and most rejected trials end at job one or two.
+
+Production schedulers bound the replan the way this class optionally does:
+``reservation_depth`` plans reservations for only the first N waiting jobs
+(Slurm's ``bf_max_job_test`` / Moab's reservation depth -- the no-delay
+guarantee then covers those N jobs), and ``max_candidates`` caps how many
+backfill candidates are *tried* per decision.  Both default to ``None``
+(unbounded, the textbook algorithm).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from repro.cluster.allocator import job_request
+from repro.cluster.resources import ResourceVector
 from repro.prediction.predictors import RuntimeEstimator
 from repro.scheduler.backfill.base import BackfillStrategy
 from repro.scheduler.backfill.profile import GroupReservationProfile, ResourceProfile
@@ -34,6 +42,26 @@ from repro.scheduler.events import DecisionPoint
 from repro.workloads.job import Job
 
 __all__ = ["ConservativeBackfill"]
+
+
+class _Need(NamedTuple):
+    """What one job's reservation asks of the profile."""
+
+    duration: float
+    amount: Union[int, ResourceVector]
+    groups: Optional[List[str]]  # eligible node groups; ``None`` on a scalar machine
+
+
+# The two profiles differ only in how a reservation is addressed: each returns where
+# a need lands earliest and the ``reserve`` arguments that commit it there.
+def _place_scalar(profile: ResourceProfile, need: _Need) -> Tuple[float, tuple]:
+    start = profile.earliest_start(need.amount, need.duration)
+    return start, (start, need.duration, need.amount)
+
+
+def _place_grouped(profile: GroupReservationProfile, need: _Need) -> Tuple[float, tuple]:
+    start, group = profile.earliest_start(need.amount, need.duration, need.groups)
+    return start, (group, start, need.duration, need.amount)
 
 
 class ConservativeBackfill(BackfillStrategy):
@@ -92,36 +120,32 @@ class ConservativeBackfill(BackfillStrategy):
         return profile
 
     @staticmethod
-    def _hetero_plan(
-        profile: GroupReservationProfile,
-        queue: List[Job],
-        estimator: RuntimeEstimator,
-        machine,
-    ) -> Dict[int, float]:
-        """Greedy vector reservations over eligible groups; job_id -> start time."""
-        allocator = machine.allocator
-        plan: Dict[int, float] = {}
-        for job in queue:
-            request = job_request(job)
-            duration = max(float(estimator(job)), 1.0)
-            groups = [g.name for g in allocator.eligible_groups(request, job.partition)]
-            start, group = profile.earliest_start(request, duration, groups)
-            profile.reserve(group, start, duration, request)
-            plan[job.job_id] = start
-        return plan
+    def _need(job: Job, estimator: RuntimeEstimator, allocator) -> _Need:
+        duration = max(float(estimator(job)), 1.0)
+        if allocator is None:
+            return _Need(duration, job.requested_processors, None)
+        request = job_request(job)
+        return _Need(duration, request, [g.name for g in allocator.eligible_groups(request, job.partition)])
 
     @staticmethod
     def _plan(
-        profile: ResourceProfile,
+        profile,
+        place: Callable,
         queue: List[Job],
-        estimator: RuntimeEstimator,
-    ) -> Dict[int, float]:
-        """Greedily reserve every queued job in order; return job_id -> start time."""
+        needs: Dict[int, _Need],
+        baseline: Optional[Dict[int, float]] = None,
+    ) -> Optional[Dict[int, float]]:
+        """Greedily reserve every queued job in order; return job_id -> start time.
+
+        With a ``baseline`` plan this is a trial: it stops with ``None`` at the
+        first job that would start later than the baseline promised it.
+        """
         plan: Dict[int, float] = {}
         for job in queue:
-            duration = max(float(estimator(job)), 1.0)
-            start = profile.earliest_start(job.requested_processors, duration)
-            profile.reserve(start, duration, job.requested_processors)
+            start, claim = place(profile, needs[job.job_id])
+            if baseline is not None and start > baseline[job.job_id] + 1e-6:
+                return None
+            profile.reserve(*claim)
             plan[job.job_id] = start
         return plan
 
@@ -130,7 +154,8 @@ class ConservativeBackfill(BackfillStrategy):
         # the remaining queue keeps submission order, which is the ordering
         # conservative backfilling traditionally promises not to delay.
         rest = [j for j in decision.queue if j.job_id != decision.reserved_job.job_id]
-        rest.sort(key=lambda j: (j.submit_time, j.job_id))
+        if not decision.queue_sorted:
+            rest.sort(key=lambda j: (j.submit_time, j.job_id))
         return [decision.reserved_job] + rest
 
     # -- strategy ----------------------------------------------------------
@@ -144,12 +169,13 @@ class ConservativeBackfill(BackfillStrategy):
             queue = queue[: self.reservation_depth]
         machine = decision.machine
         hetero = machine is not None and getattr(machine, "topology", None) is not None
-        if hetero:
-            baseline_plan = self._hetero_plan(
-                self._hetero_base_profile(decision, estimator), queue, estimator, machine
-            )
-        else:
-            baseline_plan = self._plan(self._base_profile(decision, estimator), queue, estimator)
+        allocator = machine.allocator if hetero else None
+        # The estimator is first asked about the running jobs, then the queue in
+        # plan order, then the candidates: a noisy estimator draws in that order.
+        base = (self._hetero_base_profile if hetero else self._base_profile)(decision, estimator)
+        place = _place_grouped if hetero else _place_scalar
+        needs = {job.job_id: self._need(job, estimator, allocator) for job in queue}
+        baseline_plan = self._plan(base.copy(), place, queue, needs)
 
         candidates = list(decision.candidates)
         if self.order == "sjf":
@@ -159,39 +185,25 @@ class ConservativeBackfill(BackfillStrategy):
         if self.max_candidates is not None:
             candidates = candidates[: self.max_candidates]
 
-        graceful = machine is not None and bool(getattr(machine, "capacity_schedule", ()))
+        graceful = bool(getattr(machine, "capacity_schedule", ()))
         for candidate in candidates:
-            # Pretend the candidate starts right now.  Under a capacity
-            # schedule the candidate may gracefully straddle a drain window it
-            # starts before (the drain never preempts), so its reservation
-            # uses the clipped drain-subtraction; the planner's own
-            # reservations still go through the raising ``reserve``.
-            remaining = [j for j in queue if j.job_id != candidate.job_id]
+            where: tuple = ()
             if hetero:
                 # The trial debits the group the allocator would actually pick
                 # right now, keeping the what-if consistent with placement.
                 group = machine.placement_group(candidate)
                 if group is None:
                     continue
-                hetero_profile = self._hetero_base_profile(decision, estimator)
-                duration = max(float(estimator(candidate)), 1.0)
-                request = job_request(candidate)
-                if graceful:
-                    hetero_profile.drain(group, decision.time, duration, request)
-                else:
-                    hetero_profile.reserve(group, decision.time, duration, request)
-                new_plan = self._hetero_plan(hetero_profile, remaining, estimator, machine)
-            else:
-                profile = self._base_profile(decision, estimator)
-                duration = max(float(estimator(candidate)), 1.0)
-                if graceful:
-                    profile.drain(decision.time, duration, candidate.requested_processors)
-                else:
-                    profile.reserve(decision.time, duration, candidate.requested_processors)
-                new_plan = self._plan(profile, remaining, estimator)
-            delayed = any(
-                new_plan[j.job_id] > baseline_plan[j.job_id] + 1e-6 for j in remaining
-            )
-            if not delayed:
+                where = (group,)
+            need = needs.get(candidate.job_id) or self._need(candidate, estimator, allocator)
+            # Pretend the candidate starts right now.  Under a capacity schedule it
+            # may gracefully straddle a drain window it starts before (the drain
+            # never preempts), so its reservation uses the clipped drain-subtraction;
+            # the planner's own reservations still go through the raising ``reserve``.
+            trial = base.copy()
+            claim = trial.drain if graceful else trial.reserve
+            claim(*where, decision.time, need.duration, need.amount)
+            remaining = [j for j in queue if j.job_id != candidate.job_id]
+            if self._plan(trial, place, remaining, needs, baseline_plan) is not None:
                 return candidate
         return None

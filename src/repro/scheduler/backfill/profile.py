@@ -11,20 +11,61 @@ intact.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cluster.resources import ClusterTopology, ResourceVector, _RESOURCE_NAMES
 from repro.obs import get_metrics
 
-__all__ = ["ResourceProfile", "VectorProfile", "GroupReservationProfile"]
+__all__ = ["NoFeasibleStart", "ResourceProfile", "VectorProfile", "GroupReservationProfile"]
 
 _EPS = 1e-9
 
-# Conservative backfilling rebuilds a profile per candidate per decision
-# point, which is the strategy's dominant cost; counting builds makes that
-# rebuild pressure visible (a no-op branch while collection is disabled).
+# Counts profiles built from machine state (one per component per decision
+# under conservative backfilling); a ``copy()`` for a trial is not a build.
 _PROFILE_BUILDS = get_metrics().counter("backfill_profile_builds_total")
+
+
+class NoFeasibleStart(RuntimeError):
+    """The profile never frees enough capacity for the request."""
+
+
+def _earliest_fit(parts: Sequence[Tuple[List[float], List[int], int]], start: float, duration: float) -> float:
+    """Earliest of ``start`` and the later breakpoints at which every ``(times, free,
+    amount)`` step function keeps ``amount`` free for ``duration``; ``inf`` if none.
+
+    One forward sweep.  A start's window is the step holding it (looked up at
+    ``start + eps``) and every later step beginning before ``start + duration -
+    eps``.  A run of steps short of ``amount`` is in the window of every start
+    before its end, so the sweep resumes at the first breakpoint whose lookup
+    reaches that end instead of scanning from each breakpoint in between.
+    """
+    floor = start + _EPS
+    while not math.isinf(start):
+        horizon, bound = start + duration - _EPS, None
+        for times, free, amount in parts:
+            idx, size = bisect_right(times, start + _EPS) - 1, len(times)
+            while free[idx] >= amount:
+                idx += 1
+                if idx == size or times[idx] >= horizon:
+                    break
+            else:
+                while idx < size and free[idx] < amount:
+                    idx += 1
+                if idx == size:
+                    return math.inf
+                if bound is None or times[idx] > bound:
+                    bound = times[idx]
+        if bound is None:
+            return start
+        start = math.inf
+        for times, _, _ in parts:
+            k = bisect_left(times, bound)
+            while times[k - 1] > floor and bound <= times[k - 1] + _EPS:
+                k -= 1
+            if k < len(times) and times[k] < start:
+                start = times[k]
+    return start
 
 
 class ResourceProfile:
@@ -71,39 +112,53 @@ class ResourceProfile:
         return minimum
 
     # -- mutation ----------------------------------------------------------
-    def _ensure_breakpoint(self, time: float) -> int:
-        """Insert a breakpoint at ``time`` (if absent) and return its index."""
-        time = max(time, self.origin)
-        idx = bisect_right(self._times, time + _EPS) - 1
-        if abs(self._times[idx] - time) <= _EPS:
-            return idx
-        self._times.insert(idx + 1, time)
-        self._free.insert(idx + 1, self._free[idx])
-        return idx + 1
+    def _window(self, start: float, duration: float, needed: int = 0) -> Tuple:
+        """Locate ``[start, start+duration)`` and check it, modifying nothing.
+
+        Returns the steps ``[first, stop)`` it covers and the two times at which
+        a breakpoint is still missing (``None`` where one exists within ``eps``),
+        ready for :meth:`_cut`; raises if a step has fewer than ``needed`` free.
+        """
+        times, free = self._times, self._free
+        lo, end = max(start, self.origin), max(start + duration, self.origin)
+        first = bisect_right(times, lo + _EPS) - 1
+        last = bisect_right(times, end + _EPS) - 1
+        cut_lo = abs(times[first] - lo) > _EPS
+        # ``end`` snaps to the last breakpoint before it, the one cut at ``lo`` included.
+        cut_end = abs((lo if cut_lo and last == first else times[last]) - end) > _EPS
+        stop = last + cut_end
+        if first < stop and min(free[first:stop]) - needed < -_EPS:
+            worst = next(i for i in range(first, stop) if free[i] - needed < -_EPS)
+            raise RuntimeError(
+                f"profile over-subscribed at t={times[worst]}: "
+                f"free={free[worst]}, reserving {needed}"
+            )
+        return first, stop, lo if cut_lo else None, end if cut_end and end < math.inf else None
+
+    def _cut(self, first: int, stop: int, lo: Optional[float], end: Optional[float]) -> slice:
+        """Insert the breakpoints :meth:`_window` found missing; return the window's steps."""
+        times, free = self._times, self._free
+        if end is not None:
+            times.insert(stop, end)
+            free.insert(stop, free[stop - 1])
+        if lo is not None:
+            first, stop = first + 1, stop + 1
+            times.insert(first, lo)
+            free.insert(first, free[first - 1])
+        return slice(first, stop)
 
     def reserve(self, start: float, duration: float, processors: int) -> None:
-        """Subtract ``processors`` from the profile over ``[start, start+duration)``."""
+        """Subtract ``processors`` over ``[start, start+duration)``; all or nothing."""
         if processors <= 0:
             raise ValueError("processors must be positive")
         if duration <= 0:
             return
-        if math.isinf(duration):
-            end = math.inf
-        else:
-            end = start + duration
-        start_idx = self._ensure_breakpoint(start)
-        if math.isinf(end):
-            end_idx = len(self._times)
-        else:
-            end_idx = self._ensure_breakpoint(end)
-        for i in range(start_idx, end_idx):
-            new_free = self._free[i] - processors
-            if new_free < -_EPS:
-                raise RuntimeError(
-                    f"profile over-subscribed at t={self._times[i]}: "
-                    f"free={self._free[i]}, reserving {processors}"
-                )
-            self._free[i] = new_free
+        self._debit(self._window(start, duration, processors), processors)
+
+    def _debit(self, window: Tuple, processors: int) -> None:
+        """Subtract ``processors`` over a window :meth:`_window` has checked."""
+        span = self._cut(*window)
+        self._free[span] = [free - processors for free in self._free[span]]
 
     def drain(self, start: float, duration: float, processors: int) -> None:
         """Subtract ``processors`` over ``[start, start+duration)``, clipping at zero.
@@ -119,11 +174,15 @@ class ResourceProfile:
             raise ValueError("processors must be positive")
         if duration <= 0:
             return
-        end = math.inf if math.isinf(duration) else start + duration
-        start_idx = self._ensure_breakpoint(start)
-        end_idx = len(self._times) if math.isinf(end) else self._ensure_breakpoint(end)
-        for i in range(start_idx, end_idx):
-            self._free[i] = max(self._free[i] - processors, 0)
+        span = self._cut(*self._window(start, duration))
+        self._free[span] = [max(free - processors, 0) for free in self._free[span]]
+
+    def copy(self) -> "ResourceProfile":
+        """An independent clone (two list copies; not counted as a build)."""
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__)
+        clone._times, clone._free = self._times[:], self._free[:]
+        return clone
 
     def earliest_start(self, processors: int, duration: float, earliest: float | None = None) -> float:
         """Earliest time >= ``earliest`` at which ``processors`` stay free for ``duration``."""
@@ -131,18 +190,11 @@ class ResourceProfile:
             raise ValueError(
                 f"request for {processors} processors exceeds the machine size {self.total}"
             )
-        candidate_times = [max(earliest if earliest is not None else self.origin, self.origin)]
-        candidate_times.extend(t for t in self._times if t > candidate_times[0] + _EPS)
-        for start in candidate_times:
-            if math.isinf(duration):
-                # Must stay free forever from `start` on.
-                idx = max(bisect_right(self._times, start + _EPS) - 1, 0)
-                if all(f >= processors for f in self._free[idx:]):
-                    return start
-                continue
-            if self.min_free_between(start, start + duration) >= processors:
-                return start
-        raise RuntimeError(
+        first = max(earliest if earliest is not None else self.origin, self.origin)
+        start = _earliest_fit([(self._times, self._free, processors)], first, duration)
+        if not math.isinf(start):
+            return start
+        raise NoFeasibleStart(
             f"no feasible start found for {processors} processors x {duration}s "
             "(profile never frees enough capacity)"
         )
@@ -191,15 +243,18 @@ class VectorProfile:
         }
 
     def reserve(self, start: float, duration: float, vector: ResourceVector) -> None:
-        """Subtract ``vector`` over ``[start, start+duration)``; raises on over-subscription."""
+        """Subtract ``vector`` over ``[start, start+duration)``; all or nothing."""
         if not vector.fits_in(self.capacity):
             raise ValueError(
                 f"reservation {vector.as_dict()} exceeds group capacity {self.capacity.as_dict()}"
             )
-        for name, profile in self._profiles.items():
-            amount = vector.component(name)
-            if amount > 0:
-                profile.reserve(start, duration, amount)
+        if duration <= 0:
+            return
+        parts = [(p, vector.component(name)) for name, p in self._profiles.items()]
+        # Every component is located and checked before any is debited.
+        checked = [(p, p._window(start, duration, amount), amount) for p, amount in parts if amount > 0]
+        for profile, window, amount in checked:
+            profile._debit(window, amount)
 
     def drain(self, start: float, duration: float, vector: ResourceVector) -> None:
         """Subtract ``vector`` over the window, clipping each component at zero."""
@@ -208,14 +263,11 @@ class VectorProfile:
             if amount > 0:
                 profile.drain(start, duration, amount)
 
-    def fits_between(self, start: float, end: float, vector: ResourceVector) -> bool:
-        """Whether ``vector`` stays free over the half-open ``[start, end)``."""
-        if not vector.fits_in(self.capacity):
-            return False
-        return all(
-            profile.min_free_between(start, end) >= vector.component(name)
-            for name, profile in self._profiles.items()
-        )
+    def copy(self) -> "VectorProfile":
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__)
+        clone._profiles = {name: p.copy() for name, p in self._profiles.items()}
+        return clone
 
     def earliest_start(
         self, vector: ResourceVector, duration: float, earliest: float | None = None
@@ -226,22 +278,11 @@ class VectorProfile:
                 f"request {vector.as_dict()} exceeds group capacity {self.capacity.as_dict()}"
             )
         first = max(earliest if earliest is not None else self.origin, self.origin)
-        candidates = {first}
-        for profile in self._profiles.values():
-            candidates.update(t for t in profile._times if t > first + _EPS)
-        for start in sorted(candidates):
-            if math.isinf(duration):
-                if all(
-                    all(f >= vector.component(name) for _, f in profile.steps()[
-                        max(bisect_right(profile._times, start + _EPS) - 1, 0):
-                    ])
-                    for name, profile in self._profiles.items()
-                ):
-                    return start
-                continue
-            if self.fits_between(start, start + duration, vector):
-                return start
-        raise RuntimeError(
+        parts = [(p._times, p._free, vector.component(name)) for name, p in self._profiles.items()]
+        start = _earliest_fit(parts, first, duration)
+        if not math.isinf(start):
+            return start
+        raise NoFeasibleStart(
             f"no feasible start found for {vector.as_dict()} x {duration}s "
             "(group never frees enough capacity)"
         )
@@ -277,6 +318,12 @@ class GroupReservationProfile:
     def drain(self, group: str, start: float, duration: float, vector: ResourceVector) -> None:
         self._groups[group].drain(start, duration, vector)
 
+    def copy(self) -> "GroupReservationProfile":
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__)
+        clone._groups = {name: g.copy() for name, g in self._groups.items()}
+        return clone
+
     def earliest_start(
         self,
         vector: ResourceVector,
@@ -289,12 +336,12 @@ class GroupReservationProfile:
         for name in groups:
             try:
                 start = self._groups[name].earliest_start(vector, duration, earliest)
-            except RuntimeError:
+            except NoFeasibleStart:
                 continue
             if best is None or start < best[0] - _EPS:
                 best = (start, name)
         if best is None:
-            raise RuntimeError(
+            raise NoFeasibleStart(
                 f"no feasible start found for {vector.as_dict()} x {duration}s "
                 f"in groups {tuple(groups)}"
             )
