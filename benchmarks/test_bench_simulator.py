@@ -4,6 +4,8 @@ These are not paper figures; they document the performance envelope of the
 simulator and the from-scratch RL stack so regressions are visible.
 """
 
+import time
+
 import numpy as np
 
 from repro.core.agent import RLBackfillAgent
@@ -44,6 +46,45 @@ def test_simulator_conservative_backfill_throughput(benchmark):
     result = benchmark(simulator.run, jobs)
     assert len(result.records) == 256
     benchmark.extra_info["jobs_per_run"] = 256
+
+
+def test_simulator_topology_cost(benchmark):
+    """EASY on one ``hetero-partition-drain`` sequence, on its node groups and without.
+
+    The scalar run takes the same jobs with ``topology=None`` (and so without
+    the group-tagged drain, which a scalar machine cannot express): the ratio
+    ``cost_topology_vs_scalar`` is what vector accounting and the allocator
+    cost over the integer path, gated in ``throughput_baseline.json``.  The two
+    simulators are interleaved and the minima compared, as in
+    ``test_bench_obs.py``.
+    """
+    built = get_scenario("hetero-partition-drain").build(seed=0, num_jobs=3000)
+    jobs = sample_sequence(built.trace, 256, seed=0)
+    span = max(job.submit_time for job in jobs) - min(job.submit_time for job in jobs)
+    processors = built.trace.num_processors
+    scalar = Simulator(processors, policy="FCFS", backfill=EasyBackfill())
+    grouped = Simulator(
+        processors,
+        policy="FCFS",
+        backfill=EasyBackfill(),
+        capacity_schedule=built.capacity_schedule(span),
+        topology=built.topology,
+        allocator=built.allocator,
+    )
+
+    def seconds(simulator: Simulator) -> float:
+        start = time.perf_counter()
+        assert len(simulator.run(jobs).records) == 256
+        return time.perf_counter() - start
+
+    seconds(grouped)  # warm caches outside the timed repeats
+    pairs = [(seconds(scalar), seconds(grouped)) for _ in range(7)]
+    ratio = min(pair[1] for pair in pairs) / min(pair[0] for pair in pairs)
+    result = benchmark(grouped.run, jobs)
+    benchmark.extra_info["jobs_per_run"] = 256
+    benchmark.extra_info["decisions_per_run"] = result.decision_count
+    benchmark.extra_info["cost_topology_vs_scalar"] = round(ratio, 2)
+    print(f"\ntopology cost: {ratio:.2f}x the scalar machine on the same 256 jobs")
 
 
 def test_simulator_sjf_no_estimator_throughput(benchmark):

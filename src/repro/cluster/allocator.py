@@ -73,7 +73,7 @@ class GroupAllocation:
 class Allocator:
     """Group-placement policy plus per-group vector accounting.
 
-    Subclasses override :meth:`select_group`; everything else -- eligibility,
+    Subclasses override :meth:`place`; everything else -- eligibility,
     conservation accounting, token discipline -- is shared.
     """
 
@@ -81,6 +81,9 @@ class Allocator:
 
     def __init__(self, topology: ClusterTopology):
         self.topology = topology
+        #: Bumped whenever the books change; keys readers' snapshots of them
+        #: (``Machine`` may be handed an allocator that is also debited elsewhere).
+        self.version = 0
         self._free: Dict[str, ResourceVector] = {
             group.name: group.capacity for group in topology.groups
         }
@@ -121,6 +124,16 @@ class Allocator:
         """Whether some eligible group could host ``request`` on an empty machine."""
         return bool(self.eligible_groups(request, partition))
 
+    def place(
+        self,
+        request: ResourceVector,
+        free: Mapping[str, ResourceVector],
+        eligible: Tuple[NodeGroup, ...],
+    ) -> Optional[str]:
+        """Pick the group among ``eligible`` to place ``request`` in, given
+        per-group free vectors; ``None`` when none of them currently fits."""
+        raise NotImplementedError
+
     def select_group(
         self,
         request: ResourceVector,
@@ -132,7 +145,7 @@ class Allocator:
         ``free`` is usually :meth:`free_map`, possibly reduced by active
         drains.  Returns ``None`` when no eligible group currently fits.
         """
-        raise NotImplementedError
+        return self.place(request, free, self.eligible_groups(request, partition))
 
     def can_allocate(
         self,
@@ -158,14 +171,25 @@ class Allocator:
         allocator's actual accounts and still raises on oversubscription, so a
         stale adjusted map can never corrupt the books.
         """
+        eligible = self.eligible_groups(request, partition)
+        return self.grant(request, free if free is not None else self._free, eligible, partition)
+
+    def grant(
+        self,
+        request: ResourceVector,
+        free: Mapping[str, ResourceVector],
+        eligible: Tuple[NodeGroup, ...],
+        partition: int = -1,
+    ) -> GroupAllocation:
+        """:meth:`allocate` for a caller that already holds ``eligible_groups(request, partition)``."""
         if request.cpus <= 0:
             raise ValueError(f"cannot allocate a non-positive cpu count: {request.cpus}")
-        if not self.feasible(request, partition):
+        if not eligible:
             raise ValueError(
                 f"request {request.as_dict()} (partition {partition}) exceeds every "
                 f"node group's capacity"
             )
-        group = self.select_group(request, free if free is not None else self._free, partition)
+        group = self.place(request, free, eligible)
         if group is None:
             raise RuntimeError(
                 f"insufficient resources: no eligible group currently fits {request.as_dict()}"
@@ -180,6 +204,7 @@ class Allocator:
         )
         self._live[allocation.allocation_id] = allocation
         self._free[group] = self._free[group] - request
+        self.version += 1
         return allocation
 
     def release(self, allocation: GroupAllocation) -> None:
@@ -195,11 +220,13 @@ class Allocator:
                 f"recorded {stored}, token says {allocation}"
             )
         self._free[allocation.group] = self._free[allocation.group] + allocation.vector
+        self.version += 1
 
     def reset(self) -> None:
         self._live.clear()
         for group in self.topology.groups:
             self._free[group.name] = group.capacity
+        self.version += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -213,13 +240,13 @@ class FirstFitAllocator(Allocator):
 
     name = "first_fit"
 
-    def select_group(
+    def place(
         self,
         request: ResourceVector,
         free: Mapping[str, ResourceVector],
-        partition: int = -1,
+        eligible: Tuple[NodeGroup, ...],
     ) -> Optional[str]:
-        for group in self.eligible_groups(request, partition):
+        for group in eligible:
             if request.fits_in(free[group.name]):
                 return group.name
         return None
@@ -234,15 +261,15 @@ class BestFitAllocator(Allocator):
 
     name = "best_fit"
 
-    def select_group(
+    def place(
         self,
         request: ResourceVector,
         free: Mapping[str, ResourceVector],
-        partition: int = -1,
+        eligible: Tuple[NodeGroup, ...],
     ) -> Optional[str]:
         best: Optional[str] = None
         best_leftover = -1
-        for group in self.eligible_groups(request, partition):
+        for group in eligible:
             available = free[group.name]
             if not request.fits_in(available):
                 continue

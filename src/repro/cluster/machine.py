@@ -20,8 +20,9 @@ capacity loss the moment a window opens.  Utilization accounting integrates
 *busy* processors only, so a drained machine correctly reports reduced
 utilization against its full nameplate capacity.
 
-Two internal caches keep the hot simulator loop cheap without changing any
-observable behaviour:
+Internal caches keep the hot simulator loop cheap without changing any
+observable behaviour (the heterogeneous ones -- per-job needs, one free-map
+snapshot per instant -- are specified in docs/cluster.md):
 
 * completion queries go through a lazily-invalidated min-heap of
   ``(end_time, job_id)`` entries instead of scanning every running job, and
@@ -33,9 +34,9 @@ observable behaviour:
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cluster.allocator import (
     Allocator,
@@ -176,6 +177,11 @@ class Machine:
         self._sorted_plan: Optional[List[Tuple[float, int]]] = None
         self._sorted_plan_estimator: Optional[object] = None
         self._sorted_plan_entries: Dict[int, Tuple[float, int]] = {}
+        # Hetero facts computed once at the scope where they are constant
+        # (docs/cluster.md): per job, per instant, per schedule tuple.
+        self._needs: Dict[int, Tuple[Job, Tuple[ResourceVector, Tuple[NodeGroup, ...]]]] = {}
+        self._free_snapshot: Optional[tuple] = None
+        self._schedule_facts: Optional[tuple] = None
 
     # -- properties -------------------------------------------------------
     @property
@@ -197,7 +203,7 @@ class Machine:
         if not self.capacity_schedule:
             return self.pool.free
         if self._allocator is not None:
-            return sum(vector.cpus for vector in self.hetero_free_map().values())
+            return sum(vector.cpus for vector in self._free_now().values())
         return max(self.pool.free - self.drained_processors(), 0)
 
     @property
@@ -220,8 +226,10 @@ class Machine:
 
     def can_start(self, job: Job) -> bool:
         if self._allocator is not None:
-            free = self.hetero_free_map() if self.capacity_schedule else None
-            return self._allocator.can_allocate(job_request(job), free=free, partition=job.partition)
+            request, eligible = self.job_need(job)
+            return request.cpus > 0 and (
+                self._allocator.place(request, self._free_now(), eligible) is not None
+            )
         if not self.capacity_schedule:
             return self.pool.can_allocate(job.requested_processors)
         return 0 < job.requested_processors <= self.free_processors
@@ -304,40 +312,45 @@ class Machine:
             return
         self.topology.group(window.group)  # raises KeyError on unknown names
 
-    def _window_group(self, window: DowntimeWindow) -> NodeGroup:
-        assert self.topology is not None
-        if window.group is None:
-            return self.topology.groups[0]
-        return self.topology.group(window.group)
-
-    def _window_drain_vector(self, window: DowntimeWindow) -> ResourceVector:
-        """The resource vector a window takes out of its group.
+    def _window_drain(self, window: DowntimeWindow) -> Tuple[str, ResourceVector]:
+        """The group a window drains and the resource vector it takes out of it.
 
         Nodes leave with their proportional share of the group's memory and
         GPUs (floor division -- draining half a group's cpus drains at most
         half its memory), clipped so an oversized window never exceeds the
         group.
         """
-        group = self._window_group(window)
+        assert self.topology is not None
+        group = self.topology.groups[0] if window.group is None else self.topology.group(window.group)
         procs = min(window.processors, group.cpus)
-        return ResourceVector(
+        return group.name, ResourceVector(
             cpus=procs,
             memory=group.memory * procs // group.cpus,
             gpus=group.gpus * procs // group.cpus,
         )
 
+    def _window_facts(self) -> Tuple[List[Tuple[DowntimeWindow, str, ResourceVector]], List[float]]:
+        """Per-window ``(window, group name, drain vector)`` and the sorted
+        instants at which the active set changes, derived once per
+        ``capacity_schedule`` tuple (it is replaced, never edited)."""
+        facts = self._schedule_facts
+        if facts is None or facts[0] is not self.capacity_schedule:
+            schedule = self.capacity_schedule
+            facts = self._schedule_facts = (
+                schedule,
+                [(window, *self._window_drain(window)) for window in schedule],
+                sorted(edge - _EPS for window in schedule for edge in (window.start, window.end)),
+            )
+        return facts[1], facts[2]
+
     def _group_drains(self, at: float) -> Dict[str, ResourceVector]:
         """Drained vector per group at instant ``at`` (capped at group capacity)."""
-        assert self.topology is not None
         drains: Dict[str, ResourceVector] = {}
-        for window in self.capacity_schedule:
+        for window, name, vector in self._window_facts()[0]:
             if window.start - _EPS > at:
                 break  # schedule is sorted by start; nothing later is active
-            if not window.active_at(at):
-                continue
-            group = self._window_group(window)
-            vector = self._window_drain_vector(window)
-            drains[group.name] = drains.get(group.name, ResourceVector()) + vector
+            if window.active_at(at):
+                drains[name] = drains[name] + vector if name in drains else vector
         for name, vector in drains.items():
             drains[name] = vector.minimum(self.topology.group(name).capacity)
         return drains
@@ -347,16 +360,59 @@ class Machine:
 
         Each group's free vector is clipped independently: subtract the
         group's active drains from its free resources, never going negative.
+        The result is the caller's own dict; an explicit ``time`` is always
+        computed afresh, the current instant is a copy of the snapshot.
         """
         if self._allocator is None:
             raise RuntimeError("hetero_free_map requires a heterogeneous machine")
+        if time is None:
+            return dict(self._free_now())
         free = self._allocator.free_map()
-        if not self.capacity_schedule:
-            return free
-        at = self._last_accounting_time if time is None else time
-        for name, drained in self._group_drains(at).items():
+        for name, drained in self._group_drains(time).items():
             free[name] = free[name].clamped_sub(drained)
         return free
+
+    def _free_now(self) -> Mapping[str, ResourceVector]:
+        """The drain-adjusted free map at the current instant, read-only.
+
+        Built once per (allocator books version, clock, schedule tuple) and
+        shared by every availability query made at that instant.
+        """
+        snapshot = self._free_snapshot
+        version, clock = self._allocator.version, self._last_accounting_time
+        if (
+            snapshot is None or snapshot[0] != version or snapshot[1] != clock
+            or snapshot[2] is not self.capacity_schedule
+        ):
+            snapshot = self._free_snapshot = (
+                version, clock, self.capacity_schedule, self.hetero_free_map(clock)
+            )
+        return snapshot[3]
+
+    def job_need(self, job: Job) -> Tuple[ResourceVector, Tuple[NodeGroup, ...]]:
+        """``job``'s request vector and the groups that could ever host it.
+
+        Worked out once per job (memoised by id, verified by identity) and
+        dropped when the job's run is released.
+        """
+        entry = self._needs.get(job.job_id)
+        if entry is None or entry[0] is not job:
+            request = job_request(job)
+            need = (request, self._allocator.eligible_groups(request, job.partition))
+            entry = self._needs[job.job_id] = (job, need)
+        return entry[1]
+
+    def fits_beside(self, job: Job, spare_vectors: Mapping[str, ResourceVector]) -> bool:
+        """Whether some eligible group holds ``job``'s full vector both right
+        now and within ``spare_vectors`` (the envelope :meth:`hetero_reservation`
+        leaves beside the reserved job)."""
+        request, eligible = self.job_need(job)
+        free_now = self._free_now()
+        for group in eligible:
+            spare = spare_vectors.get(group.name)
+            if spare is not None and request.fits_in(spare) and request.fits_in(free_now[group.name]):
+                return True
+        return False
 
     def hetero_capacity_drains(
         self, now: float
@@ -369,13 +425,8 @@ class Machine:
         if self.topology is None:
             raise RuntimeError("hetero_capacity_drains requires a heterogeneous machine")
         return [
-            (
-                max(window.start, now),
-                window.end,
-                self._window_group(window).name,
-                self._window_drain_vector(window),
-            )
-            for window in self.capacity_schedule
+            (max(window.start, now), window.end, name, vector)
+            for window, name, vector in self._window_facts()[0]
             if window.end > now + _EPS
         ]
 
@@ -394,17 +445,15 @@ class Machine:
         """
         if self._allocator is None:
             return None
-        free = self.hetero_free_map() if self.capacity_schedule else self._allocator.free_map()
-        return self._allocator.select_group(job_request(job), free, job.partition)
+        request, eligible = self.job_need(job)
+        return self._allocator.place(request, self._free_now(), eligible)
 
     def free_resource_vector(self) -> ResourceVector:
         """Aggregate drain-adjusted free vector (scalar machines report cpus only)."""
         if self._allocator is None:
             return ResourceVector(cpus=self.free_processors)
         total = ResourceVector()
-        for vector in (
-            self.hetero_free_map() if self.capacity_schedule else self._allocator.free_map()
-        ).values():
+        for vector in self._free_now().values():
             total = total + vector
         return total
 
@@ -452,9 +501,9 @@ class Machine:
             raise RuntimeError(f"job {job.job_id} is already running")
         self._account(now)
         if self._allocator is not None:
-            free = self.hetero_free_map() if self.capacity_schedule else None
-            self._group_allocs[job.job_id] = self._allocator.allocate(
-                job_request(job), free=free, partition=job.partition
+            request, eligible = self.job_need(job)
+            self._group_allocs[job.job_id] = self._allocator.grant(
+                request, self._free_now(), eligible, job.partition
             )
         elif self.capacity_schedule and job.requested_processors > self.free_processors:
             raise RuntimeError(
@@ -551,6 +600,7 @@ class Machine:
             self.pool.release(record.allocation)
             if self._allocator is not None:
                 self._allocator.release(self._group_allocs.pop(job_id))
+                self._needs.pop(job_id, None)
             del self._running[job_id]
             self._sorted_plan_remove(job_id)
             finished.append(record)
@@ -567,6 +617,7 @@ class Machine:
         self.pool.release(record.allocation)
         if self._allocator is not None:
             self._allocator.release(self._group_allocs.pop(job_id))
+            self._needs.pop(job_id, None)
         self._version += 1
         self._sorted_plan_remove(job_id)
         return record
@@ -754,9 +805,9 @@ class Machine:
         """
         if self._allocator is None:
             raise RuntimeError("hetero_reservation requires a heterogeneous machine")
-        request = job_request(job)
+        request, eligible = self.job_need(job)
         allocator = self._allocator
-        if not allocator.feasible(request, job.partition):
+        if not eligible:
             raise RuntimeError(
                 f"job {job.job_id} requests {request.as_dict()} (partition "
                 f"{job.partition}) but no node group can ever host it"
@@ -771,29 +822,37 @@ class Machine:
             for boundary in (window.start, window.end):
                 if boundary > now + _EPS:
                     events.add(boundary)
-        base_free = allocator.free_map()
-        freed: Dict[str, ResourceVector] = {}
+        # ``plan`` holds each group's books plus the grants released so far;
+        # only the eligible groups are turned into availability per event, the
+        # all-groups map (declaration order) only at the instant found.
+        plan = allocator.free_map()
+        edges = self._window_facts()[1]
+        drains: Optional[Dict[str, ResourceVector]] = None
+        edge = 0
+
+        def available(group: NodeGroup) -> ResourceVector:
+            vector = plan[group.name].minimum(group.capacity)
+            drained = drains.get(group.name)
+            return vector if drained is None else vector.clamped_sub(drained)
+
         index = 0
         for event_time in sorted(events):
             while index < len(releases) and releases[index][0] <= event_time + _EPS:
                 grant = self._group_allocs[releases[index][1]]
-                freed[grant.group] = freed.get(grant.group, ResourceVector()) + grant.vector
+                plan[grant.group] = plan[grant.group] + grant.vector
                 index += 1
-            available: Dict[str, ResourceVector] = {}
-            drains = self._group_drains(event_time) if self.capacity_schedule else {}
-            for group in self.topology.groups:
-                vector = base_free[group.name] + freed.get(group.name, ResourceVector())
-                vector = vector.minimum(group.capacity)
-                drained = drains.get(group.name)
-                if drained is not None:
-                    vector = vector.clamped_sub(drained)
-                available[group.name] = vector
-            target = allocator.select_group(request, available, job.partition)
+            if drains is None or (edge < len(edges) and edges[edge] <= event_time):
+                # The active windows change only where an edge is crossed.
+                drains = self._group_drains(event_time)
+                edge = bisect_right(edges, event_time, edge)
+            target = allocator.place(
+                request, {group.name: available(group) for group in eligible}, eligible
+            )
             if target is None:
                 continue
             spares = {
-                name: vector - request if name == target else vector
-                for name, vector in available.items()
+                group.name: available(group) - request if group.name == target else available(group)
+                for group in self.topology.groups
             }
             extra = sum(vector.cpus for vector in spares.values())
             return event_time, extra, spares
@@ -808,6 +867,7 @@ class Machine:
         if self._allocator is not None:
             self._allocator.reset()
             self._group_allocs.clear()
+            self._needs.clear()
         self._busy_area = 0.0
         self._last_accounting_time = 0.0
         self._completion_heap.clear()

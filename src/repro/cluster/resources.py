@@ -49,10 +49,11 @@ class ResourceVector:
     gpus: int = 0
 
     def __post_init__(self) -> None:
-        for name in _RESOURCE_NAMES:
-            value = getattr(self, name)
-            if value < 0:
-                raise ValueError(f"resource vector {name} must be non-negative, got {value}")
+        if self.cpus < 0 or self.memory < 0 or self.gpus < 0:
+            for name in _RESOURCE_NAMES:
+                value = getattr(self, name)
+                if value < 0:
+                    raise ValueError(f"resource vector {name} must be non-negative, got {value}")
 
     def fits_in(self, other: "ResourceVector") -> bool:
         """Elementwise ``self <= other`` (the feasibility test)."""
@@ -120,6 +121,8 @@ class NodeGroup:
     memory: int = 0
     gpus: int = 0
     partition: int = -1
+    #: ``(cpus, memory, gpus)`` as one vector, derived at construction.
+    capacity: ResourceVector = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -128,10 +131,9 @@ class NodeGroup:
             raise ValueError(f"node group {self.name!r} must have positive cpus, got {self.cpus}")
         if self.memory < 0 or self.gpus < 0:
             raise ValueError(f"node group {self.name!r} memory/gpus must be non-negative")
-
-    @property
-    def capacity(self) -> ResourceVector:
-        return ResourceVector(cpus=self.cpus, memory=self.memory, gpus=self.gpus)
+        object.__setattr__(
+            self, "capacity", ResourceVector(cpus=self.cpus, memory=self.memory, gpus=self.gpus)
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,6 +147,9 @@ class ClusterTopology:
     """
 
     groups: tuple[NodeGroup, ...]
+    #: Aggregate nameplate capacity and the name -> group index, derived at construction.
+    total: ResourceVector = field(init=False, compare=False, repr=False)
+    _by_name: dict[str, NodeGroup] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.groups:
@@ -152,6 +157,11 @@ class ClusterTopology:
         names = [group.name for group in self.groups]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate node group names in topology: {names}")
+        total = ResourceVector()
+        for group in self.groups:
+            total = total + group.capacity
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "_by_name", {group.name: group for group in self.groups})
 
     @classmethod
     def homogeneous(cls, num_processors: int, name: str = "all") -> "ClusterTopology":
@@ -160,24 +170,17 @@ class ClusterTopology:
 
     @property
     def total_cpus(self) -> int:
-        return sum(group.cpus for group in self.groups)
-
-    @property
-    def total(self) -> ResourceVector:
-        total = ResourceVector()
-        for group in self.groups:
-            total = total + group.capacity
-        return total
+        return self.total.cpus
 
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(group.name for group in self.groups)
 
     def group(self, name: str) -> NodeGroup:
-        for candidate in self.groups:
-            if candidate.name == name:
-                return candidate
-        raise KeyError(f"no node group named {name!r} (have {self.names})")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise KeyError(f"no node group named {name!r} (have {self.names})") from None
 
     def partition_owner(self, partition: int) -> NodeGroup | None:
         """The group claiming SWF ``partition``, or ``None`` if unclaimed."""

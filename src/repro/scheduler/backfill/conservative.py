@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
-from repro.cluster.allocator import job_request
 from repro.cluster.resources import ResourceVector
 from repro.prediction.predictors import RuntimeEstimator
 from repro.scheduler.backfill.base import BackfillStrategy
@@ -120,12 +119,12 @@ class ConservativeBackfill(BackfillStrategy):
         return profile
 
     @staticmethod
-    def _need(job: Job, estimator: RuntimeEstimator, allocator) -> _Need:
+    def _need(job: Job, estimator: RuntimeEstimator, hetero_machine) -> _Need:
         duration = max(float(estimator(job)), 1.0)
-        if allocator is None:
+        if hetero_machine is None:
             return _Need(duration, job.requested_processors, None)
-        request = job_request(job)
-        return _Need(duration, request, [g.name for g in allocator.eligible_groups(request, job.partition)])
+        request, eligible = hetero_machine.job_need(job)
+        return _Need(duration, request, [group.name for group in eligible])
 
     @staticmethod
     def _plan(
@@ -169,12 +168,12 @@ class ConservativeBackfill(BackfillStrategy):
             queue = queue[: self.reservation_depth]
         machine = decision.machine
         hetero = machine is not None and getattr(machine, "topology", None) is not None
-        allocator = machine.allocator if hetero else None
+        hetero_machine = machine if hetero else None
         # The estimator is first asked about the running jobs, then the queue in
         # plan order, then the candidates: a noisy estimator draws in that order.
         base = (self._hetero_base_profile if hetero else self._base_profile)(decision, estimator)
         place = _place_grouped if hetero else _place_scalar
-        needs = {job.job_id: self._need(job, estimator, allocator) for job in queue}
+        needs = {job.job_id: self._need(job, estimator, hetero_machine) for job in queue}
         baseline_plan = self._plan(base.copy(), place, queue, needs)
 
         candidates = list(decision.candidates)
@@ -195,7 +194,7 @@ class ConservativeBackfill(BackfillStrategy):
                 if group is None:
                     continue
                 where = (group,)
-            need = needs.get(candidate.job_id) or self._need(candidate, estimator, allocator)
+            need = needs.get(candidate.job_id) or self._need(candidate, estimator, hetero_machine)
             # Pretend the candidate starts right now.  Under a capacity schedule it
             # may gracefully straddle a drain window it starts before (the drain
             # never preempts), so its reservation uses the clipped drain-subtraction;

@@ -112,22 +112,6 @@ class DecisionPoint:
         if self.spare_vectors is not None and self.machine is not None:
             if finishes_in_time:
                 return False
-            return not self._fits_beside_hetero(job)
+            return not self.machine.fits_beside(job, self.spare_vectors)
         fits_beside_reservation = job.requested_processors <= self.extra_processors
         return not (finishes_in_time or fits_beside_reservation)
-
-    def _fits_beside_hetero(self, job: Job) -> bool:
-        from repro.cluster.allocator import job_request
-
-        allocator = self.machine.allocator
-        if allocator is None:  # pragma: no cover - defensive; spare_vectors implies hetero
-            return job.requested_processors <= self.extra_processors
-        request = job_request(job)
-        free_now = self.machine.hetero_free_map()
-        for group in allocator.eligible_groups(request, job.partition):
-            spare = self.spare_vectors.get(group.name)
-            if spare is None:
-                continue
-            if request.fits_in(spare) and request.fits_in(free_now[group.name]):
-                return True
-        return False

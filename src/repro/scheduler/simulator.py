@@ -317,11 +317,12 @@ class Simulator:
                 f"job {job.job_id} requests {job.requested_processors} processors but the "
                 f"machine has only {self.num_processors}"
             )
-        if self._feasibility is not None and not self._feasibility.feasible(
-            job_request(job), job.partition
-        ):
+        if self._feasibility is None:
+            return
+        request = job_request(job)
+        if not self._feasibility.feasible(request, job.partition):
             raise ValueError(
-                f"job {job.job_id} requests {job_request(job).as_dict()} "
+                f"job {job.job_id} requests {request.as_dict()} "
                 f"(partition {job.partition}) but no node group can host it"
             )
 
