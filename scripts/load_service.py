@@ -256,7 +256,12 @@ async def run_client(
 
 def measure_reference_forward(service: SchedulingService, repeats: int = 2000) -> float:
     """Mean serial-forward seconds of the *serving* agent (the ``row_block=1``
-    deep copy), measured on this machine after the load run."""
+    deep copy), measured on this machine after the load run.
+
+    The unit is ``agent.step`` -- policy, value network and the log-prob grid
+    -- and stays so although the deployed policy now calls the cheaper
+    ``agent.act``: it is a machine-speed yardstick the committed
+    ``service_load`` ratios are expressed in, not the cost of a decision."""
     agent = service.strategy.agent
     cfg = agent.observation_config
     rng = np.random.default_rng(0)
@@ -323,6 +328,27 @@ def percentile_ms(latencies: Histogram, q: float) -> float:
     return latencies.quantile(q / 100.0) * 1000.0
 
 
+def stage_budget(service: SchedulingService) -> Dict[str, Dict[str, float]]:
+    """Per request stage: seconds summed over the run, that sum as a share of
+    the summed ``handle`` time (``admission`` and ``advance`` are parts of
+    ``handle``; ``queue_wait`` and ``respond`` lie outside it, so their share
+    says how they compare with it), and p50/p99."""
+    stages = {
+        stage: service.metrics.histogram("service_stage_seconds", stage=stage)
+        for stage in service.STAGES
+    }
+    handle_seconds = stages["handle"].sum
+    return {
+        stage: {
+            "seconds": hist.sum,
+            "share_of_handle": hist.sum / handle_seconds if handle_seconds > 0 else 0.0,
+            "p50_ms": percentile_ms(hist, 50.0),
+            "p99_ms": percentile_ms(hist, 99.0),
+        }
+        for stage, hist in stages.items()
+    }
+
+
 async def run_load(args: argparse.Namespace, agent: RLBackfillAgent) -> Dict[str, object]:
     config = ServiceConfig(
         num_processors=args.procs,
@@ -368,6 +394,7 @@ async def run_load(args: argparse.Namespace, agent: RLBackfillAgent) -> Dict[str
         await asyncio.gather(*clients)
         live_seconds = time.perf_counter() - start
         live_decisions = service.counters.decisions
+        stages = stage_budget(service)  # the live window's: read before the drain
         async with ServiceClient(host, port) as client:
             drain = await client.drain()
             stats = (await client.stats())["stats"]
@@ -407,6 +434,7 @@ async def run_load(args: argparse.Namespace, agent: RLBackfillAgent) -> Dict[str
         "latency_p50_ms": percentile_ms(latencies, 50.0),
         "latency_p95_ms": percentile_ms(latencies, 95.0),
         "latency_p99_ms": p99_ms,
+        "stages": stages,
         "reference_forward_seconds": forward_seconds,
         "p99_latency_per_forward": (p99_ms / 1000.0) / forward_seconds,
         "decision_throughput_x_forward": rate * forward_seconds,
@@ -478,6 +506,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"latency ms: p50={report['latency_p50_ms']:.1f} "
         f"p95={report['latency_p95_ms']:.1f} p99={report['latency_p99_ms']:.1f}"
     )
+    print("stage: share of handle time, p50/p99 ms")
+    for stage, row in report["stages"].items():
+        print(
+            f"  {stage:<10} {row['share_of_handle']:6.1%}  "
+            f"p50={row['p50_ms']:.2f} p99={row['p99_ms']:.2f}"
+        )
     print(
         f"reference forward: {report['reference_forward_seconds'] * 1e6:.0f}us; "
         f"p99/forward={report['p99_latency_per_forward']:.0f}; "

@@ -221,17 +221,10 @@ class BackfillEnvironment(Environment):
         or below the contention filter) never pay for feature encoding.
         """
         self._jobs = list(jobs)
-        # Static per-job quantities (columns: submit_time, requested_time,
-        # requested_processors, job_id), gathered once per episode so the
-        # encoder can fancy-index them instead of touching every Job object
-        # at every decision point.
-        self._static_rows = np.array(
-            [
-                (j.submit_time, j.requested_time, j.requested_processors, j.job_id)
-                for j in self._jobs
-            ],
-            dtype=np.float64,
-        )
+        # Static per-job quantities, gathered once per episode so the encoder
+        # can fancy-index them instead of touching every Job object at every
+        # decision point.
+        self._static_rows = self.builder.static_rows(self._jobs)
         self._static_index = {j.job_id: row for row, j in enumerate(self._jobs)}
         self.baseline_bsld = (
             cached_baseline if cached_baseline is not None else self._baseline_bsld(self._jobs)
@@ -289,7 +282,7 @@ class BackfillEnvironment(Environment):
 
     def pending_encode(
         self,
-    ) -> Tuple[DecisionPoint, List[Job], Optional[np.ndarray], Optional[np.ndarray]]:
+    ) -> Tuple[DecisionPoint, List[Job], np.ndarray, np.ndarray]:
         """The current decision point, prepared for feature encoding.
 
         Returns ``(decision, queue, static_rows, can_run)`` in the item

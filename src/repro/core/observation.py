@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,6 +43,10 @@ JOB_FEATURES = 10
 
 #: Resources beyond cpus, in the order their feature pairs are appended.
 _EXTRA_RESOURCES = ("memory", "gpus")
+
+#: Queue order, and the columns of :meth:`ObservationBuilder.static_rows`.
+_arrival_key = attrgetter("submit_time", "job_id")
+_static_columns = attrgetter("submit_time", "requested_time", "requested_processors", "job_id")
 
 #: Normalization caps (seconds) for the logarithmic time features.  The
 #: vectorized encoder in :meth:`ObservationBuilder.build` folds the wait and
@@ -187,11 +193,10 @@ class ObservationBuilder:
         observations of every lane can be batched into one numpy pass.
         """
         cfg = self.config
-        candidate_ids = {job.job_id for job in decision.candidates}
-        if decision.queue_sorted:
-            queue = decision.queue
-        else:
-            queue = sorted(decision.queue, key=lambda j: (j.submit_time, j.job_id))
+        queue, candidates = decision.queue, decision.candidates
+        if not decision.queue_sorted:
+            queue = sorted(queue, key=_arrival_key)
+            candidates = sorted(candidates, key=_arrival_key)
         if len(queue) > cfg.max_queue_size:
             queue = queue[: cfg.max_queue_size]
 
@@ -199,13 +204,36 @@ class ObservationBuilder:
         slot_jobs: List[Optional[Job]] = [None] * cfg.num_slots
         slot_jobs[: len(queue)] = queue
         reserved_id = decision.reserved_job.job_id
+        # Candidates are a subsequence of the queue (DecisionPoint's promise),
+        # so those inside the window are a prefix of their list: one merge walk
+        # over the window's slots marks them, however long the list is.
+        valid: List[int] = []
+        pending = iter(candidates)
+        candidate = next(pending, None)
         for slot, job in enumerate(queue):
-            # The reserved job is visible but never a valid action (§3.2).
-            if job.job_id in candidate_ids and job.job_id != reserved_id:
-                mask[slot] = 1.0
+            while candidate is not None and candidate.submit_time <= job.submit_time:
+                if candidate.job_id == job.job_id:
+                    # The reserved job is visible but never a valid action (§3.2).
+                    if job.job_id != reserved_id:
+                        valid.append(slot)
+                elif candidate.submit_time == job.submit_time and candidate.job_id > job.job_id:
+                    break
+                # Matched, or sorts before this slot's job and so is not queued.
+                candidate = next(pending, None)
+            if candidate is None:
+                break
+        if valid:
+            mask[valid] = 1.0
         if cfg.skip_slot is not None:
             mask[cfg.skip_slot] = 1.0
         return queue, mask, slot_jobs
+
+    @staticmethod
+    def static_rows(jobs: Sequence[Job]) -> np.ndarray:
+        """What never changes while a job waits, one row per job:
+        ``(submit_time, requested_time, requested_processors, job_id)``."""
+        flat = chain.from_iterable(map(_static_columns, jobs))
+        return np.fromiter(flat, dtype=np.float64, count=4 * len(jobs)).reshape(len(jobs), 4)
 
     def encode_batch(
         self,
@@ -213,19 +241,19 @@ class ObservationBuilder:
     ) -> np.ndarray:
         """Encode many prepared decisions into one ``(batch, observation_size)`` matrix.
 
-        Each item is ``(decision, queue)`` -- with ``queue`` as returned by
-        :meth:`prepare` -- or the extended form
-        ``(decision, queue, static_rows, can_run)`` produced by
-        :meth:`~repro.core.environment.BackfillEnvironment.pending_encode`,
-        where ``static_rows`` holds the pre-gathered per-job columns
-        ``(submit_time, requested_time, requested_processors, job_id)`` and
-        ``can_run`` the candidate mask over the queue slots.  All queues are
-        concatenated so every feature is computed with a single numpy
-        operation across the whole batch -- the vectorized engine calls this
-        once per lockstep iteration instead of once per lane.  A batch of one
-        performs exactly the same operations as the serial path
-        (:meth:`build` delegates here), which keeps the ``num_envs=1`` engine
-        bit-identical to serial rollouts.
+        Each item is ``(decision, queue, static_rows, can_run)``: ``queue`` as
+        returned by :meth:`prepare`, ``static_rows`` its :meth:`static_rows`
+        and ``can_run`` the action mask over the queue slots (the reserved
+        job is never a candidate, so that is exactly the can-run feature).
+        :meth:`build` makes one such item per decision;
+        :meth:`~repro.core.environment.BackfillEnvironment.pending_encode`
+        slices the rows out of the ones it gathered for the whole episode.
+        All queues are concatenated so every feature is computed with a
+        single numpy operation across the whole batch -- the vectorized
+        engine calls this once per lockstep iteration instead of once per
+        lane.  A batch of one performs exactly the same operations per row,
+        which keeps the serial path, the ``num_envs=1`` engine and any larger
+        batch bit-identical.
         """
         cfg = self.config
         batch = len(items)
@@ -237,30 +265,11 @@ class ObservationBuilder:
             # feature math below is pure numpy over the concatenation.
             # Columns: submit, requested_time, processors, is_reserved, can_run.
             blocks: List[np.ndarray] = []
-            for item in items:
-                decision, queue = item[0], item[1]
-                reserved_id = decision.reserved_job.job_id
-                if len(item) >= 4 and item[2] is not None and item[3] is not None:
-                    static, can_run = item[2], item[3]
-                    block = np.empty((len(queue), 5), dtype=np.float64)
-                    block[:, 0:3] = static[:, 0:3]
-                    block[:, 3] = static[:, 3] == reserved_id
-                    block[:, 4] = can_run
-                else:
-                    cand_ids = {job.job_id for job in decision.candidates}
-                    block = np.array(
-                        [
-                            (
-                                j.submit_time,
-                                j.requested_time,
-                                j.requested_processors,
-                                j.job_id == reserved_id,
-                                j.job_id in cand_ids,
-                            )
-                            for j in queue
-                        ],
-                        dtype=np.float64,
-                    ).reshape(len(queue), 5)
+            for decision, queue, static, can_run in items:
+                block = np.empty((len(queue), 5), dtype=np.float64)
+                block[:, 0:3] = static[:, 0:3]
+                block[:, 3] = static[:, 3] == decision.reserved_job.job_id
+                block[:, 4] = can_run
                 blocks.append(block)
             raw = blocks[0] if batch == 1 else np.concatenate(blocks, axis=0)
             procs = raw[:, 2]
@@ -326,12 +335,16 @@ class ObservationBuilder:
                 )
         return observation.reshape(batch, -1)
 
-    def build(self, decision: DecisionPoint) -> Tuple[np.ndarray, np.ndarray, List[Optional[Job]]]:
+    def build(
+        self, decision: DecisionPoint
+    ) -> Tuple[Optional[np.ndarray], np.ndarray, List[Optional[Job]]]:
         """Encode ``decision`` into ``(observation, action_mask, slot_jobs)``.
 
         ``slot_jobs[i]`` is the job occupying slot ``i`` (``None`` for padding
         and for the skip slot), which is how an action index is mapped back to
-        the job to backfill.
+        the job to backfill.  With no candidate inside the queue window there
+        is nothing to choose: ``observation`` is ``None``, nothing is encoded
+        and the caller passes, as the environment does on :meth:`prepare` alone.
 
         Composed of :meth:`prepare` + :meth:`encode_batch` with a batch of
         one; :meth:`_job_features` remains the scalar reference
@@ -340,8 +353,11 @@ class ObservationBuilder:
         one ulp).
         """
         queue, mask, slot_jobs = self.prepare(decision)
-        observation = self.encode_batch([(decision, queue)])[0]
-        return observation, mask, slot_jobs
+        can_run = mask[: len(queue)]
+        if not can_run.any():
+            return None, mask, slot_jobs
+        item = (decision, queue, self.static_rows(queue), can_run)
+        return self.encode_batch([item])[0], mask, slot_jobs
 
     def action_to_job(self, action: int, slot_jobs: List[Optional[Job]]) -> Optional[Job]:
         """Translate an action index into the job to backfill (``None`` = skip)."""

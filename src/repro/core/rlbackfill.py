@@ -64,12 +64,11 @@ class RLBackfillPolicy(BackfillStrategy):
         self, decision: DecisionPoint, estimator: RuntimeEstimator
     ) -> Optional[Job]:
         observation, mask, slot_jobs = self.builder.build(decision)
-        skip_actions = 1 if self.builder.config.skip_slot is not None else 0
-        if mask.sum() <= skip_actions:
+        if observation is None:
             # No real candidate fits in the observed queue window (e.g. every
             # fitting job sits beyond the MAX_OBSV_SIZE cut-off): pass.
             return None
-        action, _, _ = self.agent.step(
+        action = self.agent.act(
             observation, mask, rng=self.rng, deterministic=self.deterministic
         )
         return self.builder.action_to_job(action, slot_jobs)

@@ -26,6 +26,22 @@ __all__ = ["ActorCritic", "PPOConfig", "PPOUpdateStats", "PPO"]
 MASK_PENALTY = 1e8
 
 
+def _sample_actions(log_probs: np.ndarray, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """One action per row of ``log_probs``, by inverse-CDF sampling.
+
+    Exactly one uniform per row, drawn from that row's own rng (so lanes stay
+    order-independent), rescaled by the actual cdf total so rounding in the
+    cumsum cannot push the draw past the last action.  Counting cdf entries
+    <= draw is searchsorted(side="right"), vectorized over the batch.
+    """
+    probs = np.exp(log_probs)
+    probs /= probs.sum(axis=1, keepdims=True)
+    cdfs = np.cumsum(probs, axis=1)
+    uniforms = np.fromiter((rng.random() for rng in rngs), dtype=np.float64, count=len(rngs))
+    draws = uniforms * cdfs[:, -1]
+    return np.minimum((cdfs <= draws[:, None]).sum(axis=1), cdfs.shape[1] - 1).astype(np.int64)
+
+
 class ActorCritic(ABC):
     """Actor-critic model interface consumed by :class:`PPO`.
 
@@ -123,19 +139,7 @@ class ActorCritic(ABC):
                     f"step_batch needs one rng per row ({batch}), got "
                     f"{0 if rngs is None else len(rngs)}"
                 )
-            probs = np.exp(log_probs)
-            probs /= probs.sum(axis=1, keepdims=True)
-            cdfs = np.cumsum(probs, axis=1)
-            # Inverse-CDF sampling: exactly one uniform per lane (drawn from
-            # that lane's own rng, so lanes stay order-independent), rescaled
-            # by the actual cdf total so rounding in the cumsum cannot push
-            # the draw past the last action.  Counting cdf entries <= draw is
-            # searchsorted(side="right"), vectorized over the batch.
-            uniforms = np.fromiter((rng.random() for rng in rngs), dtype=np.float64, count=batch)
-            draws = uniforms * cdfs[:, -1]
-            actions = np.minimum(
-                (cdfs <= draws[:, None]).sum(axis=1), cdfs.shape[1] - 1
-            ).astype(np.int64)
+            actions = _sample_actions(log_probs, rngs)
         chosen = log_probs[np.arange(batch), actions]
         return actions, values, chosen
 
@@ -163,6 +167,32 @@ class ActorCritic(ABC):
             deterministic=deterministic,
         )
         return int(actions[0]), float(values[0]), float(log_probs[0])
+
+    def act(
+        self,
+        observation: np.ndarray,
+        mask: np.ndarray,
+        rng: np.random.Generator | None = None,
+        deterministic: bool = False,
+    ) -> int:
+        """The action :meth:`step` would take, for a caller that needs only that.
+
+        The valid slots go through the same kernel forward (same floats); the
+        value network does not run.  The most probable action is the valid
+        slot with the largest score, the first on a tie, so the deterministic
+        case needs no logit grid and no log-softmax; a sampled action builds
+        the grid and draws one uniform, exactly as :meth:`step` does.
+        """
+        observation = np.asarray(observation, dtype=np.float64)
+        masks = np.asarray(mask, dtype=np.float64)[None, :]
+        with no_grad():
+            rows, index, penalty = self.compact_slots(observation, masks)
+            if index.size == 0:
+                raise ValueError("act needs a mask with at least one valid action")
+            if deterministic:
+                return int(index[np.argmax(self.slot_scores(rows).numpy())])
+            log_probs = self.compacted_log_probs(rows, index, penalty).numpy()
+        return int(_sample_actions(log_probs, [as_rng(rng)])[0])
 
 
 @dataclass(frozen=True, slots=True)

@@ -59,7 +59,11 @@ class DecisionPoint:
         reservation regardless of how long they run.
     candidates:
         Waiting jobs (excluding the rjob) that fit in the currently free
-        processors and could be started immediately.
+        processors and could be started immediately.  Producers promise a
+        **subsequence of** ``queue`` **in queue order**: the simulator filters
+        its sorted queue, and filters that list again after each accepted
+        backfill.  The observation encoder relies on it -- the candidates
+        inside its queue window are then a prefix of this list.
     queue:
         Snapshot of the full waiting queue (including the rjob), sorted by
         submission time -- the observation the RL agent sees.

@@ -395,9 +395,12 @@ class Simulator:
     def _backfill_opportunity(
         self, state: _SimState, rjob: Job
     ) -> Generator[DecisionPoint, Optional[Job], None]:
-        rjob_id = rjob.job_id
         hetero = self.topology is not None
-        previous: Optional[List[Job]] = None
+        # The first scan covers the whole queue but the reserved job.  After an
+        # accepted backfill -- same instant, fewer free processors, one job
+        # gone -- the candidates are a filter of the previous ones (queue order
+        # is preserved) without the job just started, so no full queue scan.
+        pool, skip_id = state.queue, rjob.job_id
         while True:
             # ``state.queue`` is kept sorted by (submit_time, job_id) by
             # construction (jobs are admitted from the sorted pending deque),
@@ -406,27 +409,18 @@ class Simulator:
             # heterogeneous machine fitting is a vector/placement question, so
             # each scan asks the machine instead.
             if hetero:
-                pool = state.queue if previous is None else previous
                 candidates = [
                     job
                     for job in pool
-                    if job.job_id != rjob_id and state.machine.can_start(job)
+                    if job.job_id != skip_id and state.machine.can_start(job)
                 ]
             else:
                 free = state.machine.free_processors
-                if previous is None:
-                    candidates = [
-                        job
-                        for job in state.queue
-                        if job.requested_processors <= free and job.job_id != rjob_id
-                    ]
-                else:
-                    # Same instant, fewer free processors, one job removed: the
-                    # new candidate set is a filter of the previous one (queue
-                    # order is preserved), so skip the full queue scan.
-                    candidates = [
-                        job for job in previous if job.requested_processors <= free
-                    ]
+                candidates = [
+                    job
+                    for job in pool
+                    if job.requested_processors <= free and job.job_id != skip_id
+                ]
             if not candidates:
                 return
             spares = None
@@ -453,15 +447,15 @@ class Simulator:
             choice = yield decision
             if choice is None:
                 return
-            candidate_ids = {job.job_id for job in candidates}
-            if choice.job_id not in candidate_ids:
+            chosen_id = choice.job_id
+            if not any(job.job_id == chosen_id for job in candidates):
                 raise ValueError(
-                    f"backfill strategy returned job {choice.job_id} which is not a candidate "
-                    f"(candidates: {sorted(candidate_ids)})"
+                    f"backfill strategy returned job {chosen_id} which is not a candidate "
+                    f"(candidates: {sorted(job.job_id for job in candidates)})"
                 )
             self._start(state, choice, backfilled=True)
-            self._remove(state.queue, choice.job_id)
-            previous = [job for job in candidates if job.job_id != choice.job_id]
+            self._remove(state.queue, chosen_id)
+            pool, skip_id = candidates, chosen_id
 
     def _next_failure_time(self, state: _SimState) -> float:
         """Time of the next node failure that can still affect the run.

@@ -29,7 +29,7 @@ import math
 import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, IO, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, IO, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.core.agent import RLBackfillAgent
 from repro.core.rlbackfill import RLBackfillPolicy
@@ -93,7 +93,8 @@ class ReplayLogWriter:
     """Appends replay records as JSONL to a file (or buffers them in memory).
 
     ``path=None`` keeps records in :attr:`records` only -- the in-process
-    test mode.  ``durability`` decides what happens after every record:
+    test mode; with a file, the file is the log and :attr:`records` stays
+    empty.  ``durability`` decides what happens after every record:
 
     * ``"none"`` -- buffered writes; a crash loses the buffered suffix;
     * ``"flush"`` (default) -- flush to the OS after each record, so a
@@ -103,8 +104,7 @@ class ReplayLogWriter:
 
     ``resume=True`` reopens an existing log for append instead of truncating
     it: any torn final line (a crash mid-write) is cut back to the last
-    complete record, the surviving records are preloaded into
-    :attr:`records`, and new writes continue the same file.  This is the
+    complete record and new writes continue the same file.  This is the
     crash-recovery mode used by ``SchedulingService.recover``.
     """
 
@@ -129,26 +129,27 @@ class ReplayLogWriter:
             self._handle = self.path.open("a" if resume else "w", encoding="utf-8")
 
     def _truncate_torn_tail(self) -> None:
-        """Cut a crashed log back to its last complete record and preload it."""
+        """Cut a crashed log back to its last complete record."""
         assert self.path is not None
-        text = self.path.read_text(encoding="utf-8")
-        records, torn_at = _parse_jsonl(text, allow_torn_tail=True, label=str(self.path))
-        self.records.extend(records)
-        if torn_at is not None:
-            with self.path.open("r+", encoding="utf-8") as handle:
-                handle.truncate(len(text[:torn_at].encode("utf-8")))
+        records = _JsonlRecords(self.path, allow_torn_tail=True)
+        for _ in records:
+            pass
+        if records.torn_at is not None:
+            with self.path.open("r+b") as handle:
+                handle.truncate(records.torn_at)
                 handle.flush()
                 os.fsync(handle.fileno())
 
     def write(self, record: Mapping[str, object]) -> None:
         record = dict(record)
-        self.records.append(record)
-        if self._handle is not None:
-            self._handle.write(json.dumps(record, sort_keys=True) + "\n")
-            if self.durability != "none":
-                self._handle.flush()
-                if self.durability == "fsync":
-                    os.fsync(self._handle.fileno())
+        if self._handle is None:
+            self.records.append(record)
+            return
+        self._handle.write(json.dumps(record, sort_keys=True) + "\n")
+        if self.durability != "none":
+            self._handle.flush()
+            if self.durability == "fsync":
+                os.fsync(self._handle.fileno())
 
     def header(
         self,
@@ -214,69 +215,77 @@ class ReplayLog:
     torn_tail: bool = False
 
 
-def _parse_jsonl(
-    text: str, allow_torn_tail: bool, label: str
-) -> Tuple[List[Dict[str, object]], Optional[int]]:
-    """Parse JSONL text, returning ``(records, torn_offset)``.
+class _JsonlRecords:
+    """The records of a JSONL file, read as a stream: one line held at a time.
 
     A parse failure on the **final** non-empty line is a torn tail (the
     write was interrupted mid-record): with ``allow_torn_tail`` the line is
-    dropped and its character offset returned, otherwise it raises.  A parse
-    failure on any earlier line is corruption, never tolerated -- a
-    single-writer append-only log cannot tear in the middle.
+    dropped and, once iteration ends, :attr:`torn_at` holds its byte offset;
+    otherwise it raises.  A parse failure on any earlier line is corruption,
+    never tolerated -- a single-writer append-only log cannot tear in the
+    middle.  Blank lines are skipped.
     """
-    records: List[Dict[str, object]] = []
-    pending_error: Optional[Tuple[int, int, str]] = None  # (offset, lineno, detail)
-    offset = 0
-    for lineno, line in enumerate(text.splitlines(keepends=True), start=1):
-        start = offset
-        offset += len(line)
-        if not line.strip():
-            continue
-        if pending_error is not None:
+
+    def __init__(self, path: str | Path, allow_torn_tail: bool):
+        self.path = Path(path)
+        self.allow_torn_tail = allow_torn_tail
+        self.torn_at: Optional[int] = None
+
+    def __iter__(self) -> Iterator[Dict[str, object]]:
+        # A failed line is an error only once it is known whether another
+        # record follows it: (byte offset, line number, detail).
+        failed: Optional[Tuple[int, int, str]] = None
+        offset = 0
+        with self.path.open("rb") as handle:
+            for lineno, line in enumerate(handle, start=1):
+                start, offset = offset, offset + len(line)
+                if not line.strip():
+                    continue
+                if failed is not None:
+                    raise ValueError(
+                        f"{self.path}: corrupt record on line {failed[1]} "
+                        f"(not the final line): {failed[2]}"
+                    )
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as error:
+                    failed = (start, lineno, str(error))
+                    continue
+                yield record
+        if failed is None:
+            return
+        if not self.allow_torn_tail:
             raise ValueError(
-                f"{label}: corrupt record on line {pending_error[1]} "
-                f"(not the final line): {pending_error[2]}"
+                f"{self.path}: torn final record on line {failed[1]} "
+                f"(crash mid-write?): {failed[2]}; "
+                "pass allow_torn_tail=True to drop it"
             )
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError as error:
-            pending_error = (start, lineno, str(error))
-    if pending_error is None:
-        return records, None
-    if not allow_torn_tail:
-        raise ValueError(
-            f"{label}: torn final record on line {pending_error[1]} "
-            f"(crash mid-write?): {pending_error[2]}; "
-            "pass allow_torn_tail=True to drop it"
-        )
-    return records, pending_error[0]
+        self.torn_at = failed[0]
 
 
 def read_replay_log(
-    source: str | Path | Sequence[Mapping[str, object]],
+    source: str | Path | Iterable[Mapping[str, object]],
     allow_torn_tail: bool = False,
 ) -> ReplayLog:
-    """Parse a replay log from a JSONL path or an in-memory record list.
+    """Parse a replay log from a JSONL path or an in-memory record sequence.
 
-    ``allow_torn_tail`` tolerates an unparsable **final** line -- the torn
-    record a crash mid-write leaves behind -- by dropping it and setting
-    :attr:`ReplayLog.torn_tail`.  Corruption anywhere else always raises.
+    A file is read as a stream and an in-memory sequence is iterated in
+    place, so at no point does a second copy of the log exist beside the
+    typed one being built.  ``allow_torn_tail`` tolerates an unparsable
+    **final** line -- the torn record a crash mid-write leaves behind -- by
+    dropping it and setting :attr:`ReplayLog.torn_tail`.  Corruption
+    anywhere else always raises.
     """
-    torn = False
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-        records, torn_at = _parse_jsonl(text, allow_torn_tail, label=str(source))
-        torn = torn_at is not None
-    else:
-        records = [dict(record) for record in source]
+    stream = (
+        _JsonlRecords(source, allow_torn_tail) if isinstance(source, (str, Path)) else None
+    )
     header: Optional[Dict[str, object]] = None
     jobs: List[Job] = []
     tenants: List[str] = []
     decisions: List[ServedDecision] = []
     rejects = 0
     summary: Optional[Dict[str, object]] = None
-    for record in records:
+    for record in source if stream is None else stream:
         kind = record.get("type")
         if kind == "header":
             header = {key: value for key, value in record.items() if key != "type"}
@@ -309,7 +318,7 @@ def read_replay_log(
         decisions=tuple(decisions),
         rejects=rejects,
         summary=summary,
-        torn_tail=torn,
+        torn_tail=stream is not None and stream.torn_at is not None,
     )
 
 
@@ -361,7 +370,7 @@ class ReplayCheck:
 
 
 def verify_replay_log(
-    source: str | Path | Sequence[Mapping[str, object]] | ReplayLog,
+    source: str | Path | Iterable[Mapping[str, object]] | ReplayLog,
     agent: RLBackfillAgent,
     allow_torn_tail: bool = False,
 ) -> ReplayCheck:

@@ -203,6 +203,11 @@ class SchedulingService:
     deterministically; the default is :func:`time.monotonic`.
     """
 
+    #: Stages of one request, the ``stage`` label values of
+    #: ``service_stage_seconds``.  ``admission`` and ``advance`` are inside
+    #: ``handle``; ``queue_wait`` precedes it and ``respond`` follows it.
+    STAGES = ("queue_wait", "admission", "advance", "handle", "respond")
+
     def __init__(
         self,
         agent: RLBackfillAgent,
@@ -252,6 +257,10 @@ class SchedulingService:
         # gauges without changing that surface.
         self.metrics = MetricsRegistry(enabled=True)
         self._op_histograms: Dict[str, Histogram] = {}
+        self._stage = {
+            stage: self.metrics.histogram("service_stage_seconds", stage=stage)
+            for stage in self.STAGES
+        }
         self._queue_depth_gauge = self.metrics.gauge("service_queue_depth")
         self._pending_gauge = self.metrics.gauge("service_pending_requests")
         # Admission counters carry a capped ``tenant`` label: tenant strings
@@ -564,6 +573,8 @@ class SchedulingService:
                 self._current_request_id = None
             handled = time.perf_counter_ns()
             self._observe_request(op, (handled - t0) / 1e9)
+            self._stage["queue_wait"].observe((t0 - enqueue_ns) / 1e9)
+            self._stage["handle"].observe((handled - t0) / 1e9)
             if tracer.enabled:
                 tracer.flow_step("service.request", request_id, t0, cat="service")
                 tracer.complete(
@@ -572,10 +583,12 @@ class SchedulingService:
                 )
             if future is not None and not future.cancelled():
                 future.set_result(response)
+            responded = time.perf_counter_ns()
+            self._stage["respond"].observe((responded - handled) / 1e9)
             if tracer.enabled:
                 tracer.flow_end("service.request", request_id, handled, cat="service")
                 tracer.complete(
-                    "service.respond", handled, time.perf_counter_ns() - handled,
+                    "service.respond", handled, responded - handled,
                     cat="service", args={"op": op, "request_id": request_id},
                 )
 
@@ -604,7 +617,9 @@ class SchedulingService:
             "service.advance", cat="service",
             args={"request_id": self._current_request_id},
         ):
+            t0 = time.perf_counter_ns()
             served = self.session.advance_to(horizon)
+            self._stage["advance"].observe((time.perf_counter_ns() - t0) / 1e9)
         for decision in served:
             self.replay.decision(decision)
         self.counters.decisions += len(served)
@@ -787,10 +802,12 @@ class SchedulingService:
             results.append(
                 {"job_id": job.job_id, "admitted": True, "event_time": job.submit_time}
             )
+        admission_ns = time.perf_counter_ns() - admission_t0
+        self._stage["admission"].observe(admission_ns / 1e9)
         get_tracer().complete(
             "service.admission",
             admission_t0,
-            time.perf_counter_ns() - admission_t0,
+            admission_ns,
             cat="service",
             args={"jobs": len(payloads), "request_id": self._current_request_id},
         )

@@ -1,0 +1,727 @@
+"""The serial decision path against the parent's do-everything code (ISSUE 17).
+
+A served decision now costs what it uses: ``ObservationBuilder.build``
+declines before it encodes, ``prepare`` marks the window with one merge walk
+instead of a set over every candidate, ``encode_batch`` has one input form,
+the policy calls ``ActorCritic.act`` (no value forward, no logit grid for the
+argmax), an accepted backfill costs the simulator one pass over the
+candidates, and the replay log is read as a stream.  The parent commit's code
+lives on here, verbatim, as the ``Parent*`` classes and functions -- and only
+here: every comparison is ``==`` on floats, ``is`` on jobs and ``==`` on
+exception text.
+"""
+
+from __future__ import annotations
+
+import json
+import tracemalloc
+from dataclasses import replace
+from typing import List, Optional, Tuple
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cluster.machine import Machine
+from repro.cluster.resources import ClusterTopology, NodeGroup
+from repro.core.agent import RLBackfillAgent
+from repro.core.observation import (
+    _MAX_HORIZON,
+    _MAX_WAIT,
+    ObservationBuilder,
+    ObservationConfig,
+    _log_norm,
+    _log_norm_array,
+)
+from repro.core.rlbackfill import RLBackfillPolicy
+from repro.prediction.predictors import UserEstimate
+from repro.scheduler.backfill.base import BackfillStrategy
+from repro.scheduler.backfill.easy import EasyBackfill
+from repro.scheduler.events import DecisionPoint
+from repro.scheduler.simulator import Simulator
+from repro.service.replay import ReplayLogWriter, _JsonlRecords, job_to_wire, read_replay_log
+from repro.workloads.job import Job
+
+# -- the oracle: parent commit, verbatim ---------------------------------------
+
+
+class ParentBuilder(ObservationBuilder):
+    """The parent's ``prepare`` / ``encode_batch`` (its tuple arm) / ``build``."""
+
+    def prepare(self, decision):
+        cfg = self.config
+        candidate_ids = {job.job_id for job in decision.candidates}
+        if decision.queue_sorted:
+            queue = decision.queue
+        else:
+            queue = sorted(decision.queue, key=lambda j: (j.submit_time, j.job_id))
+        if len(queue) > cfg.max_queue_size:
+            queue = queue[: cfg.max_queue_size]
+
+        mask = np.zeros(cfg.num_slots, dtype=np.float64)
+        slot_jobs: List[Optional[Job]] = [None] * cfg.num_slots
+        slot_jobs[: len(queue)] = queue
+        reserved_id = decision.reserved_job.job_id
+        for slot, job in enumerate(queue):
+            # The reserved job is visible but never a valid action (§3.2).
+            if job.job_id in candidate_ids and job.job_id != reserved_id:
+                mask[slot] = 1.0
+        if cfg.skip_slot is not None:
+            mask[cfg.skip_slot] = 1.0
+        return queue, mask, slot_jobs
+
+    def encode_batch(self, items):
+        cfg = self.config
+        batch = len(items)
+        observation = np.zeros((batch, cfg.num_slots, cfg.job_features), dtype=np.float64)
+        counts = [len(item[1]) for item in items]
+        total_jobs = sum(counts)
+        if total_jobs:
+            blocks: List[np.ndarray] = []
+            for item in items:
+                decision, queue = item[0], item[1]
+                reserved_id = decision.reserved_job.job_id
+                cand_ids = {job.job_id for job in decision.candidates}
+                block = np.array(
+                    [
+                        (
+                            j.submit_time,
+                            j.requested_time,
+                            j.requested_processors,
+                            j.job_id == reserved_id,
+                            j.job_id in cand_ids,
+                        )
+                        for j in queue
+                    ],
+                    dtype=np.float64,
+                ).reshape(len(queue), 5)
+                blocks.append(block)
+            raw = blocks[0] if batch == 1 else np.concatenate(blocks, axis=0)
+            procs = raw[:, 2]
+            scalars = np.array(
+                [
+                    (
+                        d.time,
+                        d.free_fraction,
+                        _log_norm(d.reservation_time - d.time, _MAX_HORIZON),
+                        float(d.extra_processors),
+                        float(d.machine.num_processors) if d.machine is not None else 0.0,
+                    )
+                    for d, *_ in items
+                ],
+                dtype=np.float64,
+            )
+            rep = np.repeat(scalars, counts, axis=0)
+            total = np.where(rep[:, 4] > 0.0, rep[:, 4], np.maximum(procs, 1.0))
+
+            features = np.zeros((total_jobs, cfg.job_features), dtype=np.float64)
+            times = np.empty((2, total_jobs))
+            times[0] = rep[:, 0] - raw[:, 0]
+            times[1] = raw[:, 1]
+            features[:, 0:2] = _log_norm_array(times, _MAX_WAIT).T
+            features[:, 2] = np.minimum(procs / total, 1.0)
+            features[:, 3] = raw[:, 4]  # can_run
+            features[:, 4] = raw[:, 3]  # is_reserved
+            features[:, 6] = rep[:, 1]
+            features[:, 7] = rep[:, 2]
+            features[:, 8] = np.minimum(rep[:, 3] / total, 1.0)
+            features[:, 9] = 1.0  # slot occupied
+            if cfg.num_resources > 1:
+                offset = 0
+                for item, count in zip(items, counts):
+                    decision, queue = item[0], item[1]
+                    for slot, job in enumerate(queue):
+                        self._extra_resource_features(features[offset + slot], job, decision)
+                    offset += count
+
+            offset = 0
+            for row, count in enumerate(counts):
+                observation[row, :count] = features[offset : offset + count]
+                offset += count
+
+        if cfg.skip_slot is not None:
+            for row, item in enumerate(items):
+                decision = item[0]
+                observation[row, cfg.skip_slot] = self._job_features(
+                    decision.reserved_job, decision,
+                    is_reserved=True, is_skip=True, can_run=False,
+                )
+        return observation.reshape(batch, -1)
+
+    def build(self, decision):
+        queue, mask, slot_jobs = self.prepare(decision)
+        observation = self.encode_batch([(decision, queue)])[0]
+        return observation, mask, slot_jobs
+
+
+class ParentPolicy(RLBackfillPolicy):
+    """The parent's ``select_backfill``: build everything, then look at the mask."""
+
+    def __init__(self, agent, **kwargs):
+        super().__init__(agent, **kwargs)
+        self.builder = ParentBuilder(agent.observation_config)
+
+    def select_backfill(self, decision, estimator):
+        observation, mask, slot_jobs = self.builder.build(decision)
+        skip_actions = 1 if self.builder.config.skip_slot is not None else 0
+        if mask.sum() <= skip_actions:
+            return None
+        action, _, _ = self.agent.step(
+            observation, mask, rng=self.rng, deterministic=self.deterministic
+        )
+        return self.builder.action_to_job(action, slot_jobs)
+
+
+class ParentSimulator(Simulator):
+    """The parent's ``_backfill_opportunity``: an id set, a list without the
+    chosen job and a refit filter per accepted choice."""
+
+    def _backfill_opportunity(self, state, rjob):
+        rjob_id = rjob.job_id
+        hetero = self.topology is not None
+        previous: Optional[List[Job]] = None
+        while True:
+            if hetero:
+                pool = state.queue if previous is None else previous
+                candidates = [
+                    job
+                    for job in pool
+                    if job.job_id != rjob_id and state.machine.can_start(job)
+                ]
+            else:
+                free = state.machine.free_processors
+                if previous is None:
+                    candidates = [
+                        job
+                        for job in state.queue
+                        if job.requested_processors <= free and job.job_id != rjob_id
+                    ]
+                else:
+                    candidates = [
+                        job for job in previous if job.requested_processors <= free
+                    ]
+            if not candidates:
+                return
+            spares = None
+            if hetero:
+                reservation_time, extra, spares = state.machine.hetero_reservation(
+                    rjob, state.now, self.estimator
+                )
+            else:
+                reservation_time, extra = state.machine.earliest_start_estimate(
+                    rjob, state.now, self.estimator
+                )
+            decision = DecisionPoint(
+                time=state.now,
+                reserved_job=rjob,
+                reservation_time=reservation_time,
+                extra_processors=extra,
+                candidates=candidates,
+                queue=list(state.queue),
+                machine=state.machine,
+                queue_sorted=True,
+                spare_vectors=spares,
+            )
+            state.decision_count += 1
+            choice = yield decision
+            if choice is None:
+                return
+            candidate_ids = {job.job_id for job in candidates}
+            if choice.job_id not in candidate_ids:
+                raise ValueError(
+                    f"backfill strategy returned job {choice.job_id} which is not a candidate "
+                    f"(candidates: {sorted(candidate_ids)})"
+                )
+            self._start(state, choice, backfilled=True)
+            self._remove(state.queue, choice.job_id)
+            previous = [job for job in candidates if job.job_id != choice.job_id]
+
+
+def parent_parse_jsonl(text: str, allow_torn_tail: bool, label: str):
+    """The parent's whole-text ``_parse_jsonl``: ``(records, torn character offset)``."""
+    records = []
+    pending_error: Optional[Tuple[int, int, str]] = None  # (offset, lineno, detail)
+    offset = 0
+    for lineno, line in enumerate(text.splitlines(keepends=True), start=1):
+        start = offset
+        offset += len(line)
+        if not line.strip():
+            continue
+        if pending_error is not None:
+            raise ValueError(
+                f"{label}: corrupt record on line {pending_error[1]} "
+                f"(not the final line): {pending_error[2]}"
+            )
+        try:
+            records.append(json.loads(line))
+        except json.JSONDecodeError as error:
+            pending_error = (start, lineno, str(error))
+    if pending_error is None:
+        return records, None
+    if not allow_torn_tail:
+        raise ValueError(
+            f"{label}: torn final record on line {pending_error[1]} "
+            f"(crash mid-write?): {pending_error[2]}; "
+            "pass allow_torn_tail=True to drop it"
+        )
+    return records, pending_error[0]
+
+
+# -- decision points -------------------------------------------------------------
+
+_TOPOLOGY = ClusterTopology((NodeGroup(name="cpu", cpus=24), NodeGroup(name="gpu", cpus=8, gpus=8)))
+
+
+def _job(job_id: int, submit_time: float, processors: int = 2, gpus: int = 0) -> Job:
+    return Job(
+        job_id=job_id, submit_time=submit_time, runtime=50.0 + job_id,
+        requested_processors=processors, requested_time=80.0 + 3 * job_id, requested_gpus=gpus,
+    )
+
+
+@st.composite
+def decision_points(draw):
+    """Hand-built decision points around a window of 1..6 slots.
+
+    Submit times come from a handful of values so that ties, broken by job
+    id, are common.  With ``queue_sorted`` the producer's promise holds: the
+    queue is in arrival order and the candidates are in that order too --
+    including the ones that are *not* in the queue, which a real producer
+    never emits and the parent ignored.
+    """
+    window = draw(st.integers(1, 6))
+    ids = draw(st.lists(st.integers(1, 40), min_size=1, max_size=14, unique=True))
+    times = st.sampled_from([0.0, 1.0, 1.5, 2.0, 7.0])
+    jobs = [_job(i, draw(times), draw(st.integers(1, 6)), draw(st.integers(0, 2))) for i in ids]
+    in_queue = draw(st.lists(st.booleans(), min_size=len(jobs), max_size=len(jobs)))
+    queue = [job for job, keep in zip(jobs, in_queue) if keep]
+    absent = [job for job, keep in zip(jobs, in_queue) if not keep]
+    reserved = draw(st.sampled_from(jobs))  # in the queue, or (hand-built) not
+    picked = draw(st.lists(st.booleans(), min_size=len(jobs), max_size=len(jobs)))
+    candidates = [job for job, pick in zip(queue + absent, picked) if pick and job is not reserved]
+    if draw(st.booleans()):
+        candidates.append(reserved)  # never by a real producer; must stay masked
+    queue_sorted = draw(st.booleans())
+    if queue_sorted:
+        queue.sort(key=lambda j: (j.submit_time, j.job_id))
+        candidates.sort(key=lambda j: (j.submit_time, j.job_id))
+    else:
+        queue = draw(st.permutations(queue))
+        candidates = draw(st.permutations(candidates))
+    num_resources = draw(st.sampled_from([1, 3]))
+    machine = Machine(32, topology=_TOPOLOGY if num_resources == 3 else None)
+    machine.start(_job(99, 0.0, processors=6, gpus=3 if num_resources == 3 else 0), now=0.0)
+    config = ObservationConfig(
+        max_queue_size=window, include_skip_action=draw(st.booleans()),
+        num_resources=num_resources,
+    )
+    decision = DecisionPoint(
+        time=8.0, reserved_job=reserved, reservation_time=draw(st.sampled_from([8.0, 90.0, 4e5])),
+        extra_processors=draw(st.integers(0, 8)), candidates=list(candidates),
+        queue=list(queue), machine=machine, queue_sorted=queue_sorted,
+    )
+    return config, decision
+
+
+@settings(max_examples=400, deadline=None)
+@given(decision_points())
+def test_prepare_and_build_equal_the_parents(case):
+    config, decision = case
+    queue, mask, slot_jobs = ObservationBuilder(config).prepare(decision)
+    parent_queue, parent_mask, parent_slot_jobs = ParentBuilder(config).prepare(decision)
+    assert queue == parent_queue and all(a is b for a, b in zip(queue, parent_queue))
+    assert mask.tolist() == parent_mask.tolist()
+    assert len(slot_jobs) == len(parent_slot_jobs)
+    assert all(a is b for a, b in zip(slot_jobs, parent_slot_jobs))
+
+    observation, built_mask, built_slots = ObservationBuilder(config).build(decision)
+    assert built_mask.tolist() == parent_mask.tolist()
+    assert all(a is b for a, b in zip(built_slots, parent_slot_jobs))
+    skip_actions = 1 if config.skip_slot is not None else 0
+    parent_passes = parent_mask.sum() <= skip_actions  # the parent's select_backfill rule
+    assert (observation is None) == parent_passes
+    if observation is None:
+        return
+    expected = ParentBuilder(config).build(decision)[0].reshape(config.num_slots, -1)
+    # A reserved job listed as a candidate (no producer does that) read
+    # can_run=1 in the parent's tuple arm and 0 in its static-row arm, the one
+    # the rollouts always used; the one arm left is the latter.
+    for slot, job in enumerate(parent_queue):
+        if job.job_id == decision.reserved_job.job_id:
+            expected[slot, 3] = 0.0
+    assert observation.tobytes() == expected.reshape(-1).tobytes()
+
+
+def test_candidates_beyond_the_window_decline_without_encoding():
+    config = ObservationConfig(max_queue_size=2)
+    queue = [_job(i, float(i), processors=1 if i > 2 else 8) for i in range(1, 7)]
+    decision = DecisionPoint(
+        time=9.0, reserved_job=queue[0], reservation_time=50.0, extra_processors=0,
+        candidates=queue[2:], queue=queue, machine=Machine(32), queue_sorted=True,
+    )
+    builder = ObservationBuilder(config)
+    builder.encode_batch = None  # calling it would raise
+    observation, mask, slot_jobs = builder.build(decision)
+    assert observation is None and not mask.any() and slot_jobs == queue[:2]
+
+
+def test_static_rows_are_the_episode_gather():
+    jobs = [_job(3, 1.5, 4), _job(1, 0.25, 1), _job(2**40, 1e9 / 3, 64)]
+    rows = ObservationBuilder.static_rows(jobs)
+    expected = np.array(
+        [(j.submit_time, j.requested_time, j.requested_processors, j.job_id) for j in jobs],
+        dtype=np.float64,
+    )
+    assert rows.dtype == np.float64 and rows.tobytes() == expected.tobytes()
+    assert ObservationBuilder.static_rows([]).shape == (0, 4)
+
+
+# -- act --------------------------------------------------------------------------
+
+_ACT_CONFIG = ObservationConfig(max_queue_size=12, include_skip_action=True)
+
+
+def _agent(row_block):
+    agent = RLBackfillAgent(_ACT_CONFIG, seed=3)
+    return agent if row_block is None else RLBackfillPolicy(agent, row_block=row_block).agent
+
+
+@st.composite
+def act_cases(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    slots = _ACT_CONFIG.num_slots
+    observation = rng.standard_normal(_ACT_CONFIG.observation_size) * draw(
+        st.sampled_from([0.1, 1.0, 30.0])
+    )
+    valid = draw(st.integers(1, slots))
+    mask = np.zeros(slots)
+    mask[rng.choice(slots, size=valid, replace=False)] = 1.0
+    return observation, mask, draw(st.sampled_from([None, 1])), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(act_cases())
+def test_act_returns_the_action_of_step(case):
+    observation, mask, row_block, seed = case
+    agent = _agent(row_block)
+    assert agent.act(observation, mask, deterministic=True) == agent.step(
+        observation, mask, deterministic=True
+    )[0]
+    mine, theirs, once = (np.random.default_rng(seed) for _ in range(3))
+    for _ in range(3):
+        assert agent.act(observation, mask, rng=mine) == agent.step(observation, mask, rng=theirs)[0]
+        once.random()  # exactly one uniform per call
+        assert mine.bit_generator.state == theirs.bit_generator.state == once.bit_generator.state
+
+
+@pytest.mark.parametrize("row_block", [None, 1])
+def test_act_breaks_an_exact_score_tie_towards_the_lower_slot(row_block):
+    agent = _agent(row_block)
+    observation = np.random.default_rng(0).standard_normal(_ACT_CONFIG.observation_size)
+    rows = observation.reshape(_ACT_CONFIG.num_slots, -1)  # a view
+    rows[[7, 2, 9]] = rows[4]  # one feature row, hence one score, in three slots
+    mask = np.zeros(_ACT_CONFIG.num_slots)
+    mask[[2, 7, 9]] = 1.0
+    assert agent.act(observation, mask, deterministic=True) == 2
+    assert agent.step(observation, mask, deterministic=True)[0] == 2
+
+
+def test_act_rejects_a_mask_without_a_valid_action():
+    agent = _agent(1)
+    observation = np.zeros(_ACT_CONFIG.observation_size)
+    with pytest.raises(ValueError, match="at least one valid action"):
+        agent.act(observation, np.zeros(_ACT_CONFIG.num_slots), deterministic=True)
+    with pytest.raises(ValueError, match="at least one valid action"):
+        agent.act(observation, np.zeros(_ACT_CONFIG.num_slots), rng=np.random.default_rng(0))
+
+
+# -- whole simulations -------------------------------------------------------------
+
+_MACHINES = {
+    "scalar": None,
+    "one-group": ClusterTopology((NodeGroup(name="all", cpus=16, gpus=4),)),
+    "multi-group": ClusterTopology(
+        (NodeGroup(name="cpu", cpus=10), NodeGroup(name="gpu", cpus=6, gpus=4, partition=1))
+    ),
+}
+
+
+@st.composite
+def simulations(draw):
+    """A contended 16-processor machine and a window far shorter than its queue."""
+    kind = draw(st.sampled_from(sorted(_MACHINES)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    jobs, now = [], 0.0
+    for job_id in range(1, draw(st.integers(20, 60)) + 1):
+        now += float(rng.exponential(4.0)) * (rng.random() < 0.7)  # bursts share an instant
+        wide = rng.random() < 0.25
+        runtime = float(rng.exponential(60.0 if wide else 15.0)) + 1.0
+        jobs.append(
+            Job(
+                job_id=job_id, submit_time=now, runtime=runtime,
+                requested_processors=int(rng.integers(5, 7) if wide else rng.integers(1, 4)),
+                requested_time=runtime * float(rng.uniform(1.0, 3.0)),
+                requested_gpus=int(rng.integers(0, 3)) if kind != "scalar" and not wide else 0,
+            )
+        )
+    config = ObservationConfig(
+        max_queue_size=draw(st.integers(2, 6)), include_skip_action=draw(st.booleans()),
+        num_resources=draw(st.sampled_from([1, 3])),
+    )
+    return kind, jobs, config, draw(st.booleans()), draw(st.integers(0, 1000))
+
+
+class _BothPolicies(BackfillStrategy):
+    """Asks the policy and the parent's policy; checks the decision point itself."""
+
+    name = "both"
+
+    def __init__(self, agent, deterministic: bool, seed: int):
+        self.mine = RLBackfillPolicy(agent, deterministic=deterministic, seed=seed, row_block=1)
+        self.parent = ParentPolicy(agent, deterministic=deterministic, seed=seed, row_block=1)
+        self.calls = {"encode_batch": 0, "value": 0}
+        self.decisions = self.declined = 0
+        for owner, name in ((self.mine.builder, "encode_batch"), (self.mine.agent, "value")):
+            setattr(owner, name, self._counted(name, getattr(owner, name)))
+
+    def _counted(self, name, function):
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return function(*args, **kwargs)
+
+        return counted
+
+    def select_backfill(self, decision, estimator):
+        machine, reserved = decision.machine, decision.reserved_job
+        # What a scan of the whole queue finds -- also after an accepted
+        # backfill, when the simulator only filters the previous candidates.
+        if machine.topology is None:
+            fitting = [
+                j for j in decision.queue
+                if j.requested_processors <= machine.free_processors and j is not reserved
+            ]
+        else:
+            fitting = [j for j in decision.queue if j is not reserved and machine.can_start(j)]
+        assert len(decision.candidates) == len(fitting)
+        assert all(a is b for a, b in zip(decision.candidates, fitting))
+
+        before = dict(self.calls)
+        chosen = self.mine.select_backfill(decision, estimator)
+        expected = self.parent.select_backfill(decision, estimator)
+        assert chosen is expected
+        self.decisions += 1
+        window = self.parent.builder.config.max_queue_size
+        if not self.parent.builder.prepare(decision)[1][:window].any():
+            self.declined += 1
+            assert chosen is None and self.calls == before  # nothing encoded, nothing forwarded
+        else:
+            assert self.calls["encode_batch"] == before["encode_batch"] + 1
+        assert self.calls["value"] == 0
+        return chosen
+
+
+@settings(max_examples=60, deadline=None)
+@given(simulations())
+def test_every_decision_of_a_simulation_is_the_parents(case):
+    kind, jobs, config, deterministic, seed = case
+    both = _BothPolicies(RLBackfillAgent(config, seed=seed), deterministic, seed)
+    simulator = Simulator(16, backfill=both, estimator=UserEstimate(), topology=_MACHINES[kind])
+    result = simulator.run(jobs)
+    assert len(result.records) == len(jobs) and result.decision_count == both.decisions
+
+
+def test_the_simulations_reach_both_arms():
+    """The property above is vacuous unless some decisions decline and some choose."""
+    totals = {"decisions": 0, "declined": 0, "backfilled": 0}
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        jobs = [
+            Job(
+                job_id=i, submit_time=float(i // 4), runtime=float(rng.integers(5, 60)),
+                requested_processors=int(rng.integers(1, 7)), requested_time=120.0,
+            )
+            for i in range(1, 61)
+        ]
+        both = _BothPolicies(RLBackfillAgent(ObservationConfig(max_queue_size=3), seed=seed), True, 0)
+        result = Simulator(16, backfill=both, estimator=UserEstimate()).run(jobs)
+        totals["decisions"] += both.decisions
+        totals["declined"] += both.declined
+        totals["backfilled"] += result.backfill_count
+    assert totals["declined"] > 20 and totals["backfilled"] > 20
+    assert totals["decisions"] > totals["declined"]
+
+
+# -- the simulator's accepted-choice pass ---------------------------------------------
+
+_CONTENDED = [
+    _job(1, 0.0, processors=9), _job(2, 0.0, processors=8), _job(3, 0.0, processors=2),
+    _job(4, 0.0, processors=2), _job(5, 1.0, processors=1),
+]
+
+
+class _Scripted(BackfillStrategy):
+    name = "scripted"
+
+    def __init__(self, answer):
+        self.answer = answer
+        self.seen: List[DecisionPoint] = []
+
+    def select_backfill(self, decision, estimator):
+        self.seen.append(decision)
+        return self.answer(decision)
+
+
+@pytest.mark.parametrize("kind", sorted(_MACHINES))
+def test_a_choice_outside_the_candidates_raises_the_parents_message(kind):
+    stranger = _job(77, 0.0, processors=1)
+    for answer in (lambda decision: stranger, lambda decision: decision.reserved_job):
+        messages = []
+        for simulator in (Simulator, ParentSimulator):
+            with pytest.raises(ValueError) as raised:
+                simulator(16, backfill=_Scripted(answer), topology=_MACHINES[kind]).run(_CONTENDED)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
+        assert "which is not a candidate (candidates: [3, 4])" in messages[0]
+
+
+def test_an_equal_copy_of_a_candidate_is_accepted_and_leaves_the_candidates():
+    strategy = _Scripted(lambda decision: replace(decision.candidates[0]))
+    result = Simulator(16, backfill=strategy).run(_CONTENDED)
+    first, second = strategy.seen[0], strategy.seen[1]
+    assert [j.job_id for j in first.candidates] == [3, 4]
+    # Same instant: the job just started still fits the free count, and is gone.
+    assert second.time == first.time and [j.job_id for j in second.candidates] == [4]
+    backfilled = {record.job.job_id for record in result.records if record.backfilled}
+    assert {3, 4} <= backfilled and len(result.records) == len(_CONTENDED)
+
+
+@settings(max_examples=60, deadline=None)
+@given(simulations(), st.sampled_from(["fcfs", "sjf"]))
+def test_easy_schedules_equal_the_parent_simulators(case, order):
+    """EASY picks deep into the candidate list and accepts many backfills at
+    one instant, the case the one-pass refilter serves."""
+    kind, jobs, _config, _deterministic, _seed = case
+    mine, parent = (
+        simulator(16, backfill=EasyBackfill(order=order), topology=_MACHINES[kind]).run(jobs)
+        for simulator in (Simulator, ParentSimulator)
+    )
+    assert mine.records == parent.records
+    assert (mine.decision_count, mine.backfill_count) == (
+        parent.decision_count, parent.backfill_count
+    )
+
+
+# -- the streaming log reader ------------------------------------------------------------
+
+_LINES = st.one_of(
+    st.builds(
+        lambda tenant, index: json.dumps(
+            {"type": "decision", "tenant": tenant, "index": index}, ensure_ascii=False
+        ),
+        st.text(alphabet="aé日\U0001f600 ", max_size=4), st.integers(0, 99),
+    ),
+    st.sampled_from(["", "   ", '{"type": "subm', "not json", '{"a": 1} trailing', "[1, 2"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_LINES, max_size=8), st.booleans(), st.booleans())
+def test_stream_reader_equals_the_parents_whole_text_parser(tmp_path_factory, lines, newline, allow):
+    text = "\n".join(lines) + ("\n" if newline else "")
+    path = tmp_path_factory.mktemp("jsonl") / "log.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        expected, torn_chars = parent_parse_jsonl(text, allow, label=str(path))
+    except ValueError as error:
+        with pytest.raises(ValueError) as raised:
+            list(_JsonlRecords(path, allow))
+        assert str(raised.value) == str(error)
+        return
+    stream = _JsonlRecords(path, allow)
+    assert list(stream) == expected
+    # The parent counted characters and converted; the stream counts bytes.
+    torn_bytes = None if torn_chars is None else len(text[:torn_chars].encode("utf-8"))
+    assert stream.torn_at == torn_bytes
+
+
+def _write_log(path, records, tail=""):
+    with path.open("w", encoding="utf-8") as handle:
+        for record in records:
+            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+        handle.write(tail)
+
+
+def test_a_torn_tail_is_cut_at_its_byte_offset_with_non_ascii_tenants(tmp_path):
+    path = tmp_path / "log.jsonl"
+    records = [
+        {"type": "header", "num_processors": 8},
+        {"type": "submit", "tenant": "ténant-日本", "job": job_to_wire(_job(1, 0.0))},
+        {"type": "submit", "tenant": "\U0001f600", "job": job_to_wire(_job(2, 1.0))},
+    ]
+    _write_log(path, records, tail='{"type": "submit", "tenant": "日\n\n  \n')
+    whole = path.read_bytes()
+    with pytest.raises(ValueError, match=r"torn final record on line 4 \(crash mid-write\?\)"):
+        read_replay_log(path)
+    log = read_replay_log(path, allow_torn_tail=True)
+    assert log.torn_tail and log.tenants == ("ténant-日本", "\U0001f600") and len(log.jobs) == 2
+
+    writer = ReplayLogWriter(path, resume=True)
+    assert writer.records == []
+    writer.write({"type": "drain"})
+    writer.close()
+    kept = whole[: whole.index(b'{"type": "submit", "tenant": "\xe6\x97\xa5\n')]
+    assert path.read_bytes() == kept + b'{"type": "drain"}\n'
+    assert not read_replay_log(path).torn_tail
+
+
+def test_corruption_before_the_final_record_raises_the_parents_text(tmp_path):
+    path = tmp_path / "log.jsonl"
+    text = '{"type": "header"}\n{"type": "subm\n\n{"type": "drain"}\n'
+    path.write_text(text, encoding="utf-8")
+    for allow in (False, True):
+        with pytest.raises(ValueError) as expected:
+            parent_parse_jsonl(text, allow, label=str(path))
+        with pytest.raises(ValueError) as raised:
+            read_replay_log(path, allow_torn_tail=allow)
+        assert str(raised.value) == str(expected.value)
+        assert f"{path}: corrupt record on line 2 (not the final line): " in str(raised.value)
+
+
+def test_in_memory_records_are_iterated_not_copied():
+    records = iter([{"type": "header", "num_processors": 4}, {"type": "reject"}])
+    log = read_replay_log(records)  # a one-shot iterator is enough
+    assert log.header == {"num_processors": 4} and log.rejects == 1 and not log.torn_tail
+
+
+def test_a_file_backed_writer_keeps_no_copy_of_the_log(tmp_path):
+    writer = ReplayLogWriter(tmp_path / "log.jsonl")
+    writer.header(8, "FCFS", 1000.0, 1, 10.0)
+    writer.submit("t", _job(1, 0.0))
+    writer.close()
+    assert writer.records == []
+    assert len(read_replay_log(tmp_path / "log.jsonl").jobs) == 1
+    memory = ReplayLogWriter(None)
+    memory.header(8, "FCFS", 1000.0, 1, 10.0)
+    assert [record["type"] for record in memory.records] == ["header"]
+
+
+def test_reading_a_long_log_peaks_below_twice_the_log_it_returns(tmp_path):
+    path = tmp_path / "log.jsonl"
+    records: List[dict] = [{"type": "header", "num_processors": 64}]
+    for index in range(10_000):
+        job = _job(index + 1, float(index))
+        records.append({"type": "submit", "tenant": f"tenant-{index % 4}", "job": job_to_wire(job)})
+        records.append(
+            {"type": "decision", "index": index, "time": float(index), "reserved_job_id": 1,
+             "chosen_job_id": None if index % 3 else index + 1}
+        )
+    _write_log(path, records)
+    tracemalloc.start()
+    try:
+        log = read_replay_log(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(log.jobs) == len(log.decisions) == 10_000
+    assert peak < 2 * held, f"peak {peak} bytes while the returned log holds {held}"

@@ -613,7 +613,7 @@ class TestCrashRecovery:
                 agent, path, config=service_config(num_processors=32)
             )
 
-    def test_writer_resume_truncates_and_preloads(self, tmp_path):
+    def test_writer_resume_truncates_the_torn_tail(self, tmp_path):
         path = tmp_path / "log.jsonl"
         first = ReplayLogWriter(path, durability="fsync")
         first.write({"type": "header", "num_processors": 4})
@@ -622,7 +622,7 @@ class TestCrashRecovery:
         with path.open("a", encoding="utf-8") as handle:
             handle.write('{"type": "subm')
         resumed = ReplayLogWriter(path, resume=True)
-        assert [r["type"] for r in resumed.records] == ["header", "submit"]
+        assert resumed.records == []  # the file is the log; nothing is preloaded
         resumed.write({"type": "drain"})
         resumed.close()
         records = [json.loads(line) for line in path.read_text().splitlines()]
@@ -809,6 +809,20 @@ class TestServiceMetrics:
         )
         # decisions counter mirrors the public coarse counter
         assert samples["service_decisions_total"] == service.counters.decisions
+        # where a request's time goes: every handled request observes its
+        # queue wait, handle and respond once; a submit adds its admission,
+        # and every live advance (submits and ticks) its advance_to
+        stage = {
+            name: samples[f'service_stage_seconds_count{{stage="{name}"}}']
+            for name in ("queue_wait", "admission", "advance", "handle", "respond")
+        }
+        assert stage["queue_wait"] == stage["handle"] == stage["respond"] >= 6
+        assert stage["admission"] == 5
+        assert 5 <= stage["advance"] <= stage["handle"]
+        assert (
+            samples['service_stage_seconds_sum{stage="advance"}']
+            <= samples['service_stage_seconds_sum{stage="handle"}']
+        )
 
     def test_registry_counters_match_public_counters(self):
         agent = RLBackfillAgent(seed=0)
