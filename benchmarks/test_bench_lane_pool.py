@@ -11,20 +11,15 @@ backfill-dense workload as ``test_bench_vec_rollout.py``, comparing:
   forward pass stays in the parent, and observations/actions cross process
   boundaries through shared-memory rings with drain-phase work stealing
   keeping the batch full.
-* ``pool[4]x16-pipelined`` -- the 4-worker pool with ``pipeline_depth=2``:
-  lanes split into two alternating cohorts, the parent's batched forward
-  pass for one cohort overlapping worker simulator stepping of the other,
-  with background episode pre-sampling filling reset gaps (ISSUE 3).
 
-Acceptance (ISSUE 2 + ISSUE 3): on a machine with >= {REQUIRED_CORES}
-usable cores the 4-worker pool must collect decisions/sec above the
-single-process 16-lane engine, and the pipelined pool must beat the
-lockstep pool at equal workers/lanes.  Pure-Python simulator stepping
-dominates the rollout cost (~50us/decision), so sharding it across cores is
-where the speedup comes from; on fewer cores neither pool can win by
-construction (the workers time-slice one core and pay IPC on top), so the
-assertions are skipped -- loudly -- and the measured ratios are still
-recorded in the benchmark JSON for the CI trend check.
+Acceptance (ISSUE 2): on a machine with >= {REQUIRED_CORES} usable cores the
+4-worker pool must collect decisions/sec above the single-process 16-lane
+engine.  Pure-Python simulator stepping dominates the rollout cost
+(~50us/decision), so sharding it across cores is where the speedup comes
+from; on fewer cores the pool cannot win by construction (the workers
+time-slice one core and pay IPC on top), so the assertion is skipped --
+loudly -- and the measured ratios are still recorded in the benchmark JSON
+for the CI trend check.
 """
 
 from __future__ import annotations
@@ -56,9 +51,7 @@ WARMUP_TRAJECTORIES = 4 * NUM_LANES
 REQUIRED_CORES = 4
 
 
-def make_trainer(
-    trace, backend: str, num_workers: int | None = None, pipeline_depth: int = 1
-) -> Trainer:
+def make_trainer(trace, backend: str, num_workers: int | None = None) -> Trainer:
     env = BackfillEnvironment(
         trace,
         policy="FCFS",
@@ -74,20 +67,14 @@ def make_trainer(
         num_envs=NUM_LANES,
         backend=backend,
         num_workers=num_workers,
-        pipeline_depth=pipeline_depth,
     )
     return Trainer(env, agent, config, seed=7)
 
 
-def warm(trainer: Trainer) -> None:
-    """Pool-filling warmup so measured resets reuse cached baselines."""
-    scratch = TrajectoryBuffer()
-    trainer.collect_rollouts(scratch, WARMUP_TRAJECTORIES)
-    scratch.clear()
-
-
-def measure(trainer: Trainer, repeats: int = 2) -> float:
-    """Best-of-``repeats`` decisions/sec."""
+def warm_and_measure(trainer: Trainer, repeats: int = 2) -> float:
+    """Best-of-``repeats`` decisions/sec after a pool-filling warmup (so
+    measured resets reuse cached baselines)."""
+    trainer.collect_rollouts(TrajectoryBuffer(), WARMUP_TRAJECTORIES)
     best = 0.0
     for _ in range(repeats):
         buffer = TrajectoryBuffer()
@@ -97,12 +84,6 @@ def measure(trainer: Trainer, repeats: int = 2) -> float:
         decisions = sum(info["episode_steps"] for info in infos)
         best = max(best, decisions / elapsed)
     return best
-
-
-def warm_and_measure(trainer: Trainer, repeats: int = 2) -> float:
-    """Best-of-``repeats`` decisions/sec after a pool-filling warmup."""
-    warm(trainer)
-    return measure(trainer, repeats)
 
 
 @pytest.mark.benchmark(group="lane-pool")
@@ -133,48 +114,19 @@ def test_bench_lane_pool(benchmark):
     finally:
         headline.close()
 
-    pipelined = make_trainer(
-        trace, backend="process", num_workers=WORKER_COUNTS[-1], pipeline_depth=2
-    )
-    try:
-        # Snapshot stats around the measured block so the recorded idle
-        # fraction and pre-sampled-reset count describe the steady state,
-        # not the warmup's spin-up and first-reset sampling storms.
-        warm(pipelined)
-        before = pipelined.vec_env.stats()
-        results[f"pool[{WORKER_COUNTS[-1]}]x16-pipelined"] = measure(pipelined)
-        after = pipelined.vec_env.stats()
-        measured_wall = after["rollout_s"] - before["rollout_s"]
-        idle_fraction = round(
-            (after["worker_wait_s"] - before["worker_wait_s"])
-            / (after["num_workers"] * measured_wall)
-            if measured_wall > 0
-            else 0.0,
-            4,
-        )
-        presampled = after["presampled_resets"] - before["presampled_resets"]
-    finally:
-        pipelined.close()
-
     speedup_pool4 = results["pool[4]x16"] / results["vec[16]"]
     overhead_pool1 = results["pool[1]x16"] / results["vec[16]"]
-    speedup_pipelined = results["pool[4]x16-pipelined"] / results["pool[4]x16"]
     benchmark.extra_info.update(
         {f"{key}_decisions_per_sec": round(value, 1) for key, value in results.items()}
     )
     benchmark.extra_info["speedup_pool4_vs_vec16"] = round(speedup_pool4, 3)
     benchmark.extra_info["overhead_pool1_vs_vec16"] = round(overhead_pool1, 3)
-    benchmark.extra_info["speedup_pipelined_vs_lockstep"] = round(speedup_pipelined, 3)
-    benchmark.extra_info["pipelined_worker_idle_fraction"] = idle_fraction
-    benchmark.extra_info["pipelined_presampled_resets"] = presampled
     benchmark.extra_info["usable_cores"] = cores
     print(
         "\nrollout throughput (decisions/sec): "
         + ", ".join(f"{key}={value:,.0f}" for key, value in results.items())
         + f"; pool[4] vs vec[16]: {speedup_pool4:.2f}x"
         + f"; pool[1] IPC overhead: {overhead_pool1:.2f}x"
-        + f"; pipelined vs lockstep pool[4]: {speedup_pipelined:.2f}x"
-        + f" (worker idle fraction {idle_fraction:.0%}, {presampled:.0f} pre-sampled resets)"
         + f"; usable cores: {cores}"
     )
 
@@ -186,14 +138,8 @@ def test_bench_lane_pool(benchmark):
             f"beat the single-process 16-lane engine at {results['vec[16]']:.0f} "
             f"on {cores} cores: {results}"
         )
-        assert speedup_pipelined > 1.0, (
-            f"pipelined 4-worker pool at {results['pool[4]x16-pipelined']:.0f} "
-            f"decisions/sec does not beat the lockstep pool at "
-            f"{results['pool[4]x16']:.0f} on {cores} cores: {results}"
-        )
     else:
         pytest.skip(
-            f"pool[4] > vec[16] and pipelined > lockstep assertions need >= "
-            f"{REQUIRED_CORES} usable cores (found {cores}); measured ratios "
-            "recorded in the benchmark JSON"
+            f"the pool[4] > vec[16] assertion needs >= {REQUIRED_CORES} usable cores "
+            f"(found {cores}); measured ratios recorded in the benchmark JSON"
         )

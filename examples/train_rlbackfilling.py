@@ -50,10 +50,6 @@ def main() -> None:
                              "lane pool exchanging batches through shared memory")
     parser.add_argument("--num-workers", type=int, default=None,
                         help="worker processes for --backend process (default: one per core)")
-    parser.add_argument("--pipeline-depth", type=int, choices=(1, 2), default=1,
-                        help="process-backend round scheduling: 1 = lockstep, 2 = "
-                             "double-buffered cohorts that overlap the batched forward "
-                             "pass with worker simulator stepping")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--checkpoint", default=None,
                         help="where to save the trained agent (default: a fresh temporary directory)")
@@ -81,14 +77,12 @@ def main() -> None:
             num_envs=args.num_envs,
             backend=args.backend,
             num_workers=args.num_workers,
-            pipeline_depth=args.pipeline_depth,
         ),
         seed=args.seed,
     )
 
     lanes_where = "in-process" if args.backend == "local" else (
-        f"sharded across {trainer.vec_env.num_workers} worker processes"
-        + (", pipelined cohorts" if args.pipeline_depth > 1 else ""))
+        f"sharded across {trainer.vec_env.num_workers} worker processes")
     print(f"Training RLBackfilling on {trace.name} with {args.policy} base policy "
           f"({args.epochs} epochs x {args.trajectories} trajectories, "
           f"{args.num_envs} rollout lanes {lanes_where})")

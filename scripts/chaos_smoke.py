@@ -6,10 +6,10 @@ Exercises the failure domains end to end (docs/resilience.md) and writes a
 ``scripts/check_benchmark_trend.py --chaos-report``:
 
 * **Lane pool**: the same rollout workload runs through a clean process pool
-  and through pools whose :class:`~repro.faults.plan.FaultPlan` SIGKILLs
-  workers at round boundaries (lockstep and pipelined).  Every fault column
-  must reproduce the unfailed local engine's episode infos and buffer floats
-  bit for bit; the harness also reports ``recovery_overhead_vs_clean`` --
+  and through a pool whose :class:`~repro.faults.plan.FaultPlan` SIGKILLs
+  workers at round boundaries.  The faulted run must reproduce the unfailed
+  local engine's episode infos and buffer floats bit for bit; the harness
+  also reports ``recovery_overhead_vs_clean`` --
   fault-injected wall seconds over clean pool wall seconds -- the
   machine-relative cost of respawn + command replay that the trend check
   gates.
@@ -124,7 +124,6 @@ def run_pool(
     args: argparse.Namespace,
     agent: RLBackfillAgent,
     fault_plan: Optional[FaultPlan],
-    pipeline_depth: int,
 ) -> Dict[str, object]:
     pool = ProcessLanePool.from_template(
         make_env(seed=5),
@@ -132,7 +131,6 @@ def run_pool(
         seed=11,
         num_workers=args.workers,
         work_stealing=False,
-        pipeline_depth=pipeline_depth,
         fault_plan=fault_plan,
     )
     with pool:
@@ -165,33 +163,26 @@ def pool_chaos(args: argparse.Namespace) -> Dict[str, object]:
         num_workers=args.workers,
         num_worker_kills=args.kills,
     )
-    clean = run_pool(args, agent, None, pipeline_depth=1)
-    columns: Dict[str, Dict[str, object]] = {}
+    clean = run_pool(args, agent, None)
+    faulted = run_pool(args, agent, plan)
     mismatches: List[str] = []
-    for label, depth in (("lockstep", 1), ("pipelined", 2)):
-        faulted = run_pool(args, agent, plan, pipeline_depth=depth)
-        parity = faulted["infos"] == reference_infos and all(
-            np.array_equal(faulted["arrays"][key], reference_arrays[key])
-            for key in reference_arrays
-        )
-        if not parity:
-            mismatches.append(f"pool[{label}]: fault-injected rollout diverged")
-        if not faulted["respawns"]:
-            mismatches.append(f"pool[{label}]: fault plan injected no kills")
-        columns[label] = {
-            "wall_seconds": faulted["wall_seconds"],
-            "respawns": faulted["respawns"],
-            "replayed_commands": faulted["replayed_commands"],
-            "parity_ok": bool(parity),
-        }
+    if faulted["infos"] != reference_infos or not all(
+        np.array_equal(faulted["arrays"][key], reference_arrays[key])
+        for key in reference_arrays
+    ):
+        mismatches.append("pool: fault-injected rollout diverged")
+    if not faulted["respawns"]:
+        mismatches.append("pool: fault plan injected no kills")
     overhead = (
-        columns["lockstep"]["wall_seconds"] / clean["wall_seconds"]
+        faulted["wall_seconds"] / clean["wall_seconds"]
         if clean["wall_seconds"] > 0
         else float("inf")
     )
     return {
         "clean_wall_seconds": clean["wall_seconds"],
-        "columns": columns,
+        "faulted_wall_seconds": faulted["wall_seconds"],
+        "respawns": faulted["respawns"],
+        "replayed_commands": faulted["replayed_commands"],
         "recovery_overhead_vs_clean": overhead,
         "fault_plan": plan.describe(),
         "parity_ok": not mismatches,
@@ -321,10 +312,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     print(
         f"pool: clean {pool['clean_wall_seconds']:.2f}s, "
-        f"faulted {pool['columns']['lockstep']['wall_seconds']:.2f}s "
+        f"faulted {pool['faulted_wall_seconds']:.2f}s "
         f"(overhead x{pool['recovery_overhead_vs_clean']:.2f}), "
-        f"respawns {pool['columns']['lockstep']['respawns']}"
-        f"+{pool['columns']['pipelined']['respawns']}, parity_ok={pool['parity_ok']}"
+        f"respawns {pool['respawns']}, parity_ok={pool['parity_ok']}"
     )
     print(
         f"service: {service['jobs_before_crash']} jobs survived the crash, "

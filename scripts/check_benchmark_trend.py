@@ -8,7 +8,7 @@ non-zero when any metric regresses by more than the configured tolerance
 A baseline metric reads one value per benchmark, in one of two forms:
 
 * ``key`` -- a ratio the benchmark itself recorded in its ``extra_info``
-  (e.g. ``speedup_vec16_vs_serial``, ``speedup_pipelined_vs_lockstep``);
+  (e.g. ``speedup_vec16_vs_serial``, ``overhead_pool1_vs_vec16``);
 * ``stat`` -- a pytest-benchmark timing statistic of the benchmark run
   (e.g. ``mean``, ``median``).
 
@@ -18,26 +18,14 @@ An absolute timing statistic does not transfer across runner hardware, so a
 comparison.  That turns two machine-dependent timings into one
 machine-relative ratio (e.g. the EASY-backfill simulator's mean run time per
 policy-forward mean), which is what the committed baselines store.  Metrics
-may override the file-level ``tolerance`` per entry, and can be gated on a
-minimum usable-core count recorded by the benchmark itself
-(``min_cores``/``cores_key``), which keeps multiprocess speedup checks
-honest on small runners.  Each metric declares ``higher_is_better``;
-lower-is-better metrics regress when the measurement exceeds
-``baseline * (1 + tolerance)``.
+may override the file-level ``tolerance`` per entry.  Each metric declares
+``higher_is_better``; lower-is-better metrics regress when the measurement
+exceeds ``baseline * (1 + tolerance)``.
 
-Two non-verdict outcomes are reported **distinctly** and must not be
-conflated:
-
-* ``GATED`` -- the benchmark ran and recorded its usable-core count, but the
-  run had fewer cores than the metric's ``min_cores``.  This is the expected
-  state on small runners and never fails the check.
-* ``MISSING`` -- the benchmark, the metric's field, or the core count the
-  gate needs is absent from the results JSON.  A core-gated metric whose
-  benchmark did not record ``usable_cores`` is MISSING, not gated: otherwise
-  a still-unmeasured baseline (e.g. ``speedup_pipelined_vs_lockstep``) could
-  pass silently forever by looking like a small-runner skip.  MISSING warns
-  by default -- the (deliberately non-blocking) benchmark job's own failure
-  covers that case -- and fails the check under ``--strict``.
+One non-verdict outcome exists: ``MISSING`` -- the benchmark or the metric's
+field is absent from the results JSON.  MISSING warns by default -- the
+(deliberately non-blocking) benchmark job's own failure covers that case --
+and fails the check under ``--strict``.
 
 Scenario-evaluation telemetry joins the same check: ``--scenario-report
 TIMING.json`` ingests the timing document written by
@@ -235,7 +223,6 @@ def check(
 
     failures: list[str] = []
     missing: list[str] = []
-    skipped: list[str] = []
     passed: list[str] = []
     for metric in baseline["metrics"]:
         reference = float(metric["baseline"])
@@ -245,23 +232,6 @@ def check(
         if measured is None:
             missing.append(problem)
             continue
-        min_cores = metric.get("min_cores")
-        if min_cores is not None:
-            cores_key = metric.get("cores_key", "usable_cores")
-            bench = benches.get(metric["benchmark"], {})
-            cores = bench.get("extra_info", {}).get(cores_key)
-            if cores is None:
-                # No recorded core count is missing data, not a small-runner
-                # gate -- report it as such so an unmeasured metric cannot
-                # pass silently by masquerading as core-gated.
-                missing.append(
-                    f"{label}: extra_info[{cores_key!r}] missing from benchmark "
-                    f"(needed by its min_cores={min_cores} gate)"
-                )
-                continue
-            if int(cores) < int(min_cores):
-                skipped.append(f"{label}: needs >= {min_cores} cores (run had {cores})")
-                continue
         relative_to = metric.get("relative_to")
         if relative_to is not None:
             ref_value, ref_label, problem = read_value(benches, relative_to)
@@ -289,8 +259,6 @@ def check(
 
     for line in passed:
         print(line)
-    for line in skipped:
-        print(f"GATED (min_cores) {line}")
     for line in missing:
         # ::warning:: renders as an annotation on GitHub runners and is
         # harmless plain text elsewhere.
@@ -308,8 +276,6 @@ def check(
         )
         return 1
     summary = f"{len(passed)} metric(s) ok"
-    if skipped:
-        summary += f", {len(skipped)} gated off by min_cores"
     if missing:
         summary += f", {len(missing)} MISSING (non-strict)"
     print(f"\nrollout-throughput trend check passed ({summary})")

@@ -1,27 +1,25 @@
 """Per-phase wall-time breakdown of rollout collection.
 
 Runs the same warm rollout workload through the in-process engine
-(``backend="local"``) and the multiprocess lane pool (``backend="process"``)
-at both pipeline depths, and prints where the time goes per configuration:
+(``backend="local"``) and the multiprocess lane pool (``backend="process"``),
+and prints where the time goes per configuration:
 
 * **encode**  -- batched observation feature encoding
   (:meth:`ObservationBuilder.encode_batch`; worker-side for the pool),
 * **forward** -- the batched policy/value forward pass (always parent-side),
 * **step**    -- simulator stepping + episode resets (worker-side for the
-  pool; includes the baseline simulations of non-pre-sampled resets),
+  pool; includes the baseline simulations of resets),
 * **ipc wait** -- parent time blocked on result frames, and the workers'
   mean idle fraction while blocked on command frames.
 
 The numbers come from ``engine.stats()`` (cumulative; this script diffs
 snapshots around the measured block), so the breakdown is exactly what the
-``Trainer`` logs at epoch boundaries.  The pipelined pool should show the
-parent's result wait and the workers' idle fraction both shrinking relative
-to lockstep -- that overlap is the point of ``pipeline_depth=2``.
+``Trainer`` logs at epoch boundaries.
 
 Usage:
     PYTHONPATH=src python scripts/profile_rollout.py [--num-envs 16]
         [--trajectories 24] [--num-workers N] [--trace SDSC-SP2]
-        [--configs local process:1 process:2]
+        [--configs local process]
 """
 
 import argparse
@@ -46,15 +44,7 @@ from repro.rl.buffer import TrajectoryBuffer
 from repro.workloads import load_trace
 
 
-def parse_config(text: str) -> tuple[str, int]:
-    """``"local"`` or ``"process:DEPTH"`` -> (backend, pipeline_depth)."""
-    backend, _, depth = text.partition(":")
-    if backend not in ("local", "process"):
-        raise argparse.ArgumentTypeError(f"unknown backend {backend!r}")
-    return backend, int(depth) if depth else 1
-
-
-def profile(args, backend: str, pipeline_depth: int) -> dict:
+def profile(args, backend: str) -> dict:
     environment = BackfillEnvironment(
         load_trace(args.trace, num_jobs=4000),
         policy="FCFS",
@@ -70,7 +60,6 @@ def profile(args, backend: str, pipeline_depth: int) -> dict:
         num_envs=args.num_envs,
         backend=backend,
         num_workers=args.num_workers,
-        pipeline_depth=pipeline_depth,
     )
     with Trainer(environment, agent, config, seed=7) as trainer:
         # Warm the lanes' training pools so measured resets reuse cached
@@ -92,7 +81,7 @@ def profile(args, backend: str, pipeline_depth: int) -> dict:
     delta = engine_stats_delta(after, before)
     decisions = sum(info["episode_steps"] for info in infos)
     return {
-        "label": backend if backend == "local" else f"{backend}[depth={pipeline_depth}]",
+        "label": backend,
         "decisions_per_sec": decisions / elapsed,
         "wall_s": elapsed,
         "idle_fraction": delta.pop("worker_idle_fraction", 0.0),
@@ -113,10 +102,10 @@ def main() -> int:
     parser.add_argument(
         "--configs",
         nargs="+",
-        type=parse_config,
-        default=[("local", 1), ("process", 1), ("process", 2)],
-        metavar="BACKEND[:DEPTH]",
-        help="configurations to profile (default: local process:1 process:2)",
+        choices=("local", "process"),
+        default=["local", "process"],
+        metavar="BACKEND",
+        help="backends to profile (default: local process)",
     )
     parser.add_argument(
         "--trace-out",
@@ -138,9 +127,9 @@ def main() -> int:
 
     phases = ("encode_s", "forward_s", "step_s", "result_wait_s")
     rows = []
-    for backend, depth in args.configs:
-        print(f"profiling {backend} pipeline_depth={depth} ...", flush=True)
-        rows.append(profile(args, backend, depth))
+    for backend in args.configs:
+        print(f"profiling {backend} ...", flush=True)
+        rows.append(profile(args, backend))
 
     if args.trace_out:
         trace_path = Path(args.trace_out)
@@ -180,8 +169,7 @@ def main() -> int:
     print(
         "\nphases: encode/step are worker-side for the process backend; "
         "result_wait is parent time blocked on result frames; idle% is the "
-        "workers' mean command-wait fraction (0 for local).  Overlap shows "
-        "up as result_wait + idle% shrinking at pipeline_depth=2."
+        "workers' mean command-wait fraction (0 for local)."
     )
     return 0
 

@@ -54,10 +54,6 @@ def main():
     parser.add_argument("--num-workers", type=int, default=None,
                         help="worker processes for --backend process "
                              "(default: one per available core)")
-    parser.add_argument("--pipeline-depth", type=int, choices=(1, 2), default=1,
-                        help="process-backend round scheduling: 1 = lockstep, "
-                             "2 = double-buffered cohorts overlapping the forward "
-                             "pass with worker stepping")
     parser.add_argument("--epochs", type=int, default=60)
     args = parser.parse_args()
     trace = load_trace("SDSC-SP2", num_jobs=4000)
@@ -83,7 +79,6 @@ def main():
         num_envs=args.num_envs,
         backend=args.backend,
         num_workers=args.num_workers,
-        pipeline_depth=args.pipeline_depth,
     )
     with Trainer(env, agent, cfg, seed=7) as trainer:
         start = time.time()

@@ -64,13 +64,6 @@ class TrainerConfig:
     #: while the epoch drains immediately start next-epoch episodes, which
     #: are banked and credited to the next collection call.
     work_stealing: bool = True
-    #: Round scheduling of the process backend: 1 = lockstep (the
-    #: bit-identical path), 2 = double-buffered lane cohorts that overlap the
-    #: parent's batched forward pass with worker simulator stepping, plus
-    #: worker-side background episode pre-sampling (see
-    #: :class:`~repro.rl.lane_pool.ProcessLanePool`).  Ignored by the local
-    #: backend, which steps lanes in this process.
-    pipeline_depth: int = 1
 
     def __post_init__(self) -> None:
         if self.epochs <= 0:
@@ -83,11 +76,6 @@ class TrainerConfig:
             raise ValueError(f"backend must be 'local' or 'process', got {self.backend!r}")
         if self.num_workers is not None and self.num_workers <= 0:
             raise ValueError("num_workers must be positive when given")
-        if self.pipeline_depth not in (1, 2):
-            raise ValueError(
-                "pipeline_depth must be 1 (lockstep) or 2 (double-buffered cohorts), "
-                f"got {self.pipeline_depth}"
-            )
 
     @classmethod
     def paper_scale(cls, epochs: int = 200) -> "TrainerConfig":
@@ -225,7 +213,6 @@ class Trainer:
             backend=self.config.backend,
             num_workers=self.config.num_workers,
             work_stealing=self.config.work_stealing,
-            pipeline_depth=self.config.pipeline_depth,
         )
         if self.config.num_envs == 1:
             self.lane_rngs = [self.rng]
@@ -268,9 +255,9 @@ class Trainer:
     def _log_engine_stats(self, epoch: int) -> None:
         """Log this epoch's rollout-engine statistics (delta vs last epoch).
 
-        Makes pipeline/stealing wins visible in training output: rounds, the
-        worker idle fraction the pipelined cohorts shrink, pre-sampled resets
-        consumed, and banked/credited stolen episodes.
+        Makes the engine's behaviour visible in training output: rounds, the
+        per-phase split, the workers' idle fraction, and banked/credited
+        stolen episodes.
         """
         stats_fn = getattr(self.vec_env, "stats", None)
         if stats_fn is None:  # pragma: no cover - every bundled engine has stats()

@@ -229,7 +229,6 @@ def train_rlbackfilling(
     num_envs: int | None = None,
     backend: str | None = None,
     num_workers: int | None = None,
-    pipeline_depth: int | None = None,
 ) -> TrainedModel:
     """Train an RLBackfilling agent on ``trace`` with ``policy`` as the base scheduler.
 
@@ -240,10 +239,8 @@ def train_rlbackfilling(
     lanes live: ``"local"`` steps them in-process, ``"process"`` shards them
     across ``num_workers`` worker processes exchanging observations and
     actions through shared memory
-    (:class:`repro.rl.lane_pool.ProcessLanePool`); ``pipeline_depth=2``
-    additionally overlaps the batched forward pass with worker stepping via
-    double-buffered lane cohorts.  ``None`` keeps the scale's trainer
-    configuration unchanged.
+    (:class:`repro.rl.lane_pool.ProcessLanePool`).  ``None`` keeps the
+    scale's trainer configuration unchanged.
     """
     scale = get_scale(scale)
     trace = resolve_trace(trace, scale)
@@ -269,8 +266,6 @@ def train_rlbackfilling(
         overrides["backend"] = backend
     if num_workers is not None:
         overrides["num_workers"] = num_workers
-    if pipeline_depth is not None:
-        overrides["pipeline_depth"] = pipeline_depth
     if overrides:
         trainer_config = replace(trainer_config, **overrides)
     with Trainer(environment, agent, trainer_config, seed=rng) as trainer:

@@ -416,7 +416,7 @@ def diff_snapshots(
 
 
 #: ``engine.stats()`` keys that describe configuration, not accumulation.
-_STATS_CONFIG_KEYS = ("engine", "pipeline_depth", "num_workers")
+_STATS_CONFIG_KEYS = ("engine", "num_workers")
 
 
 def engine_stats_delta(after: Dict[str, object], before: Dict[str, object]) -> Dict[str, object]:
@@ -424,12 +424,10 @@ def engine_stats_delta(after: Dict[str, object], before: Dict[str, object]) -> D
 
     The one shared implementation behind the Trainer's epoch-boundary engine
     log and ``scripts/profile_rollout.py``'s per-phase breakdown.  Config
-    fields (engine/pipeline_depth/num_workers) pass through unchanged, every
-    counter subtracts, and ``worker_idle_fraction`` -- a cumulative ratio --
-    is recomputed from *this interval's* wait/wall deltas so the result is
-    the interval's own idle fraction, not the lifetime running mean (the
-    stale value the old per-call-site copies could report for pipelined
-    runs when their snapshot keys drifted).
+    fields (engine/num_workers) pass through unchanged, every counter
+    subtracts, and ``worker_idle_fraction`` -- a cumulative ratio -- is
+    recomputed from *this interval's* wait/wall deltas so the result is the
+    interval's own idle fraction, not the lifetime running mean.
     """
     delta: Dict[str, object] = {}
     for key, value in after.items():

@@ -11,9 +11,11 @@ building blocks from scratch on top of NumPy:
 * :mod:`repro.rl.buffer` -- trajectory buffer with GAE-lambda advantages.
 * :mod:`repro.rl.ppo` -- the clipped-surrogate PPO update.
 * :mod:`repro.rl.env` -- the minimal environment interface the trainer expects.
-* :mod:`repro.rl.vec_env` -- the vectorized multi-environment rollout engine.
-* :mod:`repro.rl.ipc` -- shared-memory ring buffers for the lane pool.
-* :mod:`repro.rl.lane_pool` -- the multiprocess rollout lane pool.
+* :mod:`repro.rl.vec_env` -- the rollout loop (shard stepper + episode
+  scheduler) and the in-process vectorized engine over it.
+* :mod:`repro.rl.ipc` -- shared-memory ring buffers for the worker pools.
+* :mod:`repro.rl.lane_pool` -- the multiprocess lane pool: the same loop
+  over worker processes.
 """
 
 from repro.rl.autograd import Tensor, no_grad

@@ -13,15 +13,10 @@ writing), ``_full`` counts ready frames (consumer acquires before reading).
 Both sides track their own slot index locally -- with exactly one producer
 and one consumer the indices advance monotonically and never race.
 
-A ring with ``capacity >= 2`` supports **multiple frames in flight**, which
-is what the pipelined lane pool's double-buffered cohorts build on: the
-parent pushes round *t+1*'s command frame for one cohort while the worker is
-still stepping the other cohort's round *t*, and frames carry a cohort tag
-in their header so each side can pair commands with results (see
-``docs/simulator.md`` §5).  ``timeout=0`` on :meth:`push`/:meth:`pop` is a
-non-blocking poll -- the consumer can check for a pending frame and spend
-idle gaps on background work (worker-side episode pre-sampling) instead of
-blocking.
+A ring with ``capacity >= 2`` holds several frames in flight (the scenario
+pool queues a second cell behind the one a worker is evaluating), and
+``timeout=0`` on :meth:`push`/:meth:`pop` is a non-blocking poll, which is how
+that pool sweeps its workers' result rings without blocking on any one.
 
 The ring object is construct-in-parent, attach-in-child: it pickles its
 geometry and the segment *name* (never the mapping), and the child re-maps
@@ -32,6 +27,7 @@ unlinks the segment.
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
@@ -39,7 +35,17 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 from multiprocessing import resource_tracker, shared_memory
 
-__all__ = ["Field", "FrameLayout", "ShmRing", "RingClosed", "RingTimeout"]
+__all__ = ["Field", "FrameLayout", "ShmRing", "RingClosed", "RingTimeout", "worker_context"]
+
+
+def worker_context():
+    """The :mod:`multiprocessing` context both worker pools start from.
+
+    ``fork`` where the platform has it (workers inherit the lane environments
+    or scenario specs without pickling them), ``spawn`` otherwise.
+    """
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
 class RingClosed(RuntimeError):
@@ -186,17 +192,21 @@ class ShmRing:
         """
         if not self._acquire(self._free, timeout, liveness):
             raise RingTimeout(f"no free slot in ring {self.name} after {timeout}s")
-        frame = self._frame(self._write_idx)
-        for key, value in values.items():
-            try:
+        try:
+            frame = self._frame(self._write_idx)
+            for key, value in values.items():
+                if key not in frame:
+                    # A producer built against a different layout generation.
+                    raise KeyError(
+                        f"unknown frame field {key!r}; ring {self.name} layout has "
+                        f"{[field.name for field in self.layout.fields]}"
+                    )
                 frame[key][...] = value
-            except KeyError:
-                # A producer built against a different layout generation --
-                # name the mismatch instead of surfacing a bare KeyError.
-                raise KeyError(
-                    f"unknown frame field {key!r}; ring {self.name} layout has "
-                    f"{[field.name for field in self.layout.fields]}"
-                ) from None
+        except BaseException:
+            # Nothing was published: hand the slot back, or a full ring of
+            # failed writes would refuse every later push.
+            self._free.release()
+            raise
         self._write_idx += 1
         self._full.release()
 

@@ -3,91 +3,59 @@
 :class:`ProcessLanePool` scales rollout collection across CPU cores: a
 persistent pool of worker processes each hosts a contiguous **shard** of
 simulator lanes, and the parent keeps running one batched policy forward pass
-per round across every worker's ready lanes.  Per round:
+per round across every worker's running lanes.  The round loop itself is not
+here: it is :class:`~repro.rl.vec_env.EpisodeScheduler`, the same scheduler
+the in-process engine runs, and each worker wraps the same
+:class:`~repro.rl.vec_env.ShardStepper` in a loop over its command ring.
+This module is only *how a round frame reaches a shard and comes back*:
 
-1. the parent stacks the current observations of all running lanes
-   (ascending lane order, exactly like :class:`~repro.rl.vec_env.VecBackfillEnv`),
-   runs **one** ``ActorCritic.step_batch`` forward pass, and samples one
-   action per lane from that lane's own rng;
-2. the sampled actions are written into each worker's command frame in a
-   shared-memory ring (:class:`~repro.rl.ipc.ShmRing`) -- fixed-layout
-   ``int64``/``float64`` arrays, nothing is pickled on the hot path;
-3. each worker steps its shard's environments, encodes the advanced lanes'
-   next observations in one batched
-   :meth:`~repro.core.observation.ObservationBuilder.encode_batch` pass, and
-   writes observations/masks/rewards/terminal infos back through its result
-   ring;
-4. the parent stores the transition in per-lane trajectory buffers and
-   merges finished episodes into the epoch buffer, in lane order.
+1. the scheduler's frame for a shard -- per-lane ``STEP`` / ``RESET`` /
+   ``NOOP`` commands, the sampled actions, the restart credits -- is written
+   into that worker's command ring (:class:`~repro.rl.ipc.ShmRing`):
+   fixed-layout ``int64``/``float64`` arrays, nothing is pickled;
+2. the worker steps its shard and pushes statuses, rewards, terminal infos
+   and the encoded observation / mask rows back through its result ring;
+3. the parent pops results in worker order, which is ascending lane order.
 
-**Pipelined cohorts** (``pipeline_depth=2``).  The lockstep round above has a
-bubble on both sides: workers idle during the parent's forward pass, and the
-parent idles while workers step.  With ``pipeline_depth=2`` the lanes are
-split into two alternating **cohorts** (lane ``i`` belongs to cohort
-``i % 2``) and the round loop becomes a two-stage software pipeline: the
-parent issues cohort *A*'s round *t+1* commands immediately after reading
-cohort *A*'s round *t* results, while the workers are still stepping cohort
-*B* -- parent matmuls overlap worker simulator stepping.  Command and result
-frames carry a cohort tag so either side detects a desynchronised pairing.
-``pipeline_depth=1`` is today's lockstep loop, bit-identical to PR 2's
-behaviour (and, with one worker and stealing off, to the in-process engine).
+Around that sit the things only a process boundary needs: liveness probes
+while blocked on a ring, the list of frames in flight, and **respawn-replay**
+-- a dead worker is replaced in place and driven back to the dead one's last
+acknowledged state from the lanes' recorded history (see
+``docs/resilience.md`` §3), so a fault costs wall clock, never content.
 
-**Background episode pre-sampling.**  In pipelined mode, a worker that would
-otherwise block on its command ring spends the gap **arming** idle lanes: it
-pre-samples and pre-validates the lane's next episode start (the full
-sampling loop, including up to ``max_reset_attempts`` baseline simulations)
-so a subsequent sampled ``RESET`` pops the prepared start instead of burning
-the baseline simulations inside the round while its shard-mates wait.
-Arming consumes exactly the draws the in-round reset would have consumed, in
-the same per-lane order, so trajectories are unchanged -- only *when* the
-sampling work happens moves.  In pipelined mode workers do not auto-restart
-finished lanes (no same-round credits): a finished lane goes idle for one
-cohort round, gets armed in the gap, and restarts via an explicit reset that
-hits the pre-sample queue.
+The pool collects **sampled** episodes (training rollouts, and argmax
+evaluation over sampled sequences); fixed job sequences are the in-process
+engine's.
 
 **Drain-phase work stealing.**  At the tail of an epoch lanes finish at
 different times and the forward-pass batch would shrink.  With
-``work_stealing=True`` (the default for sampled-episode rollouts) a lane that
-finishes an episode immediately starts an episode for the *next* epoch
-instead of idling; episodes completed beyond the requested count -- and the
-partial trajectories still in flight when :meth:`rollout` returns -- are
-**banked** and credited to the next :meth:`rollout` call.  Batches stay full
-through the drain phase at the cost of collecting a small, bounded amount of
-next-epoch experience under the current policy (PPO's importance ratios
-already account for slightly stale behaviour policies).
+``work_stealing=True`` (the default) a lane that finishes an episode
+immediately starts an episode for the *next* epoch instead of idling;
+episodes completed beyond the requested count -- and the partial
+trajectories still in flight when :meth:`rollout` returns -- are **banked**
+and credited to the next :meth:`rollout` call.  Batches stay full through the
+drain phase at the cost of collecting a small, bounded amount of next-epoch
+experience under the current policy (PPO's importance ratios already account
+for slightly stale behaviour policies).
 
-**Determinism contract** (see ``docs/simulator.md`` §4-§6): worker shards
+**Determinism contract** (see ``docs/simulator.md`` §4-§5): worker shards
 preserve global lane indexing, workers process commands in ascending lane
-order, and per-lane episode-sampling rngs live inside the worker's
-environment while per-lane action rngs stay in the parent.  The policy
-forward pass runs through the batch-invariant matmul kernel
-(:func:`repro.rl.autograd.invariant_matmul`), so each lane's floats do not
-depend on which other lanes share a forward batch, and completed episodes
-are released into the epoch buffer in **canonical order** -- sorted by
-``(lane decision count at completion, lane)``, the logical completion clock
--- rather than raw arrival order.  Together those make the pool
-bit-identical to the in-process engine for the same lanes and seeds at *any*
-worker count and *any* pipeline depth: trajectories, buffer contents, and
-episode infos are equal bit for bit (asserted in ``tests/test_lane_pool.py``,
-``tests/test_pipelined_pool.py``, and the cross-config matrix in
-``tests/test_parity_matrix.py``).  Arrival order already equals canonical
-order whenever every lane stores one decision per round (the common lockstep
-case), so the queue usually drains immediately; it genuinely reorders
-whenever a lane loses a round relative to its decision clock -- pipelined
-cohorts completing rounds at interleaved times, and lockstep lanes whose
-restart had to wait for an explicit parent RESET (multi-worker
-``episode_jobs`` rounds, unclaimed credit grants) -- which is exactly what
-keeps those schedules aligned with the in-process engine's inline restarts.
+order, per-lane episode-sampling rngs live inside the worker's environment
+while per-lane action rngs stay in the parent, the forward pass runs through
+the batch-invariant matmul kernel, and finished episodes enter the epoch
+buffer in canonical ``(lane decision clock, lane)`` order.  Together those
+make the pool bit-identical to the in-process engine for the same lanes and
+seeds at any worker count (asserted in ``tests/test_lane_pool.py`` and the
+cross-config matrix in ``tests/test_parity_matrix.py``).
 """
 
 from __future__ import annotations
 
-import heapq
-import multiprocessing
 import os
 import time
+import traceback
 import weakref
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -97,11 +65,29 @@ from repro.obs.collect import sidecar_path, write_sidecar
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import trace_spool_dir
 from repro.rl.buffer import TrajectoryBuffer
-from repro.rl.env import Environment, StepResult
-from repro.rl.ipc import Field, FrameLayout, RingTimeout, ShmRing
+from repro.rl.env import Environment
+from repro.rl.ipc import Field, FrameLayout, ShmRing, worker_context
 from repro.rl.ppo import ActorCritic
-from repro.rl.vec_env import VecBackfillEnv, clone_lane_envs, validate_rollout_args
-from repro.utils.rng import SeedLike, as_rng
+from repro.rl.vec_env import (
+    CMD_NOOP,
+    CMD_RESET,
+    CMD_STEP,
+    INFO_FIELDS,
+    LANE_DONE_RESTARTED,
+    LANE_FAILED,
+    LANE_RUNNING,
+    EpisodeScheduler,
+    RoundFrame,
+    RoundResult,
+    ShardStepper,
+    VecBackfillEnv,
+    clone_lane_envs,
+    engine_counters,
+    engine_stats,
+    validate_lanes,
+    validate_rollout_args,
+)
+from repro.utils.rng import SeedLike
 
 __all__ = ["ProcessLanePool", "make_rollout_engine", "available_worker_count"]
 
@@ -109,37 +95,17 @@ __all__ = ["ProcessLanePool", "make_rollout_engine", "available_worker_count"]
 #: Command-frame kinds.
 _KIND_ROUND = 0
 _KIND_SHUTDOWN = 1
-#: Receive this rollout call's fixed episode sequences from the control pipe
-#: (the parent pushes this frame *before* sending the payload, so a payload
-#: larger than the OS pipe buffer can never deadlock against a worker that is
-#: still blocked on the command ring).  No result frame is produced.
-_KIND_RECV_JOBS = 2
-
-#: Per-lane commands.
-_CMD_NOOP = 0
-_CMD_STEP = 1
-_CMD_RESET = 2
-
-#: ``arg`` values for ``_CMD_RESET`` beyond non-negative episode indices.
-_RESET_SAMPLE = -1     # sample a sequence from the lane's own trace rng
-_RESET_PIPE_JOBS = -2  # jobs for this reset arrive on the control pipe
-
-#: Per-lane result statuses.
-_LANE_IDLE = 0
-_LANE_RUNNING = 1
-_LANE_DONE_RESTARTED = 2
-_LANE_DONE_IDLE = 3
-#: The command for this lane raised a recoverable exception (bad action, a
-#: sequence without backfilling opportunities, reset-sampling exhaustion).
-#: The worker stays alive; details travel over the control pipe.
-_LANE_FAILED = 4
 
 #: Result-frame kinds.
 _RES_OK = 0
 _RES_ERROR = 1
 
-#: Terminal-info columns mirrored through shared memory.
-_INFO_FIELDS = ("bsld", "baseline_bsld", "violations", "steps")
+#: Frames a ring holds: the round in flight plus the shutdown frame behind it.
+_RING_CAPACITY = 2
+#: Seconds the parent waits on one ring operation before giving the round up.
+_ROUND_TIMEOUT = 120.0
+#: Replacements one worker slot may consume before the pool gives up on it.
+_MAX_RESPAWNS = 8
 
 
 def available_worker_count() -> int:
@@ -154,9 +120,6 @@ def _command_layout(shard: int) -> FrameLayout:
     return FrameLayout(
         [
             Field("kind", (), "int64"),
-            Field("cohort", (), "int64"),
-            Field("presample", (), "int64"),
-            Field("credit_base", (), "int64"),
             Field("credits", (), "int64"),
             # 1 on frames re-issued from the recovery history (so a respawned
             # worker's catch-up spans are tagged in the merged trace), 0 on
@@ -173,9 +136,7 @@ def _result_layout(shard: int, observation_size: int, num_actions: int) -> Frame
     return FrameLayout(
         [
             Field("kind", (), "int64"),
-            Field("cohort", (), "int64"),
             Field("claimed", (), "int64"),
-            Field("presampled", (), "int64"),
             Field("wait_ns", (), "int64"),
             Field("step_ns", (), "int64"),
             Field("encode_ns", (), "int64"),
@@ -186,7 +147,9 @@ def _result_layout(shard: int, observation_size: int, num_actions: int) -> Frame
             Field("published", (len(WORKER_PUBLISHED_COUNTERS),), "int64"),
             Field("status", (shard,), "int64"),
             Field("reward", (shard,), "float64"),
-            Field("info", (shard, len(_INFO_FIELDS)), "float64"),
+            Field("info", (shard, len(INFO_FIELDS)), "float64"),
+            # One row per lane left at a decision point, packed from row 0 in
+            # ascending lane order; the rows beyond them are unused.
             Field("obs", (shard, observation_size), "float64"),
             Field("mask", (shard, num_actions), "float64"),
         ]
@@ -202,220 +165,52 @@ def _worker_main(
     worker_index: int = 0,
     generation: int = 0,
 ) -> None:
-    """Host a shard of lane environments; loop over command frames forever.
+    """Host a shard of lane environments: one ``ShardStepper.round`` per frame.
 
-    Lanes are processed in ascending (local == global) order, mirroring the
-    in-process engine's active-list iteration; all advanced or restarted
-    lanes of one round share a single batched feature-encoding pass.
-
-    Between rounds the worker polls its command ring non-blockingly and, when
-    the parent allowed it (the ``presample`` flag of the last round frame),
-    spends the idle gap **arming** idle lanes: one full pre-sampled,
-    pre-validated episode start per poll, stored as the lane's prepared
-    next episode.  A sampled ``RESET`` pops the armed start (or its stashed
-    sampling error) instead of running the sampling loop inside the round;
-    an explicit-jobs ``RESET`` discards the armed state, mirroring the
-    parent-side abandonment of any other in-flight episode.
+    Each result frame also carries this worker's deltas of the process-global
+    counters named in WORKER_PUBLISHED_COUNTERS, from a baseline taken at
+    worker start, so only simulator work done *inside* this process is
+    published upstream (the parent counted its own construction-time work
+    directly); while the global registry is disabled every delta is zero.
+    The worker's tracer ring (enabled through the REPRO_OBS_TRACE environment
+    variable under spawn, or inherited live under fork) records the stepper's
+    ``worker.step`` / ``worker.encode`` spans and drains into a sidecar file
+    at shutdown when a spool directory is configured -- see
+    repro.obs.collect for the merge side.  ``generation > 0`` marks a respawn.
     """
-    import traceback
-
+    stepper = ShardStepper(envs, cat="worker", span_args={"worker": worker_index})
     shard = len(envs)
-    builder = envs[0].builder
-    # Metric publication: each result frame carries this worker's deltas of
-    # the process-global counters named in WORKER_PUBLISHED_COUNTERS.  The
-    # baseline is taken at worker start so only simulator work done *inside*
-    # this process is published upstream (the parent counted its own
-    # construction-time work directly).  While the global registry is
-    # disabled (the default) every handle stays at zero and the deltas are
-    # all-zero writes into an already-mapped frame.
     pub_handles = [get_metrics().counter(name) for name in WORKER_PUBLISHED_COUNTERS]
     pub_last = [handle.value for handle in pub_handles]
-    # Span collection: this worker's tracer ring (enabled through the
-    # REPRO_OBS_TRACE environment variable under spawn, or inherited live
-    # under fork) records per-round step/encode spans and drains into a
-    # sidecar file at shutdown when a spool directory is configured -- see
-    # repro.obs.collect for the merge side.  generation > 0 marks a respawn.
-    tracer = get_tracer()
-    span_args = {"worker": worker_index}
-    replay_span_args = {"worker": worker_index, "replay": True}
-    episode_jobs = None
-    running = [False] * shard
-    armed_masks: Dict[int, np.ndarray] = {}
-    armed_errors: Dict[int, tuple] = {}
-    presample_enabled = False
     wait_ns = 0
     try:
         while True:
-            # -- gap phase: poll for the next command; arm idle lanes while
-            # none is pending.  One arming per poll bounds the latency a
-            # command arriving mid-gap can see to a single episode reset.
-            while True:
-                t0 = time.monotonic_ns()
-                if presample_enabled:
-                    candidates = [
-                        lane
-                        for lane in range(shard)
-                        if not running[lane]
-                        and lane not in armed_masks
-                        and lane not in armed_errors
-                    ]
-                else:
-                    candidates = []
-                if not candidates:
-                    frame = cmd_ring.pop()
-                    wait_ns += time.monotonic_ns() - t0
-                    break
-                try:
-                    frame = cmd_ring.pop(timeout=0.0)
-                    wait_ns += time.monotonic_ns() - t0
-                    break
-                except RingTimeout:
-                    wait_ns += time.monotonic_ns() - t0
-                    lane = candidates[0]
-                    try:
-                        _, armed_masks[lane] = envs[lane].reset(encode=False)
-                    except Exception as exc:
-                        # Delivered on the lane's next sampled reset, where
-                        # the in-round sampling loop would have raised it.
-                        armed_errors[lane] = (
-                            type(exc).__name__,
-                            traceback.format_exc(),
-                        )
-            kind = int(frame["kind"])
-            if kind == _KIND_SHUTDOWN:
+            t0 = time.perf_counter_ns()
+            frame = cmd_ring.pop()
+            wait_ns += time.perf_counter_ns() - t0
+            if int(frame["kind"]) == _KIND_SHUTDOWN:
                 break
-            if kind == _KIND_RECV_JOBS:
-                # Cold-path payloads ride the pipe, never the hot ring.  The
-                # parent pushed this frame before sending, so blocking here
-                # is what lets an arbitrarily large payload drain through the
-                # bounded pipe buffer without deadlocking either side.
-                _, episode_jobs = pipe.recv()
-                continue
-            cohort = int(frame["cohort"])
-            presample_enabled = bool(int(frame["presample"]))
-            replay_round = bool(int(frame["replay"]))
-            credits = int(frame["credits"])
-            next_index = int(frame["credit_base"])
-            claimed = 0
-            presampled = 0
-            status = np.full(shard, _LANE_IDLE, dtype=np.int64)
-            reward = np.zeros(shard, dtype=np.float64)
-            info = np.zeros((shard, len(_INFO_FIELDS)), dtype=np.float64)
+            result = stepper.round(
+                frame["cmd"].tolist(),
+                frame["arg"].tolist(),
+                int(frame["credits"]),
+                replay=bool(frame["replay"]),
+            )
             obs = np.zeros((shard, envs[0].observation_size), dtype=np.float64)
             mask = np.zeros((shard, envs[0].num_actions), dtype=np.float64)
-            encode_lanes: List[int] = []
-
-            cmd, arg = frame["cmd"], frame["arg"]
-            lane_errors: Dict[int, tuple] = {}
-            t_step = time.monotonic_ns()
-            for lane, env in enumerate(envs):
-                op = int(cmd[lane])
-                if op == _CMD_NOOP:
-                    continue
-                if op == _CMD_RESET:
-                    index = int(arg[lane])
-                    try:
-                        if index == _RESET_PIPE_JOBS:
-                            # One-off sequence for this reset, sent after the
-                            # command frame (same no-deadlock ordering as above).
-                            armed_masks.pop(lane, None)
-                            armed_errors.pop(lane, None)
-                            _, reset_jobs = pipe.recv()
-                            _, mask[lane] = env.reset(jobs=reset_jobs, encode=False)
-                        elif index >= 0:
-                            armed_masks.pop(lane, None)
-                            armed_errors.pop(lane, None)
-                            _, mask[lane] = env.reset(jobs=episode_jobs[index], encode=False)
-                        elif lane in armed_masks:
-                            # Pre-sampled start: the episode is already
-                            # resident at its first decision point.
-                            mask[lane] = armed_masks.pop(lane)
-                            presampled += 1
-                        elif lane in armed_errors:
-                            status[lane] = _LANE_FAILED
-                            lane_errors[lane] = armed_errors.pop(lane)
-                            continue
-                        else:
-                            _, mask[lane] = env.reset(encode=False)
-                    except Exception as exc:
-                        # Recoverable (e.g. a sequence without backfilling
-                        # opportunities): the lane stays idle, the worker and
-                        # its other lanes stay usable, the parent re-raises.
-                        status[lane] = _LANE_FAILED
-                        lane_errors[lane] = (type(exc).__name__, traceback.format_exc())
-                        running[lane] = False
-                        continue
-                    status[lane] = _LANE_RUNNING
-                    running[lane] = True
-                    encode_lanes.append(lane)
-                    continue
-                try:
-                    result = env.step(int(arg[lane]), encode=False)
-                except Exception as exc:
-                    # validate_action raises before mutating, so the episode
-                    # is still intact and the lane can be stepped again.
-                    status[lane] = _LANE_FAILED
-                    lane_errors[lane] = (type(exc).__name__, traceback.format_exc())
-                    continue
-                reward[lane] = result.reward
-                if result.done:
-                    info[lane] = [float(result.info[key]) for key in _INFO_FIELDS]
-                    if credits != 0:
-                        # Auto-restart in the same round, exactly where the
-                        # in-process engine restarts a finished lane.
-                        if episode_jobs is not None:
-                            _, mask[lane] = env.reset(
-                                jobs=episode_jobs[next_index], encode=False
-                            )
-                        else:
-                            _, mask[lane] = env.reset(encode=False)
-                        next_index += 1
-                        claimed += 1
-                        if credits > 0:
-                            credits -= 1
-                        status[lane] = _LANE_DONE_RESTARTED
-                        encode_lanes.append(lane)
-                    else:
-                        status[lane] = _LANE_DONE_IDLE
-                        running[lane] = False
-                else:
-                    mask[lane] = result.mask
-                    status[lane] = _LANE_RUNNING
-                    encode_lanes.append(lane)
-            step_ns = time.monotonic_ns() - t_step
-            if tracer.enabled:
-                # Re-uses the timestamps already taken for the result frame's
-                # step_ns/encode_ns counters: zero extra clock reads.
-                tracer.complete(
-                    "worker.step",
-                    t_step,
-                    step_ns,
-                    cat="worker",
-                    args=replay_span_args if replay_round else span_args,
-                )
-
-            encode_ns = 0
-            if encode_lanes:
-                t_encode = time.monotonic_ns()
-                encoded = builder.encode_batch(
-                    [envs[lane].pending_encode() for lane in encode_lanes]
-                )
-                for row, lane in enumerate(encode_lanes):
-                    obs[lane] = encoded[row]
-                encode_ns = time.monotonic_ns() - t_encode
-                if tracer.enabled:
-                    tracer.complete(
-                        "worker.encode",
-                        t_encode,
-                        encode_ns,
-                        cat="worker",
-                        args=replay_span_args if replay_round else span_args,
-                    )
-
-            if lane_errors:
+            if result.obs is not None:
+                obs[: len(result.obs)] = result.obs
+                mask[: len(result.mask)] = result.mask
+            if result.errors:
                 # Sent before the result frame so the parent's follow-up
                 # recv finds it already queued.
-                pipe.send(("lane_errors", lane_errors))
+                pipe.send((
+                    "lane_errors",
+                    {
+                        lane: (type(exc).__name__, "".join(traceback.format_exception(exc)))
+                        for lane, exc in result.errors.items()
+                    },
+                ))
             published = np.zeros(len(WORKER_PUBLISHED_COUNTERS), dtype=np.int64)
             for slot, handle in enumerate(pub_handles):
                 value = handle.value
@@ -424,16 +219,14 @@ def _worker_main(
             res_ring.push(
                 {
                     "kind": _RES_OK,
-                    "cohort": cohort,
-                    "claimed": claimed,
-                    "presampled": presampled,
+                    "claimed": result.claimed,
                     "wait_ns": wait_ns,
-                    "step_ns": step_ns,
-                    "encode_ns": encode_ns,
+                    "step_ns": result.step_ns,
+                    "encode_ns": result.encode_ns,
                     "published": published,
-                    "status": status,
-                    "reward": reward,
-                    "info": info,
+                    "status": result.status,
+                    "reward": result.reward,
+                    "info": result.info,
                     "obs": obs,
                     "mask": mask,
                 }
@@ -451,6 +244,7 @@ def _worker_main(
             pass
     finally:
         spool = trace_spool_dir()
+        tracer = get_tracer()
         if spool is not None and tracer.recorded > 0:
             # Drain this worker's span ring into its sidecar file for the
             # parent-side merge.  Best-effort: a failed export must never
@@ -500,44 +294,12 @@ def _shutdown_pool(processes, cmd_rings, res_rings, pipes) -> None:
             pass
 
 
-class _LaneState:
-    """Parent-side view of one lane."""
-
-    __slots__ = ("running", "observation", "mask", "episode_reward", "episode_steps")
-
-    def __init__(self) -> None:
-        self.running = False
-        self.observation: Optional[np.ndarray] = None
-        self.mask: Optional[np.ndarray] = None
-        self.episode_reward = 0.0
-        self.episode_steps = 0
-
-    def start(self, observation: Optional[np.ndarray], mask: np.ndarray) -> None:
-        self.running = True
-        self.observation = observation
-        self.mask = mask
-        self.episode_reward = 0.0
-        self.episode_steps = 0
-
-    def retire(self) -> None:
-        self.running = False
-        self.observation = None
-        self.mask = None
-
-
 class ProcessLanePool:
     """Persistent pool of worker processes hosting simulator lane shards.
 
-    Implements the same ``reset_lane`` / ``step_lane`` / ``rollout`` surface
-    as :class:`~repro.rl.vec_env.VecBackfillEnv`; construct one through
-    :func:`make_rollout_engine` with ``backend="process"``.
-
-    ``pipeline_depth=1`` (default) runs the lockstep round loop;
-    ``pipeline_depth=2`` overlaps the parent's batched forward pass with
-    worker simulator stepping via double-buffered lane cohorts and enables
-    worker-side background episode pre-sampling (see the module docstring
-    and ``docs/simulator.md`` §5).  ``presample`` overrides the pre-sampling
-    default (on iff pipelined).
+    Implements the same ``rollout`` / ``stats`` surface as
+    :class:`~repro.rl.vec_env.VecBackfillEnv` for sampled episodes; construct
+    one through :func:`make_rollout_engine` with ``backend="process"``.
     """
 
     def __init__(
@@ -545,43 +307,14 @@ class ProcessLanePool:
         envs: Sequence[Environment],
         num_workers: int | None = None,
         work_stealing: bool = True,
-        start_method: str | None = None,
-        ring_capacity: int = 2,
-        round_timeout: float = 120.0,
-        pipeline_depth: int = 1,
-        presample: bool | None = None,
         respawn: bool = True,
-        max_respawns: int = 8,
         fault_plan: FaultPlan | None = None,
     ):
-        if not envs:
-            raise ValueError("ProcessLanePool needs at least one environment lane")
-        sizes = {(env.observation_size, env.num_actions) for env in envs}
-        if len(sizes) != 1:
-            raise ValueError(
-                f"environment lanes disagree on observation/action sizes: {sorted(sizes)}"
-            )
-        if len({id(env) for env in envs}) != len(envs):
-            raise ValueError("environment lanes must be distinct instances")
-        for env in envs:
-            if not hasattr(env, "pending_encode"):
-                raise TypeError(
-                    "the process backend requires deferred-encoding environments "
-                    f"(reset/step with encode=False); {type(env).__name__} has no pending_encode()"
-                )
-        if pipeline_depth not in (1, 2):
-            raise ValueError(
-                f"pipeline_depth must be 1 (lockstep) or 2 (double-buffered cohorts), "
-                f"got {pipeline_depth}"
-            )
-
+        validate_lanes(envs)
         self._num_envs = len(envs)
         self._observation_size = int(envs[0].observation_size)
         self._num_actions = int(envs[0].num_actions)
         self.work_stealing = bool(work_stealing)
-        self.round_timeout = float(round_timeout)
-        self.pipeline_depth = int(pipeline_depth)
-        self.presample = (self.pipeline_depth >= 2) if presample is None else bool(presample)
 
         num_workers = num_workers if num_workers is not None else available_worker_count()
         self.num_workers = max(1, min(int(num_workers), self._num_envs))
@@ -589,35 +322,23 @@ class ProcessLanePool:
         #: ``shards[w] = (first_lane, one_past_last_lane)`` -- contiguous, so
         #: global lane order equals (worker order, local lane order).
         self.shards = [(int(bounds[w]), int(bounds[w + 1])) for w in range(self.num_workers)]
-
-        if start_method is None:
-            start_method = os.environ.get("REPRO_MP_START_METHOD")
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        ctx = multiprocessing.get_context(start_method)
-        self.start_method = start_method
-
-        # Double-buffering needs one in-flight frame per cohort plus headroom
-        # for the cold-path RECV_JOBS frame.
-        self._ring_capacity = max(int(ring_capacity), self.pipeline_depth + 1)
-        self._ctx = ctx
+        self._ctx = worker_context()
 
         # Crash-recovery state.  The parent retains the lane environments it
         # handed to the workers: under fork the children get copy-on-write
         # views and under spawn they get pickled copies, so these objects
         # stay pristine no matter what the workers do to their shards.  A
-        # respawned worker restarts from them and replays the lane's recorded
-        # command history (resets consume the same per-lane rng draws they
-        # consumed the first time; steps replay the current episode's
-        # actions), reconstructing the dead worker's shard bit for bit.
+        # respawned worker restarts from them and replays each lane's
+        # acknowledged history -- that many sampled resets (each consumes
+        # the per-lane rng draws it consumed the first time), then the
+        # current episode's actions -- reconstructing the dead worker's
+        # shard bit for bit.
         self.respawn = bool(respawn)
-        self.max_respawns = int(max_respawns)
         self.fault_plan = fault_plan
         self._lane_envs = list(envs)
-        self._reset_history: List[List[tuple]] = [[] for _ in range(self._num_envs)]
+        self._reset_counts = [0] * self._num_envs
         self._action_history: List[List[int]] = [[] for _ in range(self._num_envs)]
-        self._pending_reset_spec: Dict[int, tuple] = {}
+        #: Per worker, the round frames pushed and not yet answered.
         self._inflight: List[List[dict]] = [[] for _ in range(self.num_workers)]
         self._respawn_counts = [0] * self.num_workers
         self._rounds_completed = 0
@@ -653,20 +374,6 @@ class ProcessLanePool:
             self._pipes,
         )
 
-        # Parent-side rollout state (persists across rollout() calls so
-        # stolen in-flight episodes can resume next epoch).
-        self._lanes = [_LaneState() for _ in range(self._num_envs)]
-        self._lane_buffers: Optional[List[TrajectoryBuffer]] = None
-        self._bank: List[tuple] = []  # [(info, TrajectoryBuffer)] completed, uncredited
-        self._shipped_jobs: List[Optional[object]] = [None] * self.num_workers
-        # Canonical episode-release state, reset per rollout() call: per-lane
-        # decision clocks, the min-heap of completed-but-unreleased episodes
-        # keyed by (clock at completion, lane), and the lanes whose RESET
-        # command is in flight (they will start an episode, so they gate
-        # releases exactly like running lanes).
-        self._release_clocks: List[int] = [0] * self._num_envs
-        self._release_pending: List[tuple] = []
-        self._pending_starts: Set[int] = set()
         #: Workers whose first result frame of the current rollout() has been
         #: seen.  ``None`` outside rollouts.  A worker accrues command-ring
         #: wait continuously, so the wait reported by its *first* frame of a
@@ -674,30 +381,11 @@ class ProcessLanePool:
         #: and must not count toward the in-rollout idle fraction.
         self._rollout_wait_credit: Optional[set] = None
         # Engine statistics live in a pool-private, always-enabled registry:
-        # the aggregate counters back stats() (same keys and values as the
-        # old plain-int dict), while per-worker labelled counters expose the
-        # shard-level breakdown through metrics snapshots / exposition.
+        # the aggregate counters back stats(), while per-worker labelled
+        # counters expose the shard-level breakdown through metrics
+        # snapshots / exposition.
         self.metrics = MetricsRegistry(enabled=True)
-        self._counters = {
-            key: self.metrics.counter(f"engine_{key}_total", engine="process")
-            for key in (
-                "rollouts",
-                "rounds",
-                "decisions",
-                "episodes",
-                "steal_banked",
-                "steal_credited",
-                "presampled_resets",
-                "respawns",
-                "replayed_commands",
-                "forward_ns",
-                "result_wait_ns",
-                "worker_wait_ns",
-                "worker_step_ns",
-                "worker_encode_ns",
-                "rollout_ns",
-            )
-        }
+        self._counters = engine_counters(self.metrics, "process")
         self._worker_counters = [
             {
                 key: self.metrics.counter(
@@ -705,7 +393,7 @@ class ProcessLanePool:
                     engine="process",
                     worker=str(worker),
                 )
-                for key in ("wait_ns", "step_ns", "encode_ns", "presampled_resets")
+                for key in ("wait_ns", "step_ns", "encode_ns")
             }
             for worker in range(self.num_workers)
         ]
@@ -714,6 +402,17 @@ class ProcessLanePool:
         # in-process, so totals are engine-agnostic.
         self._published_handles = tuple(
             get_metrics().counter(name) for name in WORKER_PUBLISHED_COUNTERS
+        )
+        # Held weakly: a scheduler owning a bound method of the pool would be
+        # a reference cycle, and dropping the last reference to a pool must
+        # run the finalizer at once, not at the next cyclic collection.
+        exchange = weakref.WeakMethod(self._exchange)
+        self._scheduler = EpisodeScheduler(
+            self.shards,
+            lambda frames: exchange()(frames),
+            self._counters,
+            self.work_stealing,
+            {"engine": "process", "lanes": self._num_envs, "workers": self.num_workers},
         )
 
     # -- construction ----------------------------------------------------------
@@ -750,55 +449,23 @@ class ProcessLanePool:
     @property
     def pending_banked_episodes(self) -> int:
         """Completed next-epoch episodes waiting to be credited."""
-        return len(self._bank)
+        return self._scheduler.banked_episodes
 
     @property
     def pending_inflight_lanes(self) -> int:
         """Lanes currently mid-episode (stolen work resumes next call)."""
-        return sum(1 for lane in self._lanes if lane.running)
+        return self._scheduler.inflight_lanes
 
-    # -- statistics ------------------------------------------------------------
     def stats(self) -> Dict[str, float]:
-        """Cumulative engine statistics (see ``docs/simulator.md`` §5).
+        """Cumulative engine statistics, same keys as the in-process engine.
 
-        ``worker_idle_fraction`` is the mean fraction of worker wall time
-        spent blocked on command frames during rollouts -- the pipeline's
-        target: it shrinks when parent forwards overlap worker stepping.
+        ``step_s`` / ``encode_s`` are summed over workers;
+        ``worker_idle_fraction`` is the mean fraction of rollout wall time
+        the workers spent blocked on command frames.
         """
-        c = self._counters
-        wall_ns = c["rollout_ns"].value
-        idle = (
-            c["worker_wait_ns"].value / (self.num_workers * wall_ns) if wall_ns else 0.0
-        )
-        return {
-            "engine": "process",
-            "pipeline_depth": self.pipeline_depth,
-            "num_workers": self.num_workers,
-            "rollouts": c["rollouts"].value,
-            "rounds": c["rounds"].value,
-            "decisions": c["decisions"].value,
-            "episodes": c["episodes"].value,
-            "steal_banked": c["steal_banked"].value,
-            "steal_credited": c["steal_credited"].value,
-            "presampled_resets": c["presampled_resets"].value,
-            "respawns": c["respawns"].value,
-            "replayed_commands": c["replayed_commands"].value,
-            "worker_idle_fraction": round(idle, 4),
-            "forward_s": c["forward_ns"].value / 1e9,
-            "encode_s": c["worker_encode_ns"].value / 1e9,
-            "step_s": c["worker_step_ns"].value / 1e9,
-            "result_wait_s": c["result_wait_ns"].value / 1e9,
-            "worker_wait_s": c["worker_wait_ns"].value / 1e9,
-            "rollout_s": c["rollout_ns"].value / 1e9,
-        }
+        return engine_stats(self._counters, "process", self.num_workers)
 
-    # -- plumbing --------------------------------------------------------------
-    def _worker_of(self, lane: int) -> int:
-        for worker, (lo, hi) in enumerate(self.shards):
-            if lo <= lane < hi:
-                return worker
-        raise IndexError(f"lane {lane} outside [0, {self._num_envs})")
-
+    # -- workers: spawn, liveness, recovery --------------------------------------
     def _spawn_worker(self, worker: int) -> None:
         """(Re)create ``worker``'s rings, pipe, and process from pristine envs.
 
@@ -807,26 +474,13 @@ class ProcessLanePool:
         lists), appending during initial construction.
         """
         lo, hi = self.shards[worker]
-        shard = hi - lo
-        cmd_ring = ShmRing(_command_layout(shard), self._ring_capacity, self._ctx)
-        if len(self._cmd_rings) > worker:
-            self._cmd_rings[worker] = cmd_ring
-        else:
-            self._cmd_rings.append(cmd_ring)
+        cmd_ring = ShmRing(_command_layout(hi - lo), _RING_CAPACITY, self._ctx)
         res_ring = ShmRing(
-            _result_layout(shard, self._observation_size, self._num_actions),
-            self._ring_capacity,
+            _result_layout(hi - lo, self._observation_size, self._num_actions),
+            _RING_CAPACITY,
             self._ctx,
         )
-        if len(self._res_rings) > worker:
-            self._res_rings[worker] = res_ring
-        else:
-            self._res_rings.append(res_ring)
         parent_pipe, child_pipe = self._ctx.Pipe()
-        if len(self._pipes) > worker:
-            self._pipes[worker] = parent_pipe
-        else:
-            self._pipes.append(parent_pipe)
         process = self._ctx.Process(
             target=_worker_main,
             # The respawn count doubles as the span-export generation tag: a
@@ -845,10 +499,14 @@ class ProcessLanePool:
         )
         process.start()
         child_pipe.close()
-        if len(self._processes) > worker:
-            self._processes[worker] = process
-        else:
-            self._processes.append(process)
+        for live, item in (
+            (self._cmd_rings, cmd_ring),
+            (self._res_rings, res_ring),
+            (self._pipes, parent_pipe),
+            (self._processes, process),
+        ):
+            # Slot ``worker``: replaced on respawn, appended on first spawn.
+            live[worker : worker + 1] = [item]
 
     def _death(self, worker: int) -> _WorkerDied:
         return _WorkerDied(
@@ -861,8 +519,8 @@ class ProcessLanePool:
             raise RuntimeError("ProcessLanePool is closed")
         if self._desynced:
             raise RuntimeError(
-                "ProcessLanePool is desynchronized (a previous round was aborted "
-                "between command and result frames); close() it and build a new pool"
+                "ProcessLanePool is desynchronized (a previous rollout was aborted "
+                "mid-round); close() it and build a new pool"
             )
         for worker, process in enumerate(self._processes):
             if not process.is_alive():
@@ -886,23 +544,23 @@ class ProcessLanePool:
         """Respawn the dead worker, or re-raise when recovery is off/exhausted."""
         if not self.respawn:
             raise exc
-        if self._respawn_counts[exc.worker] >= self.max_respawns:
+        if self._respawn_counts[exc.worker] >= _MAX_RESPAWNS:
             raise RuntimeError(
-                f"lane-pool worker {exc.worker} exceeded max_respawns="
-                f"{self.max_respawns}; giving up: {exc}"
+                f"lane-pool worker {exc.worker} was respawned {_MAX_RESPAWNS} times; "
+                f"giving up: {exc}"
             )
         self._recover_worker(exc.worker)
 
     def _recover_worker(self, worker: int) -> None:
         """Deterministically rebuild ``worker`` after its process died.
 
-        Fresh rings + process from the pristine lane envs, then replay each
-        shard lane's recorded reset history (consuming exactly the rng draws
-        the dead worker consumed) and the current episode's actions, re-ship
-        this rollout's fixed episode sequences if any, and finally re-push
-        every command frame that was in flight when the worker died.  The
-        replacement worker ends bit-identical to the dead one at its last
-        acknowledged state, so the interrupted round simply re-executes.
+        Fresh rings + process from the pristine lane envs, then per shard
+        lane as many sampled resets as the dead worker had acknowledged
+        (consuming exactly the rng draws it consumed) and the current
+        episode's actions, and finally every round frame that was in flight
+        when the worker died.  The replacement ends bit-identical to the
+        dead one at its last acknowledged state, so the interrupted round
+        simply re-executes.
         """
         self._respawn_counts[worker] += 1
         self._counters["respawns"].inc()
@@ -922,96 +580,47 @@ class ProcessLanePool:
             # The replacement's first frame reports setup/replay wait, not
             # in-rollout idling; re-establish its baseline like a first frame.
             self._rollout_wait_credit.discard(worker)
-        self._replay_worker(worker)
-        jobs = self._shipped_jobs[worker]
-        if jobs is not None and not any(
-            int(entry["values"].get("kind", _KIND_ROUND)) == _KIND_RECV_JOBS
-            for entry in self._inflight[worker]
-        ):
-            self._raw_push(worker, {"kind": _KIND_RECV_JOBS})
-            self._pipes[worker].send(("jobs", jobs))
-        for entry in self._inflight[worker]:
-            self._raw_push(worker, entry["values"])
-            if entry["payload"] is not None:
-                self._pipes[worker].send(entry["payload"])
-
-    def _replay_worker(self, worker: int) -> None:
-        """Drive a fresh worker's lanes back to their last acknowledged state."""
         lo, hi = self.shards[worker]
         for lane in range(lo, hi):
-            for entry in self._reset_history[lane]:
-                if entry[0] == "sample":
-                    self._replay_command(lane, _CMD_RESET, _RESET_SAMPLE)
-                else:
-                    self._replay_command(
-                        lane, _CMD_RESET, _RESET_PIPE_JOBS,
-                        payload=("reset_jobs", entry[1]),
-                    )
+            for _ in range(self._reset_counts[lane]):
+                self._replay_command(worker, lane - lo, CMD_RESET, 0)
             for action in self._action_history[lane]:
-                self._replay_command(lane, _CMD_STEP, int(action))
+                self._replay_command(worker, lane - lo, CMD_STEP, action)
+        for values in self._inflight[worker]:
+            self._raw_push(worker, values)
 
-    def _replay_command(self, lane: int, op: int, arg: int, payload=None) -> None:
+    def _replay_command(self, worker: int, local: int, op: int, arg: int) -> None:
         """Re-execute one historical command on a respawned worker's lane.
 
-        Replay frames disable pre-sampling so arming cannot consume draws the
-        history does not account for, and their result frames are popped raw:
-        published counter deltas and timing are NOT folded into the parent
-        registries, so recovery leaves global metric totals equal to an
-        unfailed run's (the original execution was already counted).
+        Replay result frames are popped raw: published counter deltas and
+        timing are NOT folded into the parent registries, so recovery leaves
+        global metric totals equal to an unfailed run's (the original
+        execution was already counted).
         """
-        worker = self._worker_of(lane)
         lo, hi = self.shards[worker]
-        cmd = np.zeros(hi - lo, dtype=np.int64)
-        args = np.zeros(hi - lo, dtype=np.int64)
-        cmd[lane - lo] = op
-        args[lane - lo] = arg
+        cmd = [CMD_NOOP] * (hi - lo)
+        args = [0] * (hi - lo)
+        cmd[local], args[local] = op, arg
         self._raw_push(
             worker,
-            {
-                "kind": _KIND_ROUND,
-                "cohort": 0,
-                "presample": 0,
-                "credit_base": 0,
-                "credits": 0,
-                "replay": 1,
-                "cmd": cmd,
-                "arg": args,
-            },
+            {"kind": _KIND_ROUND, "credits": 0, "replay": 1, "cmd": cmd, "arg": args},
         )
-        if payload is not None:
-            self._pipes[worker].send(payload)
-        frame = self._raw_pop(worker)
-        self._counters["replayed_commands"].inc()
-        if int(frame["status"][lane - lo]) == _LANE_FAILED:
-            # The original command failed the same (recoverable) way; drain
-            # the detail message so the pipe stays frame-aligned.
-            pipe = self._pipes[worker]
-            if pipe.poll(5.0):
-                pipe.recv()
-
-    def _raw_push(self, worker: int, values: Dict[str, np.ndarray]) -> None:
-        self._cmd_rings[worker].push(
-            values,
-            timeout=self.round_timeout,
-            liveness=lambda: self._check_worker(worker),
-        )
-
-    def _raw_pop(self, worker: int) -> Dict[str, np.ndarray]:
         frame = self._res_rings[worker].pop(
-            timeout=self.round_timeout,
-            liveness=lambda: self._check_worker(worker),
+            timeout=_ROUND_TIMEOUT, liveness=lambda: self._check_worker(worker)
         )
         if int(frame["kind"]) == _RES_ERROR:
-            raise RuntimeError(
-                f"lane-pool worker {worker} failed" + self._drain_error(worker)
-            )
-        return frame
+            raise RuntimeError(f"lane-pool worker {worker} failed" + self._drain_error(worker))
+        self._counters["replayed_commands"].inc()
+
+    def _raw_push(self, worker: int, values: Dict[str, object]) -> None:
+        self._cmd_rings[worker].push(
+            values, timeout=_ROUND_TIMEOUT, liveness=lambda: self._check_worker(worker)
+        )
 
     def _inject_kills(self) -> None:
         """SIGKILL workers the fault plan schedules after the completed round.
 
-        Round indices count completed result-collection rounds over the
-        pool's lifetime (lockstep rounds and pipelined cohort rounds alike);
+        Round indices count completed rounds over the pool's lifetime;
         recovery happens lazily on the next ring operation that notices the
         death, exercising the same path an organic crash takes.
         """
@@ -1036,47 +645,38 @@ class ProcessLanePool:
             pass
         return ""
 
-    def _push_round(
-        self, worker: int, values: Dict[str, np.ndarray], payload=None
-    ) -> None:
-        """Record ``values`` as in flight, then deliver it (surviving deaths).
+    # -- one round frame out, one result back ----------------------------------
+    def _push_round(self, worker: int, frame: RoundFrame) -> None:
+        """Record the frame as in flight, then deliver it (surviving deaths).
 
-        Every pushed frame stays on the worker's in-flight list until the
-        result that answers it is popped (``_KIND_RECV_JOBS`` frames, which
-        produce no result, are dropped alongside the next answered round).
-        If the worker dies mid-delivery -- or died earlier and the ring op is
-        what notices -- recovery re-pushes the whole in-flight list onto the
-        replacement's fresh ring, this frame included.
+        A pushed frame stays on the worker's in-flight list until the result
+        that answers it is popped.  If the worker dies mid-delivery -- or
+        died earlier and the ring op is what notices -- recovery re-pushes
+        the whole in-flight list onto the replacement's fresh ring, this
+        frame included.
         """
-        entry = {"values": values, "payload": payload}
-        self._inflight[worker].append(entry)
+        cmd, arg, credits = frame
+        values = {"kind": _KIND_ROUND, "credits": credits, "replay": 0, "cmd": cmd, "arg": arg}
+        self._inflight[worker].append(values)
         while True:
             try:
                 self._cmd_rings[worker].push(
-                    values, timeout=self.round_timeout, liveness=self._check_alive
+                    values, timeout=_ROUND_TIMEOUT, liveness=self._check_alive
                 )
-                break
+                return
             except _WorkerDied as exc:
                 self._handle_death(exc)
                 if exc.worker == worker:
-                    # Recovery already delivered every in-flight frame
-                    # (payloads included) to the replacement worker.
+                    # Recovery already delivered every in-flight frame to
+                    # the replacement worker.
                     return
-        if payload is not None:
-            try:
-                self._pipes[worker].send(payload)
-            except (BrokenPipeError, EOFError, OSError):
-                # The worker died between ring push and pipe send; the next
-                # ring operation notices and recovery resends the payload.
-                if not self.respawn:
-                    raise
 
-    def _pop_result(self, worker: int) -> Dict[str, np.ndarray]:
+    def _pop_result(self, worker: int) -> RoundResult:
         t0 = time.perf_counter_ns()
         while True:
             try:
                 frame = self._res_rings[worker].pop(
-                    timeout=self.round_timeout, liveness=self._check_alive
+                    timeout=_ROUND_TIMEOUT, liveness=self._check_alive
                 )
                 break
             except _WorkerDied as exc:
@@ -1090,14 +690,26 @@ class ProcessLanePool:
             raise RuntimeError(
                 f"lane-pool worker {worker} failed" + self._drain_error(worker)
             )
-        # This result answers the oldest in-flight round frame; everything up
-        # to and including it (RECV_JOBS frames produce no result and are
-        # necessarily consumed first) is now acknowledged.
-        inflight = self._inflight[worker]
-        while inflight:
-            entry = inflight.pop(0)
-            if int(entry["values"].get("kind", _KIND_ROUND)) == _KIND_ROUND:
-                break
+        status = frame["status"].tolist()
+        self._raise_lane_failures(worker, status)
+        # This result answers the oldest in-flight frame: its commands are
+        # now part of the lanes' acknowledged history.
+        sent = self._inflight[worker].pop(0)
+        lo = self.shards[worker][0]
+        for local, (op, state) in enumerate(zip(sent["cmd"], status)):
+            if op == CMD_NOOP:
+                continue
+            actions = self._action_history[lo + local]
+            if op == CMD_STEP and state == LANE_RUNNING:
+                actions.append(sent["arg"][local])
+                continue
+            # A reset starts a new episode, so the previous episode's
+            # actions become irrelevant (it discards simulator state; only
+            # the sampling rng draws persist, and the count captures those).
+            actions.clear()
+            if op == CMD_RESET or state == LANE_DONE_RESTARTED:
+                self._reset_counts[lo + local] += 1
+
         per_worker = self._worker_counters[worker]
         if self._rollout_wait_credit is not None:
             if worker in self._rollout_wait_credit:
@@ -1108,29 +720,35 @@ class ProcessLanePool:
                 # First frame of this rollout: its wait spans the
                 # inter-rollout gap, not in-rollout idling.
                 self._rollout_wait_credit.add(worker)
-        step_ns = int(frame["step_ns"])
-        encode_ns = int(frame["encode_ns"])
-        presampled = int(frame["presampled"])
-        self._counters["worker_step_ns"].inc(step_ns)
+        step_ns, encode_ns = int(frame["step_ns"]), int(frame["encode_ns"])
+        self._counters["step_ns"].inc(step_ns)
         per_worker["step_ns"].inc(step_ns)
-        self._counters["worker_encode_ns"].inc(encode_ns)
+        self._counters["encode_ns"].inc(encode_ns)
         per_worker["encode_ns"].inc(encode_ns)
-        self._counters["presampled_resets"].inc(presampled)
-        per_worker["presampled_resets"].inc(presampled)
         # Fold the worker's published global-counter deltas into ours.
         for handle, delta in zip(self._published_handles, frame["published"]):
             if delta:
                 handle.inc(int(delta))
-        return frame
+        rows = sum(state in (LANE_RUNNING, LANE_DONE_RESTARTED) for state in status)
+        return RoundResult(
+            status,
+            frame["reward"].tolist(),
+            frame["info"],
+            int(frame["claimed"]),
+            frame["obs"][:rows] if rows else None,
+            frame["mask"][:rows] if rows else None,
+            step_ns,
+            encode_ns,
+            {},
+        )
 
-    def _raise_lane_failures(self, worker: int, frame: Dict[str, np.ndarray]) -> None:
-        """Re-raise a recoverable per-lane failure reported by ``worker``.
+    def _raise_lane_failures(self, worker: int, status: List[int]) -> None:
+        """Re-raise a per-lane failure reported by ``worker``.
 
-        The worker (and its other lanes) remain usable -- this mirrors the
-        local engine, where e.g. a sequence without backfilling
-        opportunities raises ``ValueError`` without harming the engine.
+        The exception type mirrors the local engine, where e.g. a sequence
+        without backfilling opportunities raises ``ValueError``.
         """
-        if not np.any(frame["status"] == _LANE_FAILED):
+        if LANE_FAILED not in status:
             return
         pipe = self._pipes[worker]
         if not pipe.poll(5.0):  # pragma: no cover - worker sent before pushing
@@ -1144,168 +762,20 @@ class ProcessLanePool:
             f"lane {lo + local} command failed in worker {worker} ({exc_type}):\n{detail}"
         )
 
-    def _ship_jobs(self, episode_jobs) -> None:
-        """Send this rollout call's fixed episode sequences to every worker.
+    def _exchange(self, frames: List[Optional[RoundFrame]]) -> Iterator[Optional[RoundResult]]:
+        """Push every shard's frame, then yield the results in worker order.
 
-        The ``_KIND_RECV_JOBS`` frame goes out first and the (possibly large,
-        pickled) payload second: the worker is guaranteed to be draining the
-        pipe by the time the send needs buffer space, so the transfer cannot
-        deadlock no matter how big the episode list is.
+        Workers with nothing to do this round (fully drained shard) are
+        skipped entirely -- no frame, no round-trip.
         """
-        for worker in range(self.num_workers):
-            if self._shipped_jobs[worker] is not episode_jobs:
-                self._push_round(
-                    worker, {"kind": _KIND_RECV_JOBS}, payload=("jobs", episode_jobs)
-                )
-                self._shipped_jobs[worker] = episode_jobs
-
-    # -- lane access -----------------------------------------------------------
-    def _single_lane_round(self, lane: int, op: int, arg: int, jobs=None):
-        """Drive one command for one lane through its worker; returns the frame.
-
-        When ``jobs`` is given the command frame is pushed *first* and the
-        pickled payload second (see :meth:`_ship_jobs` for why this ordering
-        is deadlock-free).
-        """
-        self._ensure_alive()
-        worker = self._worker_of(lane)
-        lo, hi = self.shards[worker]
-        cmd = np.zeros(hi - lo, dtype=np.int64)
-        args = np.zeros(hi - lo, dtype=np.int64)
-        cmd[lane - lo] = op
-        args[lane - lo] = arg
-        try:
-            self._push_round(
-                worker,
-                {
-                    "kind": _KIND_ROUND,
-                    "cohort": 0,
-                    "presample": 0,
-                    "credit_base": 0,
-                    "credits": 0,
-                    "replay": 0,
-                    "cmd": cmd,
-                    "arg": args,
-                },
-                payload=None if jobs is None else ("reset_jobs", jobs),
-            )
-            return self._pop_result(worker), lane - lo
-        except BaseException:
-            # An abort between command and result frames leaves an unconsumed
-            # frame in flight; a later pop would pair it with the wrong
-            # command.  Poison the pool so every subsequent call fails loudly
-            # instead of silently desynchronizing.
-            self._desynced = True
-            raise
-
-    def _record_reset(self, lane: int, spec: tuple) -> None:
-        """Append an acknowledged reset to the lane's replay history.
-
-        A reset starts a new episode, so the previous episode's replayed
-        actions become irrelevant (the reset discards simulator state; only
-        the sampling rng draws persist, and those are captured by the reset
-        entries themselves).
-        """
-        self._reset_history[lane].append(spec)
-        self._action_history[lane].clear()
-
-    def reset_lane(self, lane: int, **kwargs):
-        """Reset one lane; returns its ``(observation, mask)``."""
-        jobs = kwargs.pop("jobs", None)
-        if kwargs:
-            raise TypeError(f"unsupported reset_lane arguments: {sorted(kwargs)}")
-        if jobs is not None:
-            jobs = list(jobs)
-            frame, local = self._single_lane_round(
-                lane, _CMD_RESET, _RESET_PIPE_JOBS, jobs=jobs
-            )
-            self._record_reset(lane, ("jobs", jobs))
-        else:
-            frame, local = self._single_lane_round(lane, _CMD_RESET, _RESET_SAMPLE)
-            # Recorded even when the reset failed: the sampling loop consumed
-            # rng draws before raising, and a respawn replay must consume the
-            # same draws (the replayed failure is tolerated).
-            self._record_reset(lane, ("sample",))
-        self._raise_lane_failures(self._worker_of(lane), frame)
-        if self._lane_buffers is not None:
-            # The lane may hold a stolen in-flight episode's partial steps;
-            # an explicit reset abandons that episode, so its steps must not
-            # splice into the next finish_path().
-            self._lane_buffers[lane].clear()
-        observation = frame["obs"][local].copy()
-        mask = frame["mask"][local].copy()
-        self._lanes[lane].start(observation, mask)
-        return observation, mask
-
-    def step_lane(self, lane: int, action: int) -> StepResult:
-        """Advance one lane with ``action``.
-
-        Refuses to step a lane that still holds a stolen in-flight rollout
-        episode: its partial trajectory lives in the pool's lane buffer, and
-        direct stepping would orphan those stored transitions (splicing them
-        into a later episode's GAE path).  ``reset_lane`` first to abandon
-        the in-flight episode explicitly.
-        """
-        if not self._lanes[lane].running:
-            raise RuntimeError(f"lane {lane} has no active episode; call reset_lane first")
-        if self._lane_buffers is not None and len(self._lane_buffers[lane]):
-            raise RuntimeError(
-                f"lane {lane} holds an in-flight rollout episode (drain-phase work "
-                "stealing); reset_lane() it before stepping it directly"
-            )
-        frame, local = self._single_lane_round(lane, _CMD_STEP, int(action))
-        self._raise_lane_failures(self._worker_of(lane), frame)
-        self._action_history[lane].append(int(action))
-        state = self._lanes[lane]
-        reward = float(frame["reward"][local])
-        state.episode_reward += reward
-        state.episode_steps += 1
-        if int(frame["status"][local]) == _LANE_DONE_IDLE:
-            self._action_history[lane].clear()
-            info = self._terminal_info(frame["info"][local], state, lane)
-            state.retire()
-            return StepResult(
-                observation=np.zeros(self._observation_size, dtype=np.float64),
-                mask=np.zeros(self._num_actions, dtype=np.float64),
-                reward=reward,
-                done=True,
-                info={key: info[key] for key in _INFO_FIELDS},
-            )
-        observation = frame["obs"][local].copy()
-        mask = frame["mask"][local].copy()
-        state.observation = observation
-        state.mask = mask
-        return StepResult(observation=observation, mask=mask, reward=reward, done=False, info={})
-
-    @staticmethod
-    def _terminal_info(row: np.ndarray, state: "_LaneState", lane: int) -> Dict:
-        return {
-            "bsld": float(row[0]),
-            "baseline_bsld": float(row[1]),
-            "violations": int(round(row[2])),
-            "steps": int(round(row[3])),
-            "episode_reward": state.episode_reward,
-            "episode_steps": state.episode_steps,
-            "lane": lane,
-        }
+        for worker, frame in enumerate(frames):
+            if frame is not None:
+                self._push_round(worker, frame)
+        for worker, frame in enumerate(frames):
+            yield None if frame is None else self._pop_result(worker)
+        self._inject_kills()
 
     # -- rollout ---------------------------------------------------------------
-    def _ensure_lane_buffers(self, buffer: TrajectoryBuffer) -> List[TrajectoryBuffer]:
-        if self._lane_buffers is not None:
-            head = self._lane_buffers[0]
-            if (head.gamma, head.lam) != (buffer.gamma, buffer.lam):
-                if any(len(b) for b in self._lane_buffers) or self._bank:
-                    raise ValueError(
-                        "cannot change buffer gamma/lam while stolen episodes are in flight"
-                    )
-                self._lane_buffers = None
-        if self._lane_buffers is None:
-            self._lane_buffers = [
-                TrajectoryBuffer(gamma=buffer.gamma, lam=buffer.lam)
-                for _ in range(self._num_envs)
-            ]
-        return self._lane_buffers
-
     def rollout(
         self,
         actor_critic: ActorCritic,
@@ -1315,593 +785,42 @@ class ProcessLanePool:
         deterministic: bool = False,
         episode_jobs: Optional[Sequence] = None,
     ) -> List[Dict]:
-        """Collect ``num_trajectories`` episodes across all workers' lanes.
+        """Collect ``num_trajectories`` sampled episodes across all workers' lanes.
 
-        Same contract as :meth:`VecBackfillEnv.rollout`.  With work stealing
-        enabled (sampled episodes only), completed-but-surplus episodes and
-        in-flight partial trajectories carry over to the next call instead of
-        letting the batch drain.
+        Same contract as :meth:`VecBackfillEnv.rollout`, for sampled episodes:
+        ``episode_jobs`` is rejected -- fixed sequences are the in-process
+        engine's.  With work stealing enabled (stochastic calls only;
+        ``deterministic=True`` is forwarded to the forward pass and disables
+        it), completed-but-surplus episodes and in-flight partial
+        trajectories carry over to the next call instead of letting the
+        batch drain.
         """
-        rngs = validate_rollout_args(self._num_envs, num_trajectories, rngs, episode_jobs)
+        if episode_jobs is not None:
+            raise ValueError(
+                "ProcessLanePool collects sampled episodes only; run fixed episode_jobs "
+                "through the in-process engine (VecBackfillEnv)"
+            )
+        rngs = validate_rollout_args(self._num_envs, num_trajectories, rngs, None)
         self._ensure_alive()
-
-        if episode_jobs is not None or deterministic:
-            # Fixed sequences or deterministic evaluation: stolen stochastic
-            # work in flight is moot (its early steps were sampled under the
-            # wrong action regime) -- discard partial trajectories; their
-            # lanes restart fresh.  Banked sampled episodes stay banked for
-            # the next stochastic training call.  This happens *before* the
-            # gamma/lam reconciliation below so an evaluation with different
-            # buffer hyper-parameters is accepted (only the bank genuinely
-            # pins gamma/lam).
-            for lane, state in enumerate(self._lanes):
-                if state.running:
-                    if self._lane_buffers is not None:
-                        self._lane_buffers[lane].clear()
-                    state.retire()
-        else:
-            # A lane that was driven manually through reset_lane/step_lane
-            # holds environment progress the pool never stored; adopting it
-            # would splice a partial trajectory into the epoch buffer.  Only
-            # lanes that are untouched since their (re)start, or that hold a
-            # stolen in-flight episode's stored steps, stay resident --
-            # everything else restarts, matching VecBackfillEnv which owns
-            # every episode start it collects.
-            for lane, state in enumerate(self._lanes):
-                stored = (
-                    0 if self._lane_buffers is None else len(self._lane_buffers[lane])
-                )
-                if state.running and stored == 0 and state.episode_steps > 0:
-                    state.retire()
-
-        lane_buffers = self._ensure_lane_buffers(buffer)
-        # Stealing (and crediting previously stolen work) only makes sense
-        # when this call collects the same kind of experience the bank holds:
-        # sampled episodes under the stochastic policy.
-        stealing = self.work_stealing and episode_jobs is None and not deterministic
-        infos: List[Dict] = []
-
-        if episode_jobs is None and not deterministic:
-            # Credit banked episodes (next-epoch work collected during the
-            # previous call's drain phase) before stepping anything.
-            while self._bank and len(infos) < num_trajectories:
-                info, episode_buffer = self._bank.pop(0)
-                buffer.absorb(episode_buffer)
-                infos.append(info)
-                self._counters["steal_credited"].inc()
-            if len(infos) >= num_trajectories:
-                return infos
-
-        self._ship_jobs(episode_jobs)
-
-        # Episodes already in flight count toward the quota of episode starts.
-        in_flight = sum(1 for state in self._lanes if state.running)
-        quota = max(0, num_trajectories - len(infos) - in_flight)
-
-        self._counters["rollouts"].inc()
+        rounds_before = self._counters["rounds"].value
         self._rollout_wait_credit = set()
-        # Fresh canonical-release state: clocks count decisions stored during
-        # *this* call (resumed in-flight episodes keep their earlier steps in
-        # the lane buffers but re-enter the ordering at clock 0, which is
-        # exactly the lockstep arrival order for resumed lanes).
-        self._release_clocks = [0] * self._num_envs
-        self._release_pending = []
-        self._pending_starts = set()
-        t_rollout = time.perf_counter_ns()
         try:
-            if self.pipeline_depth == 1:
-                self._rollout_lockstep(
-                    actor_critic, num_trajectories, buffer, rngs, deterministic,
-                    episode_jobs, lane_buffers, stealing, infos, quota,
-                )
-            else:
-                self._rollout_pipelined(
-                    actor_critic, num_trajectories, buffer, rngs, deterministic,
-                    episode_jobs, lane_buffers, stealing, infos, quota,
-                )
-            # Episodes completed beyond the requested count (drain-phase
-            # stealing) that were still gated by the canonical order when the
-            # loop exited: release them unconditionally, smallest key first.
-            self._drain_release_queue(
-                False, 0, buffer, infos, num_trajectories, final=True
+            return self._scheduler.rollout(
+                actor_critic, num_trajectories, buffer, rngs, deterministic,
+                sampled=not deterministic,
             )
         except BaseException:
-            # An abort mid-round (KeyboardInterrupt, one worker timing out
-            # after another's frame was pushed) can leave unconsumed frames
-            # in the rings; a retried rollout would pair stale results with
-            # new commands.  Poison the pool so later calls fail loudly.
-            self._desynced = True
+            if self._counters["rounds"].value != rounds_before:
+                # An abort once a round was issued (KeyboardInterrupt, a lane
+                # failure, one worker timing out after another's frame was
+                # pushed) can leave unconsumed frames in the rings and lanes
+                # the scheduler no longer tracks; a retried rollout would
+                # pair stale results with new commands.  Poison the pool so
+                # later calls fail loudly.
+                self._desynced = True
             raise
         finally:
-            rollout_ns = time.perf_counter_ns() - t_rollout
-            self._counters["rollout_ns"].inc(rollout_ns)
-            get_tracer().complete(
-                "engine.rollout",
-                t_rollout,
-                rollout_ns,
-                cat="engine",
-                args={
-                    "engine": "process",
-                    "lanes": self._num_envs,
-                    "workers": self.num_workers,
-                    "pipeline_depth": self.pipeline_depth,
-                },
-            )
             self._rollout_wait_credit = None
-        return infos
-
-    def _rollout_lockstep(
-        self,
-        actor_critic: ActorCritic,
-        num_trajectories: int,
-        buffer: TrajectoryBuffer,
-        rngs: Sequence[np.random.Generator],
-        deterministic: bool,
-        episode_jobs: Optional[Sequence],
-        lane_buffers: List[TrajectoryBuffer],
-        stealing: bool,
-        infos: List[Dict],
-        quota: int,
-    ) -> None:
-        """The ``pipeline_depth=1`` round loop (PR 2's lockstep behaviour)."""
-        next_index = 0  # next episode_jobs index to hand out
-        # Credits let workers restart finished lanes inside the same round
-        # (the in-process engine's inline restart).  With several workers and
-        # fixed sequences, index disjointness cannot be guaranteed without a
-        # shared counter, so restarts fall back to explicit resets issued by
-        # the parent one round later.
-        allow_credits = episode_jobs is None or self.num_workers == 1
-        presample_flag = 1 if (self.presample and episode_jobs is None) else 0
-
-        while len(infos) < num_trajectories:
-            running = [lane for lane in range(self._num_envs) if self._lanes[lane].running]
-            starts: List[int] = []
-            budget = self._num_envs if stealing else quota
-            for lane in range(self._num_envs):
-                if len(starts) >= budget:
-                    break
-                if not self._lanes[lane].running:
-                    starts.append(lane)
-            if not running and not starts:  # pragma: no cover - defensive
-                raise RuntimeError(
-                    f"lane pool stalled with {len(infos)}/{num_trajectories} episodes collected"
-                )
-            quota -= 0 if stealing else len(starts)
-            self._pending_starts.update(starts)
-
-            actions, values, log_probs = self._forward(
-                actor_critic, running, rngs, deterministic
-            )
-
-            # One command frame per worker: STEP running lanes, RESET the
-            # idle lanes chosen to start, plus same-round restart credits.
-            # Workers with nothing to do this round (fully drained shard) are
-            # skipped entirely -- no frame, no round-trip.
-            frames: List[Dict[str, np.ndarray]] = []
-            step_counts: List[int] = []
-            engaged: List[bool] = []
-            for worker, (lo, hi) in enumerate(self.shards):
-                shard = hi - lo
-                cmd = np.zeros(shard, dtype=np.int64)
-                arg = np.zeros(shard, dtype=np.int64)
-                steps_here = 0
-                resets_here = 0
-                for lane in range(lo, hi):
-                    if lane in actions:
-                        cmd[lane - lo] = _CMD_STEP
-                        arg[lane - lo] = actions[lane]
-                        steps_here += 1
-                    elif lane in starts:
-                        cmd[lane - lo] = _CMD_RESET
-                        resets_here += 1
-                        if episode_jobs is not None:
-                            arg[lane - lo] = next_index
-                            self._pending_reset_spec[lane] = (
-                                "jobs", episode_jobs[next_index],
-                            )
-                            next_index += 1
-                        else:
-                            arg[lane - lo] = _RESET_SAMPLE
-                            self._pending_reset_spec[lane] = ("sample",)
-                frames.append({"cmd": cmd, "arg": arg})
-                step_counts.append(steps_here)
-                engaged.append(steps_here > 0 or resets_here > 0)
-            # Explicit reset indices are assigned above, so worker auto-claims
-            # (one-worker case) start at the first unassigned index.
-            grant_pool = self._num_envs if stealing else quota
-            for worker, frame_values in enumerate(frames):
-                if not engaged[worker]:
-                    continue
-                if allow_credits and step_counts[worker]:
-                    credits = -1 if stealing else min(grant_pool, step_counts[worker])
-                    grant_pool -= 0 if stealing else max(credits, 0)
-                else:
-                    credits = 0
-                frame_values.update(
-                    {
-                        "kind": _KIND_ROUND,
-                        "cohort": 0,
-                        "presample": presample_flag,
-                        "credit_base": next_index,
-                        "credits": credits,
-                        "replay": 0,
-                    }
-                )
-                self._push_round(worker, frame_values)
-            self._counters["rounds"].inc()
-
-            # Collect results in worker order == ascending global lane order.
-            for worker, (lo, hi) in enumerate(self.shards):
-                if not engaged[worker]:
-                    continue
-                frame = self._pop_result(worker)
-                self._raise_lane_failures(worker, frame)
-                claimed = int(frame["claimed"])
-                if not stealing:
-                    quota -= claimed
-                restart_specs = self._restart_specs(
-                    worker, frame, episode_jobs, next_index
-                )
-                if episode_jobs is not None and claimed:
-                    next_index += claimed
-                self._apply_result(
-                    worker, frame, actions, values, log_probs, set(starts),
-                    lane_buffers, buffer, infos, num_trajectories,
-                    allow_restarts=True, stealing=stealing, quota=quota,
-                    restart_specs=restart_specs,
-                )
-            self._inject_kills()
-
-    def _rollout_pipelined(
-        self,
-        actor_critic: ActorCritic,
-        num_trajectories: int,
-        buffer: TrajectoryBuffer,
-        rngs: Sequence[np.random.Generator],
-        deterministic: bool,
-        episode_jobs: Optional[Sequence],
-        lane_buffers: List[TrajectoryBuffer],
-        stealing: bool,
-        infos: List[Dict],
-        quota: int,
-    ) -> None:
-        """The ``pipeline_depth=2`` two-stage software pipeline.
-
-        Lanes split into alternating cohorts (lane ``i`` -> cohort
-        ``i % 2``); the parent issues cohort *c*'s next commands right after
-        collecting cohort *c*'s previous results, so its batched forward for
-        one cohort runs while the workers step the other.  Workers never
-        auto-restart in this mode (credits are 0): a finished lane sits out
-        one cohort round, is armed by gap-time pre-sampling, and restarts
-        through an explicit reset that pops the prepared start.
-        """
-        depth = self.pipeline_depth
-        cohort_lanes = [
-            [lane for lane in range(self._num_envs) if lane % depth == c]
-            for c in range(depth)
-        ]
-        presample_flag = 1 if (self.presample and episode_jobs is None) else 0
-        #: Per cohort: ``None`` or the issue context whose results are in flight.
-        outstanding: List[Optional[Dict]] = [None] * depth
-        next_index = 0
-        cohort = 0
-        idle_sweeps = 0
-
-        while True:
-            pending = outstanding[cohort]
-            if pending is not None:
-                outstanding[cohort] = None
-                for worker in pending["workers"]:
-                    frame = self._pop_result(worker)
-                    if int(frame["cohort"]) != cohort:
-                        raise RuntimeError(
-                            f"pipelined lane pool desynchronized: worker {worker} "
-                            f"returned cohort {int(frame['cohort'])} results for a "
-                            f"cohort {cohort} round"
-                        )
-                    self._raise_lane_failures(worker, frame)
-                    self._apply_result(
-                        worker, frame, pending["actions"], pending["values"],
-                        pending["log_probs"], pending["starts"],
-                        lane_buffers, buffer, infos, num_trajectories,
-                        allow_restarts=False, stealing=stealing, quota=quota,
-                    )
-                self._inject_kills()
-                idle_sweeps = 0
-            if len(infos) >= num_trajectories:
-                if all(entry is None for entry in outstanding):
-                    return
-                cohort = (cohort + 1) % depth
-                continue
-
-            issued, quota, next_index = self._issue_cohort(
-                cohort, cohort_lanes[cohort], actor_critic, rngs, deterministic,
-                episode_jobs, stealing, quota, next_index, presample_flag,
-            )
-            if issued is not None:
-                outstanding[cohort] = issued
-                idle_sweeps = 0
-            else:
-                idle_sweeps += 1
-                if idle_sweeps >= depth and all(
-                    entry is None for entry in outstanding
-                ):  # pragma: no cover - defensive
-                    raise RuntimeError(
-                        f"lane pool stalled with {len(infos)}/{num_trajectories} "
-                        "episodes collected"
-                    )
-            cohort = (cohort + 1) % depth
-
-    def _forward(
-        self,
-        actor_critic: ActorCritic,
-        running: List[int],
-        rngs: Sequence[np.random.Generator],
-        deterministic: bool,
-    ) -> Tuple[Dict[int, int], Dict[int, float], Dict[int, float]]:
-        """One batched forward pass over ``running`` lanes (may be empty)."""
-        actions: Dict[int, int] = {}
-        values: Dict[int, float] = {}
-        log_probs: Dict[int, float] = {}
-        if running:
-            t0 = time.perf_counter_ns()
-            obs_batch = np.stack([self._lanes[lane].observation for lane in running])
-            mask_batch = np.stack([self._lanes[lane].mask for lane in running])
-            acts, vals, lps = actor_critic.step_batch(
-                obs_batch,
-                mask_batch,
-                rngs=None if deterministic else [rngs[lane] for lane in running],
-                deterministic=deterministic,
-            )
-            dt = time.perf_counter_ns() - t0
-            self._counters["forward_ns"].inc(dt)
-            get_tracer().complete("engine.forward", t0, dt, cat="engine")
-            act_list, val_list, lp_list = acts.tolist(), vals.tolist(), lps.tolist()
-            for row, lane in enumerate(running):
-                actions[lane] = act_list[row]
-                values[lane] = val_list[row]
-                log_probs[lane] = lp_list[row]
-        return actions, values, log_probs
-
-    def _issue_cohort(
-        self,
-        cohort: int,
-        lanes: List[int],
-        actor_critic: ActorCritic,
-        rngs: Sequence[np.random.Generator],
-        deterministic: bool,
-        episode_jobs: Optional[Sequence],
-        stealing: bool,
-        quota: int,
-        next_index: int,
-        presample_flag: int,
-    ) -> Tuple[Optional[Dict], int, int]:
-        """Forward + push one cohort round; returns (context, quota, next_index).
-
-        ``context`` is ``None`` when the cohort has nothing to do (no running
-        lanes and no starts within budget) -- no frames are pushed then.
-        """
-        running = [lane for lane in lanes if self._lanes[lane].running]
-        starts: List[int] = []
-        budget = len(lanes) if stealing else quota
-        for lane in lanes:
-            if len(starts) >= budget:
-                break
-            if not self._lanes[lane].running:
-                starts.append(lane)
-        if not running and not starts:
-            return None, quota, next_index
-        if not stealing:
-            quota -= len(starts)
-        self._pending_starts.update(starts)
-
-        actions, values, log_probs = self._forward(
-            actor_critic, running, rngs, deterministic
-        )
-
-        workers: List[int] = []
-        for worker, (lo, hi) in enumerate(self.shards):
-            shard = hi - lo
-            cmd = np.zeros(shard, dtype=np.int64)
-            arg = np.zeros(shard, dtype=np.int64)
-            engaged = False
-            for lane in lanes:
-                if lane < lo or lane >= hi:
-                    continue
-                if lane in actions:
-                    cmd[lane - lo] = _CMD_STEP
-                    arg[lane - lo] = actions[lane]
-                    engaged = True
-                elif lane in starts:
-                    cmd[lane - lo] = _CMD_RESET
-                    engaged = True
-                    if episode_jobs is not None:
-                        arg[lane - lo] = next_index
-                        self._pending_reset_spec[lane] = (
-                            "jobs", episode_jobs[next_index],
-                        )
-                        next_index += 1
-                    else:
-                        arg[lane - lo] = _RESET_SAMPLE
-                        self._pending_reset_spec[lane] = ("sample",)
-            if not engaged:
-                continue
-            self._push_round(
-                worker,
-                {
-                    "kind": _KIND_ROUND,
-                    "cohort": cohort,
-                    "presample": presample_flag,
-                    "credit_base": 0,
-                    "credits": 0,  # pipelined rounds never auto-restart
-                    "replay": 0,
-                    "cmd": cmd,
-                    "arg": arg,
-                },
-            )
-            workers.append(worker)
-        self._counters["rounds"].inc()
-        context = {
-            "workers": workers,
-            "actions": actions,
-            "values": values,
-            "log_probs": log_probs,
-            "starts": set(starts),
-        }
-        return context, quota, next_index
-
-    def _restart_specs(
-        self, worker: int, frame: Dict[str, np.ndarray], episode_jobs, base: int
-    ) -> Dict[int, tuple]:
-        """Reset-history specs for the worker's same-round auto-restarts.
-
-        The worker hands out claimed indices starting at the frame's credit
-        base in ascending lane order, which is exactly the order restarted
-        statuses appear in; sampled restarts need no index.
-        """
-        specs: Dict[int, tuple] = {}
-        lo, hi = self.shards[worker]
-        order = 0
-        for local in range(hi - lo):
-            if int(frame["status"][local]) == _LANE_DONE_RESTARTED:
-                if episode_jobs is not None:
-                    specs[lo + local] = ("jobs", episode_jobs[base + order])
-                    order += 1
-                else:
-                    specs[lo + local] = ("sample",)
-        return specs
-
-    def _apply_result(
-        self,
-        worker: int,
-        frame: Dict[str, np.ndarray],
-        actions: Dict[int, int],
-        values: Dict[int, float],
-        log_probs: Dict[int, float],
-        starts: Set[int],
-        lane_buffers: List[TrajectoryBuffer],
-        buffer: TrajectoryBuffer,
-        infos: List[Dict],
-        num_trajectories: int,
-        allow_restarts: bool,
-        stealing: bool,
-        quota: int,
-        restart_specs: Optional[Dict[int, tuple]] = None,
-    ) -> None:
-        """Fold one worker's result frame into parent-side rollout state.
-
-        Stores transitions, adopts restarted or newly started lanes, and
-        pushes finished episodes onto the canonical release queue -- ascending
-        lane order, identical for the lockstep and pipelined paths (pipelined
-        rounds set ``credits=0`` so ``allow_restarts`` only ever fires on the
-        lockstep path).  Episodes enter the epoch buffer through
-        :meth:`_drain_release_queue`, never directly.
-        """
-        lo, hi = self.shards[worker]
-        for lane in range(lo, hi):
-            local = lane - lo
-            status = int(frame["status"][local])
-            state = self._lanes[lane]
-            if lane in actions:
-                reward = float(frame["reward"][local])
-                lane_buffers[lane].store(
-                    state.observation,
-                    state.mask,
-                    actions[lane],
-                    reward,
-                    values[lane],
-                    log_probs[lane],
-                )
-                self._counters["decisions"].inc()
-                self._release_clocks[lane] += 1
-                self._action_history[lane].append(int(actions[lane]))
-                state.episode_reward += reward
-                state.episode_steps += 1
-                if status in (_LANE_DONE_RESTARTED, _LANE_DONE_IDLE):
-                    lane_buffers[lane].finish_path(last_value=0.0)
-                    info = self._terminal_info(frame["info"][local], state, lane)
-                    self._counters["episodes"].inc()
-                    episode_buffer = TrajectoryBuffer(
-                        gamma=buffer.gamma, lam=buffer.lam
-                    )
-                    episode_buffer.absorb(lane_buffers[lane])
-                    heapq.heappush(
-                        self._release_pending,
-                        (self._release_clocks[lane], lane, info, episode_buffer),
-                    )
-                    if status == _LANE_DONE_RESTARTED and allow_restarts:
-                        # The worker's same-round restart consumed either the
-                        # next fixed sequence or the lane's own sampling
-                        # draws; record it so a respawn replays it.
-                        self._record_reset(lane, (restart_specs or {})[lane])
-                        state.start(
-                            frame["obs"][local].copy(), frame["mask"][local].copy()
-                        )
-                    else:
-                        self._action_history[lane].clear()
-                        state.retire()
-                else:
-                    state.observation = frame["obs"][local].copy()
-                    state.mask = frame["mask"][local].copy()
-            elif lane in starts and status == _LANE_RUNNING:
-                self._pending_starts.discard(lane)
-                self._record_reset(
-                    lane, self._pending_reset_spec.pop(lane, ("sample",))
-                )
-                state.start(frame["obs"][local].copy(), frame["mask"][local].copy())
-        self._drain_release_queue(stealing, quota, buffer, infos, num_trajectories)
-
-    def _drain_release_queue(
-        self,
-        stealing: bool,
-        quota: int,
-        buffer: TrajectoryBuffer,
-        infos: List[Dict],
-        num_trajectories: int,
-        final: bool = False,
-    ) -> None:
-        """Release completed episodes in canonical ``(clock, lane)`` order.
-
-        An episode keyed ``(c, l)`` -- lane ``l`` finished it after storing
-        its ``c``-th decision of this rollout -- is released only once no
-        other lane can still complete an episode with a smaller key.  A lane
-        ``m`` that may yet finish an episode (it is running, its RESET is in
-        flight, or it is idle but restartable because stealing is on or quota
-        remains) finishes no earlier than ``(clock_m + 1, m)``.  Arrival
-        order already satisfies this whenever every lane stores one decision
-        per round, so the queue usually drains immediately; it holds entries
-        back exactly when a lane lost a round relative to its decision clock
-        (pipelined cohorts, lockstep explicit-RESET restarts), which is what
-        makes the epoch buffer identical across schedulers.  Released
-        episodes are credited while the call's quota of ``num_trajectories``
-        lasts and banked (work stealing) afterwards.  ``final=True`` (the
-        post-loop flush) releases unconditionally -- no lane can produce
-        further completions once the round loop has exited.
-        """
-        pending = self._release_pending
-        while pending:
-            if not final:
-                key = (pending[0][0], pending[0][1])
-                blocked = False
-                for m, state in enumerate(self._lanes):
-                    may_finish = (
-                        state.running
-                        or m in self._pending_starts
-                        or stealing
-                        or quota > 0
-                    )
-                    if may_finish and (self._release_clocks[m] + 1, m) <= key:
-                        blocked = True
-                        break
-                if blocked:
-                    return
-            _, _, info, episode_buffer = heapq.heappop(pending)
-            if len(infos) < num_trajectories:
-                infos.append(info)
-                buffer.absorb(episode_buffer)
-            else:
-                self._bank.append((info, episode_buffer))
-                self._counters["steal_banked"].inc()
 
     # -- lifecycle -------------------------------------------------------------
     def close(self) -> None:
@@ -1920,8 +839,7 @@ class ProcessLanePool:
     def __repr__(self) -> str:
         return (
             f"ProcessLanePool(num_envs={self._num_envs}, num_workers={self.num_workers}, "
-            f"work_stealing={self.work_stealing}, pipeline_depth={self.pipeline_depth}, "
-            f"start_method={self.start_method!r})"
+            f"work_stealing={self.work_stealing})"
         )
 
 
@@ -1932,9 +850,6 @@ def make_rollout_engine(
     backend: str = "local",
     num_workers: int | None = None,
     work_stealing: bool = True,
-    start_method: str | None = None,
-    pipeline_depth: int = 1,
-    presample: bool | None = None,
     respawn: bool = True,
     fault_plan: FaultPlan | None = None,
 ):
@@ -1946,17 +861,10 @@ def make_rollout_engine(
     backends derive lane seeds identically from ``seed``, so for one worker
     (stealing off) they produce bit-identical trajectories.
 
-    ``pipeline_depth`` selects the process backend's round scheduling:
-    1 = lockstep (the bit-identical path), 2 = double-buffered cohorts that
-    overlap the parent's batched forward pass with worker simulator stepping
-    (plus background episode pre-sampling; ``presample`` overrides its
-    default of "on iff pipelined").  The local backend steps lanes in this
-    process, so the knob does not apply and is ignored.
-
-    ``work_stealing`` is deliberately NOT forwarded to the local backend
-    either, even though :class:`~repro.rl.vec_env.VecBackfillEnv` now has a
-    stealing mode: the trainer's default config sets ``work_stealing=True``,
-    and wiring it through here would silently change every local-backend
+    ``work_stealing`` is deliberately NOT forwarded to the local backend,
+    even though :class:`~repro.rl.vec_env.VecBackfillEnv` has a stealing
+    mode: the trainer's default config sets ``work_stealing=True``, and
+    wiring it through here would silently change every local-backend
     training run's trajectory stream.  The local stealing mode is a parity
     *reference* -- construct ``VecBackfillEnv`` with ``work_stealing=True``
     directly when you want it (as ``tests/test_parity_matrix.py`` does).
@@ -1970,9 +878,6 @@ def make_rollout_engine(
             seed=seed,
             num_workers=num_workers,
             work_stealing=work_stealing,
-            start_method=start_method,
-            pipeline_depth=pipeline_depth,
-            presample=presample,
             respawn=respawn,
             fault_plan=fault_plan,
         )

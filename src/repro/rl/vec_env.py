@@ -1,14 +1,28 @@
-"""Vectorized multi-environment rollout engine.
+"""Rollout collection: one shard stepper, one episode scheduler, the in-process engine.
 
-:class:`VecBackfillEnv` steps N independent scheduling environments (each one
-wrapping its own :class:`~repro.scheduler.simulator.Simulator` generator) in
-lockstep.  At every iteration the current observations of all still-active
-lanes are stacked into one ``(lanes, observation_size)`` matrix, the policy
-and value networks run **once** for the whole batch
-(:meth:`~repro.rl.ppo.ActorCritic.step_batch`), and each lane's environment
-is advanced with its sampled action.  Trajectories stream into per-lane
-:class:`~repro.rl.buffer.TrajectoryBuffer` instances and are merged into the
-epoch buffer as episodes complete.
+Collecting an epoch of trajectories is one loop, written once for both
+rollout engines:
+
+* :class:`ShardStepper` steps a contiguous **shard** of lane environments
+  for one **round frame**: per lane a ``STEP`` / ``RESET`` / ``NOOP`` command
+  in ascending lane order, a same-round restart of every lane that finishes
+  while the frame's restart credits last, then **one**
+  :meth:`~repro.core.observation.ObservationBuilder.encode_batch` pass over
+  every lane left at a decision point.
+* :class:`EpisodeScheduler` is the parent side of a round: it chooses which
+  idle lanes start an episode within the remaining quota, runs **one**
+  ``ActorCritic.step_batch`` forward pass over every running lane (one
+  action per lane from that lane's own rng), grants restart credits, sends
+  one round frame per shard, stores the returned transitions in per-lane
+  :class:`~repro.rl.buffer.TrajectoryBuffer` instances, and releases
+  finished episodes into the epoch buffer in canonical
+  ``(lane decision clock, lane)`` order.  It is parameterised only by how a
+  round frame reaches a shard and comes back.
+
+:class:`VecBackfillEnv`, the in-process engine, is that scheduler over a
+single shard it calls directly; :class:`~repro.rl.lane_pool.ProcessLanePool`
+is the same scheduler over one shard per worker process, reached through
+shared-memory rings.
 
 Determinism contract (enforced by ``tests/test_vec_env.py`` and the
 cross-config matrix in ``tests/test_parity_matrix.py``):
@@ -34,19 +48,50 @@ dominates rollout collection for the paper's tiny kernel networks.
 
 from __future__ import annotations
 
+import heapq
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.obs import get_tracer
 from repro.obs.metrics import MetricsRegistry
 from repro.rl.buffer import TrajectoryBuffer
-from repro.rl.env import Environment, StepResult
+from repro.rl.env import Environment
 from repro.rl.ppo import ActorCritic
 from repro.utils.rng import SeedLike, as_rng, spawn_rngs
 
-__all__ = ["VecBackfillEnv", "clone_lane_envs", "validate_rollout_args"]
+__all__ = [
+    "VecBackfillEnv",
+    "ShardStepper",
+    "EpisodeScheduler",
+    "RoundResult",
+    "clone_lane_envs",
+    "validate_lanes",
+    "validate_rollout_args",
+]
+
+#: Per-lane commands of a round frame.
+CMD_NOOP = 0
+CMD_STEP = 1
+CMD_RESET = 2
+
+#: Per-lane statuses of a round result.
+LANE_IDLE = 0
+LANE_RUNNING = 1
+LANE_DONE_RESTARTED = 2
+LANE_DONE_IDLE = 3
+#: The lane's command raised (a sequence without backfilling opportunities,
+#: reset-sampling exhaustion); the other lanes of the shard are unaffected.
+LANE_FAILED = 4
+
+#: Terminal-info columns a shard reports for a finished episode.
+INFO_FIELDS = ("bsld", "baseline_bsld", "violations", "steps")
+_NO_INFO = (0.0,) * len(INFO_FIELDS)
+
+#: A round frame for one shard: per-lane ``cmd`` and ``arg`` (the action of a
+#: ``STEP``) plus the restart credits (``-1`` = unlimited, work stealing).
+RoundFrame = Tuple[List[int], List[int], int]
 
 
 def clone_lane_envs(
@@ -74,18 +119,32 @@ def clone_lane_envs(
     return [env] + [clone(seed=rng) for rng in lane_rngs]
 
 
+def validate_lanes(envs: Sequence[Environment]) -> None:
+    """The lane-set contract both engines share."""
+    if not envs:
+        raise ValueError("a rollout engine needs at least one environment lane")
+    sizes = {(env.observation_size, env.num_actions) for env in envs}
+    if len(sizes) != 1:
+        raise ValueError(
+            f"environment lanes disagree on observation/action sizes: {sorted(sizes)}"
+        )
+    if len({id(env) for env in envs}) != len(envs):
+        raise ValueError("environment lanes must be distinct instances")
+    for env in envs:
+        if not hasattr(env, "pending_encode"):
+            raise TypeError(
+                "rollout engines need deferred-encoding environments (reset/step "
+                f"with encode=False); {type(env).__name__} has no pending_encode()"
+            )
+
+
 def validate_rollout_args(
     num_envs: int,
     num_trajectories: int,
     rngs: Sequence[np.random.Generator] | None,
     episode_jobs: Optional[Sequence],
 ) -> Sequence[np.random.Generator]:
-    """Validate the shared ``rollout`` contract; returns the effective rngs.
-
-    Both rollout engines (:class:`VecBackfillEnv` and
-    :class:`~repro.rl.lane_pool.ProcessLanePool`) promise the same surface,
-    so the argument contract lives in one place.
-    """
+    """Validate the shared ``rollout`` contract; returns the effective rngs."""
     if num_trajectories <= 0:
         raise ValueError(f"num_trajectories must be positive, got {num_trajectories}")
     if episode_jobs is not None and len(episode_jobs) != num_trajectories:
@@ -100,44 +159,504 @@ def validate_rollout_args(
     return rngs
 
 
+# -- engine statistics ---------------------------------------------------------
+_COUNTER_KEYS = (
+    "rollouts",
+    "rounds",
+    "decisions",
+    "episodes",
+    "steal_banked",
+    "steal_credited",
+    "respawns",
+    "replayed_commands",
+    "forward_ns",
+    "encode_ns",
+    "step_ns",
+    "result_wait_ns",
+    "worker_wait_ns",
+    "rollout_ns",
+)
+
+
+def engine_counters(metrics: MetricsRegistry, engine: str) -> Dict[str, object]:
+    """The cumulative counters behind an engine's ``stats()``.
+
+    They live in an engine-private, always-enabled registry: the global
+    on/off switch gates *extra* instrumentation, never the ``stats()``
+    surface tests and tools rely on.
+    """
+    return {key: metrics.counter(f"engine_{key}_total", engine=engine) for key in _COUNTER_KEYS}
+
+
+def engine_stats(counters: Dict[str, object], engine: str, num_workers: int) -> Dict[str, float]:
+    """``stats()`` of either engine: the same keys, a view over ``counters``.
+
+    ``worker_idle_fraction`` is the mean fraction of rollout wall time the
+    workers spent blocked on their command rings; the worker, respawn and
+    wait entries are structurally zero for the in-process engine, which has
+    no workers to idle or lose.
+    """
+    value = {key: counter.value for key, counter in counters.items()}
+    busy_ns = num_workers * value["rollout_ns"]
+    return {
+        "engine": engine,
+        "num_workers": num_workers,
+        "rollouts": value["rollouts"],
+        "rounds": value["rounds"],
+        "decisions": value["decisions"],
+        "episodes": value["episodes"],
+        "steal_banked": value["steal_banked"],
+        "steal_credited": value["steal_credited"],
+        "respawns": value["respawns"],
+        "replayed_commands": value["replayed_commands"],
+        "worker_idle_fraction": round(value["worker_wait_ns"] / busy_ns, 4) if busy_ns else 0.0,
+        "forward_s": value["forward_ns"] / 1e9,
+        "encode_s": value["encode_ns"] / 1e9,
+        "step_s": value["step_ns"] / 1e9,
+        "result_wait_s": value["result_wait_ns"] / 1e9,
+        "worker_wait_s": value["worker_wait_ns"] / 1e9,
+        "rollout_s": value["rollout_ns"] / 1e9,
+    }
+
+
+# -- one shard, one round ------------------------------------------------------
+class RoundResult(NamedTuple):
+    """What a shard hands back for one round frame.
+
+    ``status``, ``reward`` and ``info`` (an :data:`INFO_FIELDS` row, meaningful
+    for a lane that finished an episode) are indexed by the shard's local
+    lane; ``obs`` and ``mask`` hold one row per lane left at a decision point
+    (status ``RUNNING`` or ``DONE_RESTARTED``), in ascending lane order.
+    """
+
+    status: List[int]
+    reward: List[float]
+    info: Sequence
+    claimed: int
+    obs: Optional[np.ndarray]
+    mask: Optional[np.ndarray]
+    step_ns: int
+    encode_ns: int
+    errors: Dict[int, BaseException]
+
+
+class ShardStepper:
+    """Steps one shard of lane environments, one round frame at a time.
+
+    The in-process engine calls :meth:`round` directly on its single shard;
+    a lane-pool worker calls it once per command frame popped from its ring.
+    ``cat`` names the trace category and span prefix (``engine.step`` /
+    ``worker.step``); ``episode_jobs``, when set, is an iterator of fixed job
+    sequences that every reset of the shard consumes in order instead of
+    sampling (the in-process engine's fixed-sequence mode).
+    """
+
+    def __init__(self, envs: Sequence[Environment], cat: str, span_args: Optional[Dict] = None):
+        self.envs: List[Environment] = list(envs)
+        self.builder = self.envs[0].builder
+        self.episode_jobs: Optional[Iterator] = None
+        self._cat = cat
+        self._span_args = span_args
+        self._replay_args = {**(span_args or {}), "replay": True}
+        self._tracer = get_tracer()
+
+    def _reset(self, env: Environment) -> np.ndarray:
+        if self.episode_jobs is None:
+            return env.reset(encode=False)[1]
+        return env.reset(jobs=next(self.episode_jobs), encode=False)[1]
+
+    def round(self, cmd: List[int], arg: List[int], credits: int, replay: bool = False) -> RoundResult:
+        """Execute one round frame; ``replay`` only tags the recorded spans."""
+        envs = self.envs
+        status = [LANE_IDLE] * len(envs)
+        reward = [0.0] * len(envs)
+        info: List[Sequence[float]] = [_NO_INFO] * len(envs)
+        errors: Dict[int, BaseException] = {}
+        masks: List[np.ndarray] = []
+        encode_lanes: List[int] = []
+        claimed = 0
+        t_step = time.perf_counter_ns()
+        for lane, op in enumerate(cmd):
+            if op == CMD_NOOP:
+                continue
+            env = envs[lane]
+            try:
+                if op == CMD_RESET:
+                    mask = self._reset(env)
+                    status[lane] = LANE_RUNNING
+                else:
+                    result = env.step(arg[lane], encode=False)
+                    reward[lane] = result.reward
+                    if not result.done:
+                        mask = result.mask
+                        status[lane] = LANE_RUNNING
+                    else:
+                        info[lane] = [float(result.info[key]) for key in INFO_FIELDS]
+                        if credits == 0:
+                            status[lane] = LANE_DONE_IDLE
+                            continue
+                        # Restart in the same round, where a serial loop
+                        # would call reset() right after the terminal step.
+                        mask = self._reset(env)
+                        claimed += 1
+                        if credits > 0:
+                            credits -= 1
+                        status[lane] = LANE_DONE_RESTARTED
+            except Exception as exc:
+                # The lane's own failure: reported, not raised, so the other
+                # lanes of the shard still complete the round.
+                status[lane] = LANE_FAILED
+                errors[lane] = exc
+                continue
+            masks.append(mask)
+            encode_lanes.append(lane)
+        step_ns = time.perf_counter_ns() - t_step
+        tracer = self._tracer
+        span_args = self._replay_args if replay else self._span_args
+        if tracer.enabled:
+            tracer.complete(f"{self._cat}.step", t_step, step_ns, cat=self._cat, args=span_args)
+
+        obs = mask_rows = None
+        encode_ns = 0
+        if encode_lanes:
+            t_encode = time.perf_counter_ns()
+            obs = self.builder.encode_batch([envs[lane].pending_encode() for lane in encode_lanes])
+            mask_rows = np.stack(masks)
+            encode_ns = time.perf_counter_ns() - t_encode
+            if tracer.enabled:
+                tracer.complete(
+                    f"{self._cat}.encode", t_encode, encode_ns, cat=self._cat, args=span_args
+                )
+        return RoundResult(
+            status, reward, info, claimed, obs, mask_rows, step_ns, encode_ns, errors
+        )
+
+
+# -- the one loop --------------------------------------------------------------
+class EpisodeScheduler:
+    """Collects episodes from sharded lanes, round by round.
+
+    ``shards[s] = (first_lane, one_past_last_lane)`` -- contiguous, so global
+    lane order equals (shard order, local lane order).  ``exchange(frames)``
+    takes one :data:`RoundFrame` per shard (``None`` for a shard with nothing
+    to do this round) and returns, in shard order, one :class:`RoundResult`
+    per shard (``None`` likewise); everything about *how* a frame travels --
+    a direct call, or rings, liveness and respawn -- is the caller's.
+
+    State that outlives a :meth:`rollout` call exists for work stealing:
+    lanes left mid-episode (their stored steps, current observation and mask
+    rows) and the bank of finished-but-uncredited episodes.
+    """
+
+    def __init__(
+        self,
+        shards: Sequence[Tuple[int, int]],
+        exchange: Callable[[List[Optional[RoundFrame]]], Iterable[Optional[RoundResult]]],
+        counters: Dict[str, object],
+        work_stealing: bool,
+        span_args: Dict,
+    ):
+        self.shards = list(shards)
+        self.num_envs = self.shards[-1][1]
+        self.work_stealing = bool(work_stealing)
+        self._exchange = exchange
+        self._counters = counters
+        self._span_args = span_args
+        #: lane -> (shard, local lane within the shard)
+        self._slot = [
+            (shard, local) for shard, (lo, hi) in enumerate(self.shards) for local in range(hi - lo)
+        ]
+        #: Lanes at a decision point of an unfinished episode (ascending), and
+        #: their observation / mask rows -- the next forward pass's input.
+        self._rows: List[int] = []
+        self._obs: Optional[np.ndarray] = None
+        self._mask: Optional[np.ndarray] = None
+        self._buffers: List[TrajectoryBuffer] = []
+        self._reward = [0.0] * self.num_envs
+        self._steps = [0] * self.num_envs
+        self._bank: List[Tuple[Dict, TrajectoryBuffer]] = []
+
+    @property
+    def banked_episodes(self) -> int:
+        """Finished next-call episodes waiting to be credited."""
+        return len(self._bank)
+
+    @property
+    def inflight_lanes(self) -> int:
+        """Lanes left mid-episode by the last call (stolen work resumes)."""
+        return len(self._rows)
+
+    def _forget_inflight(self) -> None:
+        """Abandon every unfinished episode; its lane restarts from a reset."""
+        for lane_buffer in self._buffers:
+            lane_buffer.clear()
+        self._rows, self._obs, self._mask = [], None, None
+
+    def _match_buffers(self, buffer: TrajectoryBuffer) -> None:
+        """Per-lane buffers with the epoch buffer's ``gamma``/``lam``."""
+        held = self._buffers
+        if held and (held[0].gamma, held[0].lam) != (buffer.gamma, buffer.lam):
+            if self._bank or any(len(lane_buffer) for lane_buffer in held):
+                raise ValueError(
+                    "cannot change buffer gamma/lam while stolen episodes are in flight"
+                )
+            held = []
+        if not held:
+            self._buffers = [
+                TrajectoryBuffer(gamma=buffer.gamma, lam=buffer.lam)
+                for _ in range(self.num_envs)
+            ]
+
+    def rollout(
+        self,
+        actor_critic: ActorCritic,
+        num_trajectories: int,
+        buffer: TrajectoryBuffer,
+        rngs: Sequence[np.random.Generator],
+        deterministic: bool,
+        sampled: bool,
+    ) -> List[Dict]:
+        """Collect ``num_trajectories`` episodes into ``buffer``; returns their infos.
+
+        ``sampled`` says the call collects sampled episodes under the
+        stochastic policy -- the only kind work stealing may carry from one
+        call to the next.  Any other call (fixed sequences, argmax
+        evaluation) drops the partial steps of episodes in flight, restarts
+        their lanes and leaves the bank for the next sampled call.
+        """
+        counters = self._counters
+        if not sampled:
+            self._forget_inflight()
+        self._match_buffers(buffer)
+        infos: List[Dict] = []
+        if sampled:
+            while self._bank and len(infos) < num_trajectories:
+                info, episode = self._bank.pop(0)
+                buffer.absorb(episode)
+                infos.append(info)
+                counters["steal_credited"].inc()
+            if len(infos) >= num_trajectories:
+                return infos
+
+        counters["rollouts"].inc()
+        tracer = get_tracer()
+        t_rollout = time.perf_counter_ns()
+        try:
+            self._rounds(actor_critic, num_trajectories, buffer, rngs, deterministic,
+                         self.work_stealing and sampled, infos)
+        except BaseException:
+            # Results were applied for some lanes and not others: no lane's
+            # episode can be continued.
+            self._forget_inflight()
+            raise
+        finally:
+            rollout_ns = time.perf_counter_ns() - t_rollout
+            counters["rollout_ns"].inc(rollout_ns)
+            tracer.complete(
+                "engine.rollout", t_rollout, rollout_ns, cat="engine", args=self._span_args
+            )
+        return infos
+
+    def _rounds(
+        self,
+        actor_critic: ActorCritic,
+        num_trajectories: int,
+        buffer: TrajectoryBuffer,
+        rngs: Sequence[np.random.Generator],
+        deterministic: bool,
+        stealing: bool,
+        infos: List[Dict],
+    ) -> None:
+        """The round loop: run rounds until ``infos`` holds ``num_trajectories``.
+
+        Each round: idle lanes start while the quota of episode starts lasts
+        (always, under stealing); every running lane gets one action from
+        one batched forward pass; each shard's frame carries its lanes'
+        commands plus **credits** -- how many lanes that finish this round
+        may restart inside it: ``min(remaining quota, lanes stepped)`` handed
+        out in shard order, unlimited under stealing; the results'
+        transitions are stored, and finished episodes are pushed on a heap
+        keyed by ``(decisions the lane stored this call, lane)``.  An episode
+        leaves the heap once no lane that may still finish one -- running, or
+        idle while restarts remain -- could do so under a smaller key.  With
+        one shard that is completion order.  With several, a lane whose
+        restart had to wait a round for an explicit ``RESET`` (the credits
+        that would have covered it were granted to an earlier shard and went
+        unclaimed) lags its own clock, and the heap is what keeps the epoch
+        buffer in the single-shard order.  Released episodes are credited
+        while the call's count lasts and banked afterwards.
+        """
+        counters, tracer = self._counters, get_tracer()
+        shards, slot, num_envs = self.shards, self._slot, self.num_envs
+        buffers, episode_reward, episode_steps = self._buffers, self._reward, self._steps
+        # Episodes already in flight count toward the quota of episode starts.
+        quota = max(0, num_trajectories - len(infos) - len(self._rows))
+        clocks = [0] * num_envs
+        finished: List[tuple] = []  # heap of (clock, lane, info, episode buffer)
+
+        def release(horizon: Optional[Tuple[int, int]]) -> None:
+            """Pop finished episodes keyed below ``horizon`` (all, if ``None``)."""
+            while finished and (horizon is None or finished[0][:2] < horizon):
+                _, _, info, episode = heapq.heappop(finished)
+                if len(infos) < num_trajectories:
+                    infos.append(info)
+                    buffer.absorb(episode)
+                else:
+                    self._bank.append((info, episode))
+                    counters["steal_banked"].inc()
+
+        while len(infos) < num_trajectories:
+            rows, obs, mask = self._rows, self._obs, self._mask
+            starts: List[int] = []
+            budget = num_envs if stealing else quota
+            if budget and len(rows) < num_envs:
+                running = set(rows)
+                for lane in range(num_envs):
+                    if lane not in running:
+                        starts.append(lane)
+                        if len(starts) >= budget:
+                            break
+            if not rows and not starts:  # pragma: no cover - defensive
+                raise RuntimeError(
+                    f"rollout stalled with {len(infos)}/{num_trajectories} episodes collected"
+                )
+            if not stealing:
+                quota -= len(starts)
+
+            actions: List[int] = []
+            if rows:
+                t0 = time.perf_counter_ns()
+                acts, vals, lps = actor_critic.step_batch(
+                    obs,
+                    mask,
+                    rngs=None if deterministic else [rngs[lane] for lane in rows],
+                    deterministic=deterministic,
+                )
+                dt = time.perf_counter_ns() - t0
+                counters["forward_ns"].inc(dt)
+                tracer.complete("engine.forward", t0, dt, cat="engine")
+                actions, values, log_probs = acts.tolist(), vals.tolist(), lps.tolist()
+
+            # One frame per shard with work to do: STEP the running lanes,
+            # RESET the lanes chosen to start.
+            cmds = [[CMD_NOOP] * (hi - lo) for lo, hi in shards]
+            args = [[0] * (hi - lo) for lo, hi in shards]
+            for row, lane in enumerate(rows):
+                shard, local = slot[lane]
+                cmds[shard][local], args[shard][local] = CMD_STEP, actions[row]
+            for lane in starts:
+                shard, local = slot[lane]
+                cmds[shard][local] = CMD_RESET
+            frames: List[Optional[RoundFrame]] = []
+            grant = quota
+            for cmd, arg in zip(cmds, args):
+                if not any(cmd):  # every lane NOOP
+                    frames.append(None)
+                    continue
+                credits = -1 if stealing else min(grant, cmd.count(CMD_STEP))
+                grant -= max(credits, 0)
+                frames.append((cmd, arg, credits))
+            counters["rounds"].inc()
+
+            # Results fold in shard order == ascending lane order, so ``row``
+            # walks the forward batch in step with the stepped lanes.
+            row = 0
+            next_rows: List[int] = []
+            obs_parts: List[np.ndarray] = []
+            mask_parts: List[np.ndarray] = []
+            for shard, result in enumerate(self._exchange(frames)):
+                if result is None:
+                    continue
+                if not stealing:
+                    quota -= result.claimed
+                lo, cmd, reward = shards[shard][0], cmds[shard], result.reward
+                for local, status in enumerate(result.status):
+                    if status == LANE_IDLE:
+                        continue
+                    lane = lo + local
+                    if cmd[local] == CMD_RESET:
+                        episode_reward[lane], episode_steps[lane] = 0.0, 0
+                        next_rows.append(lane)
+                        continue
+                    lane_buffer = buffers[lane]
+                    lane_buffer.store(
+                        obs[row], mask[row], actions[row], reward[local],
+                        values[row], log_probs[row],
+                    )
+                    row += 1
+                    clocks[lane] += 1
+                    episode_reward[lane] += reward[local]
+                    episode_steps[lane] += 1
+                    if status == LANE_RUNNING:
+                        next_rows.append(lane)
+                        continue
+                    lane_buffer.finish_path(last_value=0.0)
+                    counters["episodes"].inc()
+                    terminal = result.info[local]
+                    info = {
+                        "bsld": float(terminal[0]),
+                        "baseline_bsld": float(terminal[1]),
+                        "violations": int(round(terminal[2])),
+                        "steps": int(round(terminal[3])),
+                        "episode_reward": episode_reward[lane],
+                        "episode_steps": episode_steps[lane],
+                        "lane": lane,
+                    }
+                    episode = TrajectoryBuffer(gamma=buffer.gamma, lam=buffer.lam)
+                    episode.absorb(lane_buffer)
+                    heapq.heappush(finished, (clocks[lane], lane, info, episode))
+                    if status == LANE_DONE_RESTARTED:
+                        episode_reward[lane], episode_steps[lane] = 0.0, 0
+                        next_rows.append(lane)
+                if result.obs is not None:
+                    obs_parts.append(result.obs)
+                    mask_parts.append(result.mask)
+            counters["decisions"].inc(row)
+            self._rows = next_rows
+            if len(obs_parts) == 1:
+                # One shard: encode_batch's matrix is the next forward input.
+                self._obs, self._mask = obs_parts[0], mask_parts[0]
+            elif obs_parts:
+                self._obs, self._mask = np.concatenate(obs_parts), np.concatenate(mask_parts)
+            else:
+                self._obs = self._mask = None
+
+            if finished:
+                may_finish = range(num_envs) if (stealing or quota > 0) else next_rows
+                release(min(((clocks[lane] + 1, lane) for lane in may_finish), default=None))
+        # No lane can complete anything further for this call: what the
+        # canonical order was still holding back is surplus for the next one.
+        release(None)
+
+
+# -- the in-process engine -----------------------------------------------------
 class VecBackfillEnv:
-    """Steps N independent backfilling environments in lockstep."""
+    """Steps N independent backfilling environments in this process.
+
+    The :class:`EpisodeScheduler` over one :class:`ShardStepper` holding
+    every lane, called directly: ``encode_batch``'s matrix goes to the next
+    forward pass as it is, with no per-lane copies.
+    """
 
     def __init__(self, envs: Sequence[Environment], work_stealing: bool = False):
-        """``work_stealing=True`` enables the always-restart crediting scheme
-        of the process pool (see :meth:`rollout`); the default keeps the
-        historical fixed-assignment behaviour, which is what the trainer's
-        local backend uses."""
-        if not envs:
-            raise ValueError("VecBackfillEnv needs at least one environment lane")
-        sizes = {(env.observation_size, env.num_actions) for env in envs}
-        if len(sizes) != 1:
-            raise ValueError(
-                f"environment lanes disagree on observation/action sizes: {sorted(sizes)}"
-            )
-        if len({id(env) for env in envs}) != len(envs):
-            raise ValueError("environment lanes must be distinct instances")
-        self.envs: List[Environment] = list(envs)
+        """``work_stealing=True`` runs sampled rollouts the way a stealing
+        :class:`~repro.rl.lane_pool.ProcessLanePool` does (see
+        :meth:`rollout`); it is the single-process row of the stealing parity
+        matrix.  The default never starts more episodes than a call credits,
+        which is what the trainer's local backend uses."""
+        validate_lanes(envs)
+        self._stepper = ShardStepper(envs, cat="engine")
+        self.envs: List[Environment] = self._stepper.envs
         self.work_stealing = bool(work_stealing)
-        # The engine's cumulative statistics live in a private always-enabled
-        # registry (the global on/off switch gates *extra* instrumentation,
-        # never the stats() surface existing tests and tools rely on);
-        # stats() is a view over these counters.
         self.metrics = MetricsRegistry(enabled=True)
-        self._counters: Dict[str, object] = {
-            key: self.metrics.counter(f"engine_{key}_total", engine="local")
-            for key in (
-                "rollouts",
-                "rounds",
-                "decisions",
-                "episodes",
-                "steal_discarded",
-                "forward_ns",
-                "encode_ns",
-                "step_ns",
-                "rollout_ns",
-            )
-        }
+        self._counters = engine_counters(self.metrics, "local")
+        self._scheduler = EpisodeScheduler(
+            [(0, len(self.envs))],
+            self._exchange,
+            self._counters,
+            self.work_stealing,
+            {"engine": "local", "lanes": len(self.envs)},
+        )
 
     # -- construction --------------------------------------------------------
     @classmethod
@@ -170,51 +689,20 @@ class VecBackfillEnv:
     def num_actions(self) -> int:
         return self.envs[0].num_actions
 
-    # -- statistics ------------------------------------------------------------
     def stats(self) -> Dict[str, float]:
-        """Cumulative engine statistics, same keys as the process backend.
+        """Cumulative engine statistics, same keys as the process backend."""
+        return engine_stats(self._counters, "local", 0)
 
-        Most pool-only counters (pre-sampling, worker idle) are structurally
-        zero here: the in-process engine has no workers to idle.  In
-        work-stealing mode, surplus episodes completed in the final round are
-        *discarded* rather than banked for a future call (there is no
-        persistent worker to hold them), so they are reported under
-        ``steal_banked`` -- the pool's count of the same surplus -- while
-        ``steal_credited`` stays zero (no bank ever pays out locally).
-        """
-        c = self._counters
-        return {
-            "engine": "local",
-            "pipeline_depth": 1,
-            "num_workers": 0,
-            "rollouts": c["rollouts"].value,
-            "rounds": c["rounds"].value,
-            "decisions": c["decisions"].value,
-            "episodes": c["episodes"].value,
-            "steal_banked": c["steal_discarded"].value,
-            "steal_credited": 0,
-            "presampled_resets": 0,
-            "respawns": 0,
-            "replayed_commands": 0,
-            "worker_idle_fraction": 0.0,
-            "forward_s": c["forward_ns"].value / 1e9,
-            "encode_s": c["encode_ns"].value / 1e9,
-            "step_s": c["step_ns"].value / 1e9,
-            "result_wait_s": 0.0,
-            "worker_wait_s": 0.0,
-            "rollout_s": c["rollout_ns"].value / 1e9,
-        }
+    # -- rollout ---------------------------------------------------------------
+    def _exchange(self, frames: List[Optional[RoundFrame]]) -> Tuple[RoundResult]:
+        """A round frame reaches the one shard by a direct call."""
+        result = self._stepper.round(*frames[0])
+        self._counters["step_ns"].inc(result.step_ns)
+        self._counters["encode_ns"].inc(result.encode_ns)
+        if result.errors:
+            raise result.errors[min(result.errors)]
+        return (result,)
 
-    # -- lane access ----------------------------------------------------------
-    def reset_lane(self, lane: int, **kwargs) -> Tuple[np.ndarray, np.ndarray]:
-        """Reset one lane; returns its ``(observation, mask)``."""
-        return self.envs[lane].reset(**kwargs)
-
-    def step_lane(self, lane: int, action: int) -> StepResult:
-        """Advance one lane with ``action``."""
-        return self.envs[lane].step(action)
-
-    # -- lockstep rollout ------------------------------------------------------
     def rollout(
         self,
         actor_critic: ActorCritic,
@@ -226,11 +714,11 @@ class VecBackfillEnv:
     ) -> List[Dict]:
         """Collect ``num_trajectories`` episodes across all lanes.
 
-        Each iteration batches the observations of every active lane into one
+        Each round batches the observations of every running lane into one
         matrix, runs a single forward pass through ``actor_critic``, and steps
         each lane with its sampled action.  A lane that finishes an episode
-        immediately starts the next one while other lanes keep running, so no
-        lane ever idles waiting for a barrier.
+        starts the next one in the same round while other lanes keep running,
+        so no lane idles waiting for a barrier.
 
         Parameters
         ----------
@@ -253,228 +741,25 @@ class VecBackfillEnv:
             order as lanes become free.
 
         Returns one info dict per completed episode (the environment's
-        terminal info plus ``episode_reward``/``episode_steps``), in
+        terminal info plus ``episode_reward``/``episode_steps``/``lane``), in
         completion order.
 
         **Work-stealing mode** (``work_stealing=True`` at construction,
         effective only for sampled non-deterministic rollouts, exactly like
-        the process pool): every lane always restarts after finishing an
-        episode instead of parking once the remaining quota is below the lane
-        count, and completed episodes are credited in completion order --
-        within a lockstep round, ascending lane order, which is the pool's
-        canonical ``(lane decision clock, lane)`` release order -- until
-        ``num_trajectories`` are credited.  Surplus episodes finished in the
-        final round are discarded (the pool banks them for its next call; a
-        local engine has no next-call state, see :meth:`stats`).  For one
-        fresh rollout call the credited episode stream is therefore
-        bit-identical to a fresh stealing pool's at any worker count or
-        pipeline depth, which is what makes this the single-process parity
-        reference for the stealing matrix in ``tests/test_parity_matrix.py``.
+        the process pool): every lane restarts after finishing an episode
+        instead of parking once the remaining quota is below the lane count,
+        and completed episodes are credited in ``(lane decision clock, lane)``
+        order until ``num_trajectories`` are credited.  Surplus episodes and
+        the lanes still mid-episode carry over to the next sampled call, as
+        in the pool -- it is the same scheduler -- so the credited stream is
+        bit-identical to a stealing pool's at any worker count.
         """
         rngs = validate_rollout_args(self.num_envs, num_trajectories, rngs, episode_jobs)
-        stealing = self.work_stealing and episode_jobs is None and not deterministic
-
-        lane_buffers = [
-            TrajectoryBuffer(gamma=buffer.gamma, lam=buffer.lam) for _ in self.envs
-        ]
-        observations: List[Optional[np.ndarray]] = [None] * self.num_envs
-        masks: List[Optional[np.ndarray]] = [None] * self.num_envs
-        episode_rewards = [0.0] * self.num_envs
-        episode_steps = [0] * self.num_envs
-        infos: List[Dict] = []
-        # Environments that support deferred encoding let us batch the
-        # observation feature pass across lanes as well as the forward pass.
-        deferred = all(hasattr(env, "pending_encode") for env in self.envs)
-        builder = getattr(self.envs[0], "builder", None) if deferred else None
-
-        def start_episode(lane: int, episode_index: int) -> None:
-            """Begin the next episode on ``lane``.
-
-            In the deferred regime the first observation is *not* encoded
-            here: the lane joins ``encode_lanes`` and its features are
-            computed in the same batched :meth:`encode_batch` pass as the
-            stepped lanes' -- restarts never fall back to a batch-of-one
-            encode and never break the encoded-matrix reuse.
-            """
-            env = self.envs[lane]
-            kwargs = {} if episode_jobs is None else {"jobs": episode_jobs[episode_index]}
-            if deferred:
-                obs, mask = env.reset(encode=False, **kwargs)
-            else:
-                obs, mask = env.reset(**kwargs)
-            observations[lane] = obs
-            masks[lane] = mask
-            episode_rewards[lane] = 0.0
-            episode_steps[lane] = 0
-
-        # Stealing keeps every lane running regardless of the remaining
-        # quota; the fixed-assignment mode never starts more episodes than
-        # it will credit.
-        started = self.num_envs if stealing else min(self.num_envs, num_trajectories)
-        active = list(range(started))
-        encode_lanes: List[int] = []
-        counters = self._counters
-        counters["rollouts"].inc()
-        tracer = get_tracer()
-        t_rollout = time.perf_counter_ns()
-        try:
-            return self._rollout_loop(
-                actor_critic, num_trajectories, buffer, rngs, deterministic,
-                episode_jobs, lane_buffers, observations, masks,
-                episode_rewards, episode_steps, infos, deferred, builder,
-                start_episode, started, active, encode_lanes, stealing,
-            )
-        finally:
-            # Wall time must stay consistent with the per-phase counters
-            # even when a recoverable error aborts the rollout mid-loop.
-            rollout_ns = time.perf_counter_ns() - t_rollout
-            counters["rollout_ns"].inc(rollout_ns)
-            tracer.complete(
-                "engine.rollout", t_rollout, rollout_ns, cat="engine",
-                args={"engine": "local", "lanes": self.num_envs},
-            )
-
-    def _rollout_loop(
-        self,
-        actor_critic,
-        num_trajectories,
-        buffer,
-        rngs,
-        deterministic,
-        episode_jobs,
-        lane_buffers,
-        observations,
-        masks,
-        episode_rewards,
-        episode_steps,
-        infos,
-        deferred,
-        builder,
-        start_episode,
-        started,
-        active,
-        encode_lanes,
-        stealing=False,
-    ) -> List[Dict]:
-        """The round loop of :meth:`rollout`, extracted so the caller can
-        account wall time in a ``finally`` (consistent counters even when a
-        recoverable error aborts the rollout mid-loop)."""
-        counters = self._counters
-        tracer = get_tracer()
-        for lane in active:
-            start_episode(lane, lane)
-            if deferred:
-                encode_lanes.append(lane)
-
-        while active:
-            counters["rounds"].inc()
-            if encode_lanes:
-                # One feature-encoding pass for every lane that advanced or
-                # (re)started an episode since the previous forward pass.  In
-                # the deferred regime this covers every active lane, so the
-                # encoded matrix *is* the forward-pass input, row for row.
-                t0 = time.perf_counter_ns()
-                encoded = builder.encode_batch(
-                    [self.envs[lane].pending_encode() for lane in encode_lanes]
-                )
-                for row, lane in enumerate(encode_lanes):
-                    observations[lane] = encoded[row]
-                dt = time.perf_counter_ns() - t0
-                counters["encode_ns"].inc(dt)
-                tracer.complete("engine.encode", t0, dt, cat="engine")
-            if encode_lanes == active and encode_lanes:
-                obs_batch = encoded
-            else:
-                obs_batch = np.stack([observations[lane] for lane in active])
-            mask_batch = np.stack([masks[lane] for lane in active])
-            t0 = time.perf_counter_ns()
-            actions, values, log_probs = actor_critic.step_batch(
-                obs_batch,
-                mask_batch,
-                rngs=None if deterministic else [rngs[lane] for lane in active],
-                deterministic=deterministic,
-            )
-            dt = time.perf_counter_ns() - t0
-            counters["forward_ns"].inc(dt)
-            tracer.complete("engine.forward", t0, dt, cat="engine")
-            action_list = actions.tolist()
-            value_list = values.tolist()
-            log_prob_list = log_probs.tolist()
-            still_active: List[int] = []
-            encode_lanes = []
-            t_step = time.perf_counter_ns()
-            for row, lane in enumerate(active):
-                action = action_list[row]
-                env = self.envs[lane]
-                result = env.step(action, encode=False) if deferred else env.step(action)
-                lane_buffers[lane].store(
-                    observations[lane],
-                    masks[lane],
-                    action,
-                    result.reward,
-                    value_list[row],
-                    log_prob_list[row],
-                )
-                episode_rewards[lane] += result.reward
-                episode_steps[lane] += 1
-                counters["decisions"].inc()
-                if result.done:
-                    lane_buffers[lane].finish_path(last_value=0.0)
-                    counters["episodes"].inc()
-                    info = dict(result.info)
-                    info.update(
-                        {
-                            "episode_reward": episode_rewards[lane],
-                            "episode_steps": episode_steps[lane],
-                            "lane": lane,
-                        }
-                    )
-                    if stealing:
-                        # Credit in completion order up to the quota; surplus
-                        # from the final round is discarded (the pool would
-                        # bank it for its next call).  Lanes always restart.
-                        if len(infos) < num_trajectories:
-                            infos.append(info)
-                            buffer.absorb(lane_buffers[lane])
-                        else:
-                            counters["steal_discarded"].inc()
-                            lane_buffers[lane].clear()
-                        start_episode(lane, started)
-                        still_active.append(lane)
-                        if deferred:
-                            encode_lanes.append(lane)
-                    else:
-                        infos.append(info)
-                        buffer.absorb(lane_buffers[lane])
-                        if started < num_trajectories:
-                            start_episode(lane, started)
-                            started += 1
-                            still_active.append(lane)
-                            if deferred:
-                                encode_lanes.append(lane)
-                        else:
-                            # The lane has exhausted the episode quota: drop
-                            # its observation and mask so it contributes no
-                            # further rows to the encode or forward batches.
-                            observations[lane] = None
-                            masks[lane] = None
-                else:
-                    masks[lane] = result.mask
-                    if deferred:
-                        encode_lanes.append(lane)
-                    else:
-                        observations[lane] = result.observation
-                    still_active.append(lane)
-            dt = time.perf_counter_ns() - t_step
-            counters["step_ns"].inc(dt)
-            tracer.complete("engine.step", t_step, dt, cat="engine")
-            active = still_active
-            if stealing and len(infos) >= num_trajectories:
-                # Stealing lanes never park themselves, so the quota check
-                # terminates the round loop (matching the pool, which stops
-                # issuing step commands once its credit count fills).
-                break
-        return infos
+        self._stepper.episode_jobs = None if episode_jobs is None else iter(episode_jobs)
+        return self._scheduler.rollout(
+            actor_critic, num_trajectories, buffer, rngs, deterministic,
+            sampled=episode_jobs is None and not deterministic,
+        )
 
     def __repr__(self) -> str:
         return f"VecBackfillEnv(num_envs={self.num_envs}, envs={type(self.envs[0]).__name__})"

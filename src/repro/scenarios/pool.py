@@ -17,7 +17,6 @@ and the report assembly orders by scenario/policy, never by completion.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 import traceback
 from collections import deque
@@ -26,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.experiments.config import ExperimentScale
-from repro.rl.ipc import Field, FrameLayout, RingTimeout, ShmRing
+from repro.rl.ipc import Field, FrameLayout, RingTimeout, ShmRing, worker_context
 from repro.scenarios.evaluate import (
     METRIC_FIELDS,
     AgentBundle,
@@ -137,7 +136,6 @@ class ScenarioWorkerPool:
         seed: int,
         agent_bundle: Optional[AgentBundle] = None,
         num_workers: int = 2,
-        start_method: str | None = None,
     ):
         if num_workers <= 0:
             raise ValueError("ScenarioWorkerPool needs at least one worker")
@@ -147,13 +145,10 @@ class ScenarioWorkerPool:
         self.seed = int(seed)
         self.num_cells = len(self.scenarios) * len(self.policies)
         self.num_workers = min(int(num_workers), max(self.num_cells, 1))
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        ctx = multiprocessing.get_context(start_method)
+        ctx = worker_context()
         self._command_rings: List[ShmRing] = []
         self._result_rings: List[ShmRing] = []
-        self._workers: List[multiprocessing.Process] = []
+        self._workers: list = []
         self._closed = False
         try:
             for _ in range(self.num_workers):

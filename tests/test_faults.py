@@ -298,7 +298,7 @@ class TestPoolFaultParity:
         "label, kwargs",
         [
             ("faulted[w2]", dict(num_workers=2, work_stealing=False)),
-            ("faulted[w2,d2]", dict(num_workers=2, work_stealing=False, pipeline_depth=2)),
+            ("faulted[w3]", dict(num_workers=3, work_stealing=False)),
         ],
     )
     def test_killed_workers_replay_bit_identically(
@@ -322,42 +322,66 @@ class TestPoolFaultParity:
         for key in reference["arrays"]:
             assert np.array_equal(arrays[key], reference["arrays"][key]), f"{label}: {key}"
 
-    def test_stealing_rollouts_survive_kills_across_calls(self, small_trace):
-        """Two consecutive stealing rollouts with kills in both equal the
-        unfailed stealing pool, surplus banking included."""
-        episodes = 12
+    def _two_calls(self, small_trace, work_stealing, episodes, fault_plan):
+        """Two consecutive rollouts on one 2-worker pool; per call the infos
+        and buffer arrays, then the cumulative rounds, stats and reset counts."""
+        agent = RLBackfillAgent(observation_config=OBS_CONFIG, seed=5)
+        pool = ProcessLanePool.from_template(
+            make_training_env(small_trace),
+            LANES,
+            seed=11,
+            num_workers=2,
+            work_stealing=work_stealing,
+            fault_plan=fault_plan,
+        )
+        out, rounds = [], []
+        with pool:
+            for call in range(2):
+                buffer = TrajectoryBuffer()
+                infos = pool.rollout(
+                    agent, episodes, buffer, rngs=lane_rngs(LANES, base=10 * call)
+                )
+                out.append((infos, buffer_arrays(buffer)))
+                rounds.append(pool.stats()["rounds"])
+            return out, rounds, pool.stats(), list(pool._reset_counts)
 
-        def run(fault_plan):
-            agent = RLBackfillAgent(observation_config=OBS_CONFIG, seed=5)
-            pool = ProcessLanePool.from_template(
-                make_training_env(small_trace),
-                LANES,
-                seed=11,
-                num_workers=2,
-                work_stealing=True,
-                fault_plan=fault_plan,
-            )
-            out = []
-            with pool:
-                for call in range(2):
-                    buffer = TrajectoryBuffer()
-                    infos = pool.rollout(
-                        agent, episodes, buffer, rngs=lane_rngs(LANES, base=10 * call)
-                    )
-                    out.append((infos, buffer_arrays(buffer)))
-                stats = pool.stats()
-            return out, stats
-
-        clean, clean_stats = run(None)
-        faulted, faulted_stats = run(FaultPlan(worker_kills=((0, 1), (2, 0), (3, 1))))
-        assert clean_stats["respawns"] == 0
-        assert faulted_stats["respawns"] >= 1
+    @staticmethod
+    def _assert_same_calls(clean, faulted):
         for call, ((clean_infos, clean_arrays), (f_infos, f_arrays)) in enumerate(
             zip(clean, faulted)
         ):
             assert f_infos == clean_infos, f"call {call}"
             for key in clean_arrays:
                 assert np.array_equal(f_arrays[key], clean_arrays[key]), f"call {call}: {key}"
+
+    def test_stealing_rollouts_survive_kills_across_calls(self, small_trace):
+        """Two consecutive stealing rollouts with kills in both equal the
+        unfailed stealing pool, surplus banking included."""
+        clean, _, clean_stats, _ = self._two_calls(small_trace, True, 12, None)
+        faulted, _, faulted_stats, _ = self._two_calls(
+            small_trace, True, 12, FaultPlan(worker_kills=((0, 1), (2, 0), (3, 1)))
+        )
+        assert clean_stats["respawns"] == 0
+        assert faulted_stats["respawns"] >= 1
+        self._assert_same_calls(clean, faulted)
+
+    def test_replay_after_repeated_resets_matches_unfailed_run(self, small_trace):
+        """A worker killed once its lanes have each acknowledged two sampled
+        resets is rebuilt from the *count* of those resets plus the current
+        episode's actions, and the second call's stream equals the unfailed
+        pool's."""
+        clean, rounds, _, resets = self._two_calls(small_trace, False, LANES, None)
+        assert resets == [2] * LANES
+        # Kill rounds well inside the second call: every lane's second reset
+        # was acknowledged in that call's first round.
+        inside = rounds[0] + (rounds[1] - rounds[0]) // 3
+        faulted, _, stats, _ = self._two_calls(
+            small_trace, False, LANES, FaultPlan(worker_kills=((inside, 0), (inside + 1, 1)))
+        )
+        assert stats["respawns"] == 2
+        # Both resets of every lane of a shard were replayed, then its actions.
+        assert stats["replayed_commands"] > 2 * LANES
+        self._assert_same_calls(clean, faulted)
 
     def test_respawn_off_raises_on_kill(self, small_trace):
         pool = ProcessLanePool.from_template(

@@ -9,9 +9,9 @@ The acceptance contract (ISSUE 2, enforced here and documented in
   in-process :class:`VecBackfillEnv`, so trajectories, buffer contents, and
   episode infos are bit-identical for the same seeds.  (Since ISSUE 4's
   batch-invariant forward kernel and canonical episode-release order, bit
-  parity extends to any worker count and pipeline depth -- the cross-config
-  matrix is pinned in ``tests/test_parity_matrix.py``; this file keeps the
-  strictest same-batch-composition case.)
+  parity extends to any worker count -- the cross-config matrix is pinned in
+  ``tests/test_parity_matrix.py``; this file keeps the strictest
+  same-batch-composition case.)
 * **Work stealing** -- draining lanes start next-epoch episodes; surplus
   completions and in-flight partial trajectories are banked and credited to
   the next rollout call, and every call still returns exactly the requested
@@ -19,6 +19,9 @@ The acceptance contract (ISSUE 2, enforced here and documented in
 * **Clean shutdown** -- workers exit and shared-memory segments are released
   on ``close()`` (idempotent, context-manager friendly), and worker errors
   propagate to the parent as exceptions instead of hangs.
+* **Sampled episodes only** -- fixed ``episode_jobs`` are rejected with a
+  typed error that leaves the pool usable; a lane failure mid-rollout
+  re-raises with the local engine's exception type and poisons the pool.
 """
 
 import os
@@ -29,11 +32,12 @@ import pytest
 from repro.core import BackfillEnvironment, RLBackfillAgent, Trainer, TrainerConfig
 from repro.core.observation import ObservationConfig
 from repro.rl.buffer import TrajectoryBuffer
-from repro.rl.ipc import Field, FrameLayout, ShmRing
+from repro.rl.ipc import Field, FrameLayout, RingTimeout, ShmRing
 from repro.rl.lane_pool import ProcessLanePool, make_rollout_engine
 from repro.rl.ppo import PPOConfig
 from repro.rl.vec_env import VecBackfillEnv
 from repro.workloads.sampling import sample_sequence
+from repro.workloads.job import Job, Trace
 
 
 OBS_CONFIG = ObservationConfig(max_queue_size=16)
@@ -106,6 +110,26 @@ class TestFrameLayoutAndRing:
             second = ring.pop(timeout=1.0)
             assert np.array_equal(first["value"], np.arange(4.0))
             assert np.array_equal(second["value"], np.arange(4.0) * 2)
+        finally:
+            ring.close()
+
+    def test_failed_push_returns_its_slot(self):
+        """A push whose write raises publishes nothing and must not keep the
+        slot: on a capacity-1 ring the next push would otherwise never find
+        a free one."""
+        import multiprocessing
+
+        layout = FrameLayout([Field("a", (2,), "float64")])
+        ring = ShmRing(layout, capacity=1, ctx=multiprocessing.get_context())
+        try:
+            with pytest.raises(KeyError, match="bogus"):
+                ring.push({"bogus": 1})
+            with pytest.raises(ValueError):
+                ring.push({"a": np.zeros(3)})
+            ring.push({"a": np.arange(2.0)}, timeout=0.2)
+            with pytest.raises(RingTimeout):
+                ring.push({"a": np.zeros(2)}, timeout=0.05)
+            assert np.array_equal(ring.pop(timeout=1.0)["a"], np.arange(2.0))
         finally:
             ring.close()
 
@@ -202,10 +226,9 @@ class TestWorkStealing:
                 # Fully served from the bank: no new episode was consumed.
                 assert pool.pending_banked_episodes == banked - 1
 
-    def test_fixed_sequence_eval_after_stealing_rollout(self, small_trace):
-        """A fixed-sequence eval with different gamma/lam follows a stealing
+    def test_evaluation_with_other_gamma_lam_after_stealing_rollout(self, small_trace):
+        """An argmax evaluation with different gamma/lam follows a stealing
         rollout: the in-flight stolen episodes are discarded, not a crash."""
-        sequences = opportunity_sequences(small_trace, 2)
         agent = RLBackfillAgent(observation_config=OBS_CONFIG, seed=5)
         pool = ProcessLanePool.from_template(
             make_training_env(small_trace), 2, seed=11, num_workers=1, work_stealing=True
@@ -217,15 +240,13 @@ class TestWorkStealing:
             banked = pool.pending_banked_episodes
             evaluation = TrajectoryBuffer()  # gamma=lam=1.0
             if banked:
-                # Banked finished episodes genuinely pin gamma/lam.
+                # Banked finished episodes genuinely pin gamma/lam; the
+                # refusal comes before any round, so the pool stays usable.
                 with pytest.raises(ValueError, match="gamma/lam"):
-                    pool.rollout(
-                        agent, 2, evaluation, deterministic=True, episode_jobs=sequences
-                    )
+                    pool.rollout(agent, 2, evaluation, deterministic=True)
+                pool.rollout(agent, 2, TrajectoryBuffer(gamma=0.99, lam=0.95), rngs=lane_rngs(2))
             else:
-                infos = pool.rollout(
-                    agent, 2, evaluation, deterministic=True, episode_jobs=sequences
-                )
+                infos = pool.rollout(agent, 2, evaluation, deterministic=True)
                 assert len(infos) == 2
                 assert evaluation.num_complete == len(evaluation) > 0
 
@@ -256,112 +277,23 @@ class TestWorkStealing:
             assert len(infos) == 3
             assert len(resumed) == sum(info["episode_steps"] for info in infos)
 
-    def test_rollout_restarts_manually_driven_lanes(self, small_trace):
-        """Part-stepped lanes from the direct surface are not adopted mid-episode."""
-        sequences = opportunity_sequences(small_trace, 1)
-        agent = RLBackfillAgent(observation_config=OBS_CONFIG, seed=5)
-        pool = ProcessLanePool.from_template(
-            make_training_env(small_trace), 2, seed=11, num_workers=1, work_stealing=False
-        )
-        with pool:
-            _, mask = pool.reset_lane(0, jobs=sequences[0])
-            pool.step_lane(0, int(np.flatnonzero(mask)[0]))
-            buffer = TrajectoryBuffer()
-            infos = pool.rollout(agent, 2, buffer, rngs=lane_rngs(2))
-            assert len(infos) == 2
-            # Every credited episode is stored in full from its first step.
-            assert len(buffer) == sum(info["episode_steps"] for info in infos)
-
-    def test_episode_jobs_disable_stealing_and_match_local(self, small_trace):
-        sequences = opportunity_sequences(small_trace, 3)
+    def test_episode_jobs_are_rejected_and_leave_the_pool_usable(self, small_trace):
+        """The pool serves sampled rollouts: fixed sequences raise a typed
+        error naming the in-process engine, before any frame is pushed."""
+        sequences = opportunity_sequences(small_trace, 2)
         agent = RLBackfillAgent(observation_config=OBS_CONFIG, seed=9)
-
-        local = VecBackfillEnv([make_env(small_trace, seed=50 + i) for i in range(3)])
-        local_buffer = TrajectoryBuffer()
-        local_infos = local.rollout(
-            agent, 3, local_buffer, deterministic=True, episode_jobs=sequences
-        )
-
-        pool = ProcessLanePool(
-            [make_env(small_trace, seed=50 + i) for i in range(3)],
-            num_workers=2,
-            work_stealing=True,  # must be ignored for fixed episode lists
-        )
-        with pool:
-            pool_buffer = TrajectoryBuffer()
-            pool_infos = pool.rollout(
-                agent, 3, pool_buffer, deterministic=True, episode_jobs=sequences
-            )
-            assert pool.pending_inflight_lanes == 0
-            assert pool.pending_banked_episodes == 0
-
-        def summary(infos):
-            return sorted(
-                (info["lane"], info["bsld"], info["episode_steps"], info["episode_reward"])
-                for info in infos
-            )
-
-        assert summary(local_infos) == summary(pool_infos)
-
-
-class TestLaneSurface:
-    def test_reset_and_step_lane_match_local_env(self, small_trace):
-        sequences = opportunity_sequences(small_trace, 1)
-        reference = make_env(small_trace, seed=1)
-        obs_ref, mask_ref = reference.reset(jobs=sequences[0])
-
-        pool = ProcessLanePool([make_env(small_trace, seed=1)], num_workers=1)
-        with pool:
-            obs, mask = pool.reset_lane(0, jobs=sequences[0])
-            assert np.array_equal(obs, obs_ref)
-            assert np.array_equal(mask, mask_ref)
-            for _ in range(30):
-                action = int(np.flatnonzero(mask_ref)[0])
-                result_ref = reference.step(action)
-                result = pool.step_lane(0, action)
-                assert result.reward == result_ref.reward
-                assert result.done == result_ref.done
-                if result.done:
-                    assert result.info["bsld"] == result_ref.info["bsld"]
-                    assert result.info["violations"] == result_ref.info["violations"]
-                    break
-                assert np.array_equal(result.observation, result_ref.observation)
-                assert np.array_equal(result.mask, result_ref.mask)
-                mask_ref = result_ref.mask
-
-    def test_reset_lane_abandons_stolen_inflight_episode(self, small_trace):
-        """An explicit reset must drop a stolen episode's partial steps.
-
-        Otherwise the abandoned episode's stored transitions would splice
-        into the next episode's GAE path on its eventual finish_path().
-        """
-        agent = RLBackfillAgent(observation_config=OBS_CONFIG, seed=5)
         pool = ProcessLanePool.from_template(
-            make_training_env(small_trace), 2, seed=11, num_workers=1, work_stealing=True
+            make_training_env(small_trace), 2, seed=11, num_workers=2
         )
         with pool:
-            scratch = TrajectoryBuffer()
-            pool.rollout(agent, 2, scratch, rngs=lane_rngs(2))
-            assert pool.pending_inflight_lanes == 2  # stolen episodes resident
-            assert any(len(b) for b in pool._lane_buffers)
-            if len(pool._lane_buffers[0]):
-                # Direct stepping would orphan the stored partial steps, so
-                # the pool refuses until the episode is explicitly abandoned.
-                with pytest.raises(RuntimeError, match="in-flight"):
-                    pool.step_lane(0, 0)
-            pool.reset_lane(0)
-            assert len(pool._lane_buffers[0]) == 0
+            with pytest.raises(ValueError, match="VecBackfillEnv"):
+                pool.rollout(
+                    agent, 2, TrajectoryBuffer(), deterministic=True, episode_jobs=sequences
+                )
             buffer = TrajectoryBuffer()
             infos = pool.rollout(agent, 2, buffer, rngs=lane_rngs(2))
             assert len(infos) == 2
-            # Credited episodes' steps account for the buffer exactly.
             assert len(buffer) == sum(info["episode_steps"] for info in infos)
-
-    def test_step_before_reset_raises(self, small_trace):
-        pool = ProcessLanePool([make_env(small_trace, seed=1)], num_workers=1)
-        with pool:
-            with pytest.raises(RuntimeError):
-                pool.step_lane(0, 0)
 
 
 class TestLifecycle:
@@ -382,29 +314,72 @@ class TestLifecycle:
                 rngs=lane_rngs(2),
             )
 
-    def test_recoverable_errors_keep_the_pool_usable(self, small_trace):
-        """Bad inputs raise with the local engine's exception type, and the
-        worker survives -- one bad call must not destroy the rollout engine."""
-        sequences = opportunity_sequences(small_trace, 1)
-        pool = ProcessLanePool([make_env(small_trace, seed=1)], num_workers=1)
+    def test_lane_failure_reraises_and_poisons_the_pool(self):
+        """A lane whose reset cannot find a sequence with backfilling
+        opportunities fails the rollout with the local engine's exception
+        type; frames may be in flight, so the pool refuses further calls."""
+        # One tiny job at a time on a large machine: nothing ever queues, so
+        # no sampled sequence has a backfilling opportunity.
+        idle_trace = Trace.from_jobs(
+            "idle",
+            64,
+            [
+                Job(job_id=i, submit_time=1000.0 * i, runtime=10.0,
+                    requested_processors=1, requested_time=20.0)
+                for i in range(200)
+            ],
+        )
+
+        def lanes():
+            return [
+                BackfillEnvironment(
+                    idle_trace, policy="FCFS", sequence_length=32,
+                    observation_config=OBS_CONFIG, seed=seed, max_reset_attempts=2,
+                )
+                for seed in (1, 2)
+            ]
+
+        agent = RLBackfillAgent(observation_config=OBS_CONFIG, seed=5)
+        with pytest.raises(RuntimeError, match="after 2 attempts"):
+            VecBackfillEnv(lanes()).rollout(agent, 2, TrajectoryBuffer(), rngs=lane_rngs(2))
+        pool = ProcessLanePool(lanes(), num_workers=1)
         with pool:
-            # A sequence with no backfilling opportunity: ValueError, like
-            # BackfillEnvironment.reset.
-            no_opportunity = [sequences[0][0]]
-            with pytest.raises(ValueError, match="ValueError"):
-                pool.reset_lane(0, jobs=no_opportunity)
-            _, mask = pool.reset_lane(0, jobs=sequences[0])
-            masked_out = int(np.flatnonzero(mask == 0.0)[0])
-            with pytest.raises(ValueError, match="ValueError"):
-                pool.step_lane(0, masked_out)
-            # The episode is intact: a valid action still steps.
-            result = pool.step_lane(0, int(np.flatnonzero(mask)[0]))
-            assert np.isfinite(result.reward)
+            with pytest.raises(RuntimeError, match="lane 0 command failed.*RuntimeError"):
+                pool.rollout(agent, 2, TrajectoryBuffer(), rngs=lane_rngs(2))
+            with pytest.raises(RuntimeError, match="desynchronized"):
+                pool.rollout(agent, 1, TrajectoryBuffer(), rngs=lane_rngs(2))
+
+    def test_worker_death_between_calls_recovers_by_default(self, small_trace):
+        """With respawn on (the default), a worker killed while the pool is
+        idle is rebuilt via deterministic replay at the next call's entry."""
+        agent = RLBackfillAgent(observation_config=OBS_CONFIG, seed=5)
+        pool = ProcessLanePool.from_template(
+            make_training_env(small_trace), 4, seed=11, num_workers=2
+        )
+        with pool:
+            pool.rollout(agent, 2, TrajectoryBuffer(), rngs=lane_rngs(4))
+            pool._processes[0].kill()
+            pool._processes[0].join(timeout=5.0)
+            infos = pool.rollout(agent, 4, TrajectoryBuffer(), rngs=lane_rngs(4))
+            assert len(infos) == 4
+            assert pool.stats()["respawns"] == 1
 
     def test_shared_memory_released_after_close(self, small_trace):
         pool = ProcessLanePool([make_env(small_trace, seed=1)], num_workers=1)
         names = [ring.name for ring in (*pool._cmd_rings, *pool._res_rings)]
         pool.close()
+        for name in names:
+            assert not os.path.exists(f"/dev/shm/{name.lstrip('/')}")
+
+
+    def test_dropping_the_last_reference_tears_the_pool_down(self, small_trace):
+        """The finalizer runs when the pool is dropped, without a close() and
+        without waiting for a cyclic garbage collection."""
+        pool = ProcessLanePool([make_env(small_trace, seed=1)], num_workers=1)
+        names = [ring.name for ring in (*pool._cmd_rings, *pool._res_rings)]
+        process = pool._processes[0]
+        del pool
+        assert not process.is_alive()
         for name in names:
             assert not os.path.exists(f"/dev/shm/{name.lstrip('/')}")
 
@@ -452,6 +427,26 @@ class TestValidationAndFactory:
             pool.close()
         with pytest.raises(ValueError):
             make_rollout_engine(env, 2, backend="threads")
+
+    def test_stats_keys_match_across_engines(self, small_trace):
+        agent = RLBackfillAgent(observation_config=OBS_CONFIG, seed=5)
+        local = VecBackfillEnv.from_template(make_training_env(small_trace), 2, seed=3)
+        local.rollout(agent, 2, TrajectoryBuffer(), rngs=lane_rngs(2))
+        local_stats = local.stats()
+        assert local_stats["engine"] == "local"
+        assert local_stats["decisions"] > 0
+        assert local_stats["rollout_s"] > 0
+
+        pool = ProcessLanePool.from_template(
+            make_training_env(small_trace), 2, seed=3, num_workers=1
+        )
+        with pool:
+            pool.rollout(agent, 2, TrajectoryBuffer(), rngs=lane_rngs(2))
+            pool_stats = pool.stats()
+        assert list(pool_stats) == list(local_stats)
+        assert pool_stats["engine"] == "process"
+        assert pool_stats["decisions"] > 0
+        assert 0.0 <= pool_stats["worker_idle_fraction"] <= 1.0
 
     def test_trainer_config_validation(self):
         with pytest.raises(ValueError):

@@ -201,18 +201,18 @@ class TestSnapshots:
 class TestEngineStatsDelta:
     def test_config_passthrough_and_counter_subtraction(self):
         before = {
-            "engine": "process", "pipeline_depth": 2, "num_workers": 2,
+            "engine": "process", "num_workers": 2,
             "decisions": 100, "worker_wait_s": 1.0, "rollout_s": 2.0,
             "worker_idle_fraction": 0.25,
         }
         after = {
-            "engine": "process", "pipeline_depth": 2, "num_workers": 2,
+            "engine": "process", "num_workers": 2,
             "decisions": 150, "worker_wait_s": 1.5, "rollout_s": 3.0,
             "worker_idle_fraction": 0.25,
         }
         delta = engine_stats_delta(after, before)
         assert delta["engine"] == "process"
-        assert delta["pipeline_depth"] == 2
+        assert delta["num_workers"] == 2
         assert delta["decisions"] == 50
         # idle fraction recomputed over THIS interval: 0.5 / (2 * 1.0)
         assert delta["worker_idle_fraction"] == pytest.approx(0.25)

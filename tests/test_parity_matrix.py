@@ -7,28 +7,32 @@ produce **bit-identical** results for the same lanes and seeds:
 * ``vec[1]`` -- each lane of a multi-lane engine equals a standalone
   single-lane engine hosting the same environment and action rng, down to
   the stored value/log-prob floats;
-* ``vec[16]`` vs ``pool(workers=2, lanes=16)`` vs
-  ``pool(workers=2, pipeline_depth=2)`` -- identical per-lane episode
-  streams, identical epoch-buffer contents (including GAE advantages and
-  returns), identical episode infos;
+* ``vec[16]`` vs ``pool(workers=w, lanes=16)`` for ``w`` in 1, 2, 3 --
+  identical per-lane episode streams, identical epoch-buffer contents
+  (including GAE advantages and returns), identical episode infos;
 * one PPO training epoch on top of each engine yields bit-identical trained
   weights and epoch statistics.
 
 Guarantee boundary (documented in docs/simulator.md "Determinism
 contract"): no-steal pools equal the local engine bit for bit whenever each
 lane runs at most one episode (``num_trajectories <= num_envs``, any worker
-count, any depth) and at any episode count with one worker; stealing pools
-equal the **local work-stealing engine**
-(``VecBackfillEnv(work_stealing=True)``) -- and therefore each other -- at
-any worker count, depth, and episode count, for one fresh rollout call
-(the pool banks final-round surplus for its next call; the local engine
-discards it).  Stealing remains a genuine scheduling difference from the
-*no-steal* engines (a stolen second episode can complete -- in canonical
-time -- before a slow lane's first, changing which episodes are credited),
-and with stealing off and more episodes than lanes, restart-quota
-allocation differs between schedulers, so those pairings are excluded;
-per-lane streams and per-row floats still match everywhere.
+count) and at any episode count with one worker; stealing pools equal the
+**local work-stealing engine** (``VecBackfillEnv(work_stealing=True)``) --
+and therefore each other -- at any worker count and episode count (it is
+the same scheduler over one shard).  Stealing remains a genuine scheduling
+difference from the *no-steal* engines (a stolen second episode can
+complete -- in canonical time -- before a slow lane's first, changing which
+episodes are credited), and with stealing off and more episodes than
+lanes, restart credits are granted per shard, so multi-worker pairings are
+excluded there; per-lane streams and per-row floats still match everywhere.
+
+The order oracle (:func:`assert_canonical_order`) shares nothing with the
+scheduler: from the returned infos alone, a lane's decision clock at each
+completion is the running sum of its ``episode_steps``, and the credited
+stream of a fresh call must be sorted by ``(clock, lane)``.
 """
+
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -127,6 +131,16 @@ def assert_bit_identical(label, arrays, reference):
         assert np.array_equal(arrays[key], reference[key]), f"{label}: {key}"
 
 
+def assert_canonical_order(label, infos):
+    """The credited stream of one fresh call is sorted by (clock, lane)."""
+    clock = defaultdict(int)
+    keys = []
+    for info in infos:
+        clock[info["lane"]] += info["episode_steps"]
+        keys.append((clock[info["lane"]], info["lane"]))
+    assert keys == sorted(keys), label
+
+
 class TestRolloutMatrix:
     """One sampled episode per lane across every engine configuration."""
 
@@ -138,6 +152,7 @@ class TestRolloutMatrix:
         )
         buffer = TrajectoryBuffer()
         infos = vec.rollout(agent, LANES, buffer, rngs=lane_rngs(LANES))
+        assert_canonical_order("vec[16]", infos)
         return {"agent": agent, "infos": infos, "arrays": buffer_arrays(buffer)}
 
     @pytest.mark.parametrize(
@@ -145,8 +160,7 @@ class TestRolloutMatrix:
         [
             ("pool[w1]", dict(num_workers=1, work_stealing=False)),
             ("pool[w2]", dict(num_workers=2, work_stealing=False)),
-            ("pool[w2,d2]", dict(num_workers=2, work_stealing=False, pipeline_depth=2)),
-            ("pool[w3,d2]", dict(num_workers=3, work_stealing=False, pipeline_depth=2)),
+            ("pool[w3]", dict(num_workers=3, work_stealing=False)),
         ],
     )
     def test_pool_configs_match_vec16_bit_for_bit(
@@ -161,6 +175,7 @@ class TestRolloutMatrix:
                 reference["agent"], LANES, buffer, rngs=lane_rngs(LANES)
             )
             arrays = buffer_arrays(buffer)
+        assert_canonical_order(label, infos)
         assert infos == reference["infos"], label
         assert_bit_identical(label, arrays, reference["arrays"])
 
@@ -208,13 +223,12 @@ class TestRolloutMatrix:
 class TestStealingMatrix:
     """With stealing on, parity extends to more episodes than lanes.
 
-    The reference row is no longer a pool at all: a *local* engine in
+    The reference row is not a pool at all: a *local* engine in
     work-stealing mode (``VecBackfillEnv(work_stealing=True)``) -- every lane
-    always restarts, episodes credited in the pool's canonical
-    ``(lane decision clock, lane)`` order, final-round surplus discarded
-    where the pool banks it.  For one fresh rollout call that stream is
-    bit-identical to a fresh stealing pool at any worker count and pipeline
-    depth, which upgrades the old pool-vs-pool consistency check into a
+    always restarts, episodes credited in canonical
+    ``(lane decision clock, lane)`` order, surplus banked -- the same
+    scheduler the pools run, over one in-process shard.  Its stream is
+    bit-identical to a stealing pool's at any worker count: a
     single-process ground truth for the stealing scheduler.
     """
 
@@ -231,6 +245,7 @@ class TestStealingMatrix:
             agent, self.EPISODES, buffer, rngs=lane_rngs(self.LANES)
         )
         assert len(infos) == self.EPISODES
+        assert_canonical_order("vec[8,steal]", infos)
         return {
             "agent": agent,
             "infos": infos,
@@ -258,8 +273,7 @@ class TestStealingMatrix:
         [
             ("w1", dict(num_workers=1)),
             ("w2", dict(num_workers=2)),
-            ("w2,d2", dict(num_workers=2, pipeline_depth=2)),
-            ("w3,d2", dict(num_workers=3, pipeline_depth=2)),
+            ("w3", dict(num_workers=3)),
         ],
     )
     def test_stealing_pools_match_local_stealing_engine(
@@ -271,12 +285,13 @@ class TestStealingMatrix:
         infos, arrays = self._collect_pool(
             small_trace, stealing_reference["agent"], **kwargs
         )
+        assert_canonical_order(label, infos)
         assert infos == stealing_reference["infos"], label
         assert_bit_identical(label, arrays, stealing_reference["arrays"])
 
     def test_local_stealing_credits_exactly_the_quota(self, stealing_reference):
-        """The local mode credits EPISODES episodes, never more, and reports
-        any surplus under the pool's ``steal_banked`` key."""
+        """The local mode credits EPISODES episodes, never more, and banks
+        any surplus as the pool does."""
         stats = stealing_reference["stats"]
         credited = len(stealing_reference["infos"])
         assert credited == self.EPISODES
@@ -350,8 +365,9 @@ class TestTrainedWeightMatrix:
 
         ref_stats, ref_state = train("local")
         for label, kwargs in [
+            ("process[w1]", dict(num_workers=1)),
             ("process[w2]", dict(num_workers=2)),
-            ("process[w2,d2]", dict(num_workers=2, pipeline_depth=2)),
+            ("process[w3]", dict(num_workers=3)),
         ]:
             stats, state = train("process", **kwargs)
             assert stats == ref_stats, label
