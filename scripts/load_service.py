@@ -15,7 +15,11 @@ Reported metrics are machine-relative so they transfer across runners:
 * ``reference_forward_seconds`` -- the measured serial (``row_block=1``)
   policy forward on this machine;
 * ``p99_latency_per_forward`` / ``decision_throughput_x_forward`` -- the two
-  ratios committed to ``benchmarks/throughput_baseline.json``.
+  ratios committed to ``benchmarks/throughput_baseline.json``;
+* ``jobs_admitted`` / ``queue_depth_max`` / ``peak_rss_mb`` /
+  ``rss_bytes_per_admitted_job`` -- the load the figures above were measured
+  at: a closed loop admits as fast as the service answers, so a faster
+  service runs a deeper queue and holds more jobs in the same wall window.
 
 Run ``PYTHONPATH=src python scripts/load_service.py --quick`` for the CI
 smoke configuration (~15s wall).  ``--min-rate`` turns the throughput floor
@@ -30,6 +34,7 @@ import asyncio
 import http.client
 import json
 import random
+import resource
 import sys
 import time
 from pathlib import Path
@@ -247,6 +252,7 @@ async def run_client(
                     continue
                 raise RuntimeError(f"client {index}: submit failed: {response}")
             totals["decisions"] += len(response["decisions"])
+            totals["queue_depth_max"] = max(totals["queue_depth_max"], response["queue_depth"])
             for result in response["results"]:
                 if result.get("admitted"):
                     totals["admitted"] += 1
@@ -349,7 +355,13 @@ def stage_budget(service: SchedulingService) -> Dict[str, Dict[str, float]]:
     }
 
 
+def peak_rss_bytes() -> int:
+    """The process's peak resident set so far (Linux reports kilobytes)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+
+
 async def run_load(args: argparse.Namespace, agent: RLBackfillAgent) -> Dict[str, object]:
+    rss_at_start = peak_rss_bytes()
     config = ServiceConfig(
         num_processors=args.procs,
         time_scale=args.time_scale,
@@ -369,6 +381,7 @@ async def run_load(args: argparse.Namespace, agent: RLBackfillAgent) -> Dict[str
         "overloaded": 0,
         "dropped": 0,
         "deduplicated": 0,
+        "queue_depth_max": 0,
     }
     fault_plan = None
     ordinals = {"next": 0}
@@ -417,6 +430,8 @@ async def run_load(args: argparse.Namespace, agent: RLBackfillAgent) -> Dict[str
             "mismatches": list(check.mismatches),
         }
 
+    # Peak over live window, drain and verification, as ``bench/run.py`` reads it.
+    rss_peak = peak_rss_bytes()
     forward_seconds = measure_reference_forward(service)
     rate = live_decisions / live_seconds if live_seconds > 0 else 0.0
     p99_ms = percentile_ms(latencies, 99.0)
@@ -426,6 +441,9 @@ async def run_load(args: argparse.Namespace, agent: RLBackfillAgent) -> Dict[str
         "decisions_per_second": rate,
         "drain_decisions": int(drain.get("decisions_served", 0)) - live_decisions,
         "jobs_admitted": totals["admitted"],
+        "queue_depth_max": totals["queue_depth_max"],
+        "peak_rss_mb": rss_peak / 2**20,
+        "rss_bytes_per_admitted_job": (rss_peak - rss_at_start) / max(totals["admitted"], 1),
         "jobs_rejected": totals["rejected"],
         "overloaded_responses": totals["overloaded"],
         "connections_dropped": totals["dropped"],
@@ -501,6 +519,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"{report['service_load_wall_seconds']:.1f}s = "
         f"{report['decisions_per_second']:.0f} dec/s "
         f"(+{report['drain_decisions']} on drain)"
+    )
+    print(
+        f"load: {report['jobs_admitted']} jobs admitted, queue depth max "
+        f"{report['queue_depth_max']}; peak RSS {report['peak_rss_mb']:.1f} MB = "
+        f"{report['rss_bytes_per_admitted_job']:.0f} B per admitted job over the start"
     )
     print(
         f"latency ms: p50={report['latency_p50_ms']:.1f} "

@@ -31,7 +31,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cluster.allocator import job_request
-from repro.scheduler.events import DecisionPoint
+from repro.scheduler.events import DecisionPoint, arrival_key
 from repro.workloads.job import Job
 
 __all__ = ["ObservationConfig", "ObservationBuilder", "JOB_FEATURES"]
@@ -45,7 +45,6 @@ JOB_FEATURES = 10
 _EXTRA_RESOURCES = ("memory", "gpus")
 
 #: Queue order, and the columns of :meth:`ObservationBuilder.static_rows`.
-_arrival_key = attrgetter("submit_time", "job_id")
 _static_columns = attrgetter("submit_time", "requested_time", "requested_processors", "job_id")
 
 #: Normalization caps (seconds) for the logarithmic time features.  The
@@ -193,35 +192,20 @@ class ObservationBuilder:
         observations of every lane can be batched into one numpy pass.
         """
         cfg = self.config
-        queue, candidates = decision.queue, decision.candidates
+        queue = decision.queue
         if not decision.queue_sorted:
-            queue = sorted(queue, key=_arrival_key)
-            candidates = sorted(candidates, key=_arrival_key)
+            queue = sorted(queue, key=arrival_key)
         if len(queue) > cfg.max_queue_size:
             queue = queue[: cfg.max_queue_size]
 
         mask = np.zeros(cfg.num_slots, dtype=np.float64)
         slot_jobs: List[Optional[Job]] = [None] * cfg.num_slots
         slot_jobs[: len(queue)] = queue
-        reserved_id = decision.reserved_job.job_id
-        # Candidates are a subsequence of the queue (DecisionPoint's promise),
-        # so those inside the window are a prefix of their list: one merge walk
-        # over the window's slots marks them, however long the list is.
-        valid: List[int] = []
-        pending = iter(candidates)
-        candidate = next(pending, None)
-        for slot, job in enumerate(queue):
-            while candidate is not None and candidate.submit_time <= job.submit_time:
-                if candidate.job_id == job.job_id:
-                    # The reserved job is visible but never a valid action (§3.2).
-                    if job.job_id != reserved_id:
-                        valid.append(slot)
-                elif candidate.submit_time == job.submit_time and candidate.job_id > job.job_id:
-                    break
-                # Matched, or sorts before this slot's job and so is not queued.
-                candidate = next(pending, None)
-            if candidate is None:
-                break
+        # Which window slots can run is the decision point's rule (the
+        # reserved job is visible but never a valid action, §3.2); asking it
+        # about the window only is what keeps a decision independent of how
+        # long the queue behind the window is.
+        valid = decision.candidate_slots(queue)
         if valid:
             mask[valid] = 1.0
         if cfg.skip_slot is not None:

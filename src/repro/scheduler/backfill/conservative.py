@@ -37,7 +37,7 @@ from repro.cluster.resources import ResourceVector
 from repro.prediction.predictors import RuntimeEstimator
 from repro.scheduler.backfill.base import BackfillStrategy
 from repro.scheduler.backfill.profile import GroupReservationProfile, ResourceProfile
-from repro.scheduler.events import DecisionPoint
+from repro.scheduler.events import DecisionPoint, arrival_key
 from repro.workloads.job import Job
 
 __all__ = ["ConservativeBackfill"]
@@ -154,7 +154,7 @@ class ConservativeBackfill(BackfillStrategy):
         # conservative backfilling traditionally promises not to delay.
         rest = [j for j in decision.queue if j.job_id != decision.reserved_job.job_id]
         if not decision.queue_sorted:
-            rest.sort(key=lambda j: (j.submit_time, j.job_id))
+            rest.sort(key=arrival_key)
         return [decision.reserved_job] + rest
 
     # -- strategy ----------------------------------------------------------
@@ -176,11 +176,11 @@ class ConservativeBackfill(BackfillStrategy):
         needs = {job.job_id: self._need(job, estimator, hetero_machine) for job in queue}
         baseline_plan = self._plan(base.copy(), place, queue, needs)
 
-        candidates = list(decision.candidates)
+        candidates = decision.candidates
         if self.order == "sjf":
-            candidates.sort(key=lambda j: (estimator(j), j.submit_time, j.job_id))
-        else:
-            candidates.sort(key=lambda j: (j.submit_time, j.job_id))
+            candidates = sorted(candidates, key=lambda j: (estimator(j), j.submit_time, j.job_id))
+        elif not decision.queue_sorted:
+            candidates = sorted(candidates, key=arrival_key)
         if self.max_candidates is not None:
             candidates = candidates[: self.max_candidates]
 

@@ -23,7 +23,7 @@ from typing import List, Optional
 
 from repro.prediction.predictors import RuntimeEstimator
 from repro.scheduler.backfill.base import BackfillStrategy
-from repro.scheduler.events import DecisionPoint
+from repro.scheduler.events import DecisionPoint, arrival_key
 from repro.workloads.job import Job
 
 __all__ = ["EasyBackfill", "GreedyBackfill"]
@@ -32,10 +32,13 @@ _ORDERS = ("fcfs", "sjf", "widest", "narrowest")
 
 
 def _order_candidates(
-    candidates: List[Job], order: str, estimator: RuntimeEstimator
+    decision: DecisionPoint, order: str, estimator: RuntimeEstimator
 ) -> List[Job]:
+    candidates = decision.candidates
     if order == "fcfs":
-        return sorted(candidates, key=lambda j: (j.submit_time, j.job_id))
+        if decision.queue_sorted:
+            return candidates  # a subsequence of a queue in arrival order
+        return sorted(candidates, key=arrival_key)
     if order == "sjf":
         return sorted(candidates, key=lambda j: (estimator(j), j.submit_time, j.job_id))
     if order == "widest":
@@ -57,7 +60,7 @@ class EasyBackfill(BackfillStrategy):
     def select_backfill(
         self, decision: DecisionPoint, estimator: RuntimeEstimator
     ) -> Optional[Job]:
-        for job in _order_candidates(decision.candidates, self.order, estimator):
+        for job in _order_candidates(decision, self.order, estimator):
             if not decision.would_delay(job, estimator(job)):
                 return job
         return None
@@ -84,7 +87,7 @@ class GreedyBackfill(BackfillStrategy):
     def select_backfill(
         self, decision: DecisionPoint, estimator: RuntimeEstimator
     ) -> Optional[Job]:
-        ordered = _order_candidates(decision.candidates, self.order, estimator)
+        ordered = _order_candidates(decision, self.order, estimator)
         return ordered[0] if ordered else None
 
     def __repr__(self) -> str:

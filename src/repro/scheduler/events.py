@@ -10,7 +10,8 @@ EASY baselines use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING, List, Mapping, Optional, Sequence
 
 from repro.workloads.job import Job
@@ -19,7 +20,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers onl
     from repro.cluster.machine import Machine
     from repro.cluster.resources import ResourceVector
 
-__all__ = ["JobArrival", "JobCompletion", "DecisionPoint"]
+__all__ = ["JobArrival", "JobCompletion", "DecisionPoint", "arrival_key"]
+
+#: Waiting-queue order: the sort key ``(submit_time, job_id)`` of a job.
+arrival_key = attrgetter("submit_time", "job_id")
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,7 +43,6 @@ class JobCompletion:
     start_time: float
 
 
-@dataclass(slots=True)
 class DecisionPoint:
     """A backfilling opportunity.
 
@@ -58,22 +61,27 @@ class DecisionPoint:
         rjob's processors aside; jobs at most this wide can never delay the
         reservation regardless of how long they run.
     candidates:
-        Waiting jobs (excluding the rjob) that fit in the currently free
-        processors and could be started immediately.  Producers promise a
-        **subsequence of** ``queue`` **in queue order**: the simulator filters
-        its sorted queue, and filters that list again after each accepted
-        backfill.  The observation encoder relies on it -- the candidates
-        inside its queue window are then a prefix of this list.
+        Waiting jobs (excluding the rjob) that could be started immediately,
+        **in queue order** -- a subsequence of ``queue``.  This class owns the
+        rule (:meth:`candidate_slots`): unless the producer listed them, a
+        candidate is a job of the ``queue`` snapshot, other than the rjob, no
+        wider than the free processor count *captured when the point was
+        built*.  The list is derived on first read and kept, so a reader that
+        never asks (the RL encoder reads its window only) never pays for it,
+        and a point read after it was answered still returns the same list.
+        A producer for which fitting is not a width comparison (node-group
+        placement) passes ``candidates=`` and that list is the rule.
     queue:
         Snapshot of the full waiting queue (including the rjob), sorted by
         submission time -- the observation the RL agent sees.
     machine:
         Live machine state (read-only use expected).
     queue_sorted:
-        Producer's promise that ``queue`` is already sorted by
-        ``(submit_time, job_id)``; lets the observation encoder skip its
-        defensive re-sort on the rollout hot path.  Leave ``False`` for
-        hand-built decision points unless the ordering is guaranteed.
+        Producer's promise that ``queue`` (and so ``candidates``) is already
+        sorted by ``(submit_time, job_id)``; lets the observation encoder and
+        the arrival-order strategies skip their defensive re-sort.  Leave
+        ``False`` for hand-built decision points unless the ordering is
+        guaranteed.
     spare_vectors:
         Heterogeneous clusters only: per-group resource vectors that remain
         free at ``reservation_time`` after setting the rjob aside (from
@@ -81,15 +89,53 @@ class DecisionPoint:
         where ``extra_processors`` carries the whole story.
     """
 
-    time: float
-    reserved_job: Job
-    reservation_time: float
-    extra_processors: int
-    candidates: List[Job]
-    queue: List[Job] = field(default_factory=list)
-    machine: Optional["Machine"] = None
-    queue_sorted: bool = False
-    spare_vectors: Optional[Mapping[str, "ResourceVector"]] = None
+    __slots__ = (
+        "time",
+        "reserved_job",
+        "reservation_time",
+        "extra_processors",
+        "queue",
+        "machine",
+        "queue_sorted",
+        "spare_vectors",
+        "_candidates",
+        "_free",
+    )
+
+    def __init__(
+        self,
+        time: float,
+        reserved_job: Job,
+        reservation_time: float,
+        extra_processors: int,
+        candidates: Optional[List[Job]] = None,
+        queue: Optional[List[Job]] = None,
+        machine: Optional["Machine"] = None,
+        queue_sorted: bool = False,
+        spare_vectors: Optional[Mapping[str, "ResourceVector"]] = None,
+    ):
+        self.time = time
+        self.reserved_job = reserved_job
+        self.reservation_time = reservation_time
+        self.extra_processors = extra_processors
+        self.queue: List[Job] = [] if queue is None else queue
+        self.machine = machine
+        self.queue_sorted = queue_sorted
+        self.spare_vectors = spare_vectors
+        self._candidates = candidates
+        # The free count the width rule compares against; ``None`` when the
+        # producer's own list is the rule.  Captured now: the machine moves on
+        # once the point is answered.
+        self._free: Optional[int] = None
+        if candidates is None:
+            self._free = machine.free_processors if machine is not None else 0
+
+    def __repr__(self) -> str:
+        return (
+            f"DecisionPoint(time={self.time!r}, reserved_job={self.reserved_job.job_id}, "
+            f"reservation_time={self.reservation_time!r}, "
+            f"extra_processors={self.extra_processors}, queue={len(self.queue)} jobs)"
+        )
 
     @property
     def free_processors(self) -> int:
@@ -98,6 +144,36 @@ class DecisionPoint:
     @property
     def free_fraction(self) -> float:
         return self.machine.free_fraction if self.machine is not None else 0.0
+
+    def candidate_slots(self, jobs: Sequence[Job]) -> List[int]:
+        """Positions in ``jobs`` -- queued jobs, in any order -- that hold a candidate.
+
+        The one statement of "a queued job, other than the reserved one, that
+        can start now": ``candidates`` is this over the whole snapshot, the
+        encoder asks it about its window, the simulator about the job a
+        strategy chose.
+        """
+        reserved_id = self.reserved_job.job_id
+        free = self._free
+        if free is not None:
+            return [
+                slot
+                for slot, job in enumerate(jobs)
+                if job.requested_processors <= free and job.job_id != reserved_id
+            ]
+        listed = {job.job_id for job in self._candidates}
+        return [
+            slot
+            for slot, job in enumerate(jobs)
+            if job.job_id in listed and job.job_id != reserved_id
+        ]
+
+    @property
+    def candidates(self) -> List[Job]:
+        if self._candidates is None:
+            queue = self.queue
+            self._candidates = [queue[slot] for slot in self.candidate_slots(queue)]
+        return self._candidates
 
     def candidate_ids(self) -> Sequence[int]:
         return [job.job_id for job in self.candidates]

@@ -26,7 +26,7 @@ import math
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Generator, Iterable, List, Optional, Sequence
+from typing import Dict, Generator, Iterable, Iterator, List, Optional, Sequence
 
 from repro.cluster.allocator import job_request, make_allocator
 from repro.cluster.machine import DowntimeWindow, Machine
@@ -36,7 +36,7 @@ from repro.obs import get_metrics, metrics_enabled
 from repro.prediction.predictors import RuntimeEstimator, UserEstimate
 from repro.scheduler.backfill.base import BackfillStrategy
 from repro.scheduler.backfill.none import NoBackfill
-from repro.scheduler.events import DecisionPoint
+from repro.scheduler.events import DecisionPoint, arrival_key
 from repro.scheduler.metrics import BSLD_THRESHOLD, JobRecord, ScheduleMetrics, compute_metrics
 from repro.scheduler.policies import PriorityPolicy, get_policy
 from repro.workloads.job import Job
@@ -46,6 +46,7 @@ __all__ = [
     "SimulationResult",
     "OnlineSession",
     "ServedDecision",
+    "replay_decisions",
     "capture_decisions",
 ]
 
@@ -167,6 +168,45 @@ class _SimState:
     published_backfills: int = 0
     published_preemptions: int = 0
     published_requeues: int = 0
+    # Census of the waiting queue: queued jobs per ``requested_processors``
+    # (no zero entries).  ``enqueue`` / ``dequeue`` are the only code that
+    # changes ``queue``, so the two cannot drift apart.
+    queued_widths: Dict[int, int] = field(default_factory=dict)
+
+    def enqueue(self, job: Job) -> None:
+        """Add ``job`` to the waiting queue at its ``(submit_time, job_id)`` place.
+
+        Arrivals come off the sorted pending deque and land at the tail; a
+        job requeued by a node failure keeps its original position.
+        """
+        queue = self.queue
+        if queue and arrival_key(job) < arrival_key(queue[-1]):
+            insort(queue, job, key=arrival_key)
+        else:
+            queue.append(job)
+        width = job.requested_processors
+        self.queued_widths[width] = self.queued_widths.get(width, 0) + 1
+
+    def queue_index(self, job_id: int) -> Optional[int]:
+        """Position of the queued job with ``job_id``, or ``None``."""
+        for index, queued in enumerate(self.queue):
+            if queued.job_id == job_id:
+                return index
+        return None
+
+    def dequeue(self, index: int) -> None:
+        """Remove the job at ``queue[index]``."""
+        width = self.queue.pop(index).requested_processors
+        left = self.queued_widths[width] - 1
+        if left:
+            self.queued_widths[width] = left
+        else:
+            del self.queued_widths[width]
+
+    def any_queued_fits(self, free: int) -> bool:
+        """Whether some queued job is no wider than ``free`` processors."""
+        widths = self.queued_widths
+        return bool(widths) and min(widths) <= free
 
 
 class Simulator:
@@ -272,7 +312,7 @@ class Simulator:
                 topology=self.topology,
                 allocator=self.allocator_policy,
             ),
-            pending=deque(sorted(job_list, key=lambda j: (j.submit_time, j.job_id))),
+            pending=deque(sorted(job_list, key=arrival_key)),
             failures=deque(self.node_failures),
         )
         state.now = state.pending[0].submit_time if state.pending else 0.0
@@ -340,7 +380,7 @@ class Simulator:
 
     def _admit(self, state: _SimState) -> None:
         while state.pending and state.pending[0].submit_time <= state.now + _EPS:
-            state.queue.append(state.pending.popleft())
+            state.enqueue(state.pending.popleft())
 
     def _start(self, state: _SimState, job: Job, backfilled: bool) -> None:
         remaining = state.remaining.pop(job.job_id, None)
@@ -357,14 +397,6 @@ class Simulator:
         )
         if backfilled:
             state.backfill_count += 1
-
-    @staticmethod
-    def _remove(queue: List[Job], job_id: int) -> None:
-        for i, queued in enumerate(queue):
-            if queued.job_id == job_id:
-                del queue[i]
-                return
-        raise KeyError(f"job {job_id} is not in the waiting queue")
 
     def _schedule_now(
         self, state: _SimState
@@ -385,7 +417,7 @@ class Simulator:
                 rjob = self.policy.select(state.queue, state.now)
             if state.machine.can_start(rjob):
                 self._start(state, rjob, backfilled=False)
-                self._remove(state.queue, rjob.job_id)
+                state.dequeue(state.queue_index(rjob.job_id))
                 continue
             # Backfilling opportunity: the selected job is blocked.
             yield from self._backfill_opportunity(state, rjob)
@@ -396,42 +428,37 @@ class Simulator:
         self, state: _SimState, rjob: Job
     ) -> Generator[DecisionPoint, Optional[Job], None]:
         hetero = self.topology is not None
-        # The first scan covers the whole queue but the reserved job.  After an
-        # accepted backfill -- same instant, fewer free processors, one job
-        # gone -- the candidates are a filter of the previous ones (queue order
-        # is preserved) without the job just started, so no full queue scan.
+        # Node-group machines only: fitting is a placement question, so the
+        # candidates are found by asking the machine about each queued job but
+        # the reserved one -- and, after an accepted backfill (same instant,
+        # less free, one job gone), about the previous candidates only.
         pool, skip_id = state.queue, rjob.job_id
         while True:
-            # ``state.queue`` is kept sorted by (submit_time, job_id) by
-            # construction (jobs are admitted from the sorted pending deque),
-            # so the decision-point snapshot is a plain copy and the candidate
-            # fit check is a direct comparison against the free count.  On a
-            # heterogeneous machine fitting is a vector/placement question, so
-            # each scan asks the machine instead.
+            candidates = spares = None
             if hetero:
                 candidates = [
                     job
                     for job in pool
                     if job.job_id != skip_id and state.machine.can_start(job)
                 ]
-            else:
-                free = state.machine.free_processors
-                candidates = [
-                    job
-                    for job in pool
-                    if job.requested_processors <= free and job.job_id != skip_id
-                ]
-            if not candidates:
-                return
-            spares = None
-            if hetero:
+                if not candidates:
+                    return
                 reservation_time, extra, spares = state.machine.hetero_reservation(
                     rjob, state.now, self.estimator
                 )
             else:
+                # The census answers "is there a candidate" without visiting
+                # the queue.  The reserved job is counted in it but is blocked,
+                # so it is wider than the free count and never the reason for
+                # a yes; which jobs the candidates are is the decision point's
+                # business, derived from its snapshot if a reader asks.
+                if not state.any_queued_fits(state.machine.free_processors):
+                    return
                 reservation_time, extra = state.machine.earliest_start_estimate(
                     rjob, state.now, self.estimator
                 )
+            # ``state.queue`` is kept sorted by (submit_time, job_id), so the
+            # snapshot is a plain copy.
             decision = DecisionPoint(
                 time=state.now,
                 reserved_job=rjob,
@@ -448,13 +475,14 @@ class Simulator:
             if choice is None:
                 return
             chosen_id = choice.job_id
-            if not any(job.job_id == chosen_id for job in candidates):
+            index = state.queue_index(chosen_id)
+            if index is None or not decision.candidate_slots((state.queue[index],)):
                 raise ValueError(
                     f"backfill strategy returned job {chosen_id} which is not a candidate "
-                    f"(candidates: {sorted(job.job_id for job in candidates)})"
+                    f"(candidates: {sorted(decision.candidate_ids())})"
                 )
             self._start(state, choice, backfilled=True)
-            self._remove(state.queue, chosen_id)
+            state.dequeue(index)
             pool, skip_id = candidates, chosen_id
 
     def _next_failure_time(self, state: _SimState) -> float:
@@ -503,7 +531,7 @@ class Simulator:
                     state.remaining[job.job_id] = remaining
                 state.restarts[job.job_id] = state.restarts.get(job.job_id, 0) + 1
                 state.records.pop(job.job_id, None)
-                insort(state.queue, job, key=lambda j: (j.submit_time, j.job_id))
+                state.enqueue(job)
             state.preemption_count += len(victims)
             state.requeue_count += len(victims)
 
@@ -583,35 +611,58 @@ class ServedDecision:
     chosen_job_id: Optional[int]
 
 
-def capture_decisions(
-    simulator: Simulator, jobs: Iterable[Job]
-) -> tuple[List[ServedDecision], SimulationResult]:
-    """Run ``simulator`` over ``jobs`` recording every decision it serves.
-
-    This is :meth:`Simulator.run` with a tap on the decision stream; the
-    offline half of the replay-parity check
-    (:func:`repro.service.replay.verify_replay_log`).
-    """
-    strategy = simulator.backfill
-    strategy.on_sequence_start()
-    simulator.estimator.reset()
-    decisions: List[ServedDecision] = []
-    gen = simulator.decision_points(jobs)
+def _serve(
+    gen: Generator[DecisionPoint, Optional[Job], object],
+    simulator: Simulator,
+    served: int,
+) -> Generator[ServedDecision, None, object]:
+    """Answer every decision point ``gen`` yields with the simulator's own
+    strategy, yielding the :class:`ServedDecision` of each as it is sent;
+    ``served`` numbers the first.  Returns what ``gen`` returns."""
+    strategy, estimator = simulator.backfill, simulator.estimator
     try:
         decision = next(gen)
         while True:
-            choice = strategy.select_backfill(decision, simulator.estimator)
-            decisions.append(
-                ServedDecision(
-                    index=len(decisions),
-                    time=decision.time,
-                    reserved_job_id=decision.reserved_job.job_id,
-                    chosen_job_id=None if choice is None else choice.job_id,
-                )
+            choice = strategy.select_backfill(decision, estimator)
+            yield ServedDecision(
+                index=served,
+                time=decision.time,
+                reserved_job_id=decision.reserved_job.job_id,
+                chosen_job_id=None if choice is None else choice.job_id,
             )
+            served += 1
             decision = gen.send(choice)
     except StopIteration as stop:
-        return decisions, stop.value
+        return stop.value
+
+
+def replay_decisions(
+    simulator: Simulator, jobs: Iterable[Job]
+) -> Generator[ServedDecision, None, SimulationResult]:
+    """Run ``simulator`` over ``jobs``, yielding every decision it serves as
+    it serves it; the generator returns the :class:`SimulationResult`.
+
+    This is :meth:`Simulator.run` with a tap on the decision stream; the
+    offline half of the replay-parity check
+    (:func:`repro.service.replay.verify_replay_log`), which compares it with
+    the logged stream one record at a time.
+    """
+    simulator.backfill.on_sequence_start()
+    simulator.estimator.reset()
+    return (yield from _serve(simulator.decision_points(jobs), simulator, 0))
+
+
+def capture_decisions(
+    simulator: Simulator, jobs: Iterable[Job]
+) -> tuple[List[ServedDecision], SimulationResult]:
+    """:func:`replay_decisions`, collected: ``(decisions, result)``."""
+    decisions: List[ServedDecision] = []
+    replay = replay_decisions(simulator, jobs)
+    while True:
+        try:
+            decisions.append(next(replay))
+        except StopIteration as stop:
+            return decisions, stop.value
 
 
 class OnlineSession:
@@ -661,7 +712,6 @@ class OnlineSession:
             pending=deque(),
             failures=deque(simulator.node_failures),
         )
-        self.decisions: List[ServedDecision] = []
         self._submitted_ids: set[int] = set()
         self._started = False
         self._drained = False
@@ -686,6 +736,12 @@ class OnlineSession:
     def jobs_submitted(self) -> int:
         return len(self._submitted_ids)
 
+    @property
+    def decisions_served(self) -> int:
+        """Decisions served so far.  The records themselves belong to the
+        callers of :meth:`advance_to` / :meth:`drain`; the session keeps none."""
+        return self.state.decision_count
+
     def submit(self, job: Job) -> None:
         """Accept ``job`` into the pending arrivals.
 
@@ -708,10 +764,9 @@ class OnlineSession:
             )
         self._submitted_ids.add(job.job_id)
         pending = self.state.pending
-        key = (job.submit_time, job.job_id)
-        if pending and key < (pending[-1].submit_time, pending[-1].job_id):
+        if pending and arrival_key(job) < arrival_key(pending[-1]):
             # Out-of-order future arrival: keep the deque sorted.
-            ordered = sorted([*pending, job], key=lambda j: (j.submit_time, j.job_id))
+            ordered = sorted([*pending, job], key=arrival_key)
             pending.clear()
             pending.extend(ordered)
         else:
@@ -738,30 +793,21 @@ class OnlineSession:
         self._schedule_due = True
         return True
 
-    def _drive_schedule(self, served: List[ServedDecision]) -> bool:
-        """Run one scheduling pass at the current instant, serving decisions.
+    def _drive_schedule(self) -> Iterator[ServedDecision]:
+        """Run the scheduling pass that is due at the current instant,
+        yielding each decision as it is served.
 
         Drives the same generator :meth:`Simulator.run` drives, with the
         simulator's configured backfill strategy answering each yielded
-        :class:`~repro.scheduler.events.DecisionPoint`.  Returns the
+        :class:`~repro.scheduler.events.DecisionPoint`, and keeps the
         generator's ``blocked`` flag.
         """
+        self._schedule_due = False
+        if not self.state.queue:
+            self._blocked = False
+            return
         gen = self.sim._schedule_now(self.state)
-        try:
-            decision = next(gen)
-            while True:
-                choice = self.sim.backfill.select_backfill(decision, self.sim.estimator)
-                record = ServedDecision(
-                    index=len(self.decisions),
-                    time=decision.time,
-                    reserved_job_id=decision.reserved_job.job_id,
-                    chosen_job_id=None if choice is None else choice.job_id,
-                )
-                self.decisions.append(record)
-                served.append(record)
-                decision = gen.send(choice)
-        except StopIteration as stop:
-            return bool(stop.value)
+        self._blocked = bool((yield from _serve(gen, self.sim, self.state.decision_count)))
 
     def _next_event_time(self, state: _SimState) -> Optional[float]:
         """The next live event instant, or ``None`` if nothing is knowable yet.
@@ -792,9 +838,10 @@ class OnlineSession:
     def advance_to(self, event_time: float) -> List[ServedDecision]:
         """Process every event with time <= ``event_time``.
 
-        Returns the decisions served by this call (also appended to
-        :attr:`decisions`).  Idempotent between events: re-advancing to the
-        same (or an earlier) time serves nothing new.
+        Returns the decisions served by this call -- the only copy: the
+        session counts them (:attr:`decisions_served`) and keeps none.
+        Idempotent between events: re-advancing to the same (or an earlier)
+        time serves nothing new.
         """
         if self._drained:
             raise RuntimeError("session is drained")
@@ -804,8 +851,7 @@ class OnlineSession:
         state = self.state
         while True:
             if self._schedule_due:
-                self._schedule_due = False
-                self._blocked = self._drive_schedule(served) if state.queue else False
+                served.extend(self._drive_schedule())
             next_time = self._next_event_time(state)
             if next_time is None or next_time > event_time:
                 break
@@ -825,15 +871,20 @@ class OnlineSession:
         pending/queue/machine are all empty.  After draining,
         :meth:`result` returns the finalized :class:`SimulationResult`.
         """
+        return list(self.iter_drain())
+
+    def iter_drain(self) -> Iterator[ServedDecision]:
+        """:meth:`drain`, yielding each decision as it is served instead of
+        listing them all -- a deep queue drains into several decisions per
+        job, and a caller that only logs them need not hold them.  The
+        session is drained once the iterator is exhausted."""
         if self._drained:
-            return []
-        served: List[ServedDecision] = []
+            return
         self._ensure_started(math.inf)
         state = self.state
         while state.pending or state.queue or state.machine.num_running:
             if self._schedule_due:
-                self._schedule_due = False
-                self._blocked = self._drive_schedule(served) if state.queue else False
+                yield from self._drive_schedule()
             advanced = self.sim._advance_time(state)
             if advanced:
                 self._schedule_due = True
@@ -848,7 +899,6 @@ class OnlineSession:
                 )
         self._drained = True
         _flush_sim_counters(state)
-        return served
 
     def result(self) -> SimulationResult:
         """Finalize and return the session's :class:`SimulationResult`."""

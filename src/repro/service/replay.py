@@ -27,7 +27,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass
+import sys
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, IO, Iterable, Iterator, List, Mapping, Optional, Tuple
 
@@ -38,7 +39,7 @@ from repro.scheduler.simulator import (
     ServedDecision,
     SimulationResult,
     Simulator,
-    capture_decisions,
+    replay_decisions,
 )
 from repro.workloads.job import Job
 
@@ -47,6 +48,8 @@ __all__ = [
     "DURABILITY_POLICIES",
     "job_to_wire",
     "job_from_wire",
+    "decision_to_wire",
+    "decision_from_wire",
     "ReplayLogWriter",
     "ReplayLog",
     "read_replay_log",
@@ -81,6 +84,27 @@ def job_to_wire(job: Job) -> Dict[str, object]:
 
 def job_from_wire(payload: Mapping[str, object]) -> Job:
     return Job(**{name: payload[name] for name in JOB_WIRE_FIELDS if name in payload})
+
+
+def decision_to_wire(decision: ServedDecision) -> Dict[str, object]:
+    """The one wire form of a served decision: the log's ``decision`` record
+    (plus its ``type``) and an entry of a response's ``decisions`` list."""
+    return {
+        "index": decision.index,
+        "time": decision.time,
+        "reserved_job_id": decision.reserved_job_id,
+        "chosen_job_id": decision.chosen_job_id,
+    }
+
+
+def decision_from_wire(record: Mapping[str, object]) -> ServedDecision:
+    chosen = record.get("chosen_job_id")
+    return ServedDecision(
+        index=int(record["index"]),
+        time=float(record["time"]),
+        reserved_job_id=int(record["reserved_job_id"]),
+        chosen_job_id=None if chosen is None else int(chosen),
+    )
 
 
 #: Writer durability policies, weakest to strongest.  A crash can tear at
@@ -184,7 +208,7 @@ class ReplayLogWriter:
         )
 
     def decision(self, decision: ServedDecision) -> None:
-        self.write({"type": "decision", **asdict(decision)})
+        self.write({"type": "decision", **decision_to_wire(decision)})
 
     def drain(self, summary: Mapping[str, object]) -> None:
         self.write({"type": "drain", **dict(summary)})
@@ -276,6 +300,16 @@ def read_replay_log(
     dropping it and setting :attr:`ReplayLog.torn_tail`.  Corruption
     anywhere else always raises.
     """
+    return _read(source, allow_torn_tail, with_decisions=True)
+
+
+def _read(
+    source: str | Path | Iterable[Mapping[str, object]],
+    allow_torn_tail: bool,
+    with_decisions: bool,
+) -> ReplayLog:
+    """:func:`read_replay_log`; without the decisions (``decisions=()``) for
+    the verifier, which reads them from the file as it compares them."""
     stream = (
         _JsonlRecords(source, allow_torn_tail) if isinstance(source, (str, Path)) else None
     )
@@ -291,20 +325,11 @@ def read_replay_log(
             header = {key: value for key, value in record.items() if key != "type"}
         elif kind == "submit":
             jobs.append(job_from_wire(record["job"]))
-            tenants.append(str(record.get("tenant", "")))
+            # A log names few tenants many times; one string object each.
+            tenants.append(sys.intern(str(record.get("tenant", ""))))
         elif kind == "decision":
-            decisions.append(
-                ServedDecision(
-                    index=int(record["index"]),
-                    time=float(record["time"]),
-                    reserved_job_id=int(record["reserved_job_id"]),
-                    chosen_job_id=(
-                        None
-                        if record.get("chosen_job_id") is None
-                        else int(record["chosen_job_id"])
-                    ),
-                )
-            )
+            if with_decisions:
+                decisions.append(decision_from_wire(record))
         elif kind == "reject":
             rejects += 1
         elif kind == "drain":
@@ -348,6 +373,11 @@ def build_replay_simulator(header: Mapping[str, object], agent: RLBackfillAgent)
     )
 
 
+#: Mismatches a :class:`ReplayCheck` spells out; a diverged replay differs in
+#: every later decision and the first few say why.
+_MAX_MISMATCHES = 8
+
+
 @dataclass(frozen=True, slots=True)
 class ReplayCheck:
     """Outcome of one offline replay verification."""
@@ -386,36 +416,60 @@ def verify_replay_log(
     log is exactly what a torn tail predicts.  Without it, decision count
     must match exactly and a torn line raises at parse time.
     """
-    log = source if isinstance(source, ReplayLog) else read_replay_log(
-        source, allow_torn_tail=allow_torn_tail
-    )
+    if isinstance(source, (str, Path)):
+        # A file is read twice and its decisions never held: first everything
+        # else (the replay needs every job before it can start), then the
+        # decision records, each compared with the replay's as both arrive.
+        log = _read(source, allow_torn_tail, with_decisions=False)
+        logged: Iterator[ServedDecision] = (
+            decision_from_wire(record)
+            for record in _JsonlRecords(source, allow_torn_tail)
+            if record.get("type") == "decision"
+        )
+    else:
+        log = source if isinstance(source, ReplayLog) else read_replay_log(
+            source, allow_torn_tail=allow_torn_tail
+        )
+        logged = iter(log.decisions)
     prefix_ok = allow_torn_tail and log.summary is None
     if not log.jobs:
+        orphans = sum(1 for _ in logged)
         return ReplayCheck(
             jobs=0,
-            decisions=len(log.decisions),
-            matched=not log.decisions,
-            mismatches=("log has decisions but no jobs",) if log.decisions else (),
+            decisions=orphans,
+            matched=not orphans,
+            mismatches=("log has decisions but no jobs",) if orphans else (),
             result=None,
             torn_tail=log.torn_tail,
         )
-    simulator = build_replay_simulator(log.header, agent)
-    replayed, result = capture_decisions(simulator, log.jobs)
+    replay = replay_decisions(build_replay_simulator(log.header, agent), log.jobs)
     mismatches: List[str] = []
-    if len(replayed) != len(log.decisions):
-        if not (prefix_ok and len(replayed) > len(log.decisions)):
-            mismatches.append(
-                f"decision count: log has {len(log.decisions)}, "
-                f"replay produced {len(replayed)}"
-            )
-    for logged, fresh in zip(log.decisions, replayed):
-        if logged != fresh:
-            mismatches.append(f"decision {logged.index}: log {logged} != replay {fresh}")
-            if len(mismatches) >= 8:
-                break
+    logged_count = replayed_count = 0
+    result: Optional[SimulationResult] = None
+    for record in logged:
+        logged_count += 1
+        if result is not None:
+            continue  # the replay ended first; the rest of the log is only counted
+        try:
+            fresh = next(replay)
+        except StopIteration as stop:
+            result = stop.value
+            continue
+        replayed_count += 1
+        if record != fresh and len(mismatches) < _MAX_MISMATCHES:
+            mismatches.append(f"decision {record.index}: log {record} != replay {fresh}")
+    while result is None:  # the log ended first; likewise
+        try:
+            next(replay)
+            replayed_count += 1
+        except StopIteration as stop:
+            result = stop.value
+    if replayed_count != logged_count and not (prefix_ok and replayed_count > logged_count):
+        count = f"decision count: log has {logged_count}, replay produced {replayed_count}"
+        mismatches = [count, *mismatches[: _MAX_MISMATCHES - 1]]
     return ReplayCheck(
         jobs=len(log.jobs),
-        decisions=len(log.decisions),
+        decisions=logged_count,
         matched=not mismatches,
         mismatches=tuple(mismatches),
         result=result,

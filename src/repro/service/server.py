@@ -53,6 +53,7 @@ from repro.service.admission import AdmissionController, RefillSchedule
 from repro.service.replay import (
     ReplayLog,
     ReplayLogWriter,
+    decision_to_wire,
     job_from_wire,
     job_to_wire,
     read_replay_log,
@@ -361,18 +362,18 @@ class SchedulingService:
             self._tenant_ids.setdefault(tenant, int(job.user_id))
             self.session.submit(job)
             self._last_assigned = max(self._last_assigned, job.submit_time)
+        rebuilt: List[ServedDecision] = []
         if log.jobs:
             horizon = self._last_assigned
             if log.decisions:
                 horizon = max(horizon, log.decisions[-1].time)
-            self.session.advance_to(horizon)
+            rebuilt += self.session.advance_to(horizon)
         if log.summary is not None:
             # The prior process completed its drain; recovery reproduces the
             # terminal state (summary kept verbatim, not re-logged).
-            self.session.drain()
+            rebuilt += self.session.drain()
             self._draining = True
             self._drain_summary = dict(log.summary)
-        rebuilt = self.session.decisions
         for index, logged in enumerate(log.decisions):
             if index >= len(rebuilt) or rebuilt[index] != logged:
                 fresh = rebuilt[index] if index < len(rebuilt) else None
@@ -654,7 +655,7 @@ class SchedulingService:
             served = self._advance()
             return {
                 "ok": True,
-                "decisions": [self._decision_to_wire(d) for d in served],
+                "decisions": [decision_to_wire(d) for d in served],
                 "event_time": self.session.now,
             }
         if op == "submit":
@@ -716,15 +717,6 @@ class SchedulingService:
             "ok": True,
             "content_type": "text/plain; version=0.0.4",
             "body": self._metrics_body(),
-        }
-
-    @staticmethod
-    def _decision_to_wire(decision: ServedDecision) -> Dict[str, object]:
-        return {
-            "index": decision.index,
-            "time": decision.time,
-            "reserved_job_id": decision.reserved_job_id,
-            "chosen_job_id": decision.chosen_job_id,
         }
 
     def _tenant_user_id(self, tenant: str) -> int:
@@ -815,7 +807,7 @@ class SchedulingService:
         response: Dict[str, object] = {
             "ok": True,
             "results": results,
-            "decisions": [self._decision_to_wire(d) for d in served],
+            "decisions": [decision_to_wire(d) for d in served],
             "event_time": self.session.now,
             "queue_depth": self.session.queue_depth,
         }
@@ -830,14 +822,15 @@ class SchedulingService:
         if self._drain_summary is not None:
             return {"ok": True, **self._drain_summary}
         self._draining = True
-        served = self.session.drain()
-        for decision in served:
+        served = 0
+        for decision in self.session.iter_drain():
             self.replay.decision(decision)
-        self.counters.decisions += len(served)
-        self._decisions_counter.inc(len(served))
+            served += 1
+        self.counters.decisions += served
+        self._decisions_counter.inc(served)
         summary: Dict[str, object] = {
             "jobs": self.session.jobs_submitted,
-            "decisions_served": len(self.session.decisions),
+            "decisions_served": self.session.decisions_served,
             "event_time": self.session.now,
         }
         if self.session.jobs_submitted:

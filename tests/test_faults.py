@@ -224,17 +224,18 @@ class TestSimulatorFailures:
         offline_decisions, offline_result = capture_decisions(sim(), jobs)
         session = sim().open_session()
         rng = np.random.default_rng(2)
+        served = []
         submitted, horizon = 0, 0.0
         while submitted < len(jobs):
             horizon += float(rng.uniform(100.0, 2500.0))
             while submitted < len(jobs) and jobs[submitted].submit_time <= horizon:
                 session.submit(jobs[submitted])
                 submitted += 1
-            session.advance_to(horizon)
-        session.drain()
+            served += session.advance_to(horizon)
+        served += session.drain()
         online_result = session.result()
         assert offline_result.preemption_count > 0
-        assert session.decisions == list(offline_decisions)
+        assert served == list(offline_decisions)
         assert online_result.records == offline_result.records
         assert online_result.preemption_count == offline_result.preemption_count
         assert online_result.requeue_count == offline_result.requeue_count

@@ -9,12 +9,21 @@ candidates, and the replay log is read as a stream.  The parent commit's code
 lives on here, verbatim, as the ``Parent*`` classes and functions -- and only
 here: every comparison is ``==`` on floats, ``is`` on jobs and ``==`` on
 exception text.
+
+ISSUE 19 moved the candidate rule into :class:`DecisionPoint` (derived on
+first read from the snapshot and the free count captured at construction),
+replaced the simulator's full-queue scan by a census of queued widths, and
+made a session count its decisions instead of keeping them.  The same oracles
+serve: ``ParentSimulator`` still yields eager candidate lists and
+``ParentBuilder`` still marks its window from them.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from typing import List, Optional, Tuple
 
@@ -23,7 +32,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.machine import Machine
+from repro.cluster.machine import DowntimeWindow, Machine
 from repro.cluster.resources import ClusterTopology, NodeGroup
 from repro.core.agent import RLBackfillAgent
 from repro.core.observation import (
@@ -36,11 +45,21 @@ from repro.core.observation import (
 )
 from repro.core.rlbackfill import RLBackfillPolicy
 from repro.prediction.predictors import UserEstimate
+from repro.faults.plan import NodeFailure
 from repro.scheduler.backfill.base import BackfillStrategy
+from repro.scheduler.backfill.conservative import ConservativeBackfill
 from repro.scheduler.backfill.easy import EasyBackfill
+from repro.scheduler.backfill.none import NoBackfill
 from repro.scheduler.events import DecisionPoint
-from repro.scheduler.simulator import Simulator
-from repro.service.replay import ReplayLogWriter, _JsonlRecords, job_to_wire, read_replay_log
+from repro.scheduler.simulator import ServedDecision, Simulator, capture_decisions
+from repro.service.replay import (
+    ReplayLogWriter,
+    _JsonlRecords,
+    job_from_wire,
+    job_to_wire,
+    read_replay_log,
+    verify_replay_log,
+)
 from repro.workloads.job import Job
 
 # -- the oracle: parent commit, verbatim ---------------------------------------
@@ -234,7 +253,9 @@ class ParentSimulator(Simulator):
                     f"(candidates: {sorted(candidate_ids)})"
                 )
             self._start(state, choice, backfilled=True)
-            self._remove(state.queue, choice.job_id)
+            # The parent's ``_remove(state.queue, id)``; the queue now changes
+            # through the state only (it keeps a census beside it).
+            state.dequeue(state.queue_index(choice.job_id))
             previous = [job for job in candidates if job.job_id != choice.job_id]
 
 
@@ -556,7 +577,7 @@ def test_the_simulations_reach_both_arms():
 
 _CONTENDED = [
     _job(1, 0.0, processors=9), _job(2, 0.0, processors=8), _job(3, 0.0, processors=2),
-    _job(4, 0.0, processors=2), _job(5, 1.0, processors=1),
+    _job(4, 0.0, processors=2), _job(5, 1.0, processors=1), _job(6, 0.0, processors=8),
 ]
 
 
@@ -574,8 +595,14 @@ class _Scripted(BackfillStrategy):
 
 @pytest.mark.parametrize("kind", sorted(_MACHINES))
 def test_a_choice_outside_the_candidates_raises_the_parents_message(kind):
-    stranger = _job(77, 0.0, processors=1)
-    for answer in (lambda decision: stranger, lambda decision: decision.reserved_job):
+    stranger = _job(77, 0.0, processors=1)  # not queued
+    answers = (
+        lambda decision: stranger,
+        lambda decision: decision.reserved_job,
+        lambda decision: decision.queue[-1],  # job 6: queued, but wider than what is free
+        lambda decision: replace(decision.queue[-1]),
+    )
+    for answer in answers:
         messages = []
         for simulator in (Simulator, ParentSimulator):
             with pytest.raises(ValueError) as raised:
@@ -609,6 +636,273 @@ def test_easy_schedules_equal_the_parent_simulators(case, order):
     assert mine.records == parent.records
     assert (mine.decision_count, mine.backfill_count) == (
         parent.decision_count, parent.backfill_count
+    )
+
+
+# -- the census, the derived candidates, the session's count (ISSUE 19) -----------------------
+
+
+class CensusCheckedSimulator(Simulator):
+    """The simulator under test, recounting its queue at every decision point."""
+
+    def _backfill_opportunity(self, state, rjob):
+        inner = super()._backfill_opportunity(state, rjob)
+        try:
+            decision = next(inner)
+            while True:
+                recount = Counter(job.requested_processors for job in state.queue)
+                assert state.queued_widths == recount
+                decision = inner.send((yield decision))
+        except StopIteration:
+            return
+
+
+class _Kept(BackfillStrategy):
+    """Answers as ``inner`` does and keeps every point, to be read after the run."""
+
+    def __init__(self, inner):
+        self.inner, self.name = inner, inner.name
+        self.points: List[DecisionPoint] = []
+        self.answers: List[Optional[int]] = []
+
+    def on_sequence_start(self):
+        self.inner.on_sequence_start()
+
+    def select_backfill(self, decision, estimator):
+        choice = self.inner.select_backfill(decision, estimator)
+        self.points.append(decision)
+        self.answers.append(None if choice is None else choice.job_id)
+        return choice
+
+
+_STRATEGIES = {
+    "easy-fcfs": lambda: EasyBackfill(order="fcfs"),
+    "easy-sjf": lambda: EasyBackfill(order="sjf"),
+    "conservative": ConservativeBackfill,
+    "rl": lambda: RLBackfillPolicy(
+        RLBackfillAgent(ObservationConfig(max_queue_size=4), seed=5), row_block=1
+    ),
+    "pass": NoBackfill,  # never reads the candidates: they are first derived after the run
+}
+
+
+def _schedule(kind: str, procs: int) -> dict:
+    if kind == "drains":
+        return {"capacity_schedule": (
+            DowntimeWindow(start=10.0, end=70.0, processors=procs // 4),
+            DowntimeWindow(start=40.0, end=150.0, processors=procs // 8),
+        )}
+    if kind == "failures":
+        return {"restart_policy": "requeue", "node_failures": (
+            NodeFailure(time=15.0, processors=procs // 2, repair_duration=40.0),
+            NodeFailure(time=90.0, processors=procs // 3, repair_duration=25.0),
+        )}
+    return {}
+
+
+def _contended_jobs(rng, procs: int, count: int) -> List[Job]:
+    jobs, now = [], 0.0
+    for job_id in range(1, count + 1):
+        now += float(rng.exponential(4.0)) * (rng.random() < 0.7)  # bursts share an instant
+        wide = rng.random() < 0.25
+        runtime = float(rng.exponential(60.0 if wide else 15.0)) + 1.0
+        width = rng.integers(procs // 3, procs // 2 + 1) if wide else rng.integers(1, procs // 5 + 1)
+        jobs.append(
+            Job(
+                job_id=job_id, submit_time=now, runtime=runtime, requested_processors=int(width),
+                requested_time=runtime * float(rng.uniform(1.0, 3.0)),
+            )
+        )
+    return jobs
+
+
+def _differential_run(procs, jobs, policy, strategy, kind) -> Tuple[_Kept, "SimulationResult"]:
+    """One trace through the simulator and through the parent's; every census,
+    point, answer and the result compared.  Returns the change's side."""
+    config = dict(policy=policy, estimator=UserEstimate(), **_schedule(kind, procs))
+    mine, parent = _Kept(_STRATEGIES[strategy]()), _Kept(_STRATEGIES[strategy]())
+    result = CensusCheckedSimulator(procs, backfill=mine, **config).run(jobs)
+    expected = ParentSimulator(procs, backfill=parent, **config).run(jobs)
+    assert result == expected
+    assert mine.answers == parent.answers
+    assert len(mine.points) == len(parent.points) == result.decision_count
+    # Every point is read here, after it was answered and the machine moved
+    # on; the parent's lists were built eagerly, before the answer.
+    for point, eager in zip(mine.points, parent.points):
+        assert point.time == eager.time and point.reserved_job is eager.reserved_job
+        for derived, scanned in ((point.queue, eager.queue), (point.candidates, eager.candidates)):
+            assert len(derived) == len(scanned) and all(a is b for a, b in zip(derived, scanned))
+        assert point.candidates is point.candidates  # derived once, then kept
+
+    # The same stream from a live session, which hands its decisions out and keeps a count.
+    served, offline = capture_decisions(
+        ParentSimulator(procs, backfill=_STRATEGIES[strategy](), **config), jobs
+    )
+    session = Simulator(procs, backfill=_STRATEGIES[strategy](), **config).open_session()
+    for job in jobs:
+        session.submit(job)
+    live = session.advance_to(jobs[len(jobs) // 2].submit_time) + session.drain()
+    assert live == served and session.decisions_served == len(served)
+    assert [(d.time, d.reserved_job_id, d.chosen_job_id) for d in served] == [
+        (point.time, point.reserved_job.job_id, answer)
+        for point, answer in zip(mine.points, mine.answers)
+    ]
+    assert session.result() == offline == result
+    return mine, result
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1), st.sampled_from([16, 32, 64]), st.integers(15, 45),
+    st.sampled_from(["FCFS", "SJF", "F1"]), st.sampled_from(sorted(_STRATEGIES)),
+    st.sampled_from(["none", "drains", "failures"]),
+)
+def test_census_and_derived_candidates_equal_the_parents_scans(seed, procs, count, policy, strategy, kind):
+    jobs = _contended_jobs(np.random.default_rng(seed), procs, count)
+    _differential_run(procs, jobs, policy, strategy, kind)
+
+
+def test_the_differential_runs_reach_every_arm():
+    """Vacuous unless candidates exist, backfills are accepted after one
+    another at one instant, and a failure requeues into the census."""
+    totals = Counter()
+    for seed, (strategy, kind) in enumerate(
+        (s, k) for s in sorted(_STRATEGIES) for k in ("none", "drains", "failures")
+    ):
+        jobs = _contended_jobs(np.random.default_rng(seed), 32, 60)
+        kept, result = _differential_run(32, jobs, "SJF" if seed % 2 else "FCFS", strategy, kind)
+        totals["decisions", strategy] += result.decision_count
+        totals["backfilled", strategy] += result.backfill_count
+        totals["requeued", kind] += result.requeue_count
+        totals["candidates"] += sum(len(point.candidates) for point in kept.points)
+        totals["same instant"] += sum(
+            a.time == b.time for a, b in zip(kept.points, kept.points[1:])
+        )
+    for strategy in _STRATEGIES:
+        assert totals["decisions", strategy] > 30
+        assert (totals["backfilled", strategy] > 10) == (strategy != "pass")
+    assert totals["requeued", "failures"] > 5 and totals["requeued", "none"] == 0
+    assert totals["candidates"] > 1000 and totals["same instant"] > 50
+
+
+def test_a_hand_built_point_derives_from_its_snapshot_or_takes_the_list_it_is_given():
+    machine = Machine(16)
+    machine.start(_job(99, 0.0, processors=12), now=0.0)  # 4 free
+    queue = [_job(1, 0.0, 6), _job(2, 1.0, 4), _job(3, 1.0, 5), _job(4, 2.0, 1)]
+    derived = DecisionPoint(
+        time=3.0, reserved_job=queue[0], reservation_time=60.0, extra_processors=0,
+        queue=queue, machine=machine, queue_sorted=True,
+    )
+    assert derived.candidate_slots(queue) == [1, 3] and derived.candidate_slots(queue[2:]) == [1]
+    machine.start(queue[1], now=3.0)  # the machine moves on: 0 free
+    assert derived.candidates == [queue[1], queue[3]] and derived.candidate_ids() == [2, 4]
+    given = DecisionPoint(
+        time=3.0, reserved_job=queue[0], reservation_time=60.0, extra_processors=0,
+        candidates=[queue[2], queue[0]], queue=queue, machine=machine,
+    )
+    assert given.candidates == [queue[2], queue[0]]  # the list as given ...
+    assert given.candidate_slots(queue) == [2]  # ... but the reserved job is never a candidate
+    assert DecisionPoint(3.0, queue[0], 60.0, 0, queue=queue).candidates == []  # no machine, none free
+
+
+# -- what a session and the verifier retain (ISSUE 19) -----------------------------------------
+
+
+def _live(session, jobs):
+    """Submit ``jobs`` as they arrive, advancing between arrival instants;
+    yields the decisions of each advance and then those of the drain."""
+    for job, following in zip(jobs, [*jobs[1:], None]):
+        session.submit(job)
+        if following is None or following.submit_time > job.submit_time:
+            yield session.advance_to(job.submit_time)
+    yield from ([decision] for decision in session.iter_drain())
+
+
+def _served_decision_blocks(snapshot) -> int:
+    """Live bytes allocated where the simulator constructs a ``ServedDecision``."""
+    import inspect
+
+    from repro.scheduler import simulator
+
+    lines, first = inspect.getsourcelines(simulator._serve)
+    start = next(i for i, line in enumerate(lines) if "yield ServedDecision(" in line)
+    call = range(first + start, first + start + 6)  # the call and its four arguments
+    filters = [tracemalloc.Filter(True, simulator.__file__, lineno=lineno) for lineno in call]
+    return sum(stat.size for stat in snapshot.filter_traces(filters).statistics("lineno"))
+
+
+def test_a_session_keeps_no_decision_it_has_handed_out():
+    jobs = _contended_jobs(np.random.default_rng(3), 64, 5500)
+    session = Simulator(64, backfill=EasyBackfill(), estimator=UserEstimate()).open_session()
+    tracemalloc.start()
+    try:
+        handed_out = [decision for served in _live(session, jobs) for decision in served]
+        held = _served_decision_blocks(tracemalloc.take_snapshot())
+        count = len(handed_out)
+        assert all(type(decision) is ServedDecision for decision in handed_out)
+        del handed_out
+        gc.collect()  # a finished generator's frame can sit in a cycle with its StopIteration
+        dropped = _served_decision_blocks(tracemalloc.take_snapshot())
+    finally:
+        tracemalloc.stop()
+    assert count >= 5000 and session.decisions_served == count
+    assert held >= 48 * count  # the filter does see them while the caller holds them
+    assert dropped == 0
+    assert len(session.result().records) == len(jobs)  # what result() needs stayed
+
+
+def _recorded_log(path, count: int) -> int:
+    """Serve ``count`` jobs from a live session into a log file at ``path``, as
+    the service does (64 processors, the ``--quick`` agent); the decisions served."""
+    strategy = RLBackfillPolicy(RLBackfillAgent(seed=0), deterministic=True, row_block=1)
+    session = Simulator(64, backfill=strategy, estimator=UserEstimate()).open_session()
+    writer = ReplayLogWriter(path, durability="none")
+    writer.header(64, "FCFS", 1000.0, 1, 10.0)
+    jobs = _contended_jobs(np.random.default_rng(11), 64, count)
+    for job in jobs:
+        writer.submit("tenant", job)
+    for served in _live(session, jobs):
+        for decision in served:
+            writer.decision(decision)
+    writer.drain({"jobs": session.jobs_submitted, "decisions_served": session.decisions_served})
+    writer.close()
+    return session.decisions_served
+
+
+def _verify_peak(path, decisions: int) -> Tuple[int, int]:
+    """``(bytes of the log's jobs, tracemalloc peak of verifying the file)``."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        jobs = [
+            job_from_wire(record["job"])
+            for record in _JsonlRecords(path, False) if record["type"] == "submit"
+        ]
+        jobs_bytes = tracemalloc.get_traced_memory()[0] - before
+        del jobs
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        check = verify_replay_log(path, RLBackfillAgent(seed=0))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert check.matched and check.decisions == decisions
+    return jobs_bytes, peak
+
+
+def test_verifying_a_log_file_costs_under_two_and_a_half_times_the_jobs_it_must_hold(tmp_path):
+    """The jobs are what a replay must hold; the parent also held the log's
+    decisions and the replay's, whole (4.6x the jobs on these logs, 5x on a
+    ``load_service.py --quick`` one).  Two log sizes, so that what a replay
+    costs whatever its length -- the policy's copy of the weights, 0.7 MB --
+    cancels and the bound is on bytes per job."""
+    small, large = tmp_path / "small.jsonl", tmp_path / "large.jsonl"
+    small_decisions, large_decisions = _recorded_log(small, 500), _recorded_log(large, 3000)
+    assert large_decisions > 4500  # vacuous unless decision records outnumber the jobs
+    small_jobs, small_peak = _verify_peak(small, small_decisions)
+    large_jobs, large_peak = _verify_peak(large, large_decisions)
+    assert large_peak - small_peak <= 2.5 * (large_jobs - small_jobs), (
+        f"{large_peak} - {small_peak} bytes to verify {large_jobs} - {small_jobs} bytes of jobs"
     )
 
 

@@ -83,6 +83,7 @@ class TestOnlineSession:
 
         session = make_simulator().open_session()
         rng = np.random.default_rng(chunk_seed)
+        served = []
         submitted = 0
         horizon = 0.0
         while submitted < len(jobs):
@@ -92,11 +93,12 @@ class TestOnlineSession:
             while submitted < len(jobs) and jobs[submitted].submit_time <= horizon:
                 session.submit(jobs[submitted])
                 submitted += 1
-            session.advance_to(horizon)
-        session.drain()
+            served += session.advance_to(horizon)
+        served += session.drain()
         online_result = session.result()
 
-        assert session.decisions == list(offline_decisions)
+        assert served == list(offline_decisions)
+        assert session.decisions_served == len(served)
         assert online_result.bsld == offline_result.bsld
         assert online_result.backfill_count == offline_result.backfill_count
         assert online_result.records == offline_result.records
@@ -112,11 +114,12 @@ class TestOnlineSession:
 
         offline_decisions, offline_result = capture_decisions(rl_sim(), jobs)
         session = rl_sim().open_session()
+        served = []
         for job in jobs:
             session.submit(job)
-            session.advance_to(job.submit_time)
-        session.drain()
-        assert session.decisions == list(offline_decisions)
+            served += session.advance_to(job.submit_time)
+        served += session.drain()
+        assert served == list(offline_decisions)
         assert session.result().bsld == offline_result.bsld
 
     def test_capacity_schedule_respected_online(self):
@@ -130,9 +133,8 @@ class TestOnlineSession:
         session = make_simulator(capacity_schedule=windows).open_session()
         for job in jobs:
             session.submit(job)
-        session.advance_to(jobs[-1].submit_time)
-        session.drain()
-        assert session.decisions == list(offline_decisions)
+        served = session.advance_to(jobs[-1].submit_time) + session.drain()
+        assert served == list(offline_decisions)
         assert session.result().records == offline_result.records
 
     def test_submissions_must_be_in_the_open_future(self):
