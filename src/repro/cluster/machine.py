@@ -221,6 +221,12 @@ class Machine:
     def num_running(self) -> int:
         return len(self._running)
 
+    @property
+    def version(self) -> int:
+        """Running-set version: moves by one at every start, every release (one
+        for a whole :meth:`release_completed` batch) and every :meth:`reset`."""
+        return self._version
+
     def is_running(self, job_id: int) -> bool:
         return job_id in self._running
 
@@ -677,10 +683,10 @@ class Machine:
         return victims
 
     # -- reservations -------------------------------------------------------
-    def _estimated_releases(
+    def estimated_releases(
         self, estimator: Callable[[Job], float]
     ) -> List[Tuple[float, int]]:
-        """``(estimated_end_time, processors)`` for every running job.
+        """``(estimated_end_time, processors)`` for every running job (read only).
 
         Memoized per (estimator, running-set version): consecutive backfilling
         decisions at the same instant re-plan the same running set many times,
@@ -745,7 +751,7 @@ class Machine:
         else:
             releases = sorted(
                 (max(end_time, now), processors)
-                for end_time, processors in self._estimated_releases(estimator)
+                for end_time, processors in self.estimated_releases(estimator)
             )
         for end_time, processors in releases:
             free += processors
@@ -764,7 +770,7 @@ class Machine:
         raw_free = self.pool.free
         releases = sorted(
             (max(end_time, now), processors)
-            for end_time, processors in self._estimated_releases(estimator)
+            for end_time, processors in self.estimated_releases(estimator)
         )
         events = {t for t, _ in releases}
         for window in self.capacity_schedule:

@@ -6,20 +6,51 @@ free-processor profile, and a candidate may only start now if, after
 re-planning the whole queue with the candidate running, no higher-priority
 job's reservation moves later.
 
-The plan is re-derived at every decision point from the availability profile
-(running jobs under the active estimator plus the waiting queue in base-policy
-priority order), which keeps the strategy stateless between decision points.
+**The definition** is the trial replan: the *baseline plan* reserves the queue
+greedily, in base-policy priority order, on the availability profile (running
+jobs under the active estimator, scheduled drains); a candidate's *trial*
+claims the candidate now and replans the others, and the candidate is refused
+at the first job whose start moves more than ``1e-6`` past its baseline.
 Decision points are *not* rare -- one contended quick-scale cell spent 41 s
 replanning -- so a decision does the least work that yields the same floats.
-With q waiting jobs, c candidates tried and b breakpoints (up to running + 2q):
+With q planned jobs, c candidates and b breakpoints (up to running + 2q):
 
-* before (kept as the oracle in ``tests/test_conservative_fast_path.py``): 1 + c
-  profile builds from ``machine.running_jobs`` and 1 + c whole replans, every
-  reservation scanning from each breakpoint -- O(c q b^2);
-* now: one build cloned per trial (``copy()``), a one-sweep ``earliest_start``
-  (O(b)), trials that stop at the first job pushed past its baseline start,
-  and each job's duration, request and eligible groups worked out once per
-  decision -- O(c q b) at worst, and most rejected trials end at job one or two.
+* the textbook form (kept as the oracle in
+  ``tests/test_conservative_fast_path.py``): 1 + c profile builds and 1 + c
+  whole replans, every reservation scanning from each breakpoint -- O(c q b^2);
+* PR 14: one build cloned per trial, a one-sweep ``earliest_start`` (O(b)),
+  trials that stop at the first delayed job -- O(c q b);
+* now: at most one baseline plan per instant, O(q b), and **a trial only where
+  the plan cannot answer** (proofs in docs/simulator.md).  With ``t`` the
+  decision time and ``s_c`` the candidate's start in the baseline plan:
+  **(A)** ``s_c == t`` and the claim clips nothing -- the trial would repeat
+  the baseline reservation for reservation, so the candidate is accepted
+  untried (on node groups the planned group must also be the one the
+  allocator places it in); **(R)** ``s_c > t`` on the scalar profile -- some
+  job planned before the candidate must move to a later instant of the
+  profile, so it is refused untried; **(C)** the next call at the same
+  instant, after (A)'s candidate was started, takes over the plan minus that
+  candidate instead of planning again.
+
+The rules read instants off the profile as if they were exact, so they apply
+only to a *spaced* plan: every two distinct instants of the planned profile,
+and the candidate's end against its neighbours, more than ``2e-6`` apart (one
+pass per plan).  Everything else -- a clipped claim under a capacity schedule,
+a candidate beyond ``reservation_depth``, an unspaced profile -- runs the
+trial.  A stateful estimator is asked exactly as before (running jobs by true
+end time, the queue in plan order, the candidate sort, each tried candidate)
+and nothing of it is kept.
+
+**What is kept between calls**, for a ``stateless`` estimator only: each job's
+duration, request and eligible groups, until the next sequence or another
+machine or estimator; and, after an (A) acceptance with the whole snapshot
+planned, that decision's base profile, plan and planned profile with the
+candidate moved from the queue to the running jobs.  The next call uses them
+only if it comes with the same machine, estimator and capacity schedule at the
+same instant, the machine's running-set version moved by exactly one, the
+candidate running where it was planned, and the queue it would plan being the
+kept one; it is dropped by any other call, by ``on_sequence_start``, and by
+copying or pickling the strategy.
 
 Production schedulers bound the replan the way this class optionally does:
 ``reservation_depth`` plans reservations for only the first N waiting jobs
@@ -31,16 +62,34 @@ backfill candidates are *tried* per decision.  Both default to ``None``
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
+import math
+from dataclasses import dataclass
+from itertools import islice
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.cluster.resources import ResourceVector
 from repro.prediction.predictors import RuntimeEstimator
 from repro.scheduler.backfill.base import BackfillStrategy
-from repro.scheduler.backfill.profile import GroupReservationProfile, ResourceProfile
+from repro.scheduler.backfill.profile import (
+    GroupReservationProfile,
+    ResourceProfile,
+    clear_of,
+    spaced,
+)
 from repro.scheduler.events import DecisionPoint, arrival_key
 from repro.workloads.job import Job
 
 __all__ = ["ConservativeBackfill"]
+
+#: A trial start this far past its baseline is a delay.
+_DELAY = 1e-6
+#: Instants further apart than this are told apart by the delay test and never
+#: merged by the profile (which merges within 1e-9).
+_SPACING = 2e-6
+
+Profile = Union[ResourceProfile, GroupReservationProfile]
+#: Where the plan put a job: its start and, on node groups, the group.
+Placed = Tuple[float, Optional[str]]
 
 
 class _Need(NamedTuple):
@@ -51,16 +100,44 @@ class _Need(NamedTuple):
     groups: Optional[List[str]]  # eligible node groups; ``None`` on a scalar machine
 
 
-# The two profiles differ only in how a reservation is addressed: each returns where
-# a need lands earliest and the ``reserve`` arguments that commit it there.
-def _place_scalar(profile: ResourceProfile, need: _Need) -> Tuple[float, tuple]:
-    start = profile.earliest_start(need.amount, need.duration)
-    return start, (start, need.duration, need.amount)
+# The two profiles differ only in how a reservation is addressed: each reserves a
+# need where it lands earliest, unless that is past ``latest``, and says where.
+def _place_scalar(profile: ResourceProfile, need: _Need, latest: float) -> Placed:
+    return profile.reserve_earliest(need.amount, need.duration, latest), None
 
 
-def _place_grouped(profile: GroupReservationProfile, need: _Need) -> Tuple[float, tuple]:
-    start, group = profile.earliest_start(need.amount, need.duration, need.groups)
-    return start, (group, start, need.duration, need.amount)
+def _place_grouped(profile: GroupReservationProfile, need: _Need, latest: float) -> Placed:
+    return profile.reserve_earliest(need.amount, need.duration, need.groups, latest)
+
+
+def _address(group: Optional[str]) -> tuple:
+    """The leading arguments that address ``reserve`` / ``drain`` on either profile."""
+    return () if group is None else (group,)
+
+
+@dataclass(slots=True)
+class _Plan:
+    """One decision's planning inputs and the baseline plan made from them."""
+
+    base: Profile  # running jobs and drains, nothing planned
+    queue: List[Job]  # the planned jobs, in plan order
+    needs: Dict[int, _Need]  # at least every planned job's
+    placed: Dict[int, Placed]  # the baseline plan
+    planned: Profile  # ``base`` with every planned job reserved
+    instants: Optional[Sequence[float]]  # ``planned``'s, ``None`` unless spaced
+
+
+class _Kept(NamedTuple):
+    """An (A) acceptance, and what the next call must find to take over its plan."""
+
+    machine: object
+    version: int
+    schedule: tuple
+    time: float
+    estimator: RuntimeEstimator
+    candidate: Job
+    group: Optional[str]
+    plan: _Plan  # the candidate already moved from the queue to the running jobs
 
 
 class ConservativeBackfill(BackfillStrategy):
@@ -83,18 +160,48 @@ class ConservativeBackfill(BackfillStrategy):
         self.order = order
         self.reservation_depth = reservation_depth
         self.max_candidates = max_candidates
+        self.on_sequence_start()
 
-    # -- helpers -----------------------------------------------------------
+    def on_sequence_start(self) -> None:
+        self._kept: Optional[_Kept] = None
+        # job_id -> (job, need) under ``_needs_of``'s machine and estimator.
+        self._needs_memo: Dict[int, Tuple[Job, _Need]] = {}
+        self._needs_of: Optional[Tuple[object, RuntimeEstimator]] = None
+
+    def __getstate__(self) -> dict:
+        # The options only: what is kept between calls refers to one live machine.
+        return {
+            "order": self.order,
+            "reservation_depth": self.reservation_depth,
+            "max_candidates": self.max_candidates,
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.on_sequence_start()
+
+    # -- planning inputs ---------------------------------------------------
     @staticmethod
     def _base_profile(decision: DecisionPoint, estimator: RuntimeEstimator) -> ResourceProfile:
         machine = decision.machine
         if machine is None:
             raise ValueError("conservative backfilling requires machine state on the decision point")
-        running = [
-            (r.estimated_end_time(estimator), r.allocation.processors)
-            for r in machine.running_jobs
-        ]
-        profile = ResourceProfile.from_running_jobs(machine.num_processors, decision.time, running)
+        profile = None
+        if getattr(estimator, "stateless", False):
+            profile = ResourceProfile.from_releases(
+                machine.num_processors, decision.time, machine.estimated_releases(estimator)
+            )
+        if profile is None:
+            # One reservation per running job, by true end time: the order a
+            # stateful estimator is asked in, and the order that decides which
+            # of two ends within eps of each other stays a breakpoint.
+            running = [
+                (r.estimated_end_time(estimator), r.allocation.processors)
+                for r in machine.running_jobs
+            ]
+            profile = ResourceProfile.from_running_jobs(
+                machine.num_processors, decision.time, running
+            )
         # Scheduled capacity drains shape availability exactly like running
         # jobs do, except they may overlap processors already committed to
         # running jobs (graceful drain), hence the clipped subtraction.
@@ -109,11 +216,17 @@ class ConservativeBackfill(BackfillStrategy):
         """Per-group vector profiles: running grants reserved where they live."""
         machine = decision.machine
         now = decision.time
-        profile = GroupReservationProfile(machine.topology, origin=now)
-        for record in machine.running_jobs:
-            grant = machine.group_allocation(record.job.job_id)
-            end = max(record.estimated_end_time(estimator), now + 1.0)
-            profile.reserve(grant.group, now, end - now, grant.vector)
+        # By true end time: the order the estimator is asked in.
+        held = [
+            (grant.group, record.estimated_end_time(estimator), grant.vector)
+            for record in machine.running_jobs
+            for grant in (machine.group_allocation(record.job.job_id),)
+        ]
+        profile = GroupReservationProfile.from_releases(machine.topology, now, held)
+        if profile is None:
+            profile = GroupReservationProfile(machine.topology, origin=now)
+            for group, end, vector in held:
+                profile.reserve(group, now, max(end, now + 1.0) - now, vector)
         for start, end, group, vector in machine.hetero_capacity_drains(now):
             profile.drain(group, start, end - start, vector)
         return profile
@@ -126,83 +239,179 @@ class ConservativeBackfill(BackfillStrategy):
         request, eligible = hetero_machine.job_need(job)
         return _Need(duration, request, [group.name for group in eligible])
 
-    @staticmethod
-    def _plan(
-        profile,
-        place: Callable,
-        queue: List[Job],
-        needs: Dict[int, _Need],
-        baseline: Optional[Dict[int, float]] = None,
-    ) -> Optional[Dict[int, float]]:
-        """Greedily reserve every queued job in order; return job_id -> start time.
-
-        With a ``baseline`` plan this is a trial: it stops with ``None`` at the
-        first job that would start later than the baseline promised it.
-        """
-        plan: Dict[int, float] = {}
-        for job in queue:
-            start, claim = place(profile, needs[job.job_id])
-            if baseline is not None and start > baseline[job.job_id] + 1e-6:
-                return None
-            profile.reserve(*claim)
-            plan[job.job_id] = start
-        return plan
+    def _need_once(self, job: Job, estimator: RuntimeEstimator, hetero_machine) -> _Need:
+        """:meth:`_need`, worked out once per job for a stateless estimator."""
+        if not getattr(estimator, "stateless", False):
+            return self._need(job, estimator, hetero_machine)
+        entry = self._needs_memo.get(job.job_id)
+        if entry is None or entry[0] is not job:
+            entry = self._needs_memo[job.job_id] = (job, self._need(job, estimator, hetero_machine))
+        return entry[1]
 
     def _queue_in_order(self, decision: DecisionPoint) -> List[Job]:
         # The reserved job is planned first (it is the base policy's pick);
         # the remaining queue keeps submission order, which is the ordering
         # conservative backfilling traditionally promises not to delay.
-        rest = [j for j in decision.queue if j.job_id != decision.reserved_job.job_id]
+        # Reservations (and thus the no-delay guarantee) cover only the first
+        # ``reservation_depth`` waiting jobs, like Slurm's bf_max_job_test.
+        reserved = decision.reserved_job
+        rest = (j for j in decision.queue if j.job_id != reserved.job_id)
+        depth = self.reservation_depth
         if not decision.queue_sorted:
-            rest.sort(key=arrival_key)
-        return [decision.reserved_job] + rest
+            rest = sorted(rest, key=arrival_key)
+        return [reserved, *(rest if depth is None else islice(rest, depth - 1))]
+
+    def _candidates(self, decision: DecisionPoint, estimator: RuntimeEstimator) -> List[Job]:
+        if self.order == "sjf":
+            candidates = sorted(
+                decision.candidates, key=lambda j: (estimator(j), j.submit_time, j.job_id)
+            )
+        elif decision.queue_sorted:
+            return decision.first_candidates(self.max_candidates)
+        else:
+            candidates = sorted(decision.candidates, key=arrival_key)
+        return candidates[: self.max_candidates]
+
+    def _from_scratch(
+        self, decision: DecisionPoint, estimator: RuntimeEstimator, queue: List[Job], hetero: bool
+    ) -> _Plan:
+        # The estimator is first asked about the running jobs, then the queue in
+        # plan order, then the candidates: a noisy estimator draws in that order.
+        base = (self._hetero_base_profile if hetero else self._base_profile)(decision, estimator)
+        place = _place_grouped if hetero else _place_scalar
+        hetero_machine = decision.machine if hetero else None
+        needs = {job.job_id: self._need_once(job, estimator, hetero_machine) for job in queue}
+        planned = base.copy()
+        placed = {job.job_id: place(planned, needs[job.job_id], math.inf) for job in queue}
+        instants = planned.instants()
+        return _Plan(
+            base, queue, needs, placed, planned, instants if spaced(instants, _SPACING) else None
+        )
+
+    # -- (C): the accepted plan is the next decision's baseline -------------
+    def _keep(
+        self,
+        plan: _Plan,
+        decision: DecisionPoint,
+        estimator: RuntimeEstimator,
+        candidate: Job,
+        group: Optional[str],
+    ) -> Optional[_Kept]:
+        """What the next call may take over once ``candidate`` was accepted by (A)."""
+        machine, now = decision.machine, decision.time
+        if not getattr(estimator, "stateless", False) or len(plan.queue) != len(decision.queue):
+            return None  # a job beyond the depth would enter the plan
+        need = plan.needs[candidate.job_id]
+        # The running candidate is reserved as ``from_running_jobs`` will reserve it,
+        # and must end on the very float its planned reservation ends on.
+        held = max(now + max(float(estimator(candidate)), 0.0), now + 1.0) - now
+        if now + held != now + need.duration:
+            return None
+        plan.base.reserve(*_address(group), now, held, need.amount)
+        plan.queue = [job for job in plan.queue if job is not candidate]
+        del plan.placed[candidate.job_id]
+        return _Kept(
+            machine, machine.version, machine.capacity_schedule, now, estimator,
+            candidate, group, plan,
+        )
+
+    @staticmethod
+    def _carried(
+        kept: _Kept, decision: DecisionPoint, estimator: RuntimeEstimator, queue: List[Job]
+    ) -> Optional[_Plan]:
+        """``kept``'s plan if this call's from-scratch inputs are the kept ones."""
+        machine, started = decision.machine, kept.candidate.job_id
+        if (
+            machine is kept.machine
+            and machine.version == kept.version + 1
+            and machine.capacity_schedule is kept.schedule
+            and decision.time == kept.time
+            and estimator is kept.estimator
+            and machine.is_running(started)
+            and (kept.group is None or machine.group_allocation(started).group == kept.group)
+            and queue == kept.plan.queue
+        ):
+            return kept.plan
+        return None
+
+    # -- one candidate -------------------------------------------------------
+    @staticmethod
+    def _untried(
+        plan: _Plan, now: float, need: _Need, placed: Optional[Placed], group: Optional[str],
+        graceful: bool,
+    ) -> Optional[bool]:
+        """The trial's verdict read off the baseline plan, ``None`` where it cannot be."""
+        if placed is None or plan.instants is None:
+            return None
+        end = now + need.duration
+        if not clear_of(plan.instants, end, _SPACING):
+            return None
+        if placed == (now, group):
+            # (A).  Planned at ``now``, the candidate has its whole request free in
+            # ``base`` until ``end``, so the claim clips nothing even when it drains.
+            return True
+        if group is not None:
+            return None  # a displaced job may find the same start in another group
+        if graceful and plan.base.min_free_between(now, end) < need.amount:
+            return None  # a clipped claim takes less than the plan refused it for
+        return False  # (R)
+
+    @staticmethod
+    def _trial(
+        plan: _Plan, now: float, candidate: Job, need: _Need, group: Optional[str], graceful: bool
+    ) -> bool:
+        """Whether the queue replanned beside ``candidate`` started now delays no job."""
+        # Under a capacity schedule the candidate may gracefully straddle a drain
+        # window it starts before (the drain never preempts), so its reservation
+        # uses the clipped drain-subtraction; the planner's own reservations
+        # still go through the raising ``reserve``.
+        trial = plan.base.copy()
+        claim = trial.drain if graceful else trial.reserve
+        claim(*_address(group), now, need.duration, need.amount)
+        place = _place_scalar if group is None else _place_grouped
+        needs, placed, skip = plan.needs, plan.placed, candidate.job_id
+        for job in plan.queue:
+            job_id = job.job_id
+            if job_id != skip:
+                latest = placed[job_id][0] + _DELAY
+                if place(trial, needs[job_id], latest)[0] > latest:
+                    return False
+        return True
 
     # -- strategy ----------------------------------------------------------
     def select_backfill(
         self, decision: DecisionPoint, estimator: RuntimeEstimator
     ) -> Optional[Job]:
-        queue = self._queue_in_order(decision)
-        if self.reservation_depth is not None:
-            # Reservations (and thus the no-delay guarantee) cover only the
-            # first N waiting jobs, like Slurm's bf_max_job_test.
-            queue = queue[: self.reservation_depth]
-        machine = decision.machine
+        machine, now = decision.machine, decision.time
         hetero = machine is not None and getattr(machine, "topology", None) is not None
         hetero_machine = machine if hetero else None
-        # The estimator is first asked about the running jobs, then the queue in
-        # plan order, then the candidates: a noisy estimator draws in that order.
-        base = (self._hetero_base_profile if hetero else self._base_profile)(decision, estimator)
-        place = _place_grouped if hetero else _place_scalar
-        needs = {job.job_id: self._need(job, estimator, hetero_machine) for job in queue}
-        baseline_plan = self._plan(base.copy(), place, queue, needs)
-
-        candidates = decision.candidates
-        if self.order == "sjf":
-            candidates = sorted(candidates, key=lambda j: (estimator(j), j.submit_time, j.job_id))
-        elif not decision.queue_sorted:
-            candidates = sorted(candidates, key=arrival_key)
-        if self.max_candidates is not None:
-            candidates = candidates[: self.max_candidates]
+        memo_of = self._needs_of
+        if memo_of is None or memo_of[0] is not machine or memo_of[1] is not estimator:
+            self._needs_memo, self._needs_of = {}, (machine, estimator)
+        kept, self._kept = self._kept, None
+        queue = self._queue_in_order(decision)
+        plan = None if kept is None else self._carried(kept, decision, estimator, queue)
+        if plan is None:
+            plan = self._from_scratch(decision, estimator, queue, hetero)
 
         graceful = bool(getattr(machine, "capacity_schedule", ()))
-        for candidate in candidates:
-            where: tuple = ()
+        for candidate in self._candidates(decision, estimator):
+            group = None
             if hetero:
                 # The trial debits the group the allocator would actually pick
                 # right now, keeping the what-if consistent with placement.
                 group = machine.placement_group(candidate)
                 if group is None:
                     continue
-                where = (group,)
-            need = needs.get(candidate.job_id) or self._need(candidate, estimator, hetero_machine)
-            # Pretend the candidate starts right now.  Under a capacity schedule it
-            # may gracefully straddle a drain window it starts before (the drain
-            # never preempts), so its reservation uses the clipped drain-subtraction;
-            # the planner's own reservations still go through the raising ``reserve``.
-            trial = base.copy()
-            claim = trial.drain if graceful else trial.reserve
-            claim(*where, decision.time, need.duration, need.amount)
-            remaining = [j for j in queue if j.job_id != candidate.job_id]
-            if self._plan(trial, place, remaining, needs, baseline_plan) is not None:
+            need = plan.needs.get(candidate.job_id) or self._need_once(
+                candidate, estimator, hetero_machine
+            )
+            placed = plan.placed.get(candidate.job_id)
+            verdict = self._untried(plan, now, need, placed, group, graceful)
+            if verdict:
+                self._kept = self._keep(plan, decision, estimator, candidate, group)
+            elif verdict is None:
+                verdict = self._trial(plan, now, candidate, need, group, graceful)
+            if verdict:
                 return candidate
         return None

@@ -12,14 +12,26 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from itertools import accumulate, islice
+from operator import attrgetter, itemgetter, sub
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cluster.resources import ClusterTopology, ResourceVector, _RESOURCE_NAMES
 from repro.obs import get_metrics
 
-__all__ = ["NoFeasibleStart", "ResourceProfile", "VectorProfile", "GroupReservationProfile"]
+__all__ = [
+    "NoFeasibleStart",
+    "ResourceProfile",
+    "VectorProfile",
+    "GroupReservationProfile",
+    "spaced",
+    "clear_of",
+]
 
 _EPS = 1e-9
+#: Two distinct ends closer than this may be merged by ``reserve`` (it merges within
+#: ``eps``; the rest is room for the rounding of its comparisons).
+_MERGE_BAND = 4 * _EPS
 
 # Counts profiles built from machine state (one per component per decision
 # under conservative backfilling); a ``copy()`` for a trial is not a build.
@@ -68,6 +80,21 @@ def _earliest_fit(parts: Sequence[Tuple[List[float], List[int], int]], start: fl
     return start
 
 
+def spaced(instants: Sequence[float], gap: float) -> bool:
+    """Whether every two consecutive ``instants`` (ascending) lie more than ``gap`` apart."""
+    return min(map(sub, islice(instants, 1, None), instants), default=math.inf) > gap
+
+
+def clear_of(instants: Sequence[float], instant: float, gap: float) -> bool:
+    """Whether ``instant`` is one of the ascending ``instants`` or more than ``gap`` from each."""
+    k = bisect_left(instants, instant)
+    if k < len(instants) and instants[k] == instant:
+        return True
+    return (k == 0 or instant - instants[k - 1] > gap) and (
+        k == len(instants) or instants[k] - instant > gap
+    )
+
+
 class ResourceProfile:
     """Piecewise-constant free-processor profile on ``[origin, +inf)``."""
 
@@ -98,6 +125,10 @@ class ResourceProfile:
         """Return the (time, free) breakpoints (mainly for tests/plots)."""
         return list(zip(self._times, self._free))
 
+    def instants(self) -> Sequence[float]:
+        """The breakpoint times, ascending (the profile's own list: read only)."""
+        return self._times
+
     def min_free_between(self, start: float, end: float) -> int:
         """Minimum free processors over the half-open interval ``[start, end)``."""
         if end <= start:
@@ -119,10 +150,15 @@ class ResourceProfile:
         a breakpoint is still missing (``None`` where one exists within ``eps``),
         ready for :meth:`_cut`; raises if a step has fewer than ``needed`` free.
         """
-        times, free = self._times, self._free
+        times = self._times
         lo, end = max(start, self.origin), max(start + duration, self.origin)
         first = bisect_right(times, lo + _EPS) - 1
         last = bisect_right(times, end + _EPS) - 1
+        return self._span(first, last, lo, end, needed)
+
+    def _span(self, first: int, last: int, lo: float, end: float, needed: int) -> Tuple:
+        """:meth:`_window` once the steps holding ``lo`` and ``end`` are known."""
+        times, free = self._times, self._free
         cut_lo = abs(times[first] - lo) > _EPS
         # ``end`` snaps to the last breakpoint before it, the one cut at ``lo`` included.
         cut_end = abs((lo if cut_lo and last == first else times[last]) - end) > _EPS
@@ -184,20 +220,70 @@ class ResourceProfile:
         clone._times, clone._free = self._times[:], self._free[:]
         return clone
 
-    def earliest_start(self, processors: int, duration: float, earliest: float | None = None) -> float:
-        """Earliest time >= ``earliest`` at which ``processors`` stay free for ``duration``."""
+    def _sweep(self, processors: int, start: float, duration: float) -> Tuple[float, int, int]:
+        """:func:`_earliest_fit` over this one step function, keeping what it found.
+
+        Returns ``(start, first, stop)``: the step holding the start and the
+        first step at or past ``start + duration - eps`` (every step between has
+        ``processors`` free); ``start`` is ``inf`` when nothing ever fits.
+        """
+        times, free = self._times, self._free
+        size, floor = len(times), start + _EPS
+        first = bisect_right(times, floor) - 1
+        while True:
+            horizon, idx = start + duration - _EPS, first
+            while free[idx] >= processors:
+                idx += 1
+                if idx == size or times[idx] >= horizon:
+                    return start, first, idx
+            while free[idx] < processors:
+                idx += 1
+                if idx == size:
+                    return math.inf, first, idx
+            bound = times[idx]
+            while times[idx - 1] > floor and bound <= times[idx - 1] + _EPS:
+                idx -= 1
+            start = times[idx]
+            first = bisect_right(times, start + _EPS) - 1
+
+    def _earliest(self, processors: int, duration: float, first: float) -> Tuple[float, int, int]:
+        """:meth:`_sweep` from ``first`` for a request the machine can hold; raises if none fits."""
         if processors > self.total:
             raise ValueError(
                 f"request for {processors} processors exceeds the machine size {self.total}"
             )
+        found = self._sweep(processors, first, duration)
+        if math.isinf(found[0]):
+            raise NoFeasibleStart(
+                f"no feasible start found for {processors} processors x {duration}s "
+                "(profile never frees enough capacity)"
+            )
+        return found
+
+    def earliest_start(self, processors: int, duration: float, earliest: float | None = None) -> float:
+        """Earliest time >= ``earliest`` at which ``processors`` stay free for ``duration``."""
         first = max(earliest if earliest is not None else self.origin, self.origin)
-        start = _earliest_fit([(self._times, self._free, processors)], first, duration)
-        if not math.isinf(start):
+        return self._earliest(processors, duration, first)[0]
+
+    def reserve_earliest(self, processors: int, duration: float, latest: float = math.inf) -> float:
+        """:meth:`earliest_start` from the origin, reserved there unless it is past ``latest``.
+
+        The same floats and the same steps as ``reserve(earliest_start(...), ...)``;
+        the reservation starts from the steps the sweep stopped at instead of
+        looking them up again.
+        """
+        start, first, stop = self._earliest(processors, duration, self.origin)
+        if start > latest:
             return start
-        raise NoFeasibleStart(
-            f"no feasible start found for {processors} processors x {duration}s "
-            "(profile never frees enough capacity)"
-        )
+        if processors <= 0:
+            raise ValueError("processors must be positive")
+        if duration > 0:
+            times, end = self._times, start + duration
+            last, size = stop - 1, len(times)
+            while last + 1 < size and times[last + 1] <= end + _EPS:
+                last += 1
+            self._debit(self._span(first, last, start, end, processors), processors)
+        return start
 
     @classmethod
     def from_running_jobs(
@@ -215,6 +301,41 @@ class ResourceProfile:
             # rather than pretending they are already free.
             end = max(end_time, now + 1.0)
             profile.reserve(now, end - now, processors)
+        return profile
+
+    @classmethod
+    def from_releases(
+        cls, total_processors: int, now: float, releases: Iterable[Tuple[float, int]]
+    ) -> Optional["ResourceProfile"]:
+        """:meth:`from_running_jobs` written down directly, when the order cannot matter.
+
+        Sorts the clamped ends and releases cumulatively -- one pass instead of
+        one ``reserve`` per job.  ``reserve`` merges an end into a breakpoint
+        within ``eps`` of it, so where two *distinct* ends lie that close the
+        one reserved first is the float that stays: the answer is then
+        ``None`` and the caller reserves one by one in the order it means.
+        """
+        floor = now + 1.0
+        # ``reserve`` places an end at ``start + duration``: the same arithmetic here.
+        pairs = sorted(
+            [(now + (max(end_time, floor) - now), processors) for end_time, processors in releases]
+        )
+        held = sum(map(itemgetter(1), pairs))
+        if held > total_processors:
+            return None  # over-subscribed: the reserve that finds it raises
+        times: List[float] = []
+        gains: List[int] = []
+        for end, processors in pairs:
+            if times and end - times[-1] <= _MERGE_BAND:
+                if end != times[-1]:
+                    return None
+                gains[-1] += processors
+            elif end < math.inf:  # held forever: never released, so no step
+                times.append(end)
+                gains.append(processors)
+        profile = cls(total_processors, origin=now)
+        profile._times += times
+        profile._free = list(accumulate(gains, initial=total_processors - held))
         return profile
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -241,6 +362,26 @@ class VectorProfile:
             for name in _RESOURCE_NAMES
             if capacity.component(name) > 0
         }
+
+    @classmethod
+    def from_releases(
+        cls, capacity: ResourceVector, now: float, releases: Sequence[Tuple[float, ResourceVector]]
+    ) -> Optional["VectorProfile"]:
+        """A profile with each ``(estimated_end, vector)`` reserved from ``now`` until its
+        end, a component at a time through :meth:`ResourceProfile.from_releases`;
+        ``None`` where a component's is."""
+        profile = cls.__new__(cls)
+        profile.capacity, profile.origin, profile._profiles = capacity, float(now), {}
+        for name in _RESOURCE_NAMES:
+            total, amount = capacity.component(name), attrgetter(name)
+            if total > 0:
+                component = ResourceProfile.from_releases(
+                    total, now, [(end, share) for end, v in releases if (share := amount(v)) > 0]
+                )
+                if component is None:
+                    return None
+                profile._profiles[name] = component
+        return profile
 
     def reserve(self, start: float, duration: float, vector: ResourceVector) -> None:
         """Subtract ``vector`` over ``[start, start+duration)``; all or nothing."""
@@ -309,6 +450,29 @@ class GroupReservationProfile:
             for group in topology.groups
         }
 
+    @classmethod
+    def from_releases(
+        cls,
+        topology: ClusterTopology,
+        now: float,
+        releases: Iterable[Tuple[str, float, ResourceVector]],
+    ) -> Optional["GroupReservationProfile"]:
+        """A profile with each ``(group, estimated_end, vector)`` grant reserved from
+        ``now`` until ``max(end, now + 1)``, written down directly; ``None`` where
+        the order of the reservations decides a float (see
+        :meth:`ResourceProfile.from_releases`) or a group is over-subscribed."""
+        held: Dict[str, list] = {group.name: [] for group in topology.groups}
+        for name, end, vector in releases:
+            held[name].append((end, vector))
+        profile = cls.__new__(cls)
+        profile.topology, profile.origin, profile._groups = topology, float(now), {}
+        for group in topology.groups:
+            built = VectorProfile.from_releases(group.capacity, now, held[group.name])
+            if built is None:
+                return None
+            profile._groups[group.name] = built
+        return profile
+
     def group(self, name: str) -> VectorProfile:
         return self._groups[name]
 
@@ -317,6 +481,12 @@ class GroupReservationProfile:
 
     def drain(self, group: str, start: float, duration: float, vector: ResourceVector) -> None:
         self._groups[group].drain(start, duration, vector)
+
+    def instants(self) -> Sequence[float]:
+        """Every group's breakpoint times, ascending and distinct."""
+        return sorted(
+            set().union(*(p._times for g in self._groups.values() for p in g._profiles.values()))
+        )
 
     def copy(self) -> "GroupReservationProfile":
         clone = object.__new__(type(self))
@@ -346,6 +516,19 @@ class GroupReservationProfile:
                 f"in groups {tuple(groups)}"
             )
         return best
+
+    def reserve_earliest(
+        self,
+        vector: ResourceVector,
+        duration: float,
+        groups: Sequence[str],
+        latest: float = math.inf,
+    ) -> Tuple[float, str]:
+        """:meth:`earliest_start`, reserved there unless the start is past ``latest``."""
+        start, group = self.earliest_start(vector, duration, groups)
+        if start <= latest:
+            self._groups[group].reserve(start, duration, vector)
+        return start, group
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"GroupReservationProfile(groups={self.topology.names})"

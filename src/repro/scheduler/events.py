@@ -175,6 +175,24 @@ class DecisionPoint:
             self._candidates = [queue[slot] for slot in self.candidate_slots(queue)]
         return self._candidates
 
+    def first_candidates(self, limit: Optional[int]) -> List[Job]:
+        """``candidates[:limit]`` without deriving the candidates past ``limit``.
+
+        The snapshot is asked :meth:`candidate_slots` a stretch at a time; a
+        walk that reaches its end has derived the whole list, which is kept.
+        """
+        if limit is None or self._candidates is not None:
+            return self.candidates[:limit]
+        queue, found = self.queue, []
+        stretch = 4 * limit
+        for lo in range(0, len(queue), stretch):
+            part = queue[lo : lo + stretch]
+            found += [part[slot] for slot in self.candidate_slots(part)]
+            if len(found) >= limit:
+                return found[:limit]
+        self._candidates = found
+        return found
+
     def candidate_ids(self) -> Sequence[int]:
         return [job.job_id for job in self.candidates]
 

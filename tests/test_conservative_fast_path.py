@@ -6,11 +6,20 @@ delayed job).  The classes below are the parent commit's ``profile.py`` and
 ``conservative.py`` verbatim (``Oracle`` prefixed, build counter dropped); no
 quadratic code is left in ``src/``.  Every comparison is ``==`` on floats and
 jobs: the fast path may not change one bit of any schedule.
+
+Since ISSUE 23 the strategy also answers from the baseline plan where the plan
+decides (rules (A), (R), (C) of ``conservative.py``).  The oracle knows none of
+that, so the same paired runs check it; ``_Instrumented`` below counts which rule
+answered and, in its checking mode, also runs every trial a rule skipped and
+plans from scratch beside every plan taken over.
 """
 
 from __future__ import annotations
 
+import collections
+import copy
 import math
+import pickle
 from bisect import bisect_right
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -19,7 +28,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.allocator import job_request
-from repro.cluster.machine import DowntimeWindow
+from repro.cluster.machine import DowntimeWindow, Machine
 from repro.cluster.resources import ClusterTopology, NodeGroup, ResourceVector, _RESOURCE_NAMES
 from repro.prediction.predictors import NoisyPrediction, RuntimeEstimator, UserEstimate
 from repro.scheduler.backfill import (
@@ -28,7 +37,7 @@ from repro.scheduler.backfill import (
     ResourceProfile,
 )
 from repro.scheduler.backfill.base import BackfillStrategy
-from repro.scheduler.backfill.profile import GroupReservationProfile, VectorProfile
+from repro.scheduler.backfill.profile import GroupReservationProfile, VectorProfile, clear_of
 from repro.scheduler.events import DecisionPoint
 from repro.scheduler.simulator import run_schedule
 from repro.workloads.job import Job
@@ -588,6 +597,38 @@ def test_scalar_profile_built_through_the_api_matches_oracle(origin, ops, data):
     )
 
 
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_reserve_earliest_is_earliest_start_then_reserve(data):
+    """The fused step leaves the floats and steps of the two calls it replaces, and
+    reserves nothing when the start it found is past ``latest``."""
+    total = 16
+    times, free = data.draw(_step_lists(total))
+    fused, _ = _pair_from_steps(total, times, free)
+    apart, _ = _pair_from_steps(total, times, free)
+    for _ in range(data.draw(st.integers(1, 4))):
+        processors = data.draw(st.integers(1, total))
+        duration = data.draw(_DURATIONS)
+        try:
+            start = apart.earliest_start(processors, duration)
+        except NoFeasibleStart:
+            with pytest.raises(NoFeasibleStart):
+                fused.reserve_earliest(processors, duration)
+            continue
+        latest = data.draw(st.sampled_from([math.inf, start, start - 1.0]))
+        before = apart.steps()
+        try:
+            if start <= latest:
+                apart.reserve(start, duration, processors)
+        except RuntimeError:  # breakpoints within eps of the end: both must refuse, untouched
+            with pytest.raises(RuntimeError, match="over-subscribed"):
+                fused.reserve_earliest(processors, duration, latest)
+            assert fused.steps() == before
+            continue
+        assert fused.reserve_earliest(processors, duration, latest) == start
+        assert fused.steps() == apart.steps()
+
+
 _CAPACITY = ResourceVector(cpus=16, memory=64, gpus=4)
 _VECTORS = st.builds(
     ResourceVector, cpus=st.integers(1, 16), memory=st.integers(0, 64), gpus=st.integers(0, 4)
@@ -730,7 +771,133 @@ def test_copy_is_not_counted_as_a_build():
             registry.disable()
 
 
+# -- the base profile written down directly == one reserve per running job -----
+
+#: Estimated ends around ``now``: long past, within the one-second floor, ordinary,
+#: and pairs 3e-10 / 8e-10 / 2.5e-9 / 1e-7 apart (within, at and beyond ``eps``).
+_ENDS = st.one_of(
+    st.sampled_from([-50.0, 0.0, 0.5, 1.0, 1.0 + 3e-10, 7.25, 7.25 + 8e-10, 60.0, 60.0 + 2.5e-9,
+                     300.0, 300.0 + 1e-7, math.inf]),
+    st.floats(min_value=-10.0, max_value=500.0, allow_nan=False),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(now=_ORIGINS, running=st.lists(st.tuples(_ENDS, st.integers(1, 6)), max_size=10))
+def test_from_releases_is_from_running_jobs_or_stands_back(now, running):
+    running = [(now + offset, processors) for offset, processors in running]
+    try:
+        expected = ResourceProfile.from_running_jobs(32, now, running)
+    except RuntimeError:  # over-subscribed: the direct form leaves the raising to ``reserve``
+        assert ResourceProfile.from_releases(32, now, running) is None
+        return
+    direct = ResourceProfile.from_releases(32, now, running)
+    ends = sorted({now + (max(end, now + 1.0) - now) for end, _ in running})
+    close = any(later - sooner <= 4e-9 for sooner, later in zip(ends, ends[1:]))
+    # ``None`` only where two distinct ends could merge, and always in every order otherwise.
+    assert (direct is None) <= close
+    if direct is not None:
+        assert direct.steps() == expected.steps()
+        assert ResourceProfile.from_releases(32, now, running[::-1]).steps() == expected.steps()
+        assert (direct.total, direct.origin) == (expected.total, expected.origin)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    now=_ORIGINS,
+    grants=st.lists(st.tuples(st.sampled_from(["cpu", "gpu"]), _ENDS, _VECTORS), max_size=8),
+)
+def test_group_from_releases_is_one_reserve_per_grant_or_stands_back(now, grants):
+    topology = _TOPOLOGIES["resources"]
+    grants = [
+        (group, now + offset, vector)
+        for group, offset, vector in grants
+        if vector.fits_in(topology.group(group).capacity)
+    ]
+    expected = GroupReservationProfile(topology, origin=now)
+    try:
+        for group, end, vector in grants:
+            expected.reserve(group, now, max(end, now + 1.0) - now, vector)
+    except RuntimeError:
+        assert GroupReservationProfile.from_releases(topology, now, grants) is None
+        return
+    direct = GroupReservationProfile.from_releases(topology, now, grants)
+    if direct is not None:
+        assert _steps(direct) == _steps(expected) and direct.origin == expected.origin
+        assert direct.group("gpu").capacity == expected.group("gpu").capacity
+
+
 # -- (ii) select_backfill: same job at every decision of a simulation ----------
+
+
+def _steps(profile) -> object:
+    """Every breakpoint of a scalar or a node-group profile."""
+    if isinstance(profile, ResourceProfile):
+        return profile.steps()
+    return {
+        (group, name): component.steps()
+        for group, vector in profile._groups.items()
+        for name, component in vector._profiles.items()
+    }
+
+
+class _Instrumented(ConservativeBackfill):
+    """Counts which rule answered; with ``check`` every skipped step is also run.
+
+    Counting changes nothing.  Checking runs the trial behind every verdict
+    read off the plan and plans from scratch beside every plan taken over,
+    asserting equality -- the cross-check of ISSUE 23, a test-only mode.
+    """
+
+    def __init__(self, check: bool = False, **kwargs):
+        super().__init__(**kwargs)
+        self.check = check
+        self.tally: collections.Counter = collections.Counter()
+        self.plans: collections.Counter = collections.Counter()  # (machine, instant) -> plans
+        self.trials: list = []  # (candidate is planned, its claim clips, the plan is spaced)
+
+    def select_backfill(self, decision, estimator):
+        self._point = (decision, estimator)
+        return super().select_backfill(decision, estimator)
+
+    def _from_scratch(self, decision, estimator, queue, hetero):
+        self.plans[id(decision.machine), decision.time] += 1
+        return super()._from_scratch(decision, estimator, queue, hetero)
+
+    def _untried(self, plan, now, need, placed, group, graceful):
+        self._verdict = verdict = super()._untried(plan, now, need, placed, group, graceful)
+        if verdict is not None:
+            self.tally["A" if verdict else "R"] += 1
+        return None if self.check else verdict
+
+    def _trial(self, plan, now, candidate, need, group, graceful):
+        tried = super()._trial(plan, now, candidate, need, group, graceful)
+        if self._verdict is None:
+            self.tally["trial"] += 1
+            end = now + need.duration
+            clips = graceful and (
+                group is not None or plan.base.min_free_between(now, end) < need.amount
+            )
+            spaced = plan.instants is not None and clear_of(plan.instants, end, 2e-6)
+            self.trials.append((candidate.job_id in plan.placed, clips, spaced))
+        else:
+            assert tried == self._verdict, (now, candidate.job_id, self._verdict, tried)
+            if tried:
+                self._kept = self._keep(plan, *self._point, candidate, group)
+        return tried
+
+    def _carried(self, kept, decision, estimator, queue):
+        plan = super()._carried(kept, decision, estimator, queue)
+        self.tally["C" if plan is not None else "dropped"] += 1
+        if plan is not None and self.check:
+            hetero = getattr(decision.machine, "topology", None) is not None
+            fresh = super()._from_scratch(decision, estimator, queue, hetero)
+            assert _steps(plan.base) == _steps(fresh.base)
+            assert _steps(plan.planned) == _steps(fresh.planned)
+            assert (plan.queue, plan.placed) == (fresh.queue, fresh.placed)
+            assert all(plan.needs[job.job_id] == fresh.needs[job.job_id] for job in queue)
+            assert (plan.instants is None) == (fresh.instants is None)
+        return plan
 
 
 class _Paired(BackfillStrategy):
@@ -738,11 +905,14 @@ class _Paired(BackfillStrategy):
 
     name = "paired"
 
-    def __init__(self, **kwargs):
-        self.fast = ConservativeBackfill(**kwargs)
+    def __init__(self, check: bool = False, **kwargs):
+        self.fast = _Instrumented(check=check, **kwargs)
         self.oracle = OracleConservativeBackfill(**kwargs)
         self.decisions = 0
         self.accepted = 0
+
+    def on_sequence_start(self):
+        self.fast.on_sequence_start()
 
     def select_backfill(self, decision, estimator):
         expected = self.oracle.select_backfill(decision, estimator)
@@ -757,9 +927,13 @@ class _Paired(BackfillStrategy):
             machine=decision.machine,
             spare_vectors=decision.spare_vectors,
         )
-        chosen = self.fast.select_backfill(decision, estimator)
-        assert chosen is expected
+        # The first answer may leave a plan behind; the second call comes on a
+        # machine that has not moved, must not take it over, and leaves its own,
+        # which the next decision at this instant may.
         assert self.fast.select_backfill(shuffled, estimator) is expected
+        before = self.fast.tally["C"]
+        chosen = self.fast.select_backfill(decision, estimator)
+        assert chosen is expected and self.fast.tally["C"] == before
         self.decisions += 1
         self.accepted += chosen is not None
         return chosen
@@ -782,10 +956,15 @@ def _workloads(draw, topology_name):
     """A contended job sequence for the 32-cpu machine of ``topology_name``."""
     topology = _TOPOLOGIES[topology_name]
     count = draw(st.integers(8, 28))
+    # Whole seconds, or fractions with instants 1e-7 and 1e-9 apart: the second kind
+    # leaves unspaced profiles, where the rules must stand back for the trial.
+    fractional = draw(st.booleans())
+    gaps = [0.0, 0.0, 1.0, 5.0, 40.0] + [0.25, 1e-7, 1e-9, 2.5 + 1e-7] * fractional
+    runtimes = [1.0, 7.0, 30.0, 90.0, 400.0] + [7.0 + 1e-7, 30.0 + 1e-9, 12.625, 0.4] * fractional
     jobs, clock = [], 0.0
     for job_id in range(1, count + 1):
-        clock += draw(st.sampled_from([0.0, 0.0, 1.0, 5.0, 40.0]))
-        runtime = draw(st.sampled_from([1.0, 7.0, 30.0, 90.0, 400.0]))
+        clock += draw(st.sampled_from(gaps))
+        runtime = draw(st.sampled_from(runtimes))
         extra = {}
         widest = 32
         if topology_name == "partitions":
@@ -820,7 +999,8 @@ def _workloads(draw, topology_name):
             DowntimeWindow(
                 start=start,
                 end=start + draw(st.sampled_from([30.0, 200.0, 5000.0])),
-                processors=draw(st.integers(1, 8)),
+                # Up to 8 leaves room beside the running jobs; more clips a candidate's claim.
+                processors=draw(st.sampled_from([1, 3, 8, 14, 24])),
                 group=group,
             )
         ]
@@ -830,7 +1010,7 @@ def _workloads(draw, topology_name):
 _KNOBS = st.fixed_dictionaries(
     {
         "order": st.sampled_from(["fcfs", "sjf"]),
-        "reservation_depth": st.sampled_from([None, 1, 3]),
+        "reservation_depth": st.sampled_from([None, 1, 3, 6]),
         "max_candidates": st.sampled_from([None, 1, 2]),
     }
 )
@@ -838,10 +1018,10 @@ _KNOBS = st.fixed_dictionaries(
 
 @pytest.mark.parametrize("topology_name", sorted(_TOPOLOGIES))
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), knobs=_KNOBS)
-def test_select_backfill_matches_full_replan_oracle(topology_name, data, knobs):
+@given(data=st.data(), knobs=_KNOBS, check=st.booleans())
+def test_select_backfill_matches_full_replan_oracle(topology_name, data, knobs, check):
     jobs, topology, windows = data.draw(_workloads(topology_name))
-    paired = _Paired(**knobs)
+    paired = _Paired(check=check, **knobs)
     result = run_schedule(
         jobs,
         32,
@@ -851,21 +1031,242 @@ def test_select_backfill_matches_full_replan_oracle(topology_name, data, knobs):
         topology=topology,
     )
     assert len(result.records) == len(jobs)
+    if topology is not None:
+        assert paired.fast.tally["R"] == 0  # a displaced job may land in another group
 
 
-def test_paired_run_exercises_accepts_rejects_and_graceful_drains():
-    """The property above is not vacuous: a fixed contended run backfills and refuses."""
-    jobs = [
+def _contended_jobs() -> List[Job]:
+    return [
         Job(job_id=i, submit_time=float(i // 3), runtime=(20.0, 150.0, 7.0)[i % 3],
             requested_processors=(6, 20, 3, 12)[i % 4], requested_time=(40.0, 150.0, 30.0)[i % 3])
         for i in range(1, 41)
     ]
-    paired = _Paired()
+
+
+def _paired_contended_run(check: bool) -> _Paired:
+    paired = _Paired(check=check)
     run_schedule(
-        jobs, 32, backfill=paired, estimator=UserEstimate(),
+        _contended_jobs(), 32, backfill=paired, estimator=UserEstimate(),
         capacity_schedule=[DowntimeWindow(start=30.0, end=400.0, processors=8)],
     )
     assert paired.accepted > 0 and paired.decisions > paired.accepted
+    tally = paired.fast.tally
+    assert all(tally[rule] > 0 for rule in ("A", "R", "C", "trial", "dropped")), tally
+    return paired
+
+
+def test_paired_run_exercises_accepts_rejects_and_graceful_drains():
+    """The property above is not vacuous: a fixed contended run backfills and refuses,
+    and every way of answering -- (A), (R), (C) and the trial -- answers some decision."""
+    paired = _paired_contended_run(check=False)
+    # Whole seconds, the whole queue planned: a trial is run only for a claim that clips.
+    assert all(planned and clips and spaced for planned, clips, spaced in paired.fast.trials)
+
+
+def test_paired_run_cross_checked():
+    """The same run with every skipped trial run and every plan taken over re-planned."""
+    _paired_contended_run(check=True)
+
+
+def test_one_baseline_plan_per_instant():
+    """Alone (no second call per decision), a spaced scalar run plans once per instant."""
+    fast = _Instrumented()
+    result = run_schedule(
+        _contended_jobs(), 32, backfill=fast, estimator=UserEstimate(),
+        capacity_schedule=[DowntimeWindow(start=30.0, end=400.0, processors=8)],
+    )
+    assert fast.tally["C"] > 0 and set(fast.plans.values()) == {1}
+    assert sum(fast.plans.values()) + fast.tally["C"] == result.decision_count
+    assert all(planned and clips for planned, clips, _ in fast.trials)
+
+
+@pytest.mark.parametrize("case", ["planned-instants", "candidate-end"])
+def test_instants_closer_than_the_delay_tolerance_are_left_to_the_trial(case):
+    """The candidate's baseline start is later than now, yet its trial moves the reserved
+    job by 1e-7 only, which the 1e-6 tolerance forgives: (R) must not answer here."""
+    machine = Machine(16)
+
+    def job(job_id, width, length):
+        return Job(job_id=job_id, submit_time=0.0, runtime=length, requested_processors=width,
+                   requested_time=length)
+
+    if case == "planned-instants":
+        # Two running jobs end 1e-7 apart; the candidate's own end is far from both.
+        machine.start(job(8, 4, 100.0), now=0.0)
+        machine.start(job(9, 4, 100.0 + 1e-7), now=0.0)
+        queue = [job(1, 12, 50.0), job(2, 4, 200.0)]
+    else:
+        # The profile is spaced; the candidate ends 1e-7 after the reserved job's start.
+        machine.start(job(9, 8, 100.0), now=0.0)
+        queue = [job(1, 16, 50.0), job(2, 8, 100.0 + 1e-7)]
+    decision = DecisionPoint(
+        time=0.0, reserved_job=queue[0], reservation_time=100.0, extra_processors=0,
+        queue=queue, machine=machine, queue_sorted=True,
+    )
+    fast = _Instrumented()
+    assert OracleConservativeBackfill().select_backfill(decision, UserEstimate()) is queue[1]
+    assert fast.select_backfill(decision, UserEstimate()) is queue[1]
+    assert fast.tally["trial"] == 1 and fast.tally["R"] == 0
+    assert fast._kept is None  # accepted by its trial: nothing to take over
+
+
+# -- what is kept between calls, and everything that drops it -------------------
+
+
+def _same_instant_points():
+    """Two decision points of one instant: job 2 is accepted by (A), then job 3."""
+    machine = Machine(16)
+    machine.start(Job(job_id=9, submit_time=0.0, runtime=90.0, requested_processors=8,
+                      requested_time=100.0), now=0.0)
+    queue = [
+        Job(job_id=i, submit_time=0.0, runtime=runtime, requested_processors=width,
+            requested_time=runtime)
+        for i, (width, runtime) in enumerate([(12, 50.0), (4, 20.0), (4, 30.0), (2, 500.0)], start=1)
+    ]
+
+    def point(jobs):
+        return DecisionPoint(
+            time=0.0, reserved_job=queue[0], reservation_time=100.0, extra_processors=4,
+            queue=jobs, machine=machine, queue_sorted=True,
+        )
+
+    return machine, queue, point
+
+
+def test_an_accepted_plan_is_taken_over_by_the_next_call_at_the_instant():
+    machine, queue, point = _same_instant_points()
+    estimator = UserEstimate()
+    fast = _Instrumented(check=True)
+    assert fast.select_backfill(point(queue), estimator) is queue[1]
+    machine.start(queue[1], now=0.0)
+    rest = [queue[0], *queue[2:]]
+    assert fast.select_backfill(point(rest), estimator) is queue[2]
+    assert fast.tally["C"] == 1 and sum(fast.plans.values()) == 1
+
+
+@pytest.mark.parametrize(
+    "disturb",
+    [
+        lambda fast, machine: fast.on_sequence_start(),
+        lambda fast, machine: machine.release(9),  # the version moved twice
+        lambda fast, machine: machine.add_capacity_window(DowntimeWindow(40.0, 80.0, 2)),
+    ],
+    ids=["sequence-start", "second-version-move", "new-window"],
+)
+def test_a_kept_plan_is_dropped(disturb):
+    machine, queue, point = _same_instant_points()
+    estimator = UserEstimate()
+    fast = _Instrumented()
+    assert fast.select_backfill(point(queue), estimator) is queue[1]
+    machine.start(queue[1], now=0.0)
+    disturb(fast, machine)
+    rest = [queue[0], *queue[2:]]
+    expected = OracleConservativeBackfill().select_backfill(point(rest), estimator)
+    assert fast.select_backfill(point(rest), estimator) is expected
+    assert fast.tally["C"] == 0 and sum(fast.plans.values()) == 2
+    if machine.num_running == 1:  # job 9 gone: the reserved job fits now and job 3 would delay it
+        assert expected is None
+
+
+def test_a_kept_plan_is_dropped_by_anything_but_the_next_call_it_was_kept_for():
+    machine, queue, point = _same_instant_points()
+    estimator = UserEstimate()
+    rest = [queue[0], *queue[2:]]
+    # The same decision point again: the machine has not moved.
+    fast = _Instrumented()
+    assert fast.select_backfill(point(queue), estimator) is queue[1]
+    assert fast.select_backfill(point(queue), estimator) is queue[1]
+    assert fast.tally["C"] == 0
+    # Another estimator, another queue, another instant, a candidate that did not start.
+    for change in ("estimator", "queue", "instant", "not started"):
+        machine, queue, point = _same_instant_points()
+        rest = [queue[0], *queue[2:]]
+        fast = _Instrumented()
+        assert fast.select_backfill(point(queue), estimator) is queue[1]
+        if change == "not started":
+            machine.start(queue[3], now=0.0)
+            rest = queue[:3]
+        else:
+            machine.start(queue[1], now=0.0)
+        following = point(rest[:-1] if change == "queue" else rest)
+        if change == "instant":
+            following.time = 1.0
+            machine.advance_to(1.0)
+        asked = UserEstimate() if change == "estimator" else estimator
+        expected = OracleConservativeBackfill().select_backfill(following, asked)
+        assert fast.select_backfill(following, asked) is expected
+        assert fast.tally["C"] == 0, change
+
+
+def test_a_kept_plan_needs_its_candidate_running():
+    """One version move, the same queue -- but another job was started, not the candidate."""
+    machine = Machine(16)
+    machine.start(Job(job_id=9, submit_time=0.0, runtime=90.0, requested_processors=8,
+                      requested_time=100.0), now=0.0)
+    queue = [
+        Job(job_id=i, submit_time=0.0, runtime=length, requested_processors=width,
+            requested_time=length)
+        for i, (width, length) in enumerate([(14, 50.0), (4, 20.0), (4, 450.0)], start=1)
+    ]
+
+    def point(jobs):
+        return DecisionPoint(
+            time=0.0, reserved_job=queue[0], reservation_time=100.0, extra_processors=2,
+            queue=jobs, machine=machine, queue_sorted=True,
+        )
+
+    estimator = UserEstimate()
+    fast = _Instrumented()
+    assert fast.select_backfill(point(queue), estimator) is queue[1]
+    # Job 2 is withdrawn; a stranger takes its processors for much longer.
+    machine.start(Job(job_id=7, submit_time=0.0, runtime=500.0, requested_processors=4,
+                      requested_time=500.0), now=0.0)
+    following = point([queue[0], queue[2]])
+    expected = OracleConservativeBackfill().select_backfill(following, estimator)
+    assert expected is queue[2]  # the reserved job now waits for the stranger: job 3 delays nobody
+    assert fast.select_backfill(following, estimator) is expected and fast.tally["C"] == 0
+
+
+def test_copies_and_pickles_of_a_strategy_keep_its_options_only():
+    machine, queue, point = _same_instant_points()
+    fast = ConservativeBackfill(order="sjf", reservation_depth=8, max_candidates=4)
+    assert fast.select_backfill(point(queue), UserEstimate()) is queue[1]
+    assert fast._kept is not None and fast._needs_memo
+    for twin in (copy.deepcopy(fast), copy.copy(fast), pickle.loads(pickle.dumps(fast))):
+        assert (twin.order, twin.reservation_depth, twin.max_candidates) == ("sjf", 8, 4)
+        assert twin._kept is None and not twin._needs_memo and twin._needs_of is None
+    assert fast._kept is not None  # the original is untouched
+    assert len(pickle.dumps(fast)) < 250  # no machine, profile or job in the bytes
+
+
+def test_a_plan_taken_over_on_fractional_times_is_the_fresh_plan():
+    """(C) reserves the started candidate with ``from_running_jobs``' arithmetic,
+    ``max(t + est, t + 1) - t``, which on fractions is not always the planned duration."""
+    estimator = UserEstimate()
+    carried = 0
+    for now, runtime in [(0.1, 0.7), (0.3, 7.7), (1e-3, 12.625), (7.1, 0.4), (123.456, 30.0 + 1e-9)]:
+        machine = Machine(16)
+        machine.advance_to(now)
+        machine.start(Job(job_id=9, submit_time=0.0, runtime=90.0, requested_processors=8,
+                          requested_time=100.0), now=now)
+        queue = [
+            Job(job_id=i, submit_time=0.0, runtime=length, requested_processors=width,
+                requested_time=length)
+            for i, (width, length) in enumerate([(12, 50.0), (4, runtime), (4, 30.25)], start=1)
+        ]
+
+        def point(jobs):
+            return DecisionPoint(
+                time=now, reserved_job=queue[0], reservation_time=100.0, extra_processors=4,
+                queue=jobs, machine=machine, queue_sorted=True,
+            )
+
+        fast = _Instrumented(check=True)  # compares what is taken over with a fresh plan
+        assert fast.select_backfill(point(queue), estimator) is queue[1]
+        machine.start(queue[1], now=now)
+        assert fast.select_backfill(point([queue[0], queue[2]]), estimator) is queue[2]
+        carried += fast.tally["C"]
+    assert carried > 0
 
 
 # -- (iii) a lazy noisy estimator is asked about jobs in the same order --------
@@ -885,6 +1286,8 @@ def test_noisy_estimator_cache_fills_in_the_same_order(topology_name, data, knob
         )
         orders.append(list(estimator._cache.items()))
         schedules.append([(r.job.job_id, r.start_time, r.backfilled) for r in result.records])
+        if isinstance(strategy, ConservativeBackfill):  # nothing of a stateful estimator is kept
+            assert strategy._kept is None and not strategy._needs_memo
     assert orders[0] == orders[1]
     assert schedules[0] == schedules[1]
 
@@ -925,7 +1328,9 @@ def test_first_ask_order_on_a_fresh_estimator(order):
     asked = []
     for strategy in (ConservativeBackfill, OracleConservativeBackfill):
         estimator = _FirstAsks()
-        chosen = strategy(order=order, reservation_depth=2).select_backfill(decision_point(), estimator)
+        backfill = strategy(order=order, reservation_depth=2)
+        chosen = backfill.select_backfill(decision_point(), estimator)
         asked.append((estimator.order, chosen.job_id if chosen else None))
+        assert not getattr(backfill, "_needs_memo", None) and getattr(backfill, "_kept", None) is None
     assert asked[0] == asked[1]
     assert asked[0][0][:4] == [8, 9, 1, 2]  # running by true end time, then the planned queue

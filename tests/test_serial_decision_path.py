@@ -802,6 +802,23 @@ def test_a_hand_built_point_derives_from_its_snapshot_or_takes_the_list_it_is_gi
     )
     assert given.candidates == [queue[2], queue[0]]  # the list as given ...
     assert given.candidate_slots(queue) == [2]  # ... but the reserved job is never a candidate
+    assert given.first_candidates(1) == [queue[2]] and given.first_candidates(None) == given.candidates
+    # ``first_candidates`` stops at its limit: the snapshot's tail is not walked (and so not
+    # kept as the list) until a limit reaches past the last candidate.
+    long_queue = queue + [_job(10 + i, 3.0, 1 + i % 7) for i in range(40)]
+    fitting = [job for job in long_queue[1:] if job.requested_processors <= 4]
+    for limit in (1, 2, 5, len(fitting), len(fitting) + 3, None):
+        lazy = DecisionPoint(
+            time=3.0, reserved_job=queue[0], reservation_time=60.0, extra_processors=0,
+            queue=long_queue, machine=Machine(4), queue_sorted=True,
+        )
+        taken = lazy.first_candidates(limit)
+        assert len(taken) == len(fitting[:limit]) and all(a is b for a, b in zip(taken, fitting))
+        if limit is None or limit > len(fitting):
+            assert lazy._candidates is not None
+        elif limit <= 5:
+            assert lazy._candidates is None
+        assert lazy.candidates == fitting
     assert DecisionPoint(3.0, queue[0], 60.0, 0, queue=queue).candidates == []  # no machine, none free
 
 

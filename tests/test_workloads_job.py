@@ -1,5 +1,7 @@
 """Tests for the Job and Trace models."""
 
+import dataclasses
+
 import pytest
 
 from repro.workloads.job import Job, Trace, validate_sequence
@@ -55,6 +57,17 @@ class TestJob:
     def test_with_requested_time(self):
         job = make_job(requested_time=200)
         assert job.with_requested_time(500).requested_time == 500
+
+    def test_copies_carry_every_field_and_are_validated(self):
+        # One distinct value per declared field: a field the copies forgot would show.
+        values = {f.name: 3 + index for index, f in enumerate(dataclasses.fields(Job))}
+        job = Job(**values)
+        assert job.shifted(1.5) == dataclasses.replace(job, submit_time=job.submit_time + 1.5)
+        assert job.with_requested_time(9.25) == dataclasses.replace(job, requested_time=9.25)
+        with pytest.raises(ValueError):
+            job.shifted(-100.0)
+        with pytest.raises(ValueError):
+            job.with_requested_time(0.0)
 
     def test_immutability(self):
         job = make_job()
