@@ -104,9 +104,9 @@ def test_observation_encoding_speed(benchmark):
     gen = simulator.decision_points(jobs)
     decision = next(gen)
 
-    observation, mask, _ = benchmark(builder.build, decision)
-    assert observation.shape == (config.observation_size,)
-    assert mask.shape == (config.num_actions,)
+    slots, rows, slot_jobs = benchmark(builder.build, decision)
+    assert slots and rows.shape == (len(slots), config.job_features)
+    assert len(slot_jobs) == config.num_actions
 
 
 def test_ppo_update_speed(benchmark):

@@ -7,8 +7,8 @@ every scheduling event, i.e. where training time actually goes):
 
 * ``serial-reference`` -- the pre-engine rollout formulation this PR
   replaced: one observation encoded per decision with the per-job Python
-  loop (the scalar ``_job_features`` path, retained in the code base as the
-  reference encoder) and one single-observation forward pass per decision
+  loop (the scalar ``_reference_job_features`` below, the seed's encoder) and
+  one single-observation forward pass per decision
   with ``rng.choice`` sampling.  It still runs on today's simulator (with
   its fast path), so the measured speedup is attributable to the rollout
   engine alone and is, if anything, understated.
@@ -33,7 +33,14 @@ import numpy as np
 import pytest
 
 from repro.core import BackfillEnvironment, RLBackfillAgent, Trainer, TrainerConfig
-from repro.core.observation import ObservationConfig
+from repro.core.observation import (
+    _MAX_HORIZON,
+    _MAX_RUNTIME,
+    _MAX_WAIT,
+    JOB_FEATURES,
+    ObservationConfig,
+    _log_norm,
+)
 from repro.rl.autograd import Tensor, no_grad
 from repro.rl.buffer import TrajectoryBuffer
 from repro.scheduler.simulator import Simulator
@@ -116,20 +123,37 @@ def measure_engine(trainer: Trainer, trajectories: int, repeats: int = 2) -> flo
 
 
 # -- the pre-engine serial rollout, reproduced faithfully ---------------------
+def _reference_job_features(job, decision, *, is_reserved, can_run):
+    """The seed's scalar feature row of one job (the cpu-only layout)."""
+    machine = decision.machine
+    total = machine.num_processors if machine is not None else max(job.requested_processors, 1)
+    features = np.zeros(JOB_FEATURES, dtype=np.float64)
+    features[0] = _log_norm(decision.time - job.submit_time, _MAX_WAIT)
+    features[1] = _log_norm(job.requested_time, _MAX_RUNTIME)
+    features[2] = min(job.requested_processors / total, 1.0)
+    features[3] = 1.0 if can_run else 0.0
+    features[4] = 1.0 if is_reserved else 0.0
+    features[6] = decision.free_fraction
+    features[7] = _log_norm(decision.reservation_time - decision.time, _MAX_HORIZON)
+    features[8] = min(decision.extra_processors / total, 1.0) if total else 0.0
+    features[9] = 1.0  # slot occupied
+    return features
+
+
 def _reference_build(builder, decision):
-    """The seed's observation encoder: one Python ``_job_features`` call per job."""
+    """The seed's observation encoder: one Python feature-row call per job."""
     cfg = builder.config
     candidate_ids = {job.job_id for job in decision.candidates}
     queue = sorted(decision.queue, key=lambda j: (j.submit_time, j.job_id))
     queue = queue[: cfg.max_queue_size]
-    observation = np.zeros((cfg.num_slots, cfg.job_features), dtype=np.float64)
-    mask = np.zeros(cfg.num_slots, dtype=np.float64)
-    slot_jobs = [None] * cfg.num_slots
+    observation = np.zeros((cfg.max_queue_size, cfg.job_features), dtype=np.float64)
+    mask = np.zeros(cfg.max_queue_size, dtype=np.float64)
+    slot_jobs = [None] * cfg.max_queue_size
     for slot, job in enumerate(queue):
         is_reserved = job.job_id == decision.reserved_job.job_id
         can_run = job.job_id in candidate_ids
-        observation[slot] = builder._job_features(
-            job, decision, is_reserved=is_reserved, is_skip=False, can_run=can_run
+        observation[slot] = _reference_job_features(
+            job, decision, is_reserved=is_reserved, can_run=can_run
         )
         slot_jobs[slot] = job
         if can_run and not is_reserved:

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
+import numpy as np
+
 from repro.core.observation import ObservationConfig
 from repro.rl.autograd import Tensor
 from repro.rl.nn import MLP
@@ -53,21 +55,26 @@ class RLBackfillAgent(ActorCritic):
     def policy_logits(self, observations: Tensor) -> Tensor:
         """Score every slot, masked or not, with the shared kernel network.
 
-        ``observations`` has shape ``(batch, num_slots * job_features)``; the
-        kernel sees one job vector at a time, so the batch and slot dimensions
-        are folded together for the forward pass and unfolded afterwards.
-        Rollouts and the PPO update go through
-        :meth:`~repro.rl.ppo.ActorCritic.masked_log_probs` instead, which
-        scores the unmasked slots only.
+        ``observations`` has shape ``(batch, max_queue_size * job_features)``;
+        the kernel sees one job vector at a time, so the batch and slot
+        dimensions are folded together for the forward pass and unfolded
+        afterwards.  Rollouts, deployed decisions and the PPO update score the
+        unmasked slots only (:class:`~repro.rl.ppo.ActorCritic`).
         """
         cfg = self.observation_config
         batch = observations.shape[0]
-        per_job = observations.reshape(batch * cfg.num_slots, cfg.job_features)
-        return self.slot_scores(per_job).reshape(batch, cfg.num_slots)
+        per_job = observations.reshape(batch * cfg.max_queue_size, cfg.job_features)
+        return self.slot_scores(per_job).reshape(batch, cfg.max_queue_size)
 
     def value(self, observations: Tensor) -> Tensor:
         batch = observations.shape[0]
         return self.value_net(observations).reshape(batch)
+
+    def infer_slot_scores(self, slots: np.ndarray) -> np.ndarray:
+        return self.kernel.infer(slots)
+
+    def infer_values(self, observations: np.ndarray) -> np.ndarray:
+        return self.value_net.infer(observations).reshape(observations.shape[0])
 
     def policy_parameters(self) -> List[Tensor]:
         return self.kernel.parameters()
@@ -92,6 +99,6 @@ class RLBackfillAgent(ActorCritic):
     def __repr__(self) -> str:
         cfg = self.observation_config
         return (
-            f"RLBackfillAgent(slots={cfg.num_slots}, features={cfg.job_features}, "
+            f"RLBackfillAgent(slots={cfg.max_queue_size}, features={cfg.job_features}, "
             f"parameters={self.num_parameters()})"
         )

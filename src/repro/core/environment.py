@@ -2,7 +2,7 @@
 
 Each episode schedules one job sequence sampled from a trace with the chosen
 base scheduling policy; the agent is consulted at every backfilling
-opportunity and picks which waiting job to start (or skips).  Rewards follow
+opportunity and picks which waiting candidate to start.  Rewards follow
 the paper:
 
 * every intermediate step returns 0 (the bounded-slowdown metric is only
@@ -264,10 +264,9 @@ class BackfillEnvironment(Environment):
         :meth:`pending_encode`).
         """
         assert self._generator is not None
-        skip_actions = 1.0 if self.observation_config.skip_slot is not None else 0.0
         while True:
             queue, mask, slots = self.builder.prepare(self._decision)
-            if mask.sum() - skip_actions > 0.0:
+            if mask.any():
                 self._encode_queue = queue
                 self._slot_jobs = slots
                 self._mask = mask
@@ -388,15 +387,14 @@ class BackfillEnvironment(Environment):
         chosen = self.builder.action_to_job(action, self._slot_jobs)
 
         reward = 0.0
-        if chosen is not None:
-            runtime_for_check = (
-                chosen.runtime
-                if self.reward_config.violation_uses_actual_runtime
-                else float(self.estimator(chosen))
-            )
-            if self._decision.would_delay(chosen, runtime_for_check):
-                reward += self.reward_config.delay_penalty
-                self.episode_violations += 1
+        runtime_for_check = (
+            chosen.runtime
+            if self.reward_config.violation_uses_actual_runtime
+            else float(self.estimator(chosen))
+        )
+        if self._decision.would_delay(chosen, runtime_for_check):
+            reward += self.reward_config.delay_penalty
+            self.episode_violations += 1
 
         self.episode_steps += 1
         try:

@@ -8,16 +8,19 @@ Resource availability is appended to every job vector rather than being a
 separate padded scalar, exactly as the paper describes, so the kernel network
 sees machine state alongside every job.
 
-Two deviations are made explicit here (see also DESIGN.md):
+One deviation is made explicit here: the reserved job occupies a normal slot
+but is flagged and masked so the agent can never pick it, per the paper.  The
+action space is the backfill candidates of the window and nothing else; the
+agent always starts one of them.
 
-* The reserved job occupies a normal slot but is flagged and masked so the
-  agent can never pick it, per the paper.
-* One extra slot encodes the **skip** action ("do not backfill anything at
-  this opportunity").  The paper leaves implicit what the agent does when
-  every candidate would delay the reservation; an explicit no-op keeps the
-  action space well defined and lets the trained policy fall back to
-  EASY-like passivity.  The skip slot reuses the reserved job's features with
-  its own flag so the same kernel network scores it.
+A job's feature row is computed by one function,
+:meth:`ObservationBuilder.feature_rows`, with two row selections:
+:meth:`ObservationBuilder.encode_batch` encodes every slot of the window (the
+rollouts and the PPO update need the whole observation),
+:meth:`ObservationBuilder.build` only the candidate slots (a deployed decision
+scores those and nothing else).  Every feature is an elementwise operation
+over the rows, so a row's floats depend on its job and its decision alone,
+and the two selections agree bit for bit.
 """
 
 from __future__ import annotations
@@ -36,9 +39,12 @@ from repro.workloads.job import Job
 
 __all__ = ["ObservationConfig", "ObservationBuilder", "JOB_FEATURES"]
 
-#: Number of features per job slot (see :meth:`ObservationBuilder._job_features`)
-#: in the homogeneous single-resource layout; each additional resource tracked
-#: by :attr:`ObservationConfig.num_resources` appends two features per slot.
+#: Number of features per job slot in the homogeneous single-resource layout:
+#: wait, requested time, width (fraction of the machine), can run, is
+#: reserved, 0 (a retired flag, kept so the layout and trained weights stay),
+#: free fraction, reservation horizon, extra processors (fraction), occupied.
+#: Each additional resource tracked by :attr:`ObservationConfig.num_resources`
+#: appends two features per slot.
 JOB_FEATURES = 10
 
 #: Resources beyond cpus, in the order their feature pairs are appended.
@@ -47,10 +53,9 @@ _EXTRA_RESOURCES = ("memory", "gpus")
 #: Queue order, and the columns of :meth:`ObservationBuilder.static_rows`.
 _static_columns = attrgetter("submit_time", "requested_time", "requested_processors", "job_id")
 
-#: Normalization caps (seconds) for the logarithmic time features.  The
-#: vectorized encoder in :meth:`ObservationBuilder.build` folds the wait and
-#: runtime features into one ``log1p`` call, which requires the first two
-#: caps to stay equal.
+#: Normalization caps (seconds) for the logarithmic time features.
+#: :meth:`ObservationBuilder.feature_rows` folds the wait and runtime features
+#: into one ``log1p`` call, which requires the first two caps to stay equal.
 _MAX_WAIT = 8.0 * 86400.0        # 8 days
 _MAX_RUNTIME = 8.0 * 86400.0     # 8 days
 _MAX_HORIZON = 8.0 * 86400.0
@@ -72,17 +77,25 @@ def _log_norm_array(values: np.ndarray, cap: float) -> np.ndarray:
     return np.log1p(np.clip(values, 0.0, cap)) / math.log1p(cap)
 
 
+def _decision_columns(decision: DecisionPoint) -> Tuple[float, float, float, float, float]:
+    """What every row of one decision shares: ``(time, free fraction,
+    reservation horizon feature, extra processors, machine processors or 0)``."""
+    machine = decision.machine
+    return (
+        decision.time,
+        decision.free_fraction,
+        _log_norm(decision.reservation_time - decision.time, _MAX_HORIZON),
+        float(decision.extra_processors),
+        float(machine.num_processors) if machine is not None else 0.0,
+    )
+
+
 @dataclass(frozen=True, slots=True)
 class ObservationConfig:
     """Shape of the observation and action space."""
 
     max_queue_size: int = 128         # MAX_OBSV_SIZE in the paper
     job_features: int = JOB_FEATURES
-    #: Add an explicit "do not backfill anything" action.  The paper's action
-    #: space contains only the backfill candidates (the agent always starts
-    #: one of them), which is the default here; the skip action is kept as an
-    #: ablation switch.
-    include_skip_action: bool = False
     #: Resources visible per job slot: 1 = cpus only (the paper's layout,
     #: byte-identical to the pre-heterogeneity encoder), 2 adds memory, 3 adds
     #: GPUs.  Each extra resource appends ``(free_fraction_r, request_r)`` to
@@ -108,55 +121,76 @@ class ObservationConfig:
             )
 
     @property
-    def num_slots(self) -> int:
-        """Job slots plus the optional skip slot."""
-        return self.max_queue_size + (1 if self.include_skip_action else 0)
-
-    @property
-    def skip_slot(self) -> int | None:
-        """Index of the skip (no-backfill) action, or ``None`` when disabled."""
-        return self.max_queue_size if self.include_skip_action else None
-
-    @property
     def observation_size(self) -> int:
-        return self.num_slots * self.job_features
+        return self.max_queue_size * self.job_features
 
     @property
     def num_actions(self) -> int:
-        return self.num_slots
+        """One action per window slot."""
+        return self.max_queue_size
 
 
 class ObservationBuilder:
-    """Builds flat observation vectors and action masks from decision points."""
+    """Builds feature rows and action masks from decision points."""
 
     def __init__(self, config: ObservationConfig | None = None):
         self.config = config or ObservationConfig()
 
     # -- encoding ------------------------------------------------------------
-    def _job_features(
-        self,
-        job: Job,
-        decision: DecisionPoint,
-        *,
-        is_reserved: bool,
-        is_skip: bool,
-        can_run: bool,
-    ) -> np.ndarray:
-        machine = decision.machine
-        total = machine.num_processors if machine is not None else max(job.requested_processors, 1)
-        features = np.zeros(self.config.job_features, dtype=np.float64)
-        features[0] = _log_norm(decision.time - job.submit_time, _MAX_WAIT)
-        features[1] = _log_norm(job.requested_time, _MAX_RUNTIME)
-        features[2] = min(job.requested_processors / total, 1.0)
-        features[3] = 1.0 if can_run else 0.0
-        features[4] = 1.0 if is_reserved else 0.0
-        features[5] = 1.0 if is_skip else 0.0
-        features[6] = decision.free_fraction
-        features[7] = _log_norm(decision.reservation_time - decision.time, _MAX_HORIZON)
-        features[8] = min(decision.extra_processors / total, 1.0) if total else 0.0
-        features[9] = 1.0  # slot occupied
-        if self.config.num_resources > 1:
-            self._extra_resource_features(features, job, decision)
+    def feature_rows(self, items: Sequence[tuple]) -> np.ndarray:
+        """The feature rows of the jobs of many decisions, stacked: ``(jobs, job_features)``.
+
+        Each item is ``(decision, jobs, static_rows, can_run)``: ``jobs`` the
+        jobs to encode, ``static_rows`` their :meth:`static_rows` and
+        ``can_run`` their can-run feature (an array over ``jobs``, or one
+        number for all of them).  Every feature is one numpy operation over
+        all the rows, each elementwise, so a row's floats depend on its job
+        and its decision only -- not on which other rows share the call.
+        With one item, what its rows share is read as scalars and broadcast;
+        with many, it is repeated per row.  Both give every row the same
+        floats.
+        """
+        cfg = self.config
+        if len(items) == 1:
+            decision, _, static, can_run = items[0]
+            reserved = decision.reserved_job.job_id
+            now, free, horizon, extra, total = _decision_columns(decision)
+            if total <= 0.0:
+                total = np.maximum(static[:, 2], 1.0)
+        else:
+            counts = [len(item[1]) for item in items]
+            static = np.concatenate([item[2] for item in items])
+            can_run = np.concatenate([np.broadcast_to(item[3], (len(item[1]),)) for item in items])
+            shared = np.array(
+                [_decision_columns(d) + (d.reserved_job.job_id,) for d, *_ in items],
+                dtype=np.float64,
+            )
+            now, free, horizon, extra, total, reserved = np.repeat(shared, counts, axis=0).T
+            total = np.where(total > 0.0, total, np.maximum(static[:, 2], 1.0))
+
+        rows = len(static)
+        features = np.zeros((rows, cfg.job_features), dtype=np.float64)
+        # _MAX_WAIT and _MAX_RUNTIME share one cap, so both logarithmic
+        # time features go through a single log1p call.
+        times = np.empty((2, rows))
+        times[0] = now - static[:, 0]
+        times[1] = static[:, 1]
+        features[:, 0:2] = _log_norm_array(times, _MAX_WAIT).T
+        features[:, 2] = np.minimum(static[:, 2] / total, 1.0)
+        features[:, 3] = can_run
+        features[:, 4] = static[:, 3] == reserved
+        # column 5 stays zero.
+        features[:, 6] = free
+        features[:, 7] = horizon
+        features[:, 8] = np.minimum(extra / total, 1.0)
+        features[:, 9] = 1.0  # slot occupied
+        if cfg.num_resources > 1:
+            # Heterogeneous layouts are off the rollout hot path; a plain
+            # per-row loop keeps the vectorized base features untouched.
+            row = iter(features)
+            for decision, jobs, *_ in items:
+                for job in jobs:
+                    self._extra_resource_features(next(row), job, decision)
         return features
 
     def _extra_resource_features(
@@ -179,6 +213,24 @@ class ObservationBuilder:
                 features[base] = free_vec.component(name) / total
                 features[base + 1] = min(request.component(name) / total, 1.0)
 
+    # -- the window ----------------------------------------------------------
+    def _window(self, decision: DecisionPoint) -> Tuple[List[Job], List[int], List[Optional[Job]]]:
+        """``(queue, slots, slot_jobs)``: the sorted, truncated slot queue, the
+        slots of its candidates (ascending) and the slot -> job map."""
+        size = self.config.max_queue_size
+        queue = decision.queue
+        if not decision.queue_sorted:
+            queue = sorted(queue, key=arrival_key)
+        if len(queue) > size:
+            queue = queue[:size]
+        slot_jobs: List[Optional[Job]] = [None] * size
+        slot_jobs[: len(queue)] = queue
+        # Which window slots can run is the decision point's rule (the
+        # reserved job is visible but never a valid action, §3.2); asking it
+        # about the window only is what keeps a decision independent of how
+        # long the queue behind the window is.
+        return queue, decision.candidate_slots(queue), slot_jobs
+
     def prepare(
         self, decision: DecisionPoint
     ) -> Tuple[List[Job], np.ndarray, List[Optional[Job]]]:
@@ -191,25 +243,10 @@ class ObservationBuilder:
         and the vectorized engine uses it to defer encoding until the
         observations of every lane can be batched into one numpy pass.
         """
-        cfg = self.config
-        queue = decision.queue
-        if not decision.queue_sorted:
-            queue = sorted(queue, key=arrival_key)
-        if len(queue) > cfg.max_queue_size:
-            queue = queue[: cfg.max_queue_size]
-
-        mask = np.zeros(cfg.num_slots, dtype=np.float64)
-        slot_jobs: List[Optional[Job]] = [None] * cfg.num_slots
-        slot_jobs[: len(queue)] = queue
-        # Which window slots can run is the decision point's rule (the
-        # reserved job is visible but never a valid action, §3.2); asking it
-        # about the window only is what keeps a decision independent of how
-        # long the queue behind the window is.
-        valid = decision.candidate_slots(queue)
-        if valid:
-            mask[valid] = 1.0
-        if cfg.skip_slot is not None:
-            mask[cfg.skip_slot] = 1.0
+        queue, slots, slot_jobs = self._window(decision)
+        mask = np.zeros(self.config.max_queue_size, dtype=np.float64)
+        if slots:
+            mask[slots] = 1.0
         return queue, mask, slot_jobs
 
     @staticmethod
@@ -229,124 +266,46 @@ class ObservationBuilder:
         returned by :meth:`prepare`, ``static_rows`` its :meth:`static_rows`
         and ``can_run`` the action mask over the queue slots (the reserved
         job is never a candidate, so that is exactly the can-run feature).
-        :meth:`build` makes one such item per decision;
         :meth:`~repro.core.environment.BackfillEnvironment.pending_encode`
         slices the rows out of the ones it gathered for the whole episode.
-        All queues are concatenated so every feature is computed with a
-        single numpy operation across the whole batch -- the vectorized
-        engine calls this once per lockstep iteration instead of once per
-        lane.  A batch of one performs exactly the same operations per row,
-        which keeps the serial path, the ``num_envs=1`` engine and any larger
-        batch bit-identical.
+        The rows of every queue come from one :meth:`feature_rows` call and
+        are scattered into their padded windows -- the vectorized engine calls
+        this once per lockstep iteration instead of once per lane.
         """
         cfg = self.config
         batch = len(items)
-        observation = np.zeros((batch, cfg.num_slots, cfg.job_features), dtype=np.float64)
+        observation = np.zeros((batch, cfg.max_queue_size, cfg.job_features), dtype=np.float64)
         counts = [len(item[1]) for item in items]
-        total_jobs = sum(counts)
-        if total_jobs:
-            # One pass over all queues gathers every per-job quantity; the
-            # feature math below is pure numpy over the concatenation.
-            # Columns: submit, requested_time, processors, is_reserved, can_run.
-            blocks: List[np.ndarray] = []
-            for decision, queue, static, can_run in items:
-                block = np.empty((len(queue), 5), dtype=np.float64)
-                block[:, 0:3] = static[:, 0:3]
-                block[:, 3] = static[:, 3] == decision.reserved_job.job_id
-                block[:, 4] = can_run
-                blocks.append(block)
-            raw = blocks[0] if batch == 1 else np.concatenate(blocks, axis=0)
-            procs = raw[:, 2]
-            # Per-decision scalars, repeated once per job of that decision.
-            scalars = np.array(
-                [
-                    (
-                        d.time,
-                        d.free_fraction,
-                        _log_norm(d.reservation_time - d.time, _MAX_HORIZON),
-                        float(d.extra_processors),
-                        float(d.machine.num_processors) if d.machine is not None else 0.0,
-                    )
-                    for d, *_ in items
-                ],
-                dtype=np.float64,
-            )
-            rep = np.repeat(scalars, counts, axis=0)
-            total = np.where(rep[:, 4] > 0.0, rep[:, 4], np.maximum(procs, 1.0))
-
-            features = np.zeros((total_jobs, cfg.job_features), dtype=np.float64)
-            # _MAX_WAIT and _MAX_RUNTIME share one cap, so both logarithmic
-            # time features go through a single log1p call.
-            times = np.empty((2, total_jobs))
-            times[0] = rep[:, 0] - raw[:, 0]
-            times[1] = raw[:, 1]
-            features[:, 0:2] = _log_norm_array(times, _MAX_WAIT).T
-            features[:, 2] = np.minimum(procs / total, 1.0)
-            features[:, 3] = raw[:, 4]  # can_run
-            features[:, 4] = raw[:, 3]  # is_reserved
-            # column 5 (is_skip) stays zero for queue slots.
-            features[:, 6] = rep[:, 1]
-            features[:, 7] = rep[:, 2]
-            features[:, 8] = np.minimum(rep[:, 3] / total, 1.0)
-            features[:, 9] = 1.0  # slot occupied
-            if cfg.num_resources > 1:
-                # Heterogeneous layouts are off the rollout hot path; a plain
-                # per-item loop keeps the vectorized base features untouched.
-                offset = 0
-                for item, count in zip(items, counts):
-                    decision, queue = item[0], item[1]
-                    for slot, job in enumerate(queue):
-                        self._extra_resource_features(
-                            features[offset + slot], job, decision
-                        )
-                    offset += count
-
+        if sum(counts):
+            features = self.feature_rows(items)
             offset = 0
             for row, count in enumerate(counts):
                 observation[row, :count] = features[offset : offset + count]
                 offset += count
-
-        if cfg.skip_slot is not None:
-            # Skip slot: always valid, encoded from the reserved job's features.
-            for row, item in enumerate(items):
-                decision = item[0]
-                observation[row, cfg.skip_slot] = self._job_features(
-                    decision.reserved_job,
-                    decision,
-                    is_reserved=True,
-                    is_skip=True,
-                    can_run=False,
-                )
         return observation.reshape(batch, -1)
 
     def build(
         self, decision: DecisionPoint
-    ) -> Tuple[Optional[np.ndarray], np.ndarray, List[Optional[Job]]]:
-        """Encode ``decision`` into ``(observation, action_mask, slot_jobs)``.
+    ) -> Tuple[List[int], Optional[np.ndarray], List[Optional[Job]]]:
+        """What a deployed decision reads: ``(slots, rows, slot_jobs)``.
 
-        ``slot_jobs[i]`` is the job occupying slot ``i`` (``None`` for padding
-        and for the skip slot), which is how an action index is mapped back to
-        the job to backfill.  With no candidate inside the queue window there
-        is nothing to choose: ``observation`` is ``None``, nothing is encoded
-        and the caller passes, as the environment does on :meth:`prepare` alone.
-
-        Composed of :meth:`prepare` + :meth:`encode_batch` with a batch of
-        one; :meth:`_job_features` remains the scalar reference
-        implementation and agrees with the vectorized encoder to
-        floating-point rounding (``np.log1p`` vs ``math.log1p`` can differ by
-        one ulp).
+        ``slots`` are the window slots that hold a candidate (ascending),
+        ``rows`` their feature rows -- :meth:`encode_batch`'s rows at those
+        slots, bit for bit, and no other row is encoded -- and
+        ``slot_jobs[i]`` the job in slot ``i`` (``None`` for padding), which
+        is how an action index is mapped back to the job to backfill.  With
+        no candidate inside the queue window there is nothing to choose:
+        ``slots`` is empty, ``rows`` is ``None`` and the caller passes, as the
+        environment does on :meth:`prepare` alone.
         """
-        queue, mask, slot_jobs = self.prepare(decision)
-        can_run = mask[: len(queue)]
-        if not can_run.any():
-            return None, mask, slot_jobs
-        item = (decision, queue, self.static_rows(queue), can_run)
-        return self.encode_batch([item])[0], mask, slot_jobs
+        queue, slots, slot_jobs = self._window(decision)
+        if not slots:
+            return slots, None, slot_jobs
+        jobs = [queue[slot] for slot in slots]
+        return slots, self.feature_rows([(decision, jobs, self.static_rows(jobs), 1.0)]), slot_jobs
 
     def action_to_job(self, action: int, slot_jobs: List[Optional[Job]]) -> Optional[Job]:
-        """Translate an action index into the job to backfill (``None`` = skip)."""
+        """Translate an action index into the job in that slot (``None`` for padding)."""
         if not 0 <= action < self.config.num_actions:
             raise ValueError(f"action {action} outside [0, {self.config.num_actions})")
-        if self.config.skip_slot is not None and action == self.config.skip_slot:
-            return None
         return slot_jobs[action]

@@ -3,9 +3,17 @@
 Wraps a trained :class:`~repro.core.agent.RLBackfillAgent` so it can be used
 as a :class:`~repro.scheduler.backfill.base.BackfillStrategy` inside the
 ordinary simulator -- this is how the paper's Tables 4 and 5 evaluate the
-learned model against the EASY baselines on sampled 1024-job sequences.
-During evaluation the action with the highest probability is taken
-deterministically (paper §3.3.1: no exploration at test time).
+learned model against the EASY baselines on sampled 1024-job sequences, and
+how the online service answers every request.  During evaluation the action
+with the highest probability is taken deterministically (paper §3.3.1: no
+exploration at test time).
+
+A decision reads only what it uses: the builder encodes the feature rows of
+the window's candidate slots and nothing else, and
+:meth:`~repro.rl.ppo.ActorCritic.act` scores those rows with the kernel
+network on arrays -- no value network, no autograd graph -- and takes the
+candidate with the largest score.  The floats are those the rollouts and the
+batched :meth:`~repro.rl.ppo.ActorCritic.step` compute for the same slots.
 """
 
 from __future__ import annotations
@@ -63,15 +71,15 @@ class RLBackfillPolicy(BackfillStrategy):
     def select_backfill(
         self, decision: DecisionPoint, estimator: RuntimeEstimator
     ) -> Optional[Job]:
-        observation, mask, slot_jobs = self.builder.build(decision)
-        if observation is None:
+        slots, rows, slot_jobs = self.builder.build(decision)
+        if not slots:
             # No real candidate fits in the observed queue window (e.g. every
             # fitting job sits beyond the MAX_OBSV_SIZE cut-off): pass.
             return None
         action = self.agent.act(
-            observation, mask, rng=self.rng, deterministic=self.deterministic
+            rows, slots, len(slot_jobs), rng=self.rng, deterministic=self.deterministic
         )
-        return self.builder.action_to_job(action, slot_jobs)
+        return slot_jobs[action]
 
     def __repr__(self) -> str:
         return f"RLBackfillPolicy(agent={self.agent!r}, deterministic={self.deterministic})"

@@ -15,6 +15,10 @@ on, and the one that lets the policy forward only the unmasked slots.  The
 fusion keeps every forward float of the former three-node chain; trained
 weights move in the last ulps once (see :mod:`repro.rl.autograd`).
 
+:meth:`MLP.infer` is the same forward on plain arrays.  Rollouts and
+deployed decisions never differentiate, so they use it; the graph is built
+only where a backward follows (the PPO update).
+
 State is (de)serialized by **qualified attribute path** (e.g.
 ``network.0.weight`` for the first layer of an :class:`MLP`), so a checkpoint
 can never load into the wrong layer of an architecture that merely happens to
@@ -27,7 +31,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.rl.autograd import Tensor
+from repro.rl.autograd import Tensor, invariant_matmul
 from repro.utils.rng import SeedLike, as_rng
 
 __all__ = ["Module", "Linear", "Tanh", "ReLU", "Identity", "Sequential", "MLP"]
@@ -279,6 +283,26 @@ class MLP(Module):
         layers = self.network.modules
         for linear, activation in zip(layers[::2], layers[1::2]):
             x = linear(x, relu=True) if isinstance(activation, ReLU) else activation(linear(x))
+        return x
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`forward` on arrays, for callers that never differentiate.
+
+        The numpy operations of the graph forward, on the same operands and in
+        the same order -- :func:`invariant_matmul` at each layer's
+        ``row_block``, the bias added in place, ``np.maximum`` / ``np.tanh``
+        -- so every output float is the graph's, and no :class:`Tensor` is
+        built.
+        """
+        layers = self.network.modules
+        for linear, activation in zip(layers[::2], layers[1::2]):
+            x = invariant_matmul(x, linear.weight.data, row_block=linear.row_block)
+            if linear.bias is not None:
+                x += linear.bias.data
+            if isinstance(activation, ReLU):
+                np.maximum(x, 0.0, out=x)
+            elif isinstance(activation, Tanh):
+                np.tanh(x, out=x)
         return x
 
     def __repr__(self) -> str:

@@ -4,6 +4,14 @@ Follows the Spinning Up reference implementation the paper uses: an
 actor-critic model, GAE-lambda advantages from :class:`TrajectoryBuffer`, 80
 policy/value update iterations per epoch with early stopping on approximate
 KL divergence, and Adam for both networks.
+
+Only the update differentiates, so only the update builds a
+:class:`~repro.rl.autograd.Tensor` graph.  The rollout forward
+(:meth:`ActorCritic.step_batch`) and the deployed decision
+(:meth:`ActorCritic.act`) run the same layers on arrays
+(:meth:`ActorCritic.infer_slot_scores`, :meth:`ActorCritic.infer_values`)
+and the same masked log-softmax
+(:func:`_masked_log_softmax`), so their floats equal the graph's bit for bit.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.obs import get_metrics, get_tracer
-from repro.rl.autograd import Tensor, no_grad
+from repro.rl.autograd import Tensor
 from repro.rl.optim import Adam
 from repro.utils.rng import SeedLike, as_rng
 
@@ -42,6 +50,20 @@ def _sample_actions(log_probs: np.ndarray, rngs: Sequence[np.random.Generator]) 
     return np.minimum((cdfs <= draws[:, None]).sum(axis=1), cdfs.shape[1] - 1).astype(np.int64)
 
 
+def _masked_log_softmax(scores: np.ndarray, index, masks: np.ndarray) -> np.ndarray:
+    """:meth:`ActorCritic.compacted_log_probs` on arrays, operation for operation.
+
+    ``scores`` of the valid slots scattered at flat positions ``index`` of a
+    zero logit grid shaped like ``masks``, the mask penalty added, then the
+    log-softmax of :meth:`Tensor.log_softmax`; the same floats, no graph.
+    """
+    logits = np.zeros(masks.shape, dtype=np.float64)
+    logits.reshape(-1)[index] = scores.reshape(-1)
+    logits += (1.0 - masks) * -MASK_PENALTY
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
 class ActorCritic(ABC):
     """Actor-critic model interface consumed by :class:`PPO`.
 
@@ -51,6 +73,12 @@ class ActorCritic(ABC):
     its gradient, hence its score is never computed: only the unmasked slots
     go through the network.  The critic maps the whole observation to a
     scalar state value.
+
+    Each network has two forwards with the same floats: on :class:`Tensor`
+    objects, recording a graph for the PPO update (:meth:`slot_scores`,
+    :meth:`value`), and on arrays for inference (:meth:`infer_slot_scores`,
+    :meth:`infer_values`), which :meth:`step_batch`, :meth:`step` and
+    :meth:`act` use because they never differentiate.
     """
 
     @abstractmethod
@@ -62,6 +90,14 @@ class ActorCritic(ABC):
         """Batch of state values, shape ``(batch,)``."""
 
     @abstractmethod
+    def infer_slot_scores(self, slots: np.ndarray) -> np.ndarray:
+        """:meth:`slot_scores` on arrays, bit for bit, building no graph."""
+
+    @abstractmethod
+    def infer_values(self, observations: np.ndarray) -> np.ndarray:
+        """:meth:`value` on arrays, bit for bit, building no graph."""
+
+    @abstractmethod
     def policy_parameters(self) -> List[Tensor]:
         ...
 
@@ -69,7 +105,7 @@ class ActorCritic(ABC):
     def value_parameters(self) -> List[Tensor]:
         ...
 
-    # -- rollout helpers ------------------------------------------------------
+    # -- the graph forward of the update ----------------------------------------
     def compact_slots(
         self, observations: np.ndarray, masks: np.ndarray
     ) -> Tuple[Tensor, np.ndarray, Tensor]:
@@ -79,6 +115,7 @@ class ActorCritic(ABC):
         ``index`` their flat positions in the ``(batch, slots)`` grid and
         ``penalty`` the additive mask grid.  None of them depends on the
         weights, so :meth:`PPO.update` builds them once for all its iterations.
+        :func:`_masked_log_softmax` is the same computation on arrays.
         """
         masks = np.asarray(masks, dtype=np.float64)
         index = np.flatnonzero(masks)
@@ -98,6 +135,7 @@ class ActorCritic(ABC):
         """Log-probabilities over actions with masked actions pushed to -inf."""
         return self.compacted_log_probs(*self.compact_slots(observations.numpy(), masks))
 
+    # -- inference ----------------------------------------------------------------
     def step_batch(
         self,
         observations: np.ndarray,
@@ -114,23 +152,26 @@ class ActorCritic(ABC):
         in the batch and of their order -- lane ``i`` always consumes exactly
         one uniform draw from ``rngs[i]`` per decision.  Row ``i``'s floats
         are **batch-invariant**: the networks' matmuls run through
-        :meth:`Tensor.linear` and the masking/softmax/sampling math
-        is elementwise or per-row, so ``step_batch(obs[i:i+1], ...)`` returns
-        bit-identical ``(action, value, log_prob)`` to row ``i`` of any
-        larger batch containing it.
+        :func:`~repro.rl.autograd.invariant_matmul` and the
+        masking/softmax/sampling math is elementwise or per-row, so
+        ``step_batch(obs[i:i+1], ...)`` returns bit-identical
+        ``(action, value, log_prob)`` to row ``i`` of any larger batch
+        containing it.  The floats are those of :meth:`masked_log_probs` and
+        :meth:`value`, computed on arrays (:meth:`infer_slot_scores`,
+        :meth:`infer_values`).
 
         Returns ``(actions, values, log_probs)`` arrays of length
-        ``num_lanes``; runs under ``no_grad``.
+        ``num_lanes``.
         """
         obs_batch = np.asarray(observations, dtype=np.float64)
         mask_batch = np.asarray(masks, dtype=np.float64)
         if obs_batch.ndim != 2 or mask_batch.ndim != 2:
             raise ValueError("step_batch expects 2-D (batch, features) inputs")
         batch = obs_batch.shape[0]
-        with no_grad():
-            obs_t = Tensor(obs_batch)
-            log_probs = self.masked_log_probs(obs_t, mask_batch).numpy()
-            values = self.value(obs_t).numpy()
+        index = np.flatnonzero(mask_batch)
+        rows = obs_batch.reshape(mask_batch.size, -1)[index]
+        log_probs = _masked_log_softmax(self.infer_slot_scores(rows), index, mask_batch)
+        values = self.infer_values(obs_batch)
         if deterministic:
             actions = np.argmax(log_probs, axis=1)
         else:
@@ -170,28 +211,31 @@ class ActorCritic(ABC):
 
     def act(
         self,
-        observation: np.ndarray,
-        mask: np.ndarray,
+        rows: np.ndarray,
+        slots: Sequence[int],
+        num_slots: int,
         rng: np.random.Generator | None = None,
         deterministic: bool = False,
     ) -> int:
-        """The action :meth:`step` would take, for a caller that needs only that.
+        """The action :meth:`step` would take, from the valid slots alone.
 
-        The valid slots go through the same kernel forward (same floats); the
+        ``rows`` are the feature rows of the valid ``slots`` (ascending) of a
+        ``num_slots``-wide observation -- the only rows :meth:`step` puts
+        through the kernel -- so their scores are :meth:`step`'s floats; the
         value network does not run.  The most probable action is the valid
         slot with the largest score, the first on a tie, so the deterministic
-        case needs no logit grid and no log-softmax; a sampled action builds
-        the grid and draws one uniform, exactly as :meth:`step` does.
+        case needs no logit grid and no log-softmax; a sampled action scatters
+        the scores into the ``num_slots`` grid and draws one uniform, exactly
+        as :meth:`step_batch` does.
         """
-        observation = np.asarray(observation, dtype=np.float64)
-        masks = np.asarray(mask, dtype=np.float64)[None, :]
-        with no_grad():
-            rows, index, penalty = self.compact_slots(observation, masks)
-            if index.size == 0:
-                raise ValueError("act needs a mask with at least one valid action")
-            if deterministic:
-                return int(index[np.argmax(self.slot_scores(rows).numpy())])
-            log_probs = self.compacted_log_probs(rows, index, penalty).numpy()
+        if not len(slots):
+            raise ValueError("act needs at least one valid slot")
+        scores = self.infer_slot_scores(rows)
+        if deterministic:
+            return int(slots[int(np.argmax(scores))])
+        mask = np.zeros((1, num_slots), dtype=np.float64)
+        mask[0, slots] = 1.0
+        log_probs = _masked_log_softmax(scores, slots, mask)
         return int(_sample_actions(log_probs, [as_rng(rng)])[0])
 
 

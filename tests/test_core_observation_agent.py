@@ -39,13 +39,7 @@ class TestObservationConfig:
         cfg = ObservationConfig()
         assert cfg.max_queue_size == 128
         assert cfg.num_actions == 128
-        assert cfg.skip_slot is None
         assert cfg.observation_size == 128 * JOB_FEATURES
-
-    def test_skip_action_adds_slot(self):
-        cfg = ObservationConfig(max_queue_size=16, include_skip_action=True)
-        assert cfg.num_actions == 17
-        assert cfg.skip_slot == 16
 
     def test_invalid_queue_size(self):
         with pytest.raises(ValueError):
@@ -56,40 +50,52 @@ class TestObservationConfig:
             ObservationConfig(job_features=3)
 
 
+def encode(builder, decision):
+    """``(observation, mask, slot_jobs)``: the whole window, as the environment encodes it."""
+    queue, mask, slot_jobs = builder.prepare(decision)
+    item = (decision, queue, builder.static_rows(queue), mask[: len(queue)])
+    return builder.encode_batch([item])[0], mask, slot_jobs
+
+
 class TestObservationBuilder:
     def test_shapes(self):
         builder = ObservationBuilder(ObservationConfig(max_queue_size=8))
-        observation, mask, slots = builder.build(build_decision())
+        observation, mask, slot_jobs = encode(builder, build_decision())
         assert observation.shape == (8 * JOB_FEATURES,)
         assert mask.shape == (8,)
-        assert len(slots) == 8
+        assert len(slot_jobs) == 8
+        slots, rows, slot_jobs = builder.build(build_decision())
+        assert slots == [1, 2, 3, 4, 5] and rows.shape == (5, JOB_FEATURES) and len(slot_jobs) == 8
 
     def test_values_in_unit_range(self):
         builder = ObservationBuilder(ObservationConfig(max_queue_size=8))
-        observation, _, _ = builder.build(build_decision())
+        observation, _, _ = encode(builder, build_decision())
         assert observation.min() >= 0.0
         assert observation.max() <= 1.0
 
     def test_reserved_job_masked_out(self):
         builder = ObservationBuilder(ObservationConfig(max_queue_size=8))
         decision = build_decision()
-        _, mask, slots = builder.build(decision)
-        for slot, job in enumerate(slots):
-            if job is not None and job.job_id == decision.reserved_job.job_id:
-                assert mask[slot] == 0.0
+        observation, mask, slot_jobs = encode(builder, decision)
+        matrix = observation.reshape(8, JOB_FEATURES)
+        reserved = [slot for slot, job in enumerate(slot_jobs) if job is decision.reserved_job]
+        assert reserved == [0] and mask[0] == 0.0
+        assert matrix[:, 4].tolist() == [1.0] + [0.0] * 7  # flagged, and only there
+        assert 0 not in builder.build(decision)[0]
 
     def test_candidates_marked_valid(self):
         builder = ObservationBuilder(ObservationConfig(max_queue_size=8))
         decision = build_decision(num_queued=4)
-        _, mask, slots = builder.build(decision)
+        _, mask, slot_jobs = builder.prepare(decision)
         candidate_ids = {j.job_id for j in decision.candidates}
-        valid_ids = {slots[i].job_id for i in np.flatnonzero(mask) if slots[i] is not None}
+        valid_ids = {slot_jobs[i].job_id for i in np.flatnonzero(mask) if slot_jobs[i] is not None}
         assert valid_ids == candidate_ids
+        assert builder.build(decision)[0] == np.flatnonzero(mask).tolist()
 
     def test_padding_slots_zero(self):
         builder = ObservationBuilder(ObservationConfig(max_queue_size=16))
         decision = build_decision(num_queued=3)
-        observation, mask, slots = builder.build(decision)
+        observation, mask, _ = encode(builder, decision)
         matrix = observation.reshape(16, JOB_FEATURES)
         # Queue holds 4 jobs (rjob + 3); remaining slots must be zero padding.
         assert np.allclose(matrix[4:], 0.0)
@@ -103,25 +109,11 @@ class TestObservationBuilder:
         queue_sorted = sorted(decision.queue, key=lambda j: (j.submit_time, j.job_id))
         assert slot_ids == [j.job_id for j in queue_sorted[:4]]
 
-    def test_skip_slot_always_valid(self):
-        builder = ObservationBuilder(ObservationConfig(max_queue_size=8, include_skip_action=True))
-        decision = build_decision()
-        _, mask, slots = builder.build(decision)
-        assert mask[8] == 1.0
-        assert slots[8] is None
-
     def test_action_to_job(self):
         builder = ObservationBuilder(ObservationConfig(max_queue_size=8))
         decision = build_decision()
-        _, mask, slots = builder.build(decision)
-        action = int(np.flatnonzero(mask)[0])
-        assert builder.action_to_job(action, slots) is slots[action]
-
-    def test_action_to_job_skip(self):
-        builder = ObservationBuilder(ObservationConfig(max_queue_size=8, include_skip_action=True))
-        decision = build_decision()
-        _, _, slots = builder.build(decision)
-        assert builder.action_to_job(8, slots) is None
+        slots, _, slot_jobs = builder.build(decision)
+        assert builder.action_to_job(slots[0], slot_jobs) is slot_jobs[slots[0]]
 
     def test_action_out_of_range(self):
         builder = ObservationBuilder(ObservationConfig(max_queue_size=8))
@@ -131,9 +123,10 @@ class TestObservationBuilder:
     def test_free_fraction_feature(self):
         builder = ObservationBuilder(ObservationConfig(max_queue_size=8))
         decision = build_decision(machine_size=32, running_procs=24)
-        observation, _, _ = builder.build(decision)
+        observation, _, _ = encode(builder, decision)
         matrix = observation.reshape(8, JOB_FEATURES)
         assert matrix[0][6] == pytest.approx(8 / 32)
+        assert builder.build(decision)[1][:, 6].tolist() == [matrix[0][6]] * 5
 
 
 class TestRLBackfillAgent:

@@ -357,10 +357,10 @@ class TestMultiResourceObservation:
             queue=[job],
             machine=machine,
         )
-        observation, mask, slot_jobs = ObservationBuilder(config).build(decision)
-        slot = observation[: config.job_features]
+        slots, rows, slot_jobs = ObservationBuilder(config).build(decision)
+        slot = rows[0]
         assert slot_jobs[0] is job
-        assert mask[0] == 1.0
+        assert slots == [0] and rows.shape == (1, config.job_features)
         # Memory: the topology has none, so both columns are zero.
         assert slot[JOB_FEATURES] == 0.0
         assert slot[JOB_FEATURES + 1] == 0.0

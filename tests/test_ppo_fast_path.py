@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 
 from repro.core import RLBackfillAgent, Trainer, TrainerConfig
 from repro.core.observation import ObservationConfig
-from repro.rl.autograd import INVARIANT_ROW_BLOCK, Tensor
+from repro.rl.autograd import INVARIANT_ROW_BLOCK, Tensor, no_grad
 from repro.rl.buffer import TrajectoryBuffer
 from repro.rl.nn import Linear
-from repro.rl.ppo import MASK_PENALTY, PPO, PPOConfig
+from repro.rl.ppo import MASK_PENALTY, PPO, PPOConfig, _sample_actions
 from tests.test_parity_matrix import make_training_env
 from tests.test_rl_autograd import check_gradient
 
@@ -50,11 +50,20 @@ class DenseOracleAgent(RLBackfillAgent):
     def dense_logits(self, observations):
         cfg = self.observation_config
         batch = observations.shape[0]
-        per_job = observations.reshape(batch * cfg.num_slots, cfg.job_features)
-        return primitive_mlp(self.kernel, per_job).reshape(batch, cfg.num_slots)
+        per_job = observations.reshape(batch * cfg.max_queue_size, cfg.job_features)
+        return primitive_mlp(self.kernel, per_job).reshape(batch, cfg.max_queue_size)
 
     def value(self, observations):
         return primitive_mlp(self.value_net, observations).reshape(observations.shape[0])
+
+
+def oracle_steps(oracle, observations, masks, rngs=None):
+    """What ``step_batch`` returns, from the dense oracle's graph forward under ``no_grad``."""
+    with no_grad():
+        log_probs = oracle.masked_log_probs(Tensor(observations), masks).numpy()
+        values = oracle.value(Tensor(observations)).numpy()
+    actions = np.argmax(log_probs, axis=1) if rngs is None else _sample_actions(log_probs, rngs)
+    return actions, values, log_probs[np.arange(len(actions)), actions]
 
 
 def agent_pair(seed=0, config=OBS_CONFIG):
@@ -179,15 +188,17 @@ class TestCompactionIsExact:
         assert np.array_equal(fast[valid], dense[valid])
         assert np.all(np.exp(fast[~valid]) == 0.0)
 
-        def step(model):
-            rngs = [np.random.default_rng(seed + lane) for lane in range(batch)]
-            return model.step_batch(observations, masks, rngs=rngs)
+        def rngs():
+            return [np.random.default_rng(seed + lane) for lane in range(batch)]
 
-        for got, expected in zip(step(agent), step(oracle)):
+        for got, expected in zip(
+            agent.step_batch(observations, masks, rngs=rngs()),
+            oracle_steps(oracle, observations, masks, rngs()),
+        ):
             assert np.array_equal(got, expected)
         for got, expected in zip(
             agent.step_batch(observations, masks, deterministic=True),
-            oracle.step_batch(observations, masks, deterministic=True),
+            oracle_steps(oracle, observations, masks),
         ):
             assert np.array_equal(got, expected)
 
@@ -224,8 +235,9 @@ class TestCompactionIsExact:
         serial_oracle = RLBackfillPolicy(oracle, row_block=1).agent
         for _ in range(5):
             observations, masks = random_batch(rng, 1)
+            action, value, log_prob = oracle_steps(serial_oracle, observations, masks)
             assert serial.step(observations[0], masks[0], deterministic=True) == (
-                serial_oracle.step(observations[0], masks[0], deterministic=True)
+                action[0], value[0], log_prob[0]
             )
 
 
@@ -233,8 +245,8 @@ class TestCompactionIsExact:
 
 
 class TestAllMaskedRow:
-    """Never emitted by the environment (``mask.sum() - skip_actions > 0``
-    before every ``step``), but ``step`` / ``step_batch`` accept it."""
+    """Never emitted by the environment (``mask.any()`` before every
+    ``step``), but ``step`` / ``step_batch`` accept it."""
 
     def test_uniform_finite_log_probs(self):
         rng = np.random.default_rng(0)

@@ -23,6 +23,12 @@ class SlotScoringAC(ActorCritic):
     def value(self, observations):
         return self.value_net(observations).reshape(observations.shape[0])
 
+    def infer_slot_scores(self, slots):
+        return self.kernel.infer(slots)
+
+    def infer_values(self, observations):
+        return self.value_net.infer(observations).reshape(observations.shape[0])
+
     def policy_parameters(self):
         return self.kernel.parameters()
 

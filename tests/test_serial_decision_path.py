@@ -16,10 +16,17 @@ replaced the simulator's full-queue scan by a census of queued widths, and
 made a session count its decisions instead of keeping them.  The same oracles
 serve: ``ParentSimulator`` still yields eager candidate lists and
 ``ParentBuilder`` still marks its window from them.
+
+A decision now encodes the feature rows of its candidate slots only and
+scores them on arrays.  That path is checked against the rollout's own,
+``encode_batch`` + ``step``, and the rollout's array forward against the
+``Tensor`` graph (``policy_logits`` / ``value`` under ``no_grad``).
 """
 
 from __future__ import annotations
 
+import contextlib
+import copy
 import gc
 import json
 import tracemalloc
@@ -46,6 +53,9 @@ from repro.core.observation import (
 from repro.core.rlbackfill import RLBackfillPolicy
 from repro.prediction.predictors import UserEstimate
 from repro.faults.plan import NodeFailure
+from repro.rl import ppo
+from repro.rl.autograd import Tensor, no_grad
+from repro.rl.ppo import MASK_PENALTY
 from repro.scheduler.backfill.base import BackfillStrategy
 from repro.scheduler.backfill.conservative import ConservativeBackfill
 from repro.scheduler.backfill.easy import EasyBackfill
@@ -78,22 +88,20 @@ class ParentBuilder(ObservationBuilder):
         if len(queue) > cfg.max_queue_size:
             queue = queue[: cfg.max_queue_size]
 
-        mask = np.zeros(cfg.num_slots, dtype=np.float64)
-        slot_jobs: List[Optional[Job]] = [None] * cfg.num_slots
+        mask = np.zeros(cfg.max_queue_size, dtype=np.float64)
+        slot_jobs: List[Optional[Job]] = [None] * cfg.max_queue_size
         slot_jobs[: len(queue)] = queue
         reserved_id = decision.reserved_job.job_id
         for slot, job in enumerate(queue):
             # The reserved job is visible but never a valid action (§3.2).
             if job.job_id in candidate_ids and job.job_id != reserved_id:
                 mask[slot] = 1.0
-        if cfg.skip_slot is not None:
-            mask[cfg.skip_slot] = 1.0
         return queue, mask, slot_jobs
 
     def encode_batch(self, items):
         cfg = self.config
         batch = len(items)
-        observation = np.zeros((batch, cfg.num_slots, cfg.job_features), dtype=np.float64)
+        observation = np.zeros((batch, cfg.max_queue_size, cfg.job_features), dtype=np.float64)
         counts = [len(item[1]) for item in items]
         total_jobs = sum(counts)
         if total_jobs:
@@ -158,14 +166,6 @@ class ParentBuilder(ObservationBuilder):
             for row, count in enumerate(counts):
                 observation[row, :count] = features[offset : offset + count]
                 offset += count
-
-        if cfg.skip_slot is not None:
-            for row, item in enumerate(items):
-                decision = item[0]
-                observation[row, cfg.skip_slot] = self._job_features(
-                    decision.reserved_job, decision,
-                    is_reserved=True, is_skip=True, can_run=False,
-                )
         return observation.reshape(batch, -1)
 
     def build(self, decision):
@@ -183,8 +183,7 @@ class ParentPolicy(RLBackfillPolicy):
 
     def select_backfill(self, decision, estimator):
         observation, mask, slot_jobs = self.builder.build(decision)
-        skip_actions = 1 if self.builder.config.skip_slot is not None else 0
-        if mask.sum() <= skip_actions:
+        if not mask.any():
             return None
         action, _, _ = self.agent.step(
             observation, mask, rng=self.rng, deterministic=self.deterministic
@@ -333,10 +332,7 @@ def decision_points(draw):
     num_resources = draw(st.sampled_from([1, 3]))
     machine = Machine(32, topology=_TOPOLOGY if num_resources == 3 else None)
     machine.start(_job(99, 0.0, processors=6, gpus=3 if num_resources == 3 else 0), now=0.0)
-    config = ObservationConfig(
-        max_queue_size=window, include_skip_action=draw(st.booleans()),
-        num_resources=num_resources,
-    )
+    config = ObservationConfig(max_queue_size=window, num_resources=num_resources)
     decision = DecisionPoint(
         time=8.0, reserved_job=reserved, reservation_time=draw(st.sampled_from([8.0, 90.0, 4e5])),
         extra_processors=draw(st.integers(0, 8)), candidates=list(candidates),
@@ -356,22 +352,26 @@ def test_prepare_and_build_equal_the_parents(case):
     assert len(slot_jobs) == len(parent_slot_jobs)
     assert all(a is b for a, b in zip(slot_jobs, parent_slot_jobs))
 
-    observation, built_mask, built_slots = ObservationBuilder(config).build(decision)
-    assert built_mask.tolist() == parent_mask.tolist()
-    assert all(a is b for a, b in zip(built_slots, parent_slot_jobs))
-    skip_actions = 1 if config.skip_slot is not None else 0
-    parent_passes = parent_mask.sum() <= skip_actions  # the parent's select_backfill rule
-    assert (observation is None) == parent_passes
-    if observation is None:
-        return
-    expected = ParentBuilder(config).build(decision)[0].reshape(config.num_slots, -1)
+    expected = ParentBuilder(config).build(decision)[0].reshape(config.max_queue_size, -1)
     # A reserved job listed as a candidate (no producer does that) read
     # can_run=1 in the parent's tuple arm and 0 in its static-row arm, the one
     # the rollouts always used; the one arm left is the latter.
     for slot, job in enumerate(parent_queue):
         if job.job_id == decision.reserved_job.job_id:
             expected[slot, 3] = 0.0
+    builder = ObservationBuilder(config)
+    item = (decision, queue, builder.static_rows(queue), mask[: len(queue)])
+    observation = builder.encode_batch([item])
     assert observation.tobytes() == expected.reshape(-1).tobytes()
+
+    slots, rows, built_slots = builder.build(decision)
+    assert slots == np.flatnonzero(parent_mask).tolist()
+    assert len(built_slots) == len(parent_slot_jobs)
+    assert all(a is b for a, b in zip(built_slots, parent_slot_jobs))
+    assert (rows is None) == (not parent_mask.any())  # the parent's select_backfill rule
+    if rows is not None:
+        # The rows of the candidate slots, in slot order, and no other row.
+        assert rows.tobytes() == expected[slots].tobytes()
 
 
 def test_candidates_beyond_the_window_decline_without_encoding():
@@ -382,9 +382,9 @@ def test_candidates_beyond_the_window_decline_without_encoding():
         candidates=queue[2:], queue=queue, machine=Machine(32), queue_sorted=True,
     )
     builder = ObservationBuilder(config)
-    builder.encode_batch = None  # calling it would raise
-    observation, mask, slot_jobs = builder.build(decision)
-    assert observation is None and not mask.any() and slot_jobs == queue[:2]
+    builder.feature_rows = builder.encode_batch = None  # calling either would raise
+    slots, rows, slot_jobs = builder.build(decision)
+    assert slots == [] and rows is None and slot_jobs == queue[:2]
 
 
 def test_static_rows_are_the_episode_gather():
@@ -400,18 +400,103 @@ def test_static_rows_are_the_episode_gather():
 
 # -- act --------------------------------------------------------------------------
 
-_ACT_CONFIG = ObservationConfig(max_queue_size=12, include_skip_action=True)
+_ACT_CONFIG = ObservationConfig(max_queue_size=12)
 
 
-def _agent(row_block):
-    agent = RLBackfillAgent(_ACT_CONFIG, seed=3)
+def _agent(row_block, config=_ACT_CONFIG, seed=3):
+    agent = RLBackfillAgent(config, seed=seed)
     return agent if row_block is None else RLBackfillPolicy(agent, row_block=row_block).agent
+
+
+@contextlib.contextmanager
+def _tensors_built():
+    """``[n]``: how many :class:`Tensor` objects the block constructed."""
+    built = [0]
+    init = Tensor.__init__
+
+    def counting(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    Tensor.__init__ = counting
+    try:
+        yield built
+    finally:
+        Tensor.__init__ = init
+
+
+@contextlib.contextmanager
+def _sampler_inputs():
+    """The log-probability grids the block handed to the sampler, in call order."""
+    grids = []
+    sample = ppo._sample_actions
+
+    def recording(log_probs, rngs):
+        grids.append(log_probs.copy())
+        return sample(log_probs, rngs)
+
+    ppo._sample_actions = recording
+    try:
+        yield grids
+    finally:
+        ppo._sample_actions = sample
+
+
+def _check_act_against_step(agent, observation, mask, rows, slots, rng) -> Tuple[int, int]:
+    """``act`` on the candidate ``rows`` / ``slots`` takes the action ``step``
+    takes on the whole observation, deterministic and sampled; it builds no
+    ``Tensor``, hands the sampler ``step``'s log-probability grid bit for bit
+    and draws one uniform.  Returns ``(greedy, sampled)`` and advances ``rng``
+    by that uniform."""
+    mine, theirs = copy.deepcopy(rng), copy.deepcopy(rng)
+    with _tensors_built() as built, _sampler_inputs() as grids:
+        greedy = agent.act(rows, slots, mask.size, deterministic=True)
+        sampled = agent.act(rows, slots, mask.size, rng=mine)
+    assert built == [0]
+    assert greedy == agent.step(observation, mask, deterministic=True)[0]
+    with _sampler_inputs() as expected:
+        assert sampled == agent.step(observation, mask, rng=theirs)[0]
+    assert len(grids) == len(expected) == 1 and grids[0].tobytes() == expected[0].tobytes()
+    rng.random()  # exactly one uniform per call
+    assert mine.bit_generator.state == theirs.bit_generator.state == rng.bit_generator.state
+    return greedy, sampled
+
+
+def _check_step_batch_against_the_graph(agent, observations, masks, seed: int) -> None:
+    """``step_batch``'s actions, values and log-probs, sampled and greedy, are
+    the ``Tensor`` forward's (``policy_logits`` / ``value`` under ``no_grad``)
+    bit for bit; ``step_batch`` itself builds no ``Tensor``."""
+    def rngs():
+        return [np.random.default_rng(seed + row) for row in range(len(masks))]
+
+    with _tensors_built() as built:
+        sampled = agent.step_batch(observations, masks, rngs=rngs())
+        greedy = agent.step_batch(observations, masks, deterministic=True)
+    assert built == [0]
+    with no_grad():
+        logits = agent.policy_logits(Tensor(observations))
+        log_probs = (logits + Tensor((1.0 - masks) * -MASK_PENALTY)).log_softmax(axis=-1).numpy()
+        values = agent.value(Tensor(observations)).numpy()
+    index = np.arange(len(masks))
+    for (actions, got_values, got_log_probs), expected in (
+        (sampled, ppo._sample_actions(log_probs, rngs())),
+        (greedy, np.argmax(log_probs, axis=1)),
+    ):
+        assert actions.tolist() == expected.tolist()
+        assert got_values.tobytes() == values.tobytes()
+        assert got_log_probs.tobytes() == log_probs[index, expected].tobytes()
+
+
+def _act_on(agent, observation, mask, **kwargs):
+    """``act`` on the valid rows of a whole observation, as ``build`` hands them over."""
+    slots = np.flatnonzero(mask).tolist()
+    return agent.act(observation.reshape(mask.size, -1)[slots], slots, mask.size, **kwargs)
 
 
 @st.composite
 def act_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    slots = _ACT_CONFIG.num_slots
+    slots = _ACT_CONFIG.max_queue_size
     observation = rng.standard_normal(_ACT_CONFIG.observation_size) * draw(
         st.sampled_from([0.1, 1.0, 30.0])
     )
@@ -426,35 +511,33 @@ def act_cases(draw):
 def test_act_returns_the_action_of_step(case):
     observation, mask, row_block, seed = case
     agent = _agent(row_block)
-    assert agent.act(observation, mask, deterministic=True) == agent.step(
-        observation, mask, deterministic=True
-    )[0]
-    mine, theirs, once = (np.random.default_rng(seed) for _ in range(3))
+    slots = np.flatnonzero(mask).tolist()
+    rows = observation.reshape(mask.size, -1)[slots]
+    rng = np.random.default_rng(seed)
     for _ in range(3):
-        assert agent.act(observation, mask, rng=mine) == agent.step(observation, mask, rng=theirs)[0]
-        once.random()  # exactly one uniform per call
-        assert mine.bit_generator.state == theirs.bit_generator.state == once.bit_generator.state
+        _check_act_against_step(agent, observation, mask, rows, slots, rng)
+    _check_step_batch_against_the_graph(agent, observation[None], mask[None], seed)
 
 
 @pytest.mark.parametrize("row_block", [None, 1])
 def test_act_breaks_an_exact_score_tie_towards_the_lower_slot(row_block):
     agent = _agent(row_block)
     observation = np.random.default_rng(0).standard_normal(_ACT_CONFIG.observation_size)
-    rows = observation.reshape(_ACT_CONFIG.num_slots, -1)  # a view
+    rows = observation.reshape(_ACT_CONFIG.max_queue_size, -1)  # a view
     rows[[7, 2, 9]] = rows[4]  # one feature row, hence one score, in three slots
-    mask = np.zeros(_ACT_CONFIG.num_slots)
+    mask = np.zeros(_ACT_CONFIG.max_queue_size)
     mask[[2, 7, 9]] = 1.0
-    assert agent.act(observation, mask, deterministic=True) == 2
+    assert _act_on(agent, observation, mask, deterministic=True) == 2
     assert agent.step(observation, mask, deterministic=True)[0] == 2
 
 
 def test_act_rejects_a_mask_without_a_valid_action():
     agent = _agent(1)
-    observation = np.zeros(_ACT_CONFIG.observation_size)
-    with pytest.raises(ValueError, match="at least one valid action"):
-        agent.act(observation, np.zeros(_ACT_CONFIG.num_slots), deterministic=True)
-    with pytest.raises(ValueError, match="at least one valid action"):
-        agent.act(observation, np.zeros(_ACT_CONFIG.num_slots), rng=np.random.default_rng(0))
+    nothing = np.zeros((0, _ACT_CONFIG.job_features))
+    with pytest.raises(ValueError, match="at least one valid slot"):
+        agent.act(nothing, [], _ACT_CONFIG.max_queue_size, deterministic=True)
+    with pytest.raises(ValueError, match="at least one valid slot"):
+        agent.act(nothing, [], _ACT_CONFIG.max_queue_size, rng=np.random.default_rng(0))
 
 
 # -- whole simulations -------------------------------------------------------------
@@ -470,7 +553,8 @@ _MACHINES = {
 
 @st.composite
 def simulations(draw):
-    """A contended 16-processor machine and a window far shorter than its queue."""
+    """A contended 16-processor machine; a window mostly far shorter than its
+    queue (candidates behind it), sometimes longer than any queue it sees."""
     kind = draw(st.sampled_from(sorted(_MACHINES)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     jobs, now = [], 0.0
@@ -487,10 +571,79 @@ def simulations(draw):
             )
         )
     config = ObservationConfig(
-        max_queue_size=draw(st.integers(2, 6)), include_skip_action=draw(st.booleans()),
+        max_queue_size=draw(st.one_of(st.integers(2, 6), st.just(64))),
         num_resources=draw(st.sampled_from([1, 3])),
     )
     return kind, jobs, config, draw(st.booleans()), draw(st.integers(0, 1000))
+
+
+class _AgainstTheRollout(BackfillStrategy):
+    """Decides with ``build`` + ``act``; checks every decision against the
+    rollout's ``encode_batch`` + ``step`` and keeps what it encoded."""
+
+    name = "against-the-rollout"
+
+    def __init__(self, agent, deterministic: bool, seed: int):
+        self.agent, self.deterministic = agent, deterministic
+        self.builder = ObservationBuilder(agent.observation_config)
+        self.rng = np.random.default_rng(seed)
+        self.observations: List[np.ndarray] = []
+        self.masks: List[np.ndarray] = []
+        self.declined = 0
+
+    def select_backfill(self, decision, estimator):
+        builder = self.builder
+        queue, mask, slot_jobs = builder.prepare(decision)
+        slots, rows, built_slot_jobs = builder.build(decision)
+        assert slots == np.flatnonzero(mask).tolist()
+        assert len(built_slot_jobs) == len(slot_jobs)
+        assert all(a is b for a, b in zip(built_slot_jobs, slot_jobs))
+        if not slots:
+            self.declined += 1
+            return None
+        item = (decision, queue, builder.static_rows(queue), mask[: len(queue)])
+        observation = builder.encode_batch([item])[0]
+        assert rows.tobytes() == observation.reshape(mask.size, -1)[slots].tobytes()
+        greedy, sampled = _check_act_against_step(
+            self.agent, observation, mask, rows, slots, self.rng
+        )
+        self.observations.append(observation)
+        self.masks.append(mask)
+        return slot_jobs[greedy if self.deterministic else sampled]
+
+
+@settings(max_examples=60, deadline=None)
+@given(simulations(), st.sampled_from([None, 1]))
+def test_every_serial_decision_is_the_rollouts(case, row_block):
+    kind, jobs, config, deterministic, seed = case
+    agent = _agent(row_block, config, seed)
+    strategy = _AgainstTheRollout(agent, deterministic, seed)
+    simulator = Simulator(16, backfill=strategy, estimator=UserEstimate(), topology=_MACHINES[kind])
+    result = simulator.run(jobs)
+    assert len(result.records) == len(jobs)
+    if strategy.masks:  # every decision of the run, forwarded as one batch
+        _check_step_batch_against_the_graph(
+            agent, np.array(strategy.observations), np.array(strategy.masks), seed
+        )
+
+
+def test_the_rollout_comparisons_reach_every_arm():
+    """Vacuous unless decisions decline and choose, on every machine, with
+    candidates behind the window, and the batched check sees many rows."""
+    totals = Counter()
+    for seed in range(6):
+        for kind in sorted(_MACHINES):
+            jobs = _contended_jobs(np.random.default_rng(seed), 16, 60)
+            config = ObservationConfig(
+                max_queue_size=3 if seed % 2 else 64, num_resources=3 if seed % 3 == 0 else 1
+            )
+            agent = _agent(seed % 2 or None, config, seed)
+            strategy = _AgainstTheRollout(agent, seed % 4 < 2, seed)
+            Simulator(16, backfill=strategy, topology=_MACHINES[kind]).run(jobs)
+            totals["chosen", kind] += len(strategy.masks)
+            totals["declined", kind] += strategy.declined
+    for kind in _MACHINES:
+        assert totals["chosen", kind] > 150 and totals["declined", kind] > 50
 
 
 class _BothPolicies(BackfillStrategy):
@@ -501,17 +654,22 @@ class _BothPolicies(BackfillStrategy):
     def __init__(self, agent, deterministic: bool, seed: int):
         self.mine = RLBackfillPolicy(agent, deterministic=deterministic, seed=seed, row_block=1)
         self.parent = ParentPolicy(agent, deterministic=deterministic, seed=seed, row_block=1)
-        self.calls = {"encode_batch": 0, "value": 0}
+        self.rows_encoded: List[int] = []
+        self.value_runs = 0
         self.decisions = self.declined = 0
-        for owner, name in ((self.mine.builder, "encode_batch"), (self.mine.agent, "value")):
-            setattr(owner, name, self._counted(name, getattr(owner, name)))
+        feature_rows, infer = self.mine.builder.feature_rows, self.mine.agent.value_net.infer
 
-    def _counted(self, name, function):
-        def counted(*args, **kwargs):
-            self.calls[name] += 1
-            return function(*args, **kwargs)
+        def counted_rows(items):
+            rows = feature_rows(items)
+            self.rows_encoded.append(len(rows))
+            return rows
 
-        return counted
+        def counted_value(observations):
+            self.value_runs += 1
+            return infer(observations)
+
+        self.mine.builder.feature_rows = counted_rows
+        self.mine.agent.value_net.infer = counted_value
 
     def select_backfill(self, decision, estimator):
         machine, reserved = decision.machine, decision.reserved_job
@@ -527,18 +685,19 @@ class _BothPolicies(BackfillStrategy):
         assert len(decision.candidates) == len(fitting)
         assert all(a is b for a, b in zip(decision.candidates, fitting))
 
-        before = dict(self.calls)
-        chosen = self.mine.select_backfill(decision, estimator)
+        encoded = len(self.rows_encoded)
+        with _tensors_built() as built:
+            chosen = self.mine.select_backfill(decision, estimator)
         expected = self.parent.select_backfill(decision, estimator)
-        assert chosen is expected
+        assert chosen is expected and built == [0]
         self.decisions += 1
-        window = self.parent.builder.config.max_queue_size
-        if not self.parent.builder.prepare(decision)[1][:window].any():
+        # One encode of exactly the candidates inside the window, or none at all.
+        in_window = int(self.parent.builder.prepare(decision)[1].sum())
+        assert self.rows_encoded[encoded:] == ([in_window] if in_window else [])
+        if not in_window:
             self.declined += 1
-            assert chosen is None and self.calls == before  # nothing encoded, nothing forwarded
-        else:
-            assert self.calls["encode_batch"] == before["encode_batch"] + 1
-        assert self.calls["value"] == 0
+            assert chosen is None
+        assert self.value_runs == 0
         return chosen
 
 

@@ -248,25 +248,6 @@ class TestDeferredEncoding:
         with pytest.raises(RuntimeError):
             env.pending_encode()
 
-    def test_skip_action_ablation_still_encodes(self, small_trace):
-        """The skip-slot ablation must work through the deferred-encode path."""
-        config = ObservationConfig(max_queue_size=16, include_skip_action=True)
-        env = BackfillEnvironment(
-            small_trace,
-            policy="FCFS",
-            sequence_length=96,
-            observation_config=config,
-            seed=5,
-        )
-        obs, mask = env.reset()
-        assert mask[config.skip_slot] == 1.0
-        matrix = obs.reshape(config.num_slots, config.job_features)
-        assert matrix[config.skip_slot][5] == 1.0  # is_skip flag set
-        result = env.step(int(config.skip_slot))   # decline the opportunity
-        if not result.done:
-            assert result.observation is not None
-            assert result.mask[config.skip_slot] == 1.0
-
 
 class TestIdleLaneHandling:
     def test_finished_lanes_contribute_no_batch_rows(self, small_trace):
