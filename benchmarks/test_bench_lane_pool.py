@@ -31,7 +31,7 @@ import pytest
 from repro.core import BackfillEnvironment, RLBackfillAgent, Trainer, TrainerConfig
 from repro.core.observation import ObservationConfig
 from repro.rl.buffer import TrajectoryBuffer
-from repro.rl.lane_pool import available_worker_count
+from repro.rl.ipc import available_worker_count
 
 from test_bench_vec_rollout import (
     MAX_QUEUE,

@@ -63,6 +63,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="CI preset: smoke scale, heuristic policies only")
     parser.add_argument("--list", action="store_true", help="list registered scenarios and exit")
     args = parser.parse_args(argv)
+    if args.workers is not None and args.workers < 0:
+        parser.error(f"--workers must be >= 0, got {args.workers}")
 
     if args.list:
         for name in scenario_names():

@@ -14,9 +14,9 @@ from typing import Union
 import numpy as np
 
 from repro.core.agent import RLBackfillAgent
-from repro.core.observation import ObservationConfig
+from repro.core.observation import JOB_FEATURES, ObservationConfig
 
-__all__ = ["save_agent", "load_agent"]
+__all__ = ["save_agent", "load_agent", "agent_from_state"]
 
 #: Version 2 keys every parameter by its qualified attribute path (e.g.
 #: ``kernel/network.0.weight``), so a checkpoint can never load into the
@@ -54,46 +54,54 @@ def load_agent(path: Union[str, os.PathLike]) -> RLBackfillAgent:
         version = int(data["__format_version__"])
         if version != _FORMAT_VERSION:
             raise ValueError(f"unsupported checkpoint format version {version}")
-        config = ObservationConfig(max_queue_size=int(data["__max_queue_size__"]))
+        max_queue_size = int(data["__max_queue_size__"])
         kernel_state = {
             key.split("/", 1)[1]: data[key] for key in data.files if key.startswith("kernel/")
         }
         value_state = {
             key.split("/", 1)[1]: data[key] for key in data.files if key.startswith("value/")
         }
-    agent = RLBackfillAgent(observation_config=config)
-    # Hidden sizes are recovered from the stored arrays rather than assumed:
-    # rebuild the networks if the default architecture does not match.
-    try:
-        agent.load_state_dict({"kernel": kernel_state, "value": value_state})
-    except ValueError:
-        agent = _rebuild_with_shapes(config, kernel_state, value_state)
-    return agent
+    return agent_from_state(max_queue_size, kernel_state, value_state)
 
 
-def _rebuild_with_shapes(
-    config: ObservationConfig,
+def agent_from_state(
+    max_queue_size: int,
     kernel_state: dict[str, np.ndarray],
     value_state: dict[str, np.ndarray],
 ) -> RLBackfillAgent:
-    """Reconstruct an agent whose hidden sizes match the checkpointed arrays."""
-    kernel_hidden = _hidden_sizes_from_state(kernel_state)
-    value_hidden = _hidden_sizes_from_state(value_state)
+    """Rebuild an agent from its parameter arrays and queue size.
+
+    Everything else is read off the arrays rather than assumed: the per-slot
+    feature width (the kernel's input width, equal to the checkpoint's
+    ``__job_features__``) fixes ``num_resources``, and the weight matrices
+    fix the hidden sizes.
+    """
+    kernel_weights = _weights(kernel_state)
+    extra_features = int(kernel_weights[0].shape[0]) - JOB_FEATURES
+    config = ObservationConfig(
+        max_queue_size=max_queue_size, num_resources=1 + extra_features // 2
+    )
     agent = RLBackfillAgent(
-        observation_config=config, kernel_hidden=kernel_hidden, value_hidden=value_hidden
+        observation_config=config,
+        kernel_hidden=_hidden_sizes(kernel_weights),
+        value_hidden=_hidden_sizes(_weights(value_state)),
     )
     agent.load_state_dict({"kernel": kernel_state, "value": value_state})
     return agent
 
 
-def _hidden_sizes_from_state(state: dict[str, np.ndarray]) -> tuple[int, ...]:
-    """Infer hidden layer widths from the stored weight matrices.
+def _weights(state: dict[str, np.ndarray]) -> list[np.ndarray]:
+    """The weight matrices of a network, input layer first.
 
     Parameters are stored in ``named_parameters()`` order: weight, bias per
-    Linear layer; weights are 2-D.  The hidden sizes are the output
-    dimensions of every layer except the last.
+    Linear layer; weights are the 2-D arrays, shaped ``(inputs, outputs)``.
     """
     weights = [array for array in state.values() if array.ndim == 2]
     if not weights:
         raise ValueError("checkpoint contains no weight matrices")
+    return weights
+
+
+def _hidden_sizes(weights: list[np.ndarray]) -> tuple[int, ...]:
+    """The output widths of every layer except the last."""
     return tuple(int(w.shape[1]) for w in weights[:-1])

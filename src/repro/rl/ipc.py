@@ -1,5 +1,10 @@
 """Shared-memory IPC primitives for the multiprocess rollout lane pool.
 
+The lane pool exchanges a round with every worker in milliseconds, which is
+what this module exists for; scenario evaluation, whose cells run for
+seconds, uses :class:`concurrent.futures.ProcessPoolExecutor` and takes only
+:func:`worker_context` and :func:`available_worker_count` from here.
+
 The parent process and each lane-pool worker exchange **fixed-layout frames**
 through :class:`ShmRing`, a single-producer/single-consumer ring buffer laid
 out in one :class:`multiprocessing.shared_memory.SharedMemory` segment.  A
@@ -13,11 +18,6 @@ writing), ``_full`` counts ready frames (consumer acquires before reading).
 Both sides track their own slot index locally -- with exactly one producer
 and one consumer the indices advance monotonically and never race.
 
-A ring with ``capacity >= 2`` holds several frames in flight (the scenario
-pool queues a second cell behind the one a worker is evaluating), and
-``timeout=0`` on :meth:`push`/:meth:`pop` is a non-blocking poll, which is how
-that pool sweeps its workers' result rings without blocking on any one.
-
 The ring object is construct-in-parent, attach-in-child: it pickles its
 geometry and the segment *name* (never the mapping), and the child re-maps
 the segment lazily on first use.  Child attachments deregister themselves
@@ -28,6 +28,7 @@ unlinks the segment.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import time
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
@@ -35,7 +36,15 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 from multiprocessing import resource_tracker, shared_memory
 
-__all__ = ["Field", "FrameLayout", "ShmRing", "RingClosed", "RingTimeout", "worker_context"]
+__all__ = [
+    "Field",
+    "FrameLayout",
+    "ShmRing",
+    "RingClosed",
+    "RingTimeout",
+    "available_worker_count",
+    "worker_context",
+]
 
 
 def worker_context():
@@ -46,6 +55,14 @@ def worker_context():
     """
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+
+
+def available_worker_count() -> int:
+    """CPU cores usable by this process (affinity-aware, at least 1)."""
+    try:
+        return max(1, len(os.sched_getaffinity(0)))
+    except AttributeError:  # pragma: no cover - non-Linux
+        return max(1, os.cpu_count() or 1)
 
 
 class RingClosed(RuntimeError):

@@ -51,7 +51,6 @@ cross-config matrix in ``tests/test_parity_matrix.py``).
 
 from __future__ import annotations
 
-import os
 import time
 import traceback
 import weakref
@@ -66,7 +65,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import trace_spool_dir
 from repro.rl.buffer import TrajectoryBuffer
 from repro.rl.env import Environment
-from repro.rl.ipc import Field, FrameLayout, ShmRing, worker_context
+from repro.rl.ipc import Field, FrameLayout, ShmRing, available_worker_count, worker_context
 from repro.rl.ppo import ActorCritic
 from repro.rl.vec_env import (
     CMD_NOOP,
@@ -89,7 +88,7 @@ from repro.rl.vec_env import (
 )
 from repro.utils.rng import SeedLike
 
-__all__ = ["ProcessLanePool", "make_rollout_engine", "available_worker_count"]
+__all__ = ["ProcessLanePool", "make_rollout_engine"]
 
 # -- wire protocol -------------------------------------------------------------
 #: Command-frame kinds.
@@ -106,14 +105,6 @@ _RING_CAPACITY = 2
 _ROUND_TIMEOUT = 120.0
 #: Replacements one worker slot may consume before the pool gives up on it.
 _MAX_RESPAWNS = 8
-
-
-def available_worker_count() -> int:
-    """CPU cores usable by this process (affinity-aware, at least 1)."""
-    try:
-        return max(1, len(os.sched_getaffinity(0)))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return max(1, os.cpu_count() or 1)
 
 
 def _command_layout(shard: int) -> FrameLayout:

@@ -7,9 +7,9 @@ Three layers (see ``docs/scenarios.md``):
   corruption, size shaping) that compose in order;
 * :mod:`repro.scenarios.registry` -- named scenario specs (base trace x
   transforms x cluster downtime) with the built-in ``core`` robustness suite;
-* :mod:`repro.scenarios.evaluate` / :mod:`repro.scenarios.pool` -- the
-  multi-policy evaluation harness fanning (scenario x policy) cells across a
-  shared-memory process worker pool into one deterministic JSON report.
+* :mod:`repro.scenarios.evaluate` -- the multi-policy evaluation harness
+  fanning (scenario x policy) cells across a standard-library process pool
+  into one deterministic JSON report.
 """
 
 from repro.scenarios.transforms import (

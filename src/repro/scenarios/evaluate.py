@@ -6,8 +6,10 @@ policy of that scenario, the fair-comparison protocol of
 :mod:`repro.experiments.runner`), each sequence is scheduled to completion
 under the policy -- honouring the scenario's downtime windows -- and the
 per-sequence :func:`repro.scheduler.metrics.compute_metrics` outputs are
-averaged into one metrics row.  Cells are independent, which is what the
-process worker pool (:mod:`repro.scenarios.pool`) exploits.
+averaged into one metrics row.  Cells are independent, so
+:func:`evaluate_suite` fans them across a standard-library process pool
+(:class:`concurrent.futures.ProcessPoolExecutor`); a cell takes one index in
+and returns its row, so nothing heavier than a pickled dict crosses it.
 
 The report is **seed-deterministic by construction**: every simulated float
 is a pure function of ``(suite, scale, seed, policies)``, cells are keyed --
@@ -29,7 +31,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.agent import RLBackfillAgent
-from repro.core.observation import ObservationConfig
+from repro.core.checkpoints import agent_from_state
 from repro.core.rlbackfill import RLBackfillPolicy
 from repro.experiments.config import ExperimentScale, get_scale
 from repro.experiments.runner import (
@@ -60,8 +62,8 @@ __all__ = [
     "evaluate_suite",
 ]
 
-#: Fixed order of the per-cell aggregate metrics; this is also the layout of
-#: the shared-memory result frame the worker pool ships, so append-only.
+#: Fixed order of the per-cell aggregate metrics (and of the report's
+#: ``metric_fields``), so append-only.
 METRIC_FIELDS: Tuple[str, ...] = (
     "num_jobs",
     "average_bounded_slowdown",
@@ -90,7 +92,9 @@ class AgentBundle:
     """A trained agent in wire form: plain arrays + the observation shape.
 
     Workers rebuild the agent from this (instead of pickling live network
-    objects) so the pool's spawn path stays cheap and version-stable.
+    objects) so the pool's spawn path stays cheap and version-stable.  The
+    feature width and hidden sizes are read back off the arrays, exactly as
+    :func:`~repro.core.checkpoints.load_agent` does.
     """
 
     max_queue_size: int
@@ -107,15 +111,9 @@ class AgentBundle:
         )
 
     def to_agent(self) -> RLBackfillAgent:
-        from repro.core.checkpoints import _rebuild_with_shapes  # shares shape recovery
-
-        config = ObservationConfig(max_queue_size=self.max_queue_size)
-        try:
-            agent = RLBackfillAgent(observation_config=config)
-            agent.load_state_dict({"kernel": dict(self.kernel_state), "value": dict(self.value_state)})
-        except ValueError:
-            agent = _rebuild_with_shapes(config, dict(self.kernel_state), dict(self.value_state))
-        return agent
+        return agent_from_state(
+            self.max_queue_size, dict(self.kernel_state), dict(self.value_state)
+        )
 
 
 def train_evaluation_agent(
@@ -338,6 +336,83 @@ def report_to_json(report: Mapping[str, object]) -> str:
     return json.dumps(_clean(dict(report)), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
+#: The suite a process evaluates cells of -- ``(scenarios, policies, scale,
+#: seed, agent_bundle)`` -- set by :func:`_init_cells` (a pool worker's
+#: initializer, or the parent itself inline), and the scenarios built so far.
+_suite: tuple = ()
+_built: Dict[int, Tuple[BuiltScenario, List[List[Job]]]] = {}
+
+
+def _init_cells(*suite) -> None:
+    global _suite
+    _suite = suite
+    _built.clear()
+
+
+def _cell(index: int) -> Tuple[Dict[str, float], float]:
+    """Evaluate cell ``index`` of the current suite: ``(metrics row, wall seconds)``.
+
+    The scenario's trace and evaluation sequences are built on first touch
+    and cached, so each process builds a scenario at most once.
+    """
+    scenarios, policies, scale, seed, agent_bundle = _suite
+    scenario_index, policy_index = divmod(index, len(policies))
+    started = time.perf_counter()
+    if scenario_index not in _built:
+        spec = scenarios[scenario_index]
+        built = spec.build(seed=scenario_seed(seed, spec.name), num_jobs=scale.trace_jobs)
+        _built[scenario_index] = built, scenario_sequences(built, scale, seed)
+    built, sequences = _built[scenario_index]
+    row = evaluate_cell(
+        built, policies[policy_index], scale, seed, agent_bundle, sequences=sequences
+    )
+    return row, time.perf_counter() - started
+
+
+def _run_cells(suite: tuple, num_workers: int) -> list:
+    """Every cell's ``(row, wall)`` in index order; ``num_workers=0`` runs inline.
+
+    Workers take cells as they free up, so a slow cell never stalls the
+    others; results are read back in index order, never completion order.
+    A failing cell, or a worker that dies, raises :class:`RuntimeError`
+    naming the cell (the remote traceback chained), after the pending cells
+    are cancelled and the pool is shut down.
+    """
+    scenarios, policies = suite[0], suite[1]
+    indices = range(len(scenarios) * len(policies))
+    if num_workers == 0:
+        _init_cells(*suite)
+        try:
+            return [_cell(index) for index in indices]
+        finally:
+            _init_cells()  # drop the built scenarios
+    from concurrent.futures import ProcessPoolExecutor
+
+    from repro.rl.ipc import worker_context
+
+    executor = ProcessPoolExecutor(
+        min(num_workers, len(indices)),
+        mp_context=worker_context(),
+        initializer=_init_cells,
+        initargs=suite,
+    )
+    try:
+        futures = [executor.submit(_cell, index) for index in indices]
+        results = []
+        for index, future in zip(indices, futures):
+            try:
+                results.append(future.result())
+            except Exception as exc:
+                scenario_index, policy_index = divmod(index, len(policies))
+                raise RuntimeError(
+                    f"evaluation of cell {scenarios[scenario_index].name!r} x "
+                    f"{policies[policy_index]!r} failed: {exc!r}"
+                ) from exc
+        return results
+    finally:
+        executor.shutdown(wait=True, cancel_futures=True)
+
+
 def evaluate_suite(
     suite: str | Sequence[str] = "core",
     scale: ExperimentScale | str = "quick",
@@ -348,11 +423,12 @@ def evaluate_suite(
 ) -> Tuple[Dict[str, object], Dict[str, object]]:
     """Evaluate ``suite`` x ``policies`` and return ``(report, timing)``.
 
-    ``num_workers`` > 0 fans the cells across a process worker pool
-    (:class:`repro.scenarios.pool.ScenarioWorkerPool`); ``0`` evaluates
-    inline.  ``None`` picks ``min(cells, available cores)``.  The report is
-    identical either way; only the timing document differs.
+    ``num_workers`` > 0 fans the cells across that many worker processes;
+    ``0`` evaluates inline.  ``None`` picks ``min(cells, available cores)``.
+    The report is identical either way; only the timing document differs.
     """
+    if num_workers is not None and num_workers < 0:
+        raise ValueError(f"num_workers must be >= 0, got {num_workers}")
     scale = get_scale(scale)
     scenarios = suite_scenarios(suite)
     policies = list(policies)
@@ -362,34 +438,12 @@ def evaluate_suite(
 
     started = time.perf_counter()
     if num_workers is None:
-        from repro.rl.lane_pool import available_worker_count
+        from repro.rl.ipc import available_worker_count
 
         num_workers = max(1, min(len(cell_keys), available_worker_count()))
-    if num_workers > 0:
-        from repro.scenarios.pool import ScenarioWorkerPool
-
-        with ScenarioWorkerPool(
-            scenarios=scenarios,
-            policies=policies,
-            scale=scale,
-            seed=seed,
-            agent_bundle=agent_bundle,
-            num_workers=num_workers,
-        ) as pool:
-            cells, cell_walls = pool.run()
-    else:
-        cells = {}
-        cell_walls = {}
-        for spec in scenarios:
-            built = spec.build(seed=scenario_seed(seed, spec.name), num_jobs=scale.trace_jobs)
-            sequences = scenario_sequences(built, scale, seed)
-            for policy in policies:
-                cell_started = time.perf_counter()
-                cells[(spec.name, policy)] = evaluate_cell(
-                    built, policy, scale, seed, agent_bundle, sequences=sequences
-                )
-                cell_walls[(spec.name, policy)] = time.perf_counter() - cell_started
+    results = _run_cells((scenarios, policies, scale, seed, agent_bundle), num_workers)
     total_wall = time.perf_counter() - started
+    cells = {key: row for key, (row, _) in zip(cell_keys, results)}
 
     report = build_report(
         suite_name=suite if isinstance(suite, str) else ",".join(suite),
@@ -408,17 +462,7 @@ def evaluate_suite(
     )
     ref_policy = "easy" if "easy" in policies else policies[0]
     ref_started = time.perf_counter()
-    ref_built = ref_scenario.build(
-        seed=scenario_seed(seed, ref_scenario.name), num_jobs=scale.trace_jobs
-    )
-    evaluate_cell(
-        ref_built,
-        ref_policy,
-        scale,
-        seed,
-        agent_bundle,
-        sequences=scenario_sequences(ref_built, scale, seed),
-    )
+    _run_cells(([ref_scenario], [ref_policy], scale, seed, agent_bundle), 0)
     reference_cell_seconds = time.perf_counter() - ref_started
 
     timing = {
@@ -432,8 +476,7 @@ def evaluate_suite(
             total_wall / reference_cell_seconds if reference_cell_seconds > 0 else 0.0
         ),
         "cell_wall_seconds": {
-            f"{name}/{policy}": cell_walls.get((name, policy), 0.0)
-            for name, policy in cell_keys
+            f"{name}/{policy}": wall for (name, policy), (_, wall) in zip(cell_keys, results)
         },
     }
     return report, timing

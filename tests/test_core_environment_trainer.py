@@ -275,17 +275,22 @@ class TestTrainer:
 
 
 class TestCheckpoints:
-    def test_save_load_round_trip(self, tmp_path, obs_config):
-        agent = RLBackfillAgent(obs_config, seed=0)
-        path = save_agent(agent, tmp_path / "model")
-        loaded = load_agent(path)
-        assert loaded.observation_config.max_queue_size == obs_config.max_queue_size
-        obs = np.random.default_rng(0).random((2, obs_config.observation_size))
+    @pytest.mark.parametrize("num_resources", [1, 3])
+    def test_save_load_round_trip(self, tmp_path, num_resources):
+        """A checkpoint and the in-memory ``AgentBundle`` both restore the agent."""
         from repro.rl.autograd import Tensor
+        from repro.scenarios.evaluate import AgentBundle
 
-        np.testing.assert_allclose(
-            agent.policy_logits(Tensor(obs)).numpy(), loaded.policy_logits(Tensor(obs)).numpy()
-        )
+        config = ObservationConfig(max_queue_size=16, num_resources=num_resources)
+        agent = RLBackfillAgent(config, seed=0)
+        path = save_agent(agent, tmp_path / "model")
+        obs = np.random.default_rng(0).random((2, config.observation_size))
+        for loaded in (load_agent(path), AgentBundle.from_agent(agent).to_agent()):
+            assert loaded.observation_config == config
+            np.testing.assert_allclose(
+                agent.policy_logits(Tensor(obs)).numpy(),
+                loaded.policy_logits(Tensor(obs)).numpy(),
+            )
 
     def test_load_restores_custom_architecture(self, tmp_path, obs_config):
         agent = RLBackfillAgent(obs_config, kernel_hidden=(8, 8), value_hidden=(16,), seed=0)

@@ -1,13 +1,21 @@
 """Scenario subsystem: transforms, registry, and the evaluation harness."""
 
+import importlib.util
 import json
+import multiprocessing
+import os
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.core.agent import RLBackfillAgent
+from repro.scenarios import evaluate as evaluate_module
 from repro.scenarios.evaluate import (
     HEURISTIC_POLICIES,
     METRIC_FIELDS,
+    AgentBundle,
     evaluate_cell,
     evaluate_suite,
     make_configuration,
@@ -286,18 +294,21 @@ class TestEvaluationHarness:
             assert 0.0 <= row["window_utilization"] < 1.0
 
     def test_report_deterministic_and_worker_count_invariant(self):
+        # An untrained agent: the bundle crossing into the workers is what
+        # is pinned here, not the quality of the policy.
         kwargs = dict(
             suite="baseline-lublin,downtime-half",
             scale="smoke",
             seed=0,
-            policies=HEURISTIC_POLICIES,
+            policies=(*HEURISTIC_POLICIES, "rl"),
+            agent_bundle=AgentBundle.from_agent(RLBackfillAgent(seed=0)),
         )
         inline_report, _ = evaluate_suite(num_workers=0, **kwargs)
         inline_again, _ = evaluate_suite(num_workers=0, **kwargs)
         pooled_report, timing = evaluate_suite(num_workers=2, **kwargs)
         assert report_to_json(inline_report) == report_to_json(inline_again)
         assert report_to_json(inline_report) == report_to_json(pooled_report)
-        assert timing["cells"] == 4
+        assert timing["cells"] == 6
         assert timing["scenario_eval_wall_seconds"] > 0
 
     def test_report_seed_sensitivity(self):
@@ -327,21 +338,58 @@ class TestEvaluationHarness:
         parsed = json.loads(report_to_json(report))
         assert parsed["suite"] == "baseline-lublin,estimate-noise"
 
-    def test_worker_error_propagates(self):
+    def test_worker_error_propagates(self, monkeypatch):
         """A failing cell surfaces the worker's traceback, not a hang."""
-        from repro.experiments.config import get_scale
-        from repro.scenarios.pool import ScenarioWorkerPool
-
         bad = ScenarioSpec(name="tmp-bad-scenario", base_trace="no-such-trace")
-        with ScenarioWorkerPool(
-            scenarios=[bad],
-            policies=["easy"],
-            scale=get_scale("smoke"),
-            seed=0,
-            num_workers=1,
-        ) as pool:
-            with pytest.raises(RuntimeError, match="tmp-bad-scenario"):
-                pool.run()
+        monkeypatch.setattr(evaluate_module, "suite_scenarios", lambda suite: [bad])
+        with pytest.raises(RuntimeError, match="'tmp-bad-scenario' x 'easy'") as info:
+            evaluate_suite("tmp", scale="smoke", policies=("easy",), num_workers=1)
+        assert "no-such-trace" in str(info.value.__cause__.__cause__)  # remote traceback
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the patched cell reaches the workers only through fork",
+    )
+    def test_worker_killed_mid_cell_raises_promptly(self, monkeypatch):
+        parent = os.getpid()
+
+        def die(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(3)
+            raise AssertionError("the cell ran in the parent")
+
+        def run():
+            try:
+                evaluate_suite(
+                    "baseline-lublin,downtime-half", scale="smoke", policies=("easy",),
+                    num_workers=2,
+                )
+            except RuntimeError as exc:
+                errors.append(exc)
+
+        monkeypatch.setattr(evaluate_module, "evaluate_cell", die)
+        before = set(multiprocessing.active_children())
+        errors = []
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(timeout=30.0)
+        assert not thread.is_alive(), "a dead worker hung the pool"
+        assert len(errors) == 1
+        assert "'baseline-lublin' x 'easy'" in str(errors[0])
+        assert set(multiprocessing.active_children()) <= before
+
+    def test_negative_worker_count_rejected(self):
+        with pytest.raises(ValueError, match="num_workers"):
+            evaluate_suite("baseline-lublin", scale="smoke", policies=("easy",), num_workers=-1)
+        spec = importlib.util.spec_from_file_location(
+            "evaluate_scenarios",
+            Path(__file__).resolve().parents[1] / "scripts" / "evaluate_scenarios.py",
+        )
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        with pytest.raises(SystemExit) as exit_info:
+            script.main(["--quick", "--workers", "-1"])
+        assert exit_info.value.code == 2
 
     def test_evaluate_configurations_accepts_scenario_names(self):
         """The runner wiring: scenario: names resolve through the registry."""
