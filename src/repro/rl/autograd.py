@@ -20,7 +20,7 @@ how many rows share the batch; :meth:`Tensor.matmul_invariant` is the same
 node without bias or ReLU).  The model layers (:class:`~repro.rl.nn.Linear`)
 use it, so policy and value outputs -- and therefore rollout trajectories
 and PPO updates -- do not depend on rollout lane count, worker shard layout,
-pipeline depth, or minibatch composition.
+or minibatch composition.
 
 What is bit-stable: forward rows and input-gradient rows of
 :meth:`Tensor.linear` equal the former matmul -> bias-add -> ReLU chain float
@@ -81,8 +81,8 @@ def invariant_matmul(
 
     bit for bit, for any batch composition (asserted over randomized shapes
     in ``tests/test_rl_autograd.py``).  This is what makes policy outputs
-    identical across rollout lane count, worker shard layout, and pipeline
-    depth -- see the determinism contract in ``docs/simulator.md``.
+    identical across rollout lane count and worker shard layout -- see the
+    determinism contract in ``docs/simulator.md``.
 
     ``row_block`` is a **per-call-site hint** overriding the default block
     size.  Batch invariance holds *within* a call site -- any fixed block

@@ -10,7 +10,7 @@ the **batch-invariant matmul kernel**, bias add, optional ReLU): every output
 row is bit-identical whether it is forwarded alone or inside any larger
 batch.  Since all model matmuls go through ``Linear``, the networks' outputs
 are invariant to rollout batch composition -- the property the
-vectorized/multiprocess/pipelined rollout engines' bit-parity contract rests
+in-process and process-pool rollout engines' bit-parity contract rests
 on, and the one that lets the policy forward only the unmasked slots.  The
 fusion keeps every forward float of the former three-node chain; trained
 weights move in the last ulps once (see :mod:`repro.rl.autograd`).

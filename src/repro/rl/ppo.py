@@ -196,9 +196,8 @@ class ActorCritic(ABC):
         Delegates to :meth:`step_batch` with a batch of one; since
         ``step_batch`` is batch-invariant per row, this agrees bit for bit
         with the same observation forwarded inside any batch -- the serial
-        rollout path, the vectorized engine at any ``num_envs``, and the
-        worker pools at any shard layout or pipeline depth all see identical
-        floats.
+        rollout path, the in-process engine at any ``num_envs``, and the
+        worker pools at any shard layout all see identical floats.
         """
         rng = as_rng(rng)
         actions, values, log_probs = self.step_batch(

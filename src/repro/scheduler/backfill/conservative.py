@@ -15,9 +15,9 @@ Decision points are *not* rare -- one contended quick-scale cell spent 41 s
 replanning -- so a decision does the least work that yields the same floats.
 With q planned jobs, c candidates and b breakpoints (up to running + 2q):
 
-* the textbook form (kept as the oracle in
-  ``tests/test_conservative_fast_path.py``): 1 + c profile builds and 1 + c
-  whole replans, every reservation scanning from each breakpoint -- O(c q b^2);
+* the textbook form (its schedules are pinned by the golden decision streams
+  in ``tests/golden/``): 1 + c profile builds and 1 + c whole replans, every
+  reservation scanning from each breakpoint -- O(c q b^2);
 * PR 14: one build cloned per trial, a one-sweep ``earliest_start`` (O(b)),
   trials that stop at the first delayed job -- O(c q b);
 * now: at most one baseline plan per instant, O(q b), and **a trial only where

@@ -160,8 +160,10 @@ class ResourceProfile:
         """:meth:`_window` once the steps holding ``lo`` and ``end`` are known."""
         times, free = self._times, self._free
         cut_lo = abs(times[first] - lo) > _EPS
-        # ``end`` snaps to the last breakpoint before it, the one cut at ``lo`` included.
-        cut_end = abs((lo if cut_lo and last == first else times[last]) - end) > _EPS
+        # ``end`` snaps to the last breakpoint before it, the one cut at ``lo`` included,
+        # unless that lies more than eps before it -- the float test the sweep of
+        # ``earliest_start`` ends its windows with, so the start it finds fits here.
+        cut_end = (lo if cut_lo and last == first else times[last]) < end - _EPS
         stop = last + cut_end
         if first < stop and min(free[first:stop]) - needed < -_EPS:
             worst = next(i for i in range(first, stop) if free[i] - needed < -_EPS)

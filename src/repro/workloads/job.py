@@ -10,6 +10,7 @@ object can be scheduled many times concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
 from typing import Iterable, Iterator, List, Sequence
 
 __all__ = ["Job", "Trace"]
@@ -67,6 +68,13 @@ class Job:
     requested_gpus: int = 0
 
     def __post_init__(self) -> None:
+        # NaN passes every comparison below (each is False), and an infinite
+        # time never completes: both would hang the event loop.
+        if not (isfinite(self.submit_time) and isfinite(self.runtime) and isfinite(self.requested_time)):
+            for name in ("submit_time", "runtime", "requested_time"):
+                value = getattr(self, name)
+                if not isfinite(value):
+                    raise ValueError(f"job {self.job_id}: {name} must be finite, got {value}")
         if self.requested_processors <= 0:
             raise ValueError(
                 f"job {self.job_id}: requested_processors must be positive, "

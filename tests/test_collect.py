@@ -22,8 +22,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import BackfillEnvironment, RLBackfillAgent
-from repro.core.observation import ObservationConfig
+from repro.core import RLBackfillAgent
 from repro.faults import FaultPlan
 from repro.obs import (
     disable_tracing,
@@ -40,8 +39,7 @@ from repro.obs.collect import sidecar_path, sidecar_paths, write_sidecar
 from repro.obs.trace import SpanTracer
 from repro.rl.buffer import TrajectoryBuffer
 from repro.rl.lane_pool import ProcessLanePool
-
-OBS_CONFIG = ObservationConfig(max_queue_size=16)
+from tests.test_parity_matrix import OBS_CONFIG, make_training_env
 
 
 def make_events(count, pid, base_ts=1_000):
@@ -217,18 +215,6 @@ class TestDeterministicMerge:
         summary_b = export_chrome_trace(out_b, spool_dir=spool_b, parent=parent)
         assert out_a.read_bytes() == out_b.read_bytes()
         assert summary_a["events"] == summary_b["events"] == 12
-
-
-def make_training_env(small_trace, seed=5):
-    return BackfillEnvironment(
-        small_trace,
-        policy="FCFS",
-        sequence_length=96,
-        observation_config=OBS_CONFIG,
-        seed=seed,
-        training_pool_size=3,
-        min_baseline_bsld=1.1,
-    )
 
 
 @pytest.fixture

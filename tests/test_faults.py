@@ -21,8 +21,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.machine import DowntimeWindow
-from repro.core import BackfillEnvironment, RLBackfillAgent
-from repro.core.observation import ObservationConfig
+from repro.core import RLBackfillAgent
 from repro.faults import FaultPlan, NodeFailure, RestartPolicy, as_restart_policy
 from repro.prediction.predictors import UserEstimate
 from repro.rl.buffer import TrajectoryBuffer
@@ -31,6 +30,7 @@ from repro.rl.vec_env import VecBackfillEnv
 from repro.scheduler.backfill.easy import EasyBackfill
 from repro.scheduler.simulator import Simulator, capture_decisions, run_schedule
 from repro.workloads.job import Job
+from tests.test_parity_matrix import OBS_CONFIG, make_training_env
 
 
 def make_job(job_id, submit_time, runtime, processors, requested_time=None):
@@ -241,20 +241,7 @@ class TestSimulatorFailures:
         assert online_result.requeue_count == offline_result.requeue_count
 
 
-OBS_CONFIG = ObservationConfig(max_queue_size=16)
 LANES = 8
-
-
-def make_training_env(small_trace, seed=5):
-    return BackfillEnvironment(
-        small_trace,
-        policy="FCFS",
-        sequence_length=96,
-        observation_config=OBS_CONFIG,
-        seed=seed,
-        training_pool_size=3,
-        min_baseline_bsld=1.1,
-    )
 
 
 def lane_rngs(count, base=0):

@@ -1,0 +1,30 @@
+"""Every cell of the golden corpus (``tests/golden/corpus.py``) still yields its
+committed digest, and one tiny PPO epoch still ends at the committed weights.
+A change meant to move either reruns ``scripts/update_golden.py`` and commits
+the rewritten ``tests/golden/*.json`` with it.
+"""
+
+import json
+
+from tests.golden import corpus
+
+
+def test_every_golden_stream_is_unchanged():
+    committed = corpus.GOLDEN_FILE.read_text()
+    digests = corpus.compute()
+    changes = corpus.diff(json.loads(committed), digests)
+    not_run = sum(digest == "not run" for digest in digests.values())
+    assert not changes, (
+        f"{len(changes)} cells changed and {not_run} were not run after a hung cell "
+        "(rerun scripts/update_golden.py if the change is meant to move them):\n"
+        + "\n".join(changes)
+    )
+    assert corpus.dumps(digests) == committed  # the bytes the script writes
+
+
+def test_one_ppo_epoch_ends_at_the_committed_weights():
+    moved = corpus.training_moved(corpus.load(corpus.TRAINING_FILE), corpus.training_summary())
+    assert not moved, (
+        f"the weight statistics of {moved} moved beyond rtol {corpus.TRAINING_RTOL} "
+        "(rerun scripts/update_golden.py if the change is meant to move them)"
+    )

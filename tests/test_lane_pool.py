@@ -30,7 +30,6 @@ import numpy as np
 import pytest
 
 from repro.core import BackfillEnvironment, RLBackfillAgent, Trainer, TrainerConfig
-from repro.core.observation import ObservationConfig
 from repro.rl.buffer import TrajectoryBuffer
 from repro.rl.ipc import Field, FrameLayout, RingTimeout, ShmRing
 from repro.rl.lane_pool import ProcessLanePool, make_rollout_engine
@@ -38,20 +37,7 @@ from repro.rl.ppo import PPOConfig
 from repro.rl.vec_env import VecBackfillEnv
 from repro.workloads.sampling import sample_sequence
 from repro.workloads.job import Job, Trace
-
-
-OBS_CONFIG = ObservationConfig(max_queue_size=16)
-
-
-def make_env(small_trace, seed=5, **kwargs):
-    return BackfillEnvironment(
-        small_trace,
-        policy="FCFS",
-        sequence_length=96,
-        observation_config=OBS_CONFIG,
-        seed=seed,
-        **kwargs,
-    )
+from tests.test_vec_env import OBS_CONFIG, make_env
 
 
 def make_training_env(small_trace, seed=5):

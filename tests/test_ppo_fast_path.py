@@ -57,7 +57,7 @@ class DenseOracleAgent(RLBackfillAgent):
         return primitive_mlp(self.value_net, observations).reshape(observations.shape[0])
 
 
-def oracle_steps(oracle, observations, masks, rngs=None):
+def dense_oracle_steps(oracle, observations, masks, rngs=None):
     """What ``step_batch`` returns, from the dense oracle's graph forward under ``no_grad``."""
     with no_grad():
         log_probs = oracle.masked_log_probs(Tensor(observations), masks).numpy()
@@ -193,12 +193,12 @@ class TestCompactionIsExact:
 
         for got, expected in zip(
             agent.step_batch(observations, masks, rngs=rngs()),
-            oracle_steps(oracle, observations, masks, rngs()),
+            dense_oracle_steps(oracle, observations, masks, rngs()),
         ):
             assert np.array_equal(got, expected)
         for got, expected in zip(
             agent.step_batch(observations, masks, deterministic=True),
-            oracle_steps(oracle, observations, masks),
+            dense_oracle_steps(oracle, observations, masks),
         ):
             assert np.array_equal(got, expected)
 
@@ -235,7 +235,7 @@ class TestCompactionIsExact:
         serial_oracle = RLBackfillPolicy(oracle, row_block=1).agent
         for _ in range(5):
             observations, masks = random_batch(rng, 1)
-            action, value, log_prob = oracle_steps(serial_oracle, observations, masks)
+            action, value, log_prob = dense_oracle_steps(serial_oracle, observations, masks)
             assert serial.step(observations[0], masks[0], deterministic=True) == (
                 action[0], value[0], log_prob[0]
             )

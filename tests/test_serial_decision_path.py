@@ -1,26 +1,22 @@
-"""The serial decision path against the parent's do-everything code (ISSUE 17).
+"""The serial decision path does only what a decision uses.
 
-A served decision now costs what it uses: ``ObservationBuilder.build``
-declines before it encodes, ``prepare`` marks the window with one merge walk
-instead of a set over every candidate, ``encode_batch`` has one input form,
-the policy calls ``ActorCritic.act`` (no value forward, no logit grid for the
-argmax), an accepted backfill costs the simulator one pass over the
-candidates, and the replay log is read as a stream.  The parent commit's code
-lives on here, verbatim, as the ``Parent*`` classes and functions -- and only
-here: every comparison is ``==`` on floats, ``is`` on jobs and ``==`` on
-exception text.
+A served decision costs what it uses: ``ObservationBuilder.build`` declines
+before it encodes and encodes the feature rows of its candidate slots only,
+the policy scores them on arrays (``ActorCritic.act``: no value forward, no
+``Tensor``), an accepted backfill costs the simulator one pass over the
+candidates, and the replay log is read as a stream.  The candidate rule
+lives in :class:`DecisionPoint` (derived on first read from the snapshot and
+the free count captured at construction), the simulator asks a census of
+queued widths instead of scanning the queue, and a session counts its
+decisions instead of keeping them.
 
-ISSUE 19 moved the candidate rule into :class:`DecisionPoint` (derived on
-first read from the snapshot and the free count captured at construction),
-replaced the simulator's full-queue scan by a census of queued widths, and
-made a session count its decisions instead of keeping them.  The same oracles
-serve: ``ParentSimulator`` still yields eager candidate lists and
-``ParentBuilder`` still marks its window from them.
-
-A decision now encodes the feature rows of its candidate slots only and
-scores them on arrays.  That path is checked against the rollout's own,
-``encode_batch`` + ``step``, and the rollout's array forward against the
-``Tensor`` graph (``policy_logits`` / ``value`` under ``no_grad``).
+That no decision moved is pinned by the golden decision streams
+(``tests/golden/``).  The tests here check each path against the one it must
+equal: ``act`` against the rollout's ``step``, a served simulation against
+the parent's whole-window rule, the array forward against the ``Tensor``
+graph, derived candidates against a scan of the queue made when the point
+was answered, and the stream reader against the whole-text parser it
+replaced (``parent_parse_jsonl``, kept as the reader's oracle).
 """
 
 from __future__ import annotations
@@ -42,14 +38,7 @@ from hypothesis import strategies as st
 from repro.cluster.machine import DowntimeWindow, Machine
 from repro.cluster.resources import ClusterTopology, NodeGroup
 from repro.core.agent import RLBackfillAgent
-from repro.core.observation import (
-    _MAX_HORIZON,
-    _MAX_WAIT,
-    ObservationBuilder,
-    ObservationConfig,
-    _log_norm,
-    _log_norm_array,
-)
+from repro.core.observation import ObservationBuilder, ObservationConfig
 from repro.core.rlbackfill import RLBackfillPolicy
 from repro.prediction.predictors import UserEstimate
 from repro.faults.plan import NodeFailure
@@ -72,190 +61,7 @@ from repro.service.replay import (
 )
 from repro.workloads.job import Job
 
-# -- the oracle: parent commit, verbatim ---------------------------------------
-
-
-class ParentBuilder(ObservationBuilder):
-    """The parent's ``prepare`` / ``encode_batch`` (its tuple arm) / ``build``."""
-
-    def prepare(self, decision):
-        cfg = self.config
-        candidate_ids = {job.job_id for job in decision.candidates}
-        if decision.queue_sorted:
-            queue = decision.queue
-        else:
-            queue = sorted(decision.queue, key=lambda j: (j.submit_time, j.job_id))
-        if len(queue) > cfg.max_queue_size:
-            queue = queue[: cfg.max_queue_size]
-
-        mask = np.zeros(cfg.max_queue_size, dtype=np.float64)
-        slot_jobs: List[Optional[Job]] = [None] * cfg.max_queue_size
-        slot_jobs[: len(queue)] = queue
-        reserved_id = decision.reserved_job.job_id
-        for slot, job in enumerate(queue):
-            # The reserved job is visible but never a valid action (§3.2).
-            if job.job_id in candidate_ids and job.job_id != reserved_id:
-                mask[slot] = 1.0
-        return queue, mask, slot_jobs
-
-    def encode_batch(self, items):
-        cfg = self.config
-        batch = len(items)
-        observation = np.zeros((batch, cfg.max_queue_size, cfg.job_features), dtype=np.float64)
-        counts = [len(item[1]) for item in items]
-        total_jobs = sum(counts)
-        if total_jobs:
-            blocks: List[np.ndarray] = []
-            for item in items:
-                decision, queue = item[0], item[1]
-                reserved_id = decision.reserved_job.job_id
-                cand_ids = {job.job_id for job in decision.candidates}
-                block = np.array(
-                    [
-                        (
-                            j.submit_time,
-                            j.requested_time,
-                            j.requested_processors,
-                            j.job_id == reserved_id,
-                            j.job_id in cand_ids,
-                        )
-                        for j in queue
-                    ],
-                    dtype=np.float64,
-                ).reshape(len(queue), 5)
-                blocks.append(block)
-            raw = blocks[0] if batch == 1 else np.concatenate(blocks, axis=0)
-            procs = raw[:, 2]
-            scalars = np.array(
-                [
-                    (
-                        d.time,
-                        d.free_fraction,
-                        _log_norm(d.reservation_time - d.time, _MAX_HORIZON),
-                        float(d.extra_processors),
-                        float(d.machine.num_processors) if d.machine is not None else 0.0,
-                    )
-                    for d, *_ in items
-                ],
-                dtype=np.float64,
-            )
-            rep = np.repeat(scalars, counts, axis=0)
-            total = np.where(rep[:, 4] > 0.0, rep[:, 4], np.maximum(procs, 1.0))
-
-            features = np.zeros((total_jobs, cfg.job_features), dtype=np.float64)
-            times = np.empty((2, total_jobs))
-            times[0] = rep[:, 0] - raw[:, 0]
-            times[1] = raw[:, 1]
-            features[:, 0:2] = _log_norm_array(times, _MAX_WAIT).T
-            features[:, 2] = np.minimum(procs / total, 1.0)
-            features[:, 3] = raw[:, 4]  # can_run
-            features[:, 4] = raw[:, 3]  # is_reserved
-            features[:, 6] = rep[:, 1]
-            features[:, 7] = rep[:, 2]
-            features[:, 8] = np.minimum(rep[:, 3] / total, 1.0)
-            features[:, 9] = 1.0  # slot occupied
-            if cfg.num_resources > 1:
-                offset = 0
-                for item, count in zip(items, counts):
-                    decision, queue = item[0], item[1]
-                    for slot, job in enumerate(queue):
-                        self._extra_resource_features(features[offset + slot], job, decision)
-                    offset += count
-
-            offset = 0
-            for row, count in enumerate(counts):
-                observation[row, :count] = features[offset : offset + count]
-                offset += count
-        return observation.reshape(batch, -1)
-
-    def build(self, decision):
-        queue, mask, slot_jobs = self.prepare(decision)
-        observation = self.encode_batch([(decision, queue)])[0]
-        return observation, mask, slot_jobs
-
-
-class ParentPolicy(RLBackfillPolicy):
-    """The parent's ``select_backfill``: build everything, then look at the mask."""
-
-    def __init__(self, agent, **kwargs):
-        super().__init__(agent, **kwargs)
-        self.builder = ParentBuilder(agent.observation_config)
-
-    def select_backfill(self, decision, estimator):
-        observation, mask, slot_jobs = self.builder.build(decision)
-        if not mask.any():
-            return None
-        action, _, _ = self.agent.step(
-            observation, mask, rng=self.rng, deterministic=self.deterministic
-        )
-        return self.builder.action_to_job(action, slot_jobs)
-
-
-class ParentSimulator(Simulator):
-    """The parent's ``_backfill_opportunity``: an id set, a list without the
-    chosen job and a refit filter per accepted choice."""
-
-    def _backfill_opportunity(self, state, rjob):
-        rjob_id = rjob.job_id
-        hetero = self.topology is not None
-        previous: Optional[List[Job]] = None
-        while True:
-            if hetero:
-                pool = state.queue if previous is None else previous
-                candidates = [
-                    job
-                    for job in pool
-                    if job.job_id != rjob_id and state.machine.can_start(job)
-                ]
-            else:
-                free = state.machine.free_processors
-                if previous is None:
-                    candidates = [
-                        job
-                        for job in state.queue
-                        if job.requested_processors <= free and job.job_id != rjob_id
-                    ]
-                else:
-                    candidates = [
-                        job for job in previous if job.requested_processors <= free
-                    ]
-            if not candidates:
-                return
-            spares = None
-            if hetero:
-                reservation_time, extra, spares = state.machine.hetero_reservation(
-                    rjob, state.now, self.estimator
-                )
-            else:
-                reservation_time, extra = state.machine.earliest_start_estimate(
-                    rjob, state.now, self.estimator
-                )
-            decision = DecisionPoint(
-                time=state.now,
-                reserved_job=rjob,
-                reservation_time=reservation_time,
-                extra_processors=extra,
-                candidates=candidates,
-                queue=list(state.queue),
-                machine=state.machine,
-                queue_sorted=True,
-                spare_vectors=spares,
-            )
-            state.decision_count += 1
-            choice = yield decision
-            if choice is None:
-                return
-            candidate_ids = {job.job_id for job in candidates}
-            if choice.job_id not in candidate_ids:
-                raise ValueError(
-                    f"backfill strategy returned job {choice.job_id} which is not a candidate "
-                    f"(candidates: {sorted(candidate_ids)})"
-                )
-            self._start(state, choice, backfilled=True)
-            # The parent's ``_remove(state.queue, id)``; the queue now changes
-            # through the state only (it keeps a census beside it).
-            state.dequeue(state.queue_index(choice.job_id))
-            previous = [job for job in candidates if job.job_id != choice.job_id]
+# -- the whole-text replay-log parser the stream reader replaced -------------------
 
 
 def parent_parse_jsonl(text: str, allow_torn_tail: bool, label: str):
@@ -290,88 +96,11 @@ def parent_parse_jsonl(text: str, allow_torn_tail: bool, label: str):
 
 # -- decision points -------------------------------------------------------------
 
-_TOPOLOGY = ClusterTopology((NodeGroup(name="cpu", cpus=24), NodeGroup(name="gpu", cpus=8, gpus=8)))
-
-
 def _job(job_id: int, submit_time: float, processors: int = 2, gpus: int = 0) -> Job:
     return Job(
         job_id=job_id, submit_time=submit_time, runtime=50.0 + job_id,
         requested_processors=processors, requested_time=80.0 + 3 * job_id, requested_gpus=gpus,
     )
-
-
-@st.composite
-def decision_points(draw):
-    """Hand-built decision points around a window of 1..6 slots.
-
-    Submit times come from a handful of values so that ties, broken by job
-    id, are common.  With ``queue_sorted`` the producer's promise holds: the
-    queue is in arrival order and the candidates are in that order too --
-    including the ones that are *not* in the queue, which a real producer
-    never emits and the parent ignored.
-    """
-    window = draw(st.integers(1, 6))
-    ids = draw(st.lists(st.integers(1, 40), min_size=1, max_size=14, unique=True))
-    times = st.sampled_from([0.0, 1.0, 1.5, 2.0, 7.0])
-    jobs = [_job(i, draw(times), draw(st.integers(1, 6)), draw(st.integers(0, 2))) for i in ids]
-    in_queue = draw(st.lists(st.booleans(), min_size=len(jobs), max_size=len(jobs)))
-    queue = [job for job, keep in zip(jobs, in_queue) if keep]
-    absent = [job for job, keep in zip(jobs, in_queue) if not keep]
-    reserved = draw(st.sampled_from(jobs))  # in the queue, or (hand-built) not
-    picked = draw(st.lists(st.booleans(), min_size=len(jobs), max_size=len(jobs)))
-    candidates = [job for job, pick in zip(queue + absent, picked) if pick and job is not reserved]
-    if draw(st.booleans()):
-        candidates.append(reserved)  # never by a real producer; must stay masked
-    queue_sorted = draw(st.booleans())
-    if queue_sorted:
-        queue.sort(key=lambda j: (j.submit_time, j.job_id))
-        candidates.sort(key=lambda j: (j.submit_time, j.job_id))
-    else:
-        queue = draw(st.permutations(queue))
-        candidates = draw(st.permutations(candidates))
-    num_resources = draw(st.sampled_from([1, 3]))
-    machine = Machine(32, topology=_TOPOLOGY if num_resources == 3 else None)
-    machine.start(_job(99, 0.0, processors=6, gpus=3 if num_resources == 3 else 0), now=0.0)
-    config = ObservationConfig(max_queue_size=window, num_resources=num_resources)
-    decision = DecisionPoint(
-        time=8.0, reserved_job=reserved, reservation_time=draw(st.sampled_from([8.0, 90.0, 4e5])),
-        extra_processors=draw(st.integers(0, 8)), candidates=list(candidates),
-        queue=list(queue), machine=machine, queue_sorted=queue_sorted,
-    )
-    return config, decision
-
-
-@settings(max_examples=400, deadline=None)
-@given(decision_points())
-def test_prepare_and_build_equal_the_parents(case):
-    config, decision = case
-    queue, mask, slot_jobs = ObservationBuilder(config).prepare(decision)
-    parent_queue, parent_mask, parent_slot_jobs = ParentBuilder(config).prepare(decision)
-    assert queue == parent_queue and all(a is b for a, b in zip(queue, parent_queue))
-    assert mask.tolist() == parent_mask.tolist()
-    assert len(slot_jobs) == len(parent_slot_jobs)
-    assert all(a is b for a, b in zip(slot_jobs, parent_slot_jobs))
-
-    expected = ParentBuilder(config).build(decision)[0].reshape(config.max_queue_size, -1)
-    # A reserved job listed as a candidate (no producer does that) read
-    # can_run=1 in the parent's tuple arm and 0 in its static-row arm, the one
-    # the rollouts always used; the one arm left is the latter.
-    for slot, job in enumerate(parent_queue):
-        if job.job_id == decision.reserved_job.job_id:
-            expected[slot, 3] = 0.0
-    builder = ObservationBuilder(config)
-    item = (decision, queue, builder.static_rows(queue), mask[: len(queue)])
-    observation = builder.encode_batch([item])
-    assert observation.tobytes() == expected.reshape(-1).tobytes()
-
-    slots, rows, built_slots = builder.build(decision)
-    assert slots == np.flatnonzero(parent_mask).tolist()
-    assert len(built_slots) == len(parent_slot_jobs)
-    assert all(a is b for a, b in zip(built_slots, parent_slot_jobs))
-    assert (rows is None) == (not parent_mask.any())  # the parent's select_backfill rule
-    if rows is not None:
-        # The rows of the candidate slots, in slot order, and no other row.
-        assert rows.tobytes() == expected[slots].tobytes()
 
 
 def test_candidates_beyond_the_window_decline_without_encoding():
@@ -385,6 +114,17 @@ def test_candidates_beyond_the_window_decline_without_encoding():
     builder.feature_rows = builder.encode_batch = None  # calling either would raise
     slots, rows, slot_jobs = builder.build(decision)
     assert slots == [] and rows is None and slot_jobs == queue[:2]
+
+
+def test_an_unsorted_hand_built_queue_is_windowed_in_arrival_order():
+    """Without the sortedness promise the window is sorted, ties by job id."""
+    queue = [_job(5, 2.0), _job(4, 1.0), _job(3, 1.0), _job(1, 7.0)]
+    decision = DecisionPoint(
+        time=9.0, reserved_job=queue[0], reservation_time=50.0, extra_processors=0,
+        queue=queue, machine=Machine(32),
+    )
+    slots, _, slot_jobs = ObservationBuilder(ObservationConfig(max_queue_size=3)).build(decision)
+    assert [job.job_id for job in slot_jobs] == [3, 4, 5] and slots == [0, 1]
 
 
 def test_static_rows_are_the_episode_gather():
@@ -409,37 +149,20 @@ def _agent(row_block, config=_ACT_CONFIG, seed=3):
 
 
 @contextlib.contextmanager
-def _tensors_built():
-    """``[n]``: how many :class:`Tensor` objects the block constructed."""
-    built = [0]
-    init = Tensor.__init__
+def _calls(owner, name: str):
+    """``(args, result)`` of every call of ``owner.name`` made inside the block."""
+    calls = []
+    method = getattr(owner, name)
 
-    def counting(self, *args, **kwargs):
-        built[0] += 1
-        init(self, *args, **kwargs)
+    def recording(*args, **kwargs):
+        calls.append((args, method(*args, **kwargs)))
+        return calls[-1][1]
 
-    Tensor.__init__ = counting
+    setattr(owner, name, recording)
     try:
-        yield built
+        yield calls
     finally:
-        Tensor.__init__ = init
-
-
-@contextlib.contextmanager
-def _sampler_inputs():
-    """The log-probability grids the block handed to the sampler, in call order."""
-    grids = []
-    sample = ppo._sample_actions
-
-    def recording(log_probs, rngs):
-        grids.append(log_probs.copy())
-        return sample(log_probs, rngs)
-
-    ppo._sample_actions = recording
-    try:
-        yield grids
-    finally:
-        ppo._sample_actions = sample
+        setattr(owner, name, method)
 
 
 def _check_act_against_step(agent, observation, mask, rows, slots, rng) -> Tuple[int, int]:
@@ -449,14 +172,15 @@ def _check_act_against_step(agent, observation, mask, rows, slots, rng) -> Tuple
     and draws one uniform.  Returns ``(greedy, sampled)`` and advances ``rng``
     by that uniform."""
     mine, theirs = copy.deepcopy(rng), copy.deepcopy(rng)
-    with _tensors_built() as built, _sampler_inputs() as grids:
+    with _calls(Tensor, "__init__") as built, _calls(ppo, "_sample_actions") as grids:
         greedy = agent.act(rows, slots, mask.size, deterministic=True)
         sampled = agent.act(rows, slots, mask.size, rng=mine)
-    assert built == [0]
+    assert built == []
     assert greedy == agent.step(observation, mask, deterministic=True)[0]
-    with _sampler_inputs() as expected:
+    with _calls(ppo, "_sample_actions") as expected:
         assert sampled == agent.step(observation, mask, rng=theirs)[0]
-    assert len(grids) == len(expected) == 1 and grids[0].tobytes() == expected[0].tobytes()
+    assert len(grids) == len(expected) == 1
+    assert grids[0][0][0].tobytes() == expected[0][0][0].tobytes()
     rng.random()  # exactly one uniform per call
     assert mine.bit_generator.state == theirs.bit_generator.state == rng.bit_generator.state
     return greedy, sampled
@@ -469,10 +193,10 @@ def _check_step_batch_against_the_graph(agent, observations, masks, seed: int) -
     def rngs():
         return [np.random.default_rng(seed + row) for row in range(len(masks))]
 
-    with _tensors_built() as built:
+    with _calls(Tensor, "__init__") as built:
         sampled = agent.step_batch(observations, masks, rngs=rngs())
         greedy = agent.step_batch(observations, masks, deterministic=True)
-    assert built == [0]
+    assert built == []
     with no_grad():
         logits = agent.policy_logits(Tensor(observations))
         log_probs = (logits + Tensor((1.0 - masks) * -MASK_PENALTY)).log_softmax(axis=-1).numpy()
@@ -557,19 +281,13 @@ def simulations(draw):
     queue (candidates behind it), sometimes longer than any queue it sees."""
     kind = draw(st.sampled_from(sorted(_MACHINES)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    jobs, now = [], 0.0
-    for job_id in range(1, draw(st.integers(20, 60)) + 1):
-        now += float(rng.exponential(4.0)) * (rng.random() < 0.7)  # bursts share an instant
-        wide = rng.random() < 0.25
-        runtime = float(rng.exponential(60.0 if wide else 15.0)) + 1.0
-        jobs.append(
-            Job(
-                job_id=job_id, submit_time=now, runtime=runtime,
-                requested_processors=int(rng.integers(5, 7) if wide else rng.integers(1, 4)),
-                requested_time=runtime * float(rng.uniform(1.0, 3.0)),
-                requested_gpus=int(rng.integers(0, 3)) if kind != "scalar" and not wide else 0,
-            )
-        )
+    jobs = _contended_jobs(rng, 16, draw(st.integers(20, 60)))
+    if kind != "scalar":  # the narrow jobs also ask for gpus
+        jobs = [
+            replace(job, requested_gpus=int(rng.integers(0, 3)))
+            if job.requested_processors < 5 else job
+            for job in jobs
+        ]
     config = ObservationConfig(
         max_queue_size=draw(st.one_of(st.integers(2, 6), st.just(64))),
         num_resources=draw(st.sampled_from([1, 3])),
@@ -579,27 +297,50 @@ def simulations(draw):
 
 class _AgainstTheRollout(BackfillStrategy):
     """Decides with ``build`` + ``act``; checks every decision against the
-    rollout's ``encode_batch`` + ``step`` and keeps what it encoded."""
+    rollout's ``encode_batch`` + ``step`` and keeps what it encoded.  The
+    policy, asked the same decision, must choose the same job, encoding the
+    rows of the window's candidates once (or nothing when there are none),
+    with no ``Tensor`` and no value forward."""
 
     name = "against-the-rollout"
 
     def __init__(self, agent, deterministic: bool, seed: int):
         self.agent, self.deterministic = agent, deterministic
         self.builder = ObservationBuilder(agent.observation_config)
+        self.policy = RLBackfillPolicy(agent, deterministic=deterministic, seed=seed)
         self.rng = np.random.default_rng(seed)
         self.observations: List[np.ndarray] = []
         self.masks: List[np.ndarray] = []
         self.declined = 0
 
     def select_backfill(self, decision, estimator):
+        machine, reserved = decision.machine, decision.reserved_job
+        # What a scan of the whole queue finds -- also after an accepted
+        # backfill, when the simulator only filters the previous candidates.
+        fitting = [
+            j for j in decision.queue
+            if j is not reserved and (
+                machine.can_start(j) if machine.topology is not None
+                else j.requested_processors <= machine.free_processors
+            )
+        ]
+        assert len(decision.candidates) == len(fitting)
+        assert all(a is b for a, b in zip(decision.candidates, fitting))
+        with _calls(Tensor, "__init__") as built, _calls(self.agent.value_net, "infer") as values, \
+                _calls(self.policy.builder, "feature_rows") as encoded:
+            chosen = self.policy.select_backfill(decision, estimator)
+        assert built == [] and values == []
+
         builder = self.builder
         queue, mask, slot_jobs = builder.prepare(decision)
         slots, rows, built_slot_jobs = builder.build(decision)
         assert slots == np.flatnonzero(mask).tolist()
         assert len(built_slot_jobs) == len(slot_jobs)
         assert all(a is b for a, b in zip(built_slot_jobs, slot_jobs))
+        assert [len(rows) for _, rows in encoded] == ([len(slots)] if slots else [])
         if not slots:
             self.declined += 1
+            assert chosen is None
             return None
         item = (decision, queue, builder.static_rows(queue), mask[: len(queue)])
         observation = builder.encode_batch([item])[0]
@@ -609,7 +350,8 @@ class _AgainstTheRollout(BackfillStrategy):
         )
         self.observations.append(observation)
         self.masks.append(mask)
-        return slot_jobs[greedy if self.deterministic else sampled]
+        assert chosen is slot_jobs[greedy if self.deterministic else sampled]
+        return chosen
 
 
 @settings(max_examples=60, deadline=None)
@@ -646,88 +388,67 @@ def test_the_rollout_comparisons_reach_every_arm():
         assert totals["chosen", kind] > 150 and totals["declined", kind] > 50
 
 
-class _BothPolicies(BackfillStrategy):
-    """Asks the policy and the parent's policy; checks the decision point itself."""
+class _WholeWindowRule(BackfillStrategy):
+    """The parent's decision rule: encode the whole window, then ``step``."""
 
-    name = "both"
+    name = "whole-window"
 
     def __init__(self, agent, deterministic: bool, seed: int):
-        self.mine = RLBackfillPolicy(agent, deterministic=deterministic, seed=seed, row_block=1)
-        self.parent = ParentPolicy(agent, deterministic=deterministic, seed=seed, row_block=1)
-        self.rows_encoded: List[int] = []
-        self.value_runs = 0
+        self.agent, self.deterministic = agent, deterministic
+        self.builder = ObservationBuilder(agent.observation_config)
+        self.rng = np.random.default_rng(seed)
         self.decisions = self.declined = 0
-        feature_rows, infer = self.mine.builder.feature_rows, self.mine.agent.value_net.infer
-
-        def counted_rows(items):
-            rows = feature_rows(items)
-            self.rows_encoded.append(len(rows))
-            return rows
-
-        def counted_value(observations):
-            self.value_runs += 1
-            return infer(observations)
-
-        self.mine.builder.feature_rows = counted_rows
-        self.mine.agent.value_net.infer = counted_value
 
     def select_backfill(self, decision, estimator):
-        machine, reserved = decision.machine, decision.reserved_job
-        # What a scan of the whole queue finds -- also after an accepted
-        # backfill, when the simulator only filters the previous candidates.
-        if machine.topology is None:
-            fitting = [
-                j for j in decision.queue
-                if j.requested_processors <= machine.free_processors and j is not reserved
-            ]
-        else:
-            fitting = [j for j in decision.queue if j is not reserved and machine.can_start(j)]
-        assert len(decision.candidates) == len(fitting)
-        assert all(a is b for a, b in zip(decision.candidates, fitting))
-
-        encoded = len(self.rows_encoded)
-        with _tensors_built() as built:
-            chosen = self.mine.select_backfill(decision, estimator)
-        expected = self.parent.select_backfill(decision, estimator)
-        assert chosen is expected and built == [0]
         self.decisions += 1
-        # One encode of exactly the candidates inside the window, or none at all.
-        in_window = int(self.parent.builder.prepare(decision)[1].sum())
-        assert self.rows_encoded[encoded:] == ([in_window] if in_window else [])
-        if not in_window:
+        queue, mask, slot_jobs = self.builder.prepare(decision)
+        if not mask.any():
             self.declined += 1
-            assert chosen is None
-        assert self.value_runs == 0
-        return chosen
+            return None
+        item = (decision, queue, self.builder.static_rows(queue), mask[: len(queue)])
+        observation = self.builder.encode_batch([item])[0]
+        action, _, _ = self.agent.step(
+            observation, mask, rng=self.rng, deterministic=self.deterministic
+        )
+        return slot_jobs[action]
+
+
+def _served_against_the_whole_window(kind, jobs, agent, deterministic, seed):
+    policy = RLBackfillPolicy(agent, deterministic=deterministic, seed=seed, row_block=1)
+    whole = _WholeWindowRule(agent, deterministic, seed)
+    (served, result), (expected, _) = (
+        capture_decisions(
+            Simulator(16, backfill=s, estimator=UserEstimate(), topology=_MACHINES[kind]), jobs
+        )
+        for s in (policy, whole)
+    )
+    assert served == expected and result.decision_count == whole.decisions
+    return whole, result
 
 
 @settings(max_examples=60, deadline=None)
 @given(simulations())
 def test_every_decision_of_a_simulation_is_the_parents(case):
+    """A whole simulation served by the policy, on one rng stream, takes every
+    decision the parent's rule takes."""
     kind, jobs, config, deterministic, seed = case
-    both = _BothPolicies(RLBackfillAgent(config, seed=seed), deterministic, seed)
-    simulator = Simulator(16, backfill=both, estimator=UserEstimate(), topology=_MACHINES[kind])
-    result = simulator.run(jobs)
-    assert len(result.records) == len(jobs) and result.decision_count == both.decisions
+    _, result = _served_against_the_whole_window(
+        kind, jobs, RLBackfillAgent(config, seed=seed), deterministic, seed
+    )
+    assert len(result.records) == len(jobs)
 
 
 def test_the_simulations_reach_both_arms():
     """The property above is vacuous unless some decisions decline and some choose."""
-    totals = {"decisions": 0, "declined": 0, "backfilled": 0}
+    totals = Counter()
     for seed in range(6):
-        rng = np.random.default_rng(seed)
-        jobs = [
-            Job(
-                job_id=i, submit_time=float(i // 4), runtime=float(rng.integers(5, 60)),
-                requested_processors=int(rng.integers(1, 7)), requested_time=120.0,
-            )
-            for i in range(1, 61)
-        ]
-        both = _BothPolicies(RLBackfillAgent(ObservationConfig(max_queue_size=3), seed=seed), True, 0)
-        result = Simulator(16, backfill=both, estimator=UserEstimate()).run(jobs)
-        totals["decisions"] += both.decisions
-        totals["declined"] += both.declined
-        totals["backfilled"] += result.backfill_count
+        for kind, deterministic in (("scalar", True), ("multi-group", False)):
+            jobs = _contended_jobs(np.random.default_rng(seed), 16, 60)
+            agent = RLBackfillAgent(ObservationConfig(max_queue_size=3), seed=seed)
+            whole, result = _served_against_the_whole_window(kind, jobs, agent, deterministic, seed)
+            totals["decisions"] += whole.decisions
+            totals["declined"] += whole.declined
+            totals["backfilled"] += result.backfill_count
     assert totals["declined"] > 20 and totals["backfilled"] > 20
     assert totals["decisions"] > totals["declined"]
 
@@ -756,19 +477,17 @@ class _Scripted(BackfillStrategy):
 def test_a_choice_outside_the_candidates_raises_the_parents_message(kind):
     stranger = _job(77, 0.0, processors=1)  # not queued
     answers = (
-        lambda decision: stranger,
-        lambda decision: decision.reserved_job,
-        lambda decision: decision.queue[-1],  # job 6: queued, but wider than what is free
-        lambda decision: replace(decision.queue[-1]),
+        (lambda decision: stranger, 77),
+        (lambda decision: decision.reserved_job, 2),
+        (lambda decision: decision.queue[-1], 6),  # queued, but wider than what is free
+        (lambda decision: replace(decision.queue[-1]), 6),
     )
-    for answer in answers:
-        messages = []
-        for simulator in (Simulator, ParentSimulator):
-            with pytest.raises(ValueError) as raised:
-                simulator(16, backfill=_Scripted(answer), topology=_MACHINES[kind]).run(_CONTENDED)
-            messages.append(str(raised.value))
-        assert messages[0] == messages[1]
-        assert "which is not a candidate (candidates: [3, 4])" in messages[0]
+    for answer, job_id in answers:
+        with pytest.raises(ValueError) as raised:
+            Simulator(16, backfill=_Scripted(answer), topology=_MACHINES[kind]).run(_CONTENDED)
+        assert str(raised.value) == (
+            f"backfill strategy returned job {job_id} which is not a candidate (candidates: [3, 4])"
+        )
 
 
 def test_an_equal_copy_of_a_candidate_is_accepted_and_leaves_the_candidates():
@@ -780,22 +499,6 @@ def test_an_equal_copy_of_a_candidate_is_accepted_and_leaves_the_candidates():
     assert second.time == first.time and [j.job_id for j in second.candidates] == [4]
     backfilled = {record.job.job_id for record in result.records if record.backfilled}
     assert {3, 4} <= backfilled and len(result.records) == len(_CONTENDED)
-
-
-@settings(max_examples=60, deadline=None)
-@given(simulations(), st.sampled_from(["fcfs", "sjf"]))
-def test_easy_schedules_equal_the_parent_simulators(case, order):
-    """EASY picks deep into the candidate list and accepts many backfills at
-    one instant, the case the one-pass refilter serves."""
-    kind, jobs, _config, _deterministic, _seed = case
-    mine, parent = (
-        simulator(16, backfill=EasyBackfill(order=order), topology=_MACHINES[kind]).run(jobs)
-        for simulator in (Simulator, ParentSimulator)
-    )
-    assert mine.records == parent.records
-    assert (mine.decision_count, mine.backfill_count) == (
-        parent.decision_count, parent.backfill_count
-    )
 
 
 # -- the census, the derived candidates, the session's count (ISSUE 19) -----------------------
@@ -817,17 +520,27 @@ class CensusCheckedSimulator(Simulator):
 
 
 class _Kept(BackfillStrategy):
-    """Answers as ``inner`` does and keeps every point, to be read after the run."""
+    """Answers as ``inner`` does and keeps every point, to be read after the run,
+    beside a scan of the whole queue made before the answer (what the simulator
+    built eagerly before the census)."""
 
     def __init__(self, inner):
         self.inner, self.name = inner, inner.name
         self.points: List[DecisionPoint] = []
         self.answers: List[Optional[int]] = []
+        self.scans: List[Tuple[List[Job], List[Job]]] = []
 
     def on_sequence_start(self):
         self.inner.on_sequence_start()
 
     def select_backfill(self, decision, estimator):
+        queue, free = list(decision.queue), decision.machine.free_processors
+        fitting = [
+            job for job in queue
+            if job.requested_processors <= free and job is not decision.reserved_job
+        ]
+        assert fitting  # a point is yielded only where some job can start
+        self.scans.append((queue, fitting))
         choice = self.inner.select_backfill(decision, estimator)
         self.points.append(decision)
         self.answers.append(None if choice is None else choice.job_id)
@@ -876,26 +589,21 @@ def _contended_jobs(rng, procs: int, count: int) -> List[Job]:
 
 
 def _differential_run(procs, jobs, policy, strategy, kind) -> Tuple[_Kept, "SimulationResult"]:
-    """One trace through the simulator and through the parent's; every census,
-    point, answer and the result compared.  Returns the change's side."""
+    """One trace through the census-checked simulator; every point, read after
+    the run, compared with the scan made when it was answered."""
     config = dict(policy=policy, estimator=UserEstimate(), **_schedule(kind, procs))
-    mine, parent = _Kept(_STRATEGIES[strategy]()), _Kept(_STRATEGIES[strategy]())
+    mine = _Kept(_STRATEGIES[strategy]())
     result = CensusCheckedSimulator(procs, backfill=mine, **config).run(jobs)
-    expected = ParentSimulator(procs, backfill=parent, **config).run(jobs)
-    assert result == expected
-    assert mine.answers == parent.answers
-    assert len(mine.points) == len(parent.points) == result.decision_count
-    # Every point is read here, after it was answered and the machine moved
-    # on; the parent's lists were built eagerly, before the answer.
-    for point, eager in zip(mine.points, parent.points):
-        assert point.time == eager.time and point.reserved_job is eager.reserved_job
-        for derived, scanned in ((point.queue, eager.queue), (point.candidates, eager.candidates)):
+    assert len(mine.points) == len(mine.scans) == result.decision_count
+    # Every point is read here, after it was answered and the machine moved on.
+    for point, scanned_lists in zip(mine.points, mine.scans):
+        for derived, scanned in zip((point.queue, point.candidates), scanned_lists):
             assert len(derived) == len(scanned) and all(a is b for a, b in zip(derived, scanned))
         assert point.candidates is point.candidates  # derived once, then kept
 
     # The same stream from a live session, which hands its decisions out and keeps a count.
     served, offline = capture_decisions(
-        ParentSimulator(procs, backfill=_STRATEGIES[strategy](), **config), jobs
+        Simulator(procs, backfill=_STRATEGIES[strategy](), **config), jobs
     )
     session = Simulator(procs, backfill=_STRATEGIES[strategy](), **config).open_session()
     for job in jobs:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 
 import numpy as np
 import pytest
@@ -403,17 +404,25 @@ class TestServiceProtocol:
                              "requested_processors": 9999, "requested_time": 20.0},
                             {"job_id": 1, "runtime": 10.0,
                              "requested_processors": 1, "requested_time": 20.0},
+                            # JSON admits NaN; a job running NaN seconds never completes.
+                            {"job_id": 3, "runtime": math.nan,
+                             "requested_processors": 1, "requested_time": 20.0},
                         ]
                     )
+                    # Checked before the drain, which an admitted NaN would hang.
+                    outcomes = [r["admitted"] for r in response["results"]]
+                    assert outcomes == [True, False, False, False]
+                    drain = await client.drain()
                     await client.shutdown()
                 await service.wait_stopped()
-            return response
+            return response, drain
 
-        response = run_service(scenario())
-        outcomes = [r["admitted"] for r in response["results"]]
-        assert outcomes == [True, False, False]
+        response, drain = run_service(scenario())
         assert response["results"][1]["reason"] == "invalid"  # too wide
         assert response["results"][2]["reason"] == "invalid"  # duplicate id
+        assert response["results"][3]["reason"] == "invalid"  # NaN runtime
+        assert "runtime must be finite" in response["results"][3]["error"]
+        assert drain["jobs"] == 1
 
     def test_backpressure_overload_response(self):
         """A full scheduler queue refuses new requests immediately instead of

@@ -1,6 +1,7 @@
 """Tests for the Job and Trace models."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -34,6 +35,16 @@ class TestJob:
     def test_negative_submit_time(self):
         with pytest.raises(ValueError):
             Job(job_id=1, submit_time=-1, runtime=10, requested_processors=1, requested_time=10)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field_name", ["submit_time", "runtime", "requested_time"])
+    def test_non_finite_times_are_rejected_by_name(self, field_name, value):
+        fields = dict(
+            job_id=1, submit_time=0.0, runtime=10.0, requested_processors=1, requested_time=10.0
+        )
+        fields[field_name] = value
+        with pytest.raises(ValueError, match=f"job 1: {field_name} must be finite"):
+            Job(**fields)
 
     def test_area(self):
         job = make_job(runtime=100, processors=4)
