@@ -152,6 +152,9 @@ class Machine:
             self._allocator = (
                 allocator if isinstance(allocator, Allocator) else make_allocator(allocator, topology)
             )
+        #: The node groups reservations are planned on: the scalar machine is one
+        #: cpu-only group.
+        self.layout = topology if topology is not None else ClusterTopology.homogeneous(num_processors)
         #: Scheduled drains, sorted by start time; empty tuple = always full
         #: capacity (the default, and the zero-overhead fast path everywhere).
         self.capacity_schedule: Tuple[DowntimeWindow, ...] = tuple(
@@ -170,6 +173,7 @@ class Machine:
         # keys the estimated-release-plan cache below.
         self._version = 0
         self._release_plan: Optional[Tuple[int, object, List[Tuple[float, int]]]] = None
+        self._held_grants: Optional[Tuple[int, object, List[Tuple[str, float, tuple]]]] = None
         # Incrementally-maintained *sorted* (estimated_end, processors) plan,
         # valid only for a stateless estimator (one whose estimate is a pure
         # function of the job): entries are inserted at job start and removed
@@ -213,11 +217,6 @@ class Machine:
         return self.free_processors / self.pool.total
 
     @property
-    def running_jobs(self) -> List[RunningJob]:
-        """Running jobs ordered by true completion time."""
-        return sorted(self._running.values(), key=lambda r: (r.end_time, r.job.job_id))
-
-    @property
     def num_running(self) -> int:
         return len(self._running)
 
@@ -226,9 +225,6 @@ class Machine:
         """Running-set version: moves by one at every start, every release (one
         for a whole :meth:`release_completed` batch) and every :meth:`reset`."""
         return self._version
-
-    def is_running(self, job_id: int) -> bool:
-        return job_id in self._running
 
     def can_start(self, job: Job) -> bool:
         if self._allocator is not None:
@@ -282,19 +278,6 @@ class Machine:
                     nxt = boundary
         return nxt
 
-    def capacity_drains(self, now: float) -> List[Tuple[float, float, int]]:
-        """``(start, end, processors)`` of windows still (partly) ahead of ``now``.
-
-        Backfilling strategies use this to subtract scheduled drains from
-        their availability profiles; windows already over are dropped and the
-        start is clamped to ``now``.
-        """
-        return [
-            (max(window.start, now), window.end, window.processors)
-            for window in self.capacity_schedule
-            if window.end > now + _EPS
-        ]
-
     # -- heterogeneous topology ---------------------------------------------
     @property
     def allocator(self) -> Optional[Allocator]:
@@ -326,8 +309,8 @@ class Machine:
         half its memory), clipped so an oversized window never exceeds the
         group.
         """
-        assert self.topology is not None
-        group = self.topology.groups[0] if window.group is None else self.topology.group(window.group)
+        layout = self.layout
+        group = layout.groups[0] if window.group is None else layout.group(window.group)
         procs = min(window.processors, group.cpus)
         return group.name, ResourceVector(
             cpus=procs,
@@ -399,8 +382,12 @@ class Machine:
         """``job``'s request vector and the groups that could ever host it.
 
         Worked out once per job (memoised by id, verified by identity) and
-        dropped when the job's run is released.
+        dropped when the job's run is released.  The scalar machine answers
+        afresh: its processors, and its one group where they fit.
         """
+        if self._allocator is None:
+            request = ResourceVector(cpus=job.requested_processors)
+            return request, self.layout.groups if request.cpus <= self.pool.total else ()
         entry = self._needs.get(job.job_id)
         if entry is None or entry[0] is not job:
             request = job_request(job)
@@ -420,39 +407,64 @@ class Machine:
                 return True
         return False
 
-    def hetero_capacity_drains(
-        self, now: float
-    ) -> List[Tuple[float, float, str, ResourceVector]]:
-        """``(start, end, group, vector)`` of drains still (partly) ahead of ``now``.
+    # -- what reservations are planned from (both layouts; see ``layout``) ----
+    def capacity_drains(self, now: float) -> List[Tuple[float, float, str, Tuple[int, ...]]]:
+        """``(start, end, group, amounts)`` of windows still (partly) ahead of ``now``.
 
-        The vector analogue of :meth:`capacity_drains`, consumed by the
-        conservative discipline's per-group reservation profiles.
+        Backfilling strategies subtract these from their availability profiles;
+        windows already over are dropped and the start is clamped to ``now``.
         """
-        if self.topology is None:
-            raise RuntimeError("hetero_capacity_drains requires a heterogeneous machine")
         return [
-            (max(window.start, now), window.end, name, vector)
+            (max(window.start, now), window.end, name, vector.amounts)
             for window, name, vector in self._window_facts()[0]
             if window.end > now + _EPS
         ]
 
-    def group_allocation(self, job_id: int) -> GroupAllocation:
-        """The vector grant held by running ``job_id`` (hetero machines only)."""
-        try:
-            return self._group_allocs[job_id]
-        except KeyError:
-            raise KeyError(f"job {job_id} holds no group allocation") from None
+    def held_grants(
+        self, estimator: Callable[[Job], float], by_end: bool = False
+    ) -> List[Tuple[str, float, Tuple[int, ...]]]:
+        """``(group, estimated_end_time, amounts)`` of every running job's grant.
+
+        ``by_end`` orders them by true completion time and asks ``estimator``
+        in that order on every call; otherwise they come in start order,
+        memoised per (estimator, running-set version) like
+        :meth:`estimated_releases` (read only).
+        """
+        cached = self._held_grants
+        if not by_end and cached is not None and cached[0] == self._version and cached[1] is estimator:
+            return cached[2]
+        records = self._running.values()
+        if by_end:
+            records = sorted(records, key=lambda r: (r.end_time, r.job.job_id))
+        if self._allocator is None:
+            g = self.layout.groups[0].name
+            grants = [(g, r.estimated_end_time(estimator), (r.allocation.processors, 0, 0)) for r in records]
+        else:
+            grants = [
+                (grant.group, r.estimated_end_time(estimator), grant.vector.amounts)
+                for r in records
+                for grant in (self._group_allocs[r.job.job_id],)
+            ]
+        if not by_end:
+            self._held_grants = (self._version, estimator, grants)
+        return grants
 
     def placement_group(self, job: Job) -> Optional[str]:
-        """Where the allocator would place ``job`` right now, or ``None``.
+        """The group ``job`` would be placed in right now, or ``None`` where it cannot start.
 
         Read-only what-if query: the conservative discipline uses it to pick
         the group a backfill candidate's trial reservation debits.
         """
         if self._allocator is None:
-            return None
+            return self.layout.groups[0].name if self.can_start(job) else None
         request, eligible = self.job_need(job)
         return self._allocator.place(request, self._free_now(), eligible)
+
+    def running_group(self, job_id: int) -> Optional[str]:
+        """The group running ``job_id`` holds its grant in, or ``None`` if it is not running."""
+        if job_id not in self._running:
+            return None
+        return self.layout.groups[0].name if self._allocator is None else self._group_allocs[job_id].group
 
     def free_resource_vector(self) -> ResourceVector:
         """Aggregate drain-adjusted free vector (scalar machines report cpus only)."""
@@ -465,9 +477,7 @@ class Machine:
 
     def total_resource_vector(self) -> ResourceVector:
         """Aggregate nameplate capacity vector."""
-        if self.topology is None:
-            return ResourceVector(cpus=self.pool.total)
-        return self.topology.total
+        return self.layout.total
 
     # -- utilization accounting -------------------------------------------
     def _account(self, now: float) -> None:

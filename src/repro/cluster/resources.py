@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 __all__ = [
     "Allocation",
@@ -105,6 +106,11 @@ class ResourceVector:
     def as_dict(self) -> dict[str, int]:
         return {name: getattr(self, name) for name in _RESOURCE_NAMES}
 
+    @property
+    def amounts(self) -> tuple[int, int, int]:
+        """``(cpus, memory, gpus)``: the components in declaration order."""
+        return (self.cpus, self.memory, self.gpus)
+
 
 @dataclass(frozen=True, slots=True)
 class NodeGroup:
@@ -164,6 +170,7 @@ class ClusterTopology:
         object.__setattr__(self, "_by_name", {group.name: group for group in self.groups})
 
     @classmethod
+    @lru_cache(maxsize=None)  # frozen: every scalar machine of one size shares its layout
     def homogeneous(cls, num_processors: int, name: str = "all") -> "ClusterTopology":
         """The trivial one-group cpu-only topology (reduces to the scalar model)."""
         return cls(groups=(NodeGroup(name=name, cpus=num_processors),))

@@ -13,8 +13,9 @@ steps in lockstep across environments.
   greedy variant; candidate order configurable (fcfs/sjf/widest/narrowest).
 * :mod:`~repro.scheduler.backfill.conservative` -- every waiting job holds a
   reservation; backfills may delay no one.
-* :mod:`~repro.scheduler.backfill.profile` -- the free-processor step
-  function behind conservative reservations.
+* :mod:`~repro.scheduler.backfill.profile` -- the reservation profile behind
+  conservative reservations: per node group, one free-capacity step function
+  per resource (the scalar machine is one group's cpus).
 
 The RL-driven strategy lives in :mod:`repro.core.rlbackfill` (it depends on
 the agent); everything here is heuristic and usable without training.
@@ -23,7 +24,7 @@ the agent); everything here is heuristic and usable without training.
 from repro.scheduler.backfill.base import BackfillStrategy
 from repro.scheduler.backfill.none import NoBackfill
 from repro.scheduler.backfill.easy import EasyBackfill, GreedyBackfill
-from repro.scheduler.backfill.profile import NoFeasibleStart, ResourceProfile
+from repro.scheduler.backfill.profile import NoFeasibleStart, ReservationProfile, ResourceProfile
 from repro.scheduler.backfill.conservative import ConservativeBackfill
 
 __all__ = [
@@ -32,6 +33,7 @@ __all__ = [
     "EasyBackfill",
     "GreedyBackfill",
     "ResourceProfile",
+    "ReservationProfile",
     "NoFeasibleStart",
     "ConservativeBackfill",
 ]

@@ -2,9 +2,14 @@
 
 Unlike EASY, conservative backfilling guarantees that **no** waiting job is
 delayed by a backfill: every waiting job holds a reservation in a
-free-processor profile, and a candidate may only start now if, after
+free-capacity profile, and a candidate may only start now if, after
 re-planning the whole queue with the candidate running, no higher-priority
-job's reservation moves later.
+job's reservation moves later.  The profile is one class on every machine
+(:class:`~repro.scheduler.backfill.profile.ReservationProfile`, a step
+function per resource per node group); the machine says what it plans from
+-- held grants, drains ahead, a job's need and eligible groups, where a
+candidate would be placed -- and the scalar machine answers as one cpu-only
+group.
 
 **The definition** is the trial replan: the *baseline plan* reserves the queue
 greedily, in base-policy priority order, on the availability profile (running
@@ -23,12 +28,12 @@ With q planned jobs, c candidates and b breakpoints (up to running + 2q):
 * now: at most one baseline plan per instant, O(q b), and **a trial only where
   the plan cannot answer** (proofs in docs/simulator.md).  With ``t`` the
   decision time and ``s_c`` the candidate's start in the baseline plan:
-  **(A)** ``s_c == t`` and the claim clips nothing -- the trial would repeat
-  the baseline reservation for reservation, so the candidate is accepted
-  untried (on node groups the planned group must also be the one the
-  allocator places it in); **(R)** ``s_c > t`` on the scalar profile -- some
-  job planned before the candidate must move to a later instant of the
-  profile, so it is refused untried; **(C)** the next call at the same
+  **(A)** ``s_c == t`` in the group the candidate would be placed in now, and
+  the claim clips nothing -- the trial would repeat the baseline reservation
+  for reservation, so the candidate is accepted untried; **(R)** ``s_c > t``
+  where the plan is one step function (one group, one resource) -- some job
+  planned before the candidate must move to a later instant of the profile,
+  so it is refused untried; **(C)** the next call at the same
   instant, after (A)'s candidate was started, takes over the plan minus that
   candidate instead of planning again.
 
@@ -62,20 +67,13 @@ backfill candidates are *tried* per decision.  Both default to ``None``
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.cluster.resources import ResourceVector
 from repro.prediction.predictors import RuntimeEstimator
 from repro.scheduler.backfill.base import BackfillStrategy
-from repro.scheduler.backfill.profile import (
-    GroupReservationProfile,
-    ResourceProfile,
-    clear_of,
-    spaced,
-)
+from repro.scheduler.backfill.profile import ReservationProfile, clear_of, spaced
 from repro.scheduler.events import DecisionPoint, arrival_key
 from repro.workloads.job import Job
 
@@ -87,43 +85,24 @@ _DELAY = 1e-6
 #: merged by the profile (which merges within 1e-9).
 _SPACING = 2e-6
 
-Profile = Union[ResourceProfile, GroupReservationProfile]
-#: Where the plan put a job: its start and, on node groups, the group.
-Placed = Tuple[float, Optional[str]]
-
 
 class _Need(NamedTuple):
-    """What one job's reservation asks of the profile."""
+    """What one job's reservation asks of the profile, in ``reserve_earliest``'s order."""
 
+    amounts: Tuple[int, ...]  # ``(cpus, memory, gpus)``
     duration: float
-    amount: Union[int, ResourceVector]
-    groups: Optional[List[str]]  # eligible node groups; ``None`` on a scalar machine
-
-
-# The two profiles differ only in how a reservation is addressed: each reserves a
-# need where it lands earliest, unless that is past ``latest``, and says where.
-def _place_scalar(profile: ResourceProfile, need: _Need, latest: float) -> Placed:
-    return profile.reserve_earliest(need.amount, need.duration, latest), None
-
-
-def _place_grouped(profile: GroupReservationProfile, need: _Need, latest: float) -> Placed:
-    return profile.reserve_earliest(need.amount, need.duration, need.groups, latest)
-
-
-def _address(group: Optional[str]) -> tuple:
-    """The leading arguments that address ``reserve`` / ``drain`` on either profile."""
-    return () if group is None else (group,)
+    groups: Sequence[str]  # the groups that could ever host it, in placement order
 
 
 @dataclass(slots=True)
 class _Plan:
     """One decision's planning inputs and the baseline plan made from them."""
 
-    base: Profile  # running jobs and drains, nothing planned
+    base: ReservationProfile  # running jobs and drains, nothing planned
     queue: List[Job]  # the planned jobs, in plan order
     needs: Dict[int, _Need]  # at least every planned job's
-    placed: Dict[int, Placed]  # the baseline plan
-    planned: Profile  # ``base`` with every planned job reserved
+    placed: Dict[int, Tuple[float, str]]  # the baseline plan: each job's start and group
+    planned: ReservationProfile  # ``base`` with every planned job reserved
     instants: Optional[Sequence[float]]  # ``planned``'s, ``None`` unless spaced
 
 
@@ -136,7 +115,7 @@ class _Kept(NamedTuple):
     time: float
     estimator: RuntimeEstimator
     candidate: Job
-    group: Optional[str]
+    group: str
     plan: _Plan  # the candidate already moved from the queue to the running jobs
 
 
@@ -182,70 +161,37 @@ class ConservativeBackfill(BackfillStrategy):
 
     # -- planning inputs ---------------------------------------------------
     @staticmethod
-    def _base_profile(decision: DecisionPoint, estimator: RuntimeEstimator) -> ResourceProfile:
-        machine = decision.machine
+    def _base_profile(decision: DecisionPoint, estimator: RuntimeEstimator) -> ReservationProfile:
+        """Running grants reserved where they live, and the drains ahead."""
+        machine, now = decision.machine, decision.time
         if machine is None:
             raise ValueError("conservative backfilling requires machine state on the decision point")
-        profile = None
+        groups, profile = machine.layout, None
         if getattr(estimator, "stateless", False):
-            profile = ResourceProfile.from_releases(
-                machine.num_processors, decision.time, machine.estimated_releases(estimator)
-            )
+            profile = ReservationProfile.from_releases(groups, now, machine.held_grants(estimator))
         if profile is None:
-            # One reservation per running job, by true end time: the order a
-            # stateful estimator is asked in, and the order that decides which
-            # of two ends within eps of each other stays a breakpoint.
-            running = [
-                (r.estimated_end_time(estimator), r.allocation.processors)
-                for r in machine.running_jobs
-            ]
-            profile = ResourceProfile.from_running_jobs(
-                machine.num_processors, decision.time, running
-            )
+            # One reservation per grant, by true end time: the order a stateful
+            # estimator is asked in, and the order that decides which of two
+            # ends within eps of each other stays a breakpoint.
+            held = machine.held_grants(estimator, by_end=True)
+            profile = ReservationProfile.from_running_jobs(groups, now, held)
         # Scheduled capacity drains shape availability exactly like running
         # jobs do, except they may overlap processors already committed to
         # running jobs (graceful drain), hence the clipped subtraction.
-        for start, end, processors in machine.capacity_drains(decision.time):
-            profile.drain(start, end - start, processors)
+        for start, end, group, amounts in machine.capacity_drains(now):
+            profile.drain(group, start, end - start, amounts)
         return profile
 
-    @staticmethod
-    def _hetero_base_profile(
-        decision: DecisionPoint, estimator: RuntimeEstimator
-    ) -> GroupReservationProfile:
-        """Per-group vector profiles: running grants reserved where they live."""
-        machine = decision.machine
-        now = decision.time
-        # By true end time: the order the estimator is asked in.
-        held = [
-            (grant.group, record.estimated_end_time(estimator), grant.vector)
-            for record in machine.running_jobs
-            for grant in (machine.group_allocation(record.job.job_id),)
-        ]
-        profile = GroupReservationProfile.from_releases(machine.topology, now, held)
-        if profile is None:
-            profile = GroupReservationProfile(machine.topology, origin=now)
-            for group, end, vector in held:
-                profile.reserve(group, now, max(end, now + 1.0) - now, vector)
-        for start, end, group, vector in machine.hetero_capacity_drains(now):
-            profile.drain(group, start, end - start, vector)
-        return profile
-
-    @staticmethod
-    def _need(job: Job, estimator: RuntimeEstimator, hetero_machine) -> _Need:
-        duration = max(float(estimator(job)), 1.0)
-        if hetero_machine is None:
-            return _Need(duration, job.requested_processors, None)
-        request, eligible = hetero_machine.job_need(job)
-        return _Need(duration, request, [group.name for group in eligible])
-
-    def _need_once(self, job: Job, estimator: RuntimeEstimator, hetero_machine) -> _Need:
-        """:meth:`_need`, worked out once per job for a stateless estimator."""
-        if not getattr(estimator, "stateless", False):
-            return self._need(job, estimator, hetero_machine)
-        entry = self._needs_memo.get(job.job_id)
+    def _need_once(self, job: Job, estimator: RuntimeEstimator, machine) -> _Need:
+        """What ``job``'s reservation asks, worked out once per job for a stateless estimator."""
+        stateless = getattr(estimator, "stateless", False)
+        entry = self._needs_memo.get(job.job_id) if stateless else None
         if entry is None or entry[0] is not job:
-            entry = self._needs_memo[job.job_id] = (job, self._need(job, estimator, hetero_machine))
+            duration = max(float(estimator(job)), 1.0)
+            request, eligible = machine.job_need(job)
+            entry = (job, _Need(request.amounts, duration, [group.name for group in eligible]))
+            if stateless:
+                self._needs_memo[job.job_id] = entry
         return entry[1]
 
     def _queue_in_order(self, decision: DecisionPoint) -> List[Job]:
@@ -273,16 +219,14 @@ class ConservativeBackfill(BackfillStrategy):
         return candidates[: self.max_candidates]
 
     def _from_scratch(
-        self, decision: DecisionPoint, estimator: RuntimeEstimator, queue: List[Job], hetero: bool
+        self, decision: DecisionPoint, estimator: RuntimeEstimator, queue: List[Job]
     ) -> _Plan:
         # The estimator is first asked about the running jobs, then the queue in
         # plan order, then the candidates: a noisy estimator draws in that order.
-        base = (self._hetero_base_profile if hetero else self._base_profile)(decision, estimator)
-        place = _place_grouped if hetero else _place_scalar
-        hetero_machine = decision.machine if hetero else None
-        needs = {job.job_id: self._need_once(job, estimator, hetero_machine) for job in queue}
+        base = self._base_profile(decision, estimator)
+        needs = {job.job_id: self._need_once(job, estimator, decision.machine) for job in queue}
         planned = base.copy()
-        placed = {job.job_id: place(planned, needs[job.job_id], math.inf) for job in queue}
+        placed = {job.job_id: planned.reserve_earliest(*needs[job.job_id]) for job in queue}
         instants = planned.instants()
         return _Plan(
             base, queue, needs, placed, planned, instants if spaced(instants, _SPACING) else None
@@ -295,7 +239,7 @@ class ConservativeBackfill(BackfillStrategy):
         decision: DecisionPoint,
         estimator: RuntimeEstimator,
         candidate: Job,
-        group: Optional[str],
+        group: str,
     ) -> Optional[_Kept]:
         """What the next call may take over once ``candidate`` was accepted by (A)."""
         machine, now = decision.machine, decision.time
@@ -307,7 +251,7 @@ class ConservativeBackfill(BackfillStrategy):
         held = max(now + max(float(estimator(candidate)), 0.0), now + 1.0) - now
         if now + held != now + need.duration:
             return None
-        plan.base.reserve(*_address(group), now, held, need.amount)
+        plan.base.reserve(group, now, held, need.amounts)
         plan.queue = [job for job in plan.queue if job is not candidate]
         del plan.placed[candidate.job_id]
         return _Kept(
@@ -320,15 +264,14 @@ class ConservativeBackfill(BackfillStrategy):
         kept: _Kept, decision: DecisionPoint, estimator: RuntimeEstimator, queue: List[Job]
     ) -> Optional[_Plan]:
         """``kept``'s plan if this call's from-scratch inputs are the kept ones."""
-        machine, started = decision.machine, kept.candidate.job_id
+        machine = decision.machine
         if (
             machine is kept.machine
             and machine.version == kept.version + 1
             and machine.capacity_schedule is kept.schedule
             and decision.time == kept.time
             and estimator is kept.estimator
-            and machine.is_running(started)
-            and (kept.group is None or machine.group_allocation(started).group == kept.group)
+            and machine.running_group(kept.candidate.job_id) == kept.group
             and queue == kept.plan.queue
         ):
             return kept.plan
@@ -337,8 +280,7 @@ class ConservativeBackfill(BackfillStrategy):
     # -- one candidate -------------------------------------------------------
     @staticmethod
     def _untried(
-        plan: _Plan, now: float, need: _Need, placed: Optional[Placed], group: Optional[str],
-        graceful: bool,
+        plan: _Plan, now: float, need: _Need, placed: Optional[tuple], group: str, graceful: bool
     ) -> Optional[bool]:
         """The trial's verdict read off the baseline plan, ``None`` where it cannot be."""
         if placed is None or plan.instants is None:
@@ -350,15 +292,16 @@ class ConservativeBackfill(BackfillStrategy):
             # (A).  Planned at ``now``, the candidate has its whole request free in
             # ``base`` until ``end``, so the claim clips nothing even when it drains.
             return True
-        if group is not None:
-            return None  # a displaced job may find the same start in another group
-        if graceful and plan.base.min_free_between(now, end) < need.amount:
+        cpus = plan.base.step_function()
+        if cpus is None:
+            return None  # a displaced job may find the same start in another group or resource
+        if graceful and cpus.min_free_between(now, end) < need.amounts[0]:
             return None  # a clipped claim takes less than the plan refused it for
         return False  # (R)
 
     @staticmethod
     def _trial(
-        plan: _Plan, now: float, candidate: Job, need: _Need, group: Optional[str], graceful: bool
+        plan: _Plan, now: float, candidate: Job, need: _Need, group: str, graceful: bool
     ) -> bool:
         """Whether the queue replanned beside ``candidate`` started now delays no job."""
         # Under a capacity schedule the candidate may gracefully straddle a drain
@@ -366,15 +309,13 @@ class ConservativeBackfill(BackfillStrategy):
         # uses the clipped drain-subtraction; the planner's own reservations
         # still go through the raising ``reserve``.
         trial = plan.base.copy()
-        claim = trial.drain if graceful else trial.reserve
-        claim(*_address(group), now, need.duration, need.amount)
-        place = _place_scalar if group is None else _place_grouped
+        (trial.drain if graceful else trial.reserve)(group, now, need.duration, need.amounts)
         needs, placed, skip = plan.needs, plan.placed, candidate.job_id
         for job in plan.queue:
             job_id = job.job_id
             if job_id != skip:
                 latest = placed[job_id][0] + _DELAY
-                if place(trial, needs[job_id], latest)[0] > latest:
+                if trial.reserve_earliest(*needs[job_id], latest)[0] > latest:
                     return False
         return True
 
@@ -383,8 +324,6 @@ class ConservativeBackfill(BackfillStrategy):
         self, decision: DecisionPoint, estimator: RuntimeEstimator
     ) -> Optional[Job]:
         machine, now = decision.machine, decision.time
-        hetero = machine is not None and getattr(machine, "topology", None) is not None
-        hetero_machine = machine if hetero else None
         memo_of = self._needs_of
         if memo_of is None or memo_of[0] is not machine or memo_of[1] is not estimator:
             self._needs_memo, self._needs_of = {}, (machine, estimator)
@@ -392,20 +331,17 @@ class ConservativeBackfill(BackfillStrategy):
         queue = self._queue_in_order(decision)
         plan = None if kept is None else self._carried(kept, decision, estimator, queue)
         if plan is None:
-            plan = self._from_scratch(decision, estimator, queue, hetero)
+            plan = self._from_scratch(decision, estimator, queue)
 
-        graceful = bool(getattr(machine, "capacity_schedule", ()))
+        graceful = bool(machine.capacity_schedule)
         for candidate in self._candidates(decision, estimator):
-            group = None
-            if hetero:
-                # The trial debits the group the allocator would actually pick
-                # right now, keeping the what-if consistent with placement.
-                group = machine.placement_group(candidate)
-                if group is None:
-                    continue
-            need = plan.needs.get(candidate.job_id) or self._need_once(
-                candidate, estimator, hetero_machine
-            )
+            need = plan.needs.get(candidate.job_id) or self._need_once(candidate, estimator, machine)
+            # The trial debits the group the candidate would actually be placed
+            # in right now, keeping the what-if consistent with placement; a
+            # candidate (it can start now) with one eligible group goes there.
+            group = need.groups[0] if len(need.groups) == 1 else machine.placement_group(candidate)
+            if group is None:
+                continue
             placed = plan.placed.get(candidate.job_id)
             verdict = self._untried(plan, now, need, placed, group, graceful)
             if verdict:

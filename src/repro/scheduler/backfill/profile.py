@@ -1,29 +1,30 @@
-"""Free-processor availability profile.
+"""Reservation profiles: free capacity over time, per node group and resource.
 
-A step function over time recording how many processors are free, given the
-currently running jobs (under a runtime estimator) and any reservations that
-have been placed.  This is the standard data structure behind conservative
-backfilling: every waiting job gets a reservation carved out of the profile,
-and a candidate may only start now if doing so leaves every reservation
-intact.
+A :class:`ResourceProfile` is a step function over time recording how much of
+one resource is free, given the currently running jobs (under a runtime
+estimator), scheduled drains and the reservations placed so far; a
+:class:`ReservationProfile` holds one for every resource of every node group,
+and the scalar machine is its one-group, cpu-only case.  This is the data
+structure behind conservative backfilling: every waiting job gets a
+reservation carved out of the profile, and a candidate may only start now if
+doing so leaves every reservation intact.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from itertools import accumulate, islice
-from operator import attrgetter, itemgetter, sub
+from itertools import accumulate, islice, repeat
+from operator import itemgetter, sub
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.cluster.resources import ClusterTopology, ResourceVector, _RESOURCE_NAMES
+from repro.cluster.resources import ClusterTopology
 from repro.obs import get_metrics
 
 __all__ = [
     "NoFeasibleStart",
     "ResourceProfile",
-    "VectorProfile",
-    "GroupReservationProfile",
+    "ReservationProfile",
     "spaced",
     "clear_of",
 ]
@@ -33,8 +34,8 @@ _EPS = 1e-9
 #: ``eps``; the rest is room for the rounding of its comparisons).
 _MERGE_BAND = 4 * _EPS
 
-# Counts profiles built from machine state (one per component per decision
-# under conservative backfilling); a ``copy()`` for a trial is not a build.
+# Counts step functions built from machine state (one per component per
+# decision under conservative backfilling); a ``copy()`` for a trial is not a build.
 _PROFILE_BUILDS = get_metrics().counter("backfill_profile_builds_total")
 
 
@@ -42,7 +43,7 @@ class NoFeasibleStart(RuntimeError):
     """The profile never frees enough capacity for the request."""
 
 
-def _earliest_fit(parts: Sequence[Tuple[List[float], List[int], int]], start: float, duration: float) -> float:
+def _fit(parts: Sequence[Tuple[List[float], List[int], int]], start: float, duration: float) -> tuple:
     """Earliest of ``start`` and the later breakpoints at which every ``(times, free,
     amount)`` step function keeps ``amount`` free for ``duration``; ``inf`` if none.
 
@@ -51,12 +52,15 @@ def _earliest_fit(parts: Sequence[Tuple[List[float], List[int], int]], start: fl
     eps``.  A run of steps short of ``amount`` is in the window of every start
     before its end, so the sweep resumes at the first breakpoint whose lookup
     reaches that end instead of scanning from each breakpoint in between.
+    Also returns, per part, the step holding the start it found, so a
+    reservation there needs no second lookup.
     """
     floor = start + _EPS
-    while not math.isinf(start):
-        horizon, bound = start + duration - _EPS, None
+    while True:
+        horizon, bound, firsts = start + duration - _EPS, None, []
         for times, free, amount in parts:
-            idx, size = bisect_right(times, start + _EPS) - 1, len(times)
+            first = idx = bisect_right(times, start + _EPS) - 1
+            size = len(times)
             while free[idx] >= amount:
                 idx += 1
                 if idx == size or times[idx] >= horizon:
@@ -65,11 +69,12 @@ def _earliest_fit(parts: Sequence[Tuple[List[float], List[int], int]], start: fl
                 while idx < size and free[idx] < amount:
                     idx += 1
                 if idx == size:
-                    return math.inf
+                    return math.inf, None
                 if bound is None or times[idx] > bound:
                     bound = times[idx]
+            firsts.append(first)
         if bound is None:
-            return start
+            return start, firsts
         start = math.inf
         for times, _, _ in parts:
             k = bisect_left(times, bound)
@@ -77,7 +82,6 @@ def _earliest_fit(parts: Sequence[Tuple[List[float], List[int], int]], start: fl
                 k -= 1
             if k < len(times) and times[k] < start:
                 start = times[k]
-    return start
 
 
 def spaced(instants: Sequence[float], gap: float) -> bool:
@@ -96,22 +100,17 @@ def clear_of(instants: Sequence[float], instant: float, gap: float) -> bool:
 
 
 class ResourceProfile:
-    """Piecewise-constant free-processor profile on ``[origin, +inf)``."""
+    """Piecewise-constant free count of one resource on ``[origin, +inf)``."""
 
-    def __init__(self, total_processors: int, origin: float = 0.0, initial_free: int | None = None):
+    def __init__(self, total_processors: int, origin: float = 0.0):
         if total_processors <= 0:
             raise ValueError("total_processors must be positive")
-        free0 = total_processors if initial_free is None else initial_free
-        if not 0 <= free0 <= total_processors:
-            raise ValueError(
-                f"initial_free={free0} outside [0, {total_processors}]"
-            )
         _PROFILE_BUILDS.inc()
         self.total = total_processors
         self.origin = float(origin)
         # Parallel arrays: breakpoint times and the free count from that time on.
         self._times: List[float] = [float(origin)]
-        self._free: List[int] = [int(free0)]
+        self._free: List[int] = [total_processors]
 
     # -- queries -----------------------------------------------------------
     def free_at(self, time: float) -> int:
@@ -124,10 +123,6 @@ class ResourceProfile:
     def steps(self) -> List[Tuple[float, int]]:
         """Return the (time, free) breakpoints (mainly for tests/plots)."""
         return list(zip(self._times, self._free))
-
-    def instants(self) -> Sequence[float]:
-        """The breakpoint times, ascending (the profile's own list: read only)."""
-        return self._times
 
     def min_free_between(self, start: float, end: float) -> int:
         """Minimum free processors over the half-open interval ``[start, end)``."""
@@ -142,23 +137,59 @@ class ResourceProfile:
             idx += 1
         return minimum
 
+    def earliest_start(self, processors: int, duration: float, earliest: float | None = None) -> float:
+        """Earliest time >= ``earliest`` at which ``processors`` stay free for ``duration``."""
+        if processors > self.total:
+            raise ValueError(
+                f"request for {processors} processors exceeds the machine size {self.total}"
+            )
+        first = max(earliest if earliest is not None else self.origin, self.origin)
+        start = self._sweep(processors, first, duration)[0]
+        if math.isinf(start):
+            raise NoFeasibleStart(
+                f"no feasible start found for {processors} processors x {duration}s "
+                "(profile never frees enough capacity)"
+            )
+        return start
+
+    def _sweep(self, processors: int, start: float, duration: float) -> Tuple[float, int]:
+        """:func:`_fit` over this one step function alone, in the loop it reduces to:
+        ``(start, the step holding it)``, ``start`` being ``inf`` when nothing ever fits."""
+        times, free = self._times, self._free
+        size, floor = len(times), start + _EPS
+        first = bisect_right(times, floor) - 1
+        while True:
+            horizon, idx = start + duration - _EPS, first
+            while free[idx] >= processors:
+                idx += 1
+                if idx == size or times[idx] >= horizon:
+                    return start, first
+            while free[idx] < processors:
+                idx += 1
+                if idx == size:
+                    return math.inf, first
+            bound = times[idx]
+            while times[idx - 1] > floor and bound <= times[idx - 1] + _EPS:
+                idx -= 1
+            start = times[idx]
+            first = bisect_right(times, start + _EPS) - 1
+
     # -- mutation ----------------------------------------------------------
-    def _window(self, start: float, duration: float, needed: int = 0) -> Tuple:
+    def _window(self, start: float, duration: float, needed: int = 0, first: int | None = None) -> Tuple:
         """Locate ``[start, start+duration)`` and check it, modifying nothing.
 
         Returns the steps ``[first, stop)`` it covers and the two times at which
         a breakpoint is still missing (``None`` where one exists within ``eps``),
-        ready for :meth:`_cut`; raises if a step has fewer than ``needed`` free.
+        ready for :meth:`_debit`; raises if a step has fewer than ``needed`` free.
+        ``first`` is given for a start the sweep found (at or after the origin):
+        the step holding it, which is then not looked up again.
         """
-        times = self._times
-        lo, end = max(start, self.origin), max(start + duration, self.origin)
-        first = bisect_right(times, lo + _EPS) - 1
-        last = bisect_right(times, end + _EPS) - 1
-        return self._span(first, last, lo, end, needed)
-
-    def _span(self, first: int, last: int, lo: float, end: float, needed: int) -> Tuple:
-        """:meth:`_window` once the steps holding ``lo`` and ``end`` are known."""
         times, free = self._times, self._free
+        lo, end = start, start + duration
+        if first is None:
+            lo, end = max(lo, self.origin), max(end, self.origin)
+            first = bisect_right(times, lo + _EPS) - 1
+        last = bisect_right(times, end + _EPS, first) - 1
         cut_lo = abs(times[first] - lo) > _EPS
         # ``end`` snaps to the last breakpoint before it, the one cut at ``lo`` included,
         # unless that lies more than eps before it -- the float test the sweep of
@@ -173,8 +204,10 @@ class ResourceProfile:
             )
         return first, stop, lo if cut_lo else None, end if cut_end and end < math.inf else None
 
-    def _cut(self, first: int, stop: int, lo: Optional[float], end: Optional[float]) -> slice:
-        """Insert the breakpoints :meth:`_window` found missing; return the window's steps."""
+    def _debit(self, window: Tuple, processors: int, clip: bool = False) -> None:
+        """Insert the breakpoints :meth:`_window` found missing, then subtract
+        ``processors`` over the window's steps (``clip``: at most down to zero)."""
+        first, stop, lo, end = window
         times, free = self._times, self._free
         if end is not None:
             times.insert(stop, end)
@@ -183,20 +216,15 @@ class ResourceProfile:
             first, stop = first + 1, stop + 1
             times.insert(first, lo)
             free.insert(first, free[first - 1])
-        return slice(first, stop)
+        debited = [f - processors for f in free[first:stop]]
+        free[first:stop] = [max(f, 0) for f in debited] if clip else debited
 
     def reserve(self, start: float, duration: float, processors: int) -> None:
         """Subtract ``processors`` over ``[start, start+duration)``; all or nothing."""
         if processors <= 0:
             raise ValueError("processors must be positive")
-        if duration <= 0:
-            return
-        self._debit(self._window(start, duration, processors), processors)
-
-    def _debit(self, window: Tuple, processors: int) -> None:
-        """Subtract ``processors`` over a window :meth:`_window` has checked."""
-        span = self._cut(*window)
-        self._free[span] = [free - processors for free in self._free[span]]
+        if duration > 0:
+            self._debit(self._window(start, duration, processors), processors)
 
     def drain(self, start: float, duration: float, processors: int) -> None:
         """Subtract ``processors`` over ``[start, start+duration)``, clipping at zero.
@@ -210,10 +238,8 @@ class ResourceProfile:
         """
         if processors <= 0:
             raise ValueError("processors must be positive")
-        if duration <= 0:
-            return
-        span = self._cut(*self._window(start, duration))
-        self._free[span] = [max(free - processors, 0) for free in self._free[span]]
+        if duration > 0:
+            self._debit(self._window(start, duration), processors, clip=True)
 
     def copy(self) -> "ResourceProfile":
         """An independent clone (two list copies; not counted as a build)."""
@@ -222,315 +248,182 @@ class ResourceProfile:
         clone._times, clone._free = self._times[:], self._free[:]
         return clone
 
-    def _sweep(self, processors: int, start: float, duration: float) -> Tuple[float, int, int]:
-        """:func:`_earliest_fit` over this one step function, keeping what it found.
-
-        Returns ``(start, first, stop)``: the step holding the start and the
-        first step at or past ``start + duration - eps`` (every step between has
-        ``processors`` free); ``start`` is ``inf`` when nothing ever fits.
-        """
-        times, free = self._times, self._free
-        size, floor = len(times), start + _EPS
-        first = bisect_right(times, floor) - 1
-        while True:
-            horizon, idx = start + duration - _EPS, first
-            while free[idx] >= processors:
-                idx += 1
-                if idx == size or times[idx] >= horizon:
-                    return start, first, idx
-            while free[idx] < processors:
-                idx += 1
-                if idx == size:
-                    return math.inf, first, idx
-            bound = times[idx]
-            while times[idx - 1] > floor and bound <= times[idx - 1] + _EPS:
-                idx -= 1
-            start = times[idx]
-            first = bisect_right(times, start + _EPS) - 1
-
-    def _earliest(self, processors: int, duration: float, first: float) -> Tuple[float, int, int]:
-        """:meth:`_sweep` from ``first`` for a request the machine can hold; raises if none fits."""
-        if processors > self.total:
-            raise ValueError(
-                f"request for {processors} processors exceeds the machine size {self.total}"
-            )
-        found = self._sweep(processors, first, duration)
-        if math.isinf(found[0]):
-            raise NoFeasibleStart(
-                f"no feasible start found for {processors} processors x {duration}s "
-                "(profile never frees enough capacity)"
-            )
-        return found
-
-    def earliest_start(self, processors: int, duration: float, earliest: float | None = None) -> float:
-        """Earliest time >= ``earliest`` at which ``processors`` stay free for ``duration``."""
-        first = max(earliest if earliest is not None else self.origin, self.origin)
-        return self._earliest(processors, duration, first)[0]
-
-    def reserve_earliest(self, processors: int, duration: float, latest: float = math.inf) -> float:
-        """:meth:`earliest_start` from the origin, reserved there unless it is past ``latest``.
-
-        The same floats and the same steps as ``reserve(earliest_start(...), ...)``;
-        the reservation starts from the steps the sweep stopped at instead of
-        looking them up again.
-        """
-        start, first, stop = self._earliest(processors, duration, self.origin)
-        if start > latest:
-            return start
-        if processors <= 0:
-            raise ValueError("processors must be positive")
-        if duration > 0:
-            times, end = self._times, start + duration
-            last, size = stop - 1, len(times)
-            while last + 1 < size and times[last + 1] <= end + _EPS:
-                last += 1
-            self._debit(self._span(first, last, start, end, processors), processors)
-        return start
-
-    @classmethod
-    def from_running_jobs(
-        cls,
-        total_processors: int,
-        now: float,
-        running: Iterable[Tuple[float, int]],
-    ) -> "ResourceProfile":
-        """Build a profile from ``(estimated_end_time, processors)`` pairs of running jobs."""
-        profile = cls(total_processors, origin=now)
-        for end_time, processors in running:
-            # A job whose estimate already elapsed still holds its processors;
-            # the scheduler has no better information than "it will finish
-            # very soon", so keep the processors held for at least one second
-            # rather than pretending they are already free.
-            end = max(end_time, now + 1.0)
-            profile.reserve(now, end - now, processors)
-        return profile
-
-    @classmethod
-    def from_releases(
-        cls, total_processors: int, now: float, releases: Iterable[Tuple[float, int]]
-    ) -> Optional["ResourceProfile"]:
-        """:meth:`from_running_jobs` written down directly, when the order cannot matter.
-
-        Sorts the clamped ends and releases cumulatively -- one pass instead of
-        one ``reserve`` per job.  ``reserve`` merges an end into a breakpoint
-        within ``eps`` of it, so where two *distinct* ends lie that close the
-        one reserved first is the float that stays: the answer is then
-        ``None`` and the caller reserves one by one in the order it means.
-        """
-        floor = now + 1.0
-        # ``reserve`` places an end at ``start + duration``: the same arithmetic here.
-        pairs = sorted(
-            [(now + (max(end_time, floor) - now), processors) for end_time, processors in releases]
-        )
-        held = sum(map(itemgetter(1), pairs))
-        if held > total_processors:
-            return None  # over-subscribed: the reserve that finds it raises
-        times: List[float] = []
-        gains: List[int] = []
-        for end, processors in pairs:
-            if times and end - times[-1] <= _MERGE_BAND:
-                if end != times[-1]:
-                    return None
-                gains[-1] += processors
-            elif end < math.inf:  # held forever: never released, so no step
-                times.append(end)
-                gains.append(processors)
-        profile = cls(total_processors, origin=now)
-        profile._times += times
-        profile._free = list(accumulate(gains, initial=total_processors - held))
-        return profile
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ResourceProfile(total={self.total}, steps={len(self._times)})"
 
 
-class VectorProfile:
-    """Per-resource availability profile over one node group.
+class ReservationProfile:
+    """For every node group, a :class:`ResourceProfile` per resource it has (a cpu-only
+    group pays one step function's cost); amounts are ``(cpus, memory, gpus)``.
 
-    Composes one :class:`ResourceProfile` per resource the group actually has
-    (zero-capacity resources are skipped, so a cpu-only group pays exactly the
-    scalar profile's cost).  Reservations and drains apply each component to
-    its resource's profile; feasibility questions require *every* component to
-    fit simultaneously.
-    """
-
-    def __init__(self, capacity: ResourceVector, origin: float = 0.0):
-        if capacity.cpus <= 0:
-            raise ValueError("vector profile needs positive cpu capacity")
-        self.capacity = capacity
-        self.origin = float(origin)
-        self._profiles: Dict[str, ResourceProfile] = {
-            name: ResourceProfile(capacity.component(name), origin=origin)
-            for name in _RESOURCE_NAMES
-            if capacity.component(name) > 0
-        }
-
-    @classmethod
-    def from_releases(
-        cls, capacity: ResourceVector, now: float, releases: Sequence[Tuple[float, ResourceVector]]
-    ) -> Optional["VectorProfile"]:
-        """A profile with each ``(estimated_end, vector)`` reserved from ``now`` until its
-        end, a component at a time through :meth:`ResourceProfile.from_releases`;
-        ``None`` where a component's is."""
-        profile = cls.__new__(cls)
-        profile.capacity, profile.origin, profile._profiles = capacity, float(now), {}
-        for name in _RESOURCE_NAMES:
-            total, amount = capacity.component(name), attrgetter(name)
-            if total > 0:
-                component = ResourceProfile.from_releases(
-                    total, now, [(end, share) for end, v in releases if (share := amount(v)) > 0]
-                )
-                if component is None:
-                    return None
-                profile._profiles[name] = component
-        return profile
-
-    def reserve(self, start: float, duration: float, vector: ResourceVector) -> None:
-        """Subtract ``vector`` over ``[start, start+duration)``; all or nothing."""
-        if not vector.fits_in(self.capacity):
-            raise ValueError(
-                f"reservation {vector.as_dict()} exceeds group capacity {self.capacity.as_dict()}"
-            )
-        if duration <= 0:
-            return
-        parts = [(p, vector.component(name)) for name, p in self._profiles.items()]
-        # Every component is located and checked before any is debited.
-        checked = [(p, p._window(start, duration, amount), amount) for p, amount in parts if amount > 0]
-        for profile, window, amount in checked:
-            profile._debit(window, amount)
-
-    def drain(self, start: float, duration: float, vector: ResourceVector) -> None:
-        """Subtract ``vector`` over the window, clipping each component at zero."""
-        for name, profile in self._profiles.items():
-            amount = vector.component(name)
-            if amount > 0:
-                profile.drain(start, duration, amount)
-
-    def copy(self) -> "VectorProfile":
-        clone = object.__new__(type(self))
-        clone.__dict__.update(self.__dict__)
-        clone._profiles = {name: p.copy() for name, p in self._profiles.items()}
-        return clone
-
-    def earliest_start(
-        self, vector: ResourceVector, duration: float, earliest: float | None = None
-    ) -> float:
-        """Earliest time >= ``earliest`` at which the whole vector stays free for ``duration``."""
-        if not vector.fits_in(self.capacity):
-            raise ValueError(
-                f"request {vector.as_dict()} exceeds group capacity {self.capacity.as_dict()}"
-            )
-        first = max(earliest if earliest is not None else self.origin, self.origin)
-        parts = [(p._times, p._free, vector.component(name)) for name, p in self._profiles.items()]
-        start = _earliest_fit(parts, first, duration)
-        if not math.isinf(start):
-            return start
-        raise NoFeasibleStart(
-            f"no feasible start found for {vector.as_dict()} x {duration}s "
-            "(group never frees enough capacity)"
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"VectorProfile(capacity={self.capacity.as_dict()})"
-
-
-class GroupReservationProfile:
-    """Availability profiles for every node group of a heterogeneous machine.
-
-    The conservative discipline's planning surface: one :class:`VectorProfile`
-    per group, plus the cross-group placement question "where does this job's
-    reservation land earliest?".  Start-time ties break in the *caller's*
+    A start fits a group where every requested resource stays free for the
+    whole duration.  Start-time ties between groups break in the *caller's*
     group order (the allocator's eligibility order), which keeps planning
     deterministic and consistent with live placement.
     """
 
     def __init__(self, topology: ClusterTopology, origin: float = 0.0):
-        self.topology = topology
         self.origin = float(origin)
-        self._groups: Dict[str, VectorProfile] = {
-            group.name: VectorProfile(group.capacity, origin=origin)
-            for group in topology.groups
-        }
+        # group -> (capacity amounts, [(resource index, step function)]).
+        self._groups: Dict[str, Tuple[Tuple[int, ...], List[Tuple[int, ResourceProfile]]]] = {}
+        for group in topology.groups:
+            capacity = group.capacity.amounts
+            parts = [(i, ResourceProfile(total, origin)) for i, total in enumerate(capacity) if total > 0]
+            self._groups[group.name] = (capacity, parts)
 
     @classmethod
     def from_releases(
-        cls,
-        topology: ClusterTopology,
-        now: float,
-        releases: Iterable[Tuple[str, float, ResourceVector]],
-    ) -> Optional["GroupReservationProfile"]:
-        """A profile with each ``(group, estimated_end, vector)`` grant reserved from
-        ``now`` until ``max(end, now + 1)``, written down directly; ``None`` where
-        the order of the reservations decides a float (see
-        :meth:`ResourceProfile.from_releases`) or a group is over-subscribed."""
-        held: Dict[str, list] = {group.name: [] for group in topology.groups}
-        for name, end, vector in releases:
-            held[name].append((end, vector))
+        cls, topology: ClusterTopology, now: float, grants: Iterable[tuple]
+    ) -> Optional["ReservationProfile"]:
+        """Each ``(group, estimated_end, amounts)`` grant reserved from ``now`` until
+        ``max(end, now + 1)``, written down directly when the order cannot matter.
+
+        Sorts the clamped ends and releases cumulatively -- one pass per step
+        function instead of one ``reserve`` per grant.  ``reserve`` merges an end
+        into a breakpoint within ``eps`` of it, so where two *distinct* ends lie
+        that close the one reserved first is the float that stays: the answer is
+        then ``None`` and the caller reserves one by one in the order it means
+        (:meth:`from_running_jobs`).
+        """
+        floor = now + 1.0
+        # ``reserve`` places an end at ``start + duration``: the same arithmetic here.
+        ends = sorted([(now + (max(end, floor) - now), group, amounts) for group, end, amounts in grants])
         profile = cls.__new__(cls)
-        profile.topology, profile.origin, profile._groups = topology, float(now), {}
+        profile.origin, profile._groups = float(now), {}
         for group in topology.groups:
-            built = VectorProfile.from_releases(group.capacity, now, held[group.name])
-            if built is None:
-                return None
-            profile._groups[group.name] = built
+            capacity, parts = group.capacity.amounts, []
+            for i, total in enumerate(capacity):
+                if total <= 0:
+                    continue
+                pairs = [
+                    (end, amounts[i]) for end, name, amounts in ends if name == group.name and amounts[i] > 0
+                ]
+                held = sum(map(itemgetter(1), pairs))
+                if held > total:
+                    return None  # over-subscribed: the reserve that finds it raises
+                times: List[float] = []
+                gains: List[int] = []
+                for end, share in pairs:
+                    if times and end - times[-1] <= _MERGE_BAND:
+                        if end != times[-1]:
+                            return None
+                        gains[-1] += share
+                    elif end < math.inf:  # held forever: never released, so no step
+                        times.append(end)
+                        gains.append(share)
+                part = ResourceProfile(total, origin=now)
+                part._times += times
+                part._free = list(accumulate(gains, initial=total - held))
+                parts.append((i, part))
+            profile._groups[group.name] = (capacity, parts)
         return profile
 
-    def group(self, name: str) -> VectorProfile:
-        return self._groups[name]
+    @classmethod
+    def from_running_jobs(
+        cls, topology: ClusterTopology, now: float, grants: Iterable[tuple]
+    ) -> "ReservationProfile":
+        """:meth:`from_releases` one ``reserve`` per grant, in the order given: where two
+        ends lie within eps of each other, the one reserved first is the float that stays."""
+        profile = cls(topology, origin=now)
+        for group, end, amounts in grants:
+            # A job whose estimate already elapsed still holds its processors;
+            # the scheduler has no better information than "it will finish
+            # very soon", so keep the processors held for at least one second
+            # rather than pretending they are already free.
+            profile.reserve(group, now, max(end, now + 1.0) - now, amounts)
+        return profile
 
-    def reserve(self, group: str, start: float, duration: float, vector: ResourceVector) -> None:
-        self._groups[group].reserve(start, duration, vector)
-
-    def drain(self, group: str, start: float, duration: float, vector: ResourceVector) -> None:
-        self._groups[group].drain(start, duration, vector)
+    def step_function(self) -> Optional[ResourceProfile]:
+        """The one step function (one group's cpus) this profile is, or ``None``."""
+        (_, parts), *others = self._groups.values()
+        return parts[0][1] if not others and len(parts) == 1 else None
 
     def instants(self) -> Sequence[float]:
-        """Every group's breakpoint times, ascending and distinct."""
-        return sorted(
-            set().union(*(p._times for g in self._groups.values() for p in g._profiles.values()))
-        )
+        """Every breakpoint time, ascending and distinct (read only)."""
+        steps = [part._times for _, parts in self._groups.values() for _, part in parts]
+        return steps[0] if len(steps) == 1 else sorted(set().union(*steps))
 
-    def copy(self) -> "GroupReservationProfile":
+    def _parts(self, group: str, amounts: Sequence[int]) -> List[Tuple[int, ResourceProfile]]:
+        """``group``'s step functions, once ``amounts`` is known to fit its capacity."""
+        capacity, parts = self._groups[group]
+        if amounts[0] > capacity[0] or amounts[1] > capacity[1] or amounts[2] > capacity[2]:
+            raise ValueError(f"request {tuple(amounts)} exceeds group {group!r} capacity {capacity}")
+        return parts
+
+    @staticmethod
+    def _claim(
+        parts: list, firsts: Iterable, start: float, duration: float, amounts: Sequence[int], clip=False
+    ) -> None:
+        """Debit each step function its amount over the window: all or nothing, or ``clip``
+        each at zero (a drain)."""
+        if duration > 0:
+            # Every step function is located and checked before any is debited.
+            windows = [
+                (part, part._window(start, duration, 0 if clip else amounts[i], first), amounts[i])
+                for (i, part), first in zip(parts, firsts)
+                if amounts[i] > 0
+            ]
+            for part, window, amount in windows:
+                part._debit(window, amount, clip)
+
+    def reserve(self, group: str, start: float, duration: float, amounts: Sequence[int]) -> None:
+        """Subtract ``amounts`` from ``group`` over ``[start, start+duration)``; all or nothing."""
+        self._claim(self._parts(group, amounts), repeat(None), start, duration, amounts)
+
+    def drain(self, group: str, start: float, duration: float, amounts: Sequence[int]) -> None:
+        """Subtract ``amounts`` from ``group`` over the window, clipping each at zero."""
+        self._claim(self._groups[group][1], repeat(None), start, duration, amounts, clip=True)
+
+    def copy(self) -> "ReservationProfile":
+        """An independent clone (not counted as a build)."""
         clone = object.__new__(type(self))
-        clone.__dict__.update(self.__dict__)
-        clone._groups = {name: g.copy() for name, g in self._groups.items()}
+        clone.origin = self.origin
+        clone._groups = {
+            name: (capacity, [(i, part.copy()) for i, part in parts])
+            for name, (capacity, parts) in self._groups.items()
+        }
         return clone
 
-    def earliest_start(
-        self,
-        vector: ResourceVector,
-        duration: float,
-        groups: Sequence[str],
-        earliest: float | None = None,
-    ) -> Tuple[float, str]:
-        """Earliest ``(start, group)`` among ``groups`` hosting the vector for ``duration``."""
-        best: Optional[Tuple[float, str]] = None
+    def _earliest(
+        self, amounts: Sequence[int], duration: float, groups: Sequence[str], first: float
+    ) -> tuple:
+        """The earliest ``(start, group)`` at or after ``first``, with the group's step
+        functions and the step of each that holds the start."""
+        best: Optional[tuple] = None
         for name in groups:
-            try:
-                start = self._groups[name].earliest_start(vector, duration, earliest)
-            except NoFeasibleStart:
-                continue
+            capacity, parts = self._groups[name]  # ``_parts``, inline: this is the planning loop
+            if amounts[0] > capacity[0] or amounts[1] > capacity[1] or amounts[2] > capacity[2]:
+                self._parts(name, amounts)  # raises
+            if len(parts) == 1:  # one step function, the group's cpus: the loop the sweep reduces to
+                start, step = parts[0][1]._sweep(amounts[0], first, duration)
+                firsts: Sequence[int] = (step,)
+            else:
+                start, firsts = _fit([(p._times, p._free, amounts[i]) for i, p in parts], first, duration)
             if best is None or start < best[0] - _EPS:
-                best = (start, name)
-        if best is None:
+                best = (start, name, parts, firsts)
+        if best is None or math.isinf(best[0]):
             raise NoFeasibleStart(
-                f"no feasible start found for {vector.as_dict()} x {duration}s "
-                f"in groups {tuple(groups)}"
+                f"no feasible start found for {tuple(amounts)} x {duration}s in groups {tuple(groups)}"
             )
         return best
 
     def reserve_earliest(
-        self,
-        vector: ResourceVector,
-        duration: float,
-        groups: Sequence[str],
-        latest: float = math.inf,
+        self, amounts: Sequence[int], duration: float, groups: Sequence[str], latest: float = math.inf
     ) -> Tuple[float, str]:
-        """:meth:`earliest_start`, reserved there unless the start is past ``latest``."""
-        start, group = self.earliest_start(vector, duration, groups)
-        if start <= latest:
-            self._groups[group].reserve(start, duration, vector)
-        return start, group
+        """The earliest ``(start, group)`` among ``groups`` holding ``amounts`` free for
+        ``duration``, reserved there unless the start is past ``latest``; raises
+        :class:`NoFeasibleStart` where none ever does.
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"GroupReservationProfile(groups={self.topology.names})"
+        Each step function's reservation starts from the step the sweep found
+        the start in instead of looking it up again.
+        """
+        start, name, parts, firsts = self._earliest(amounts, duration, groups, self.origin)
+        if start > latest or duration <= 0:
+            return start, name
+        if len(parts) == 1:  # one step function, the group's cpus: nothing else to check first
+            cpus = parts[0][1]
+            cpus._debit(cpus._window(start, duration, amounts[0], firsts[0]), amounts[0])
+        else:
+            self._claim(parts, firsts, start, duration, amounts)
+        return start, name
+

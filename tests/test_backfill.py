@@ -5,11 +5,12 @@ import math
 import pytest
 
 from repro.cluster.machine import Machine
+from repro.cluster.resources import ClusterTopology
 from repro.prediction.predictors import ActualRuntime, UserEstimate
 from repro.scheduler.backfill.conservative import ConservativeBackfill
 from repro.scheduler.backfill.easy import EasyBackfill, GreedyBackfill
 from repro.scheduler.backfill.none import NoBackfill
-from repro.scheduler.backfill.profile import ResourceProfile
+from repro.scheduler.backfill.profile import ReservationProfile, ResourceProfile
 from repro.scheduler.events import DecisionPoint
 from tests.conftest import make_job
 
@@ -198,13 +199,12 @@ class TestResourceProfile:
         assert profile.earliest_start(8, math.inf) == 100.0
 
     def test_from_running_jobs(self):
-        profile = ResourceProfile.from_running_jobs(16, now=0.0, running=[(100.0, 12)])
-        assert profile.free_at(0) == 4
-        assert profile.free_at(150) == 16
-
-    def test_invalid_initial_free(self):
-        with pytest.raises(ValueError):
-            ResourceProfile(8, initial_free=9)
+        profile = ReservationProfile.from_running_jobs(
+            ClusterTopology.homogeneous(16), now=0.0, grants=[("all", 100.0, (12, 0, 0))]
+        )
+        cpus = profile.step_function()
+        assert cpus.free_at(0) == 4
+        assert cpus.free_at(150) == 16
 
 
 class TestConservativeBackfill:

@@ -17,6 +17,7 @@ import collections
 import copy
 import math
 import pickle
+from functools import partial
 from typing import List
 
 import pytest
@@ -32,7 +33,7 @@ from repro.scheduler.backfill import (
     ResourceProfile,
 )
 from repro.scheduler.backfill.base import BackfillStrategy
-from repro.scheduler.backfill.profile import GroupReservationProfile, VectorProfile, clear_of
+from repro.scheduler.backfill.profile import ReservationProfile, clear_of
 from repro.scheduler.events import DecisionPoint
 from repro.scheduler.simulator import run_schedule
 from repro.workloads.job import Job
@@ -71,6 +72,14 @@ def _from_steps(total, times, free):
     return profile
 
 
+def _scalar_layout(total, times, free):
+    """The scalar machine's profile -- one group, its cpus -- on ``(times, free)``."""
+    profile = ReservationProfile(ClusterTopology.homogeneous(total), origin=times[0])
+    cpus = profile.step_function()
+    cpus._times, cpus._free = list(times), list(free)
+    return profile
+
+
 @st.composite
 def _earliest(draw, times):
     if draw(st.booleans()):
@@ -79,19 +88,19 @@ def _earliest(draw, times):
     return anchor + draw(st.sampled_from([-5.0, -8e-10, 0.0, 4e-10, 1.1e-9, 0.3, 12.0]))
 
 
-def _check_earliest_start(data, profile, request, times, frees):
-    """``earliest_start`` is the definition: the first of ``earliest`` and the later
-    breakpoints (more than eps after it) whose window ``frees(start, end)`` says
-    keeps ``request`` free; infeasible where none does."""
+def _check_earliest_start(data, origin, earliest_start, times, frees):
+    """``earliest_start(duration, earliest)`` is the definition: the first of
+    ``earliest`` and the later breakpoints (more than eps after it) whose window
+    ``frees(start, end)`` says keeps the request free; infeasible where none does."""
     duration = data.draw(_DURATIONS)
     earliest = data.draw(_earliest(times))
-    first = profile.origin if earliest is None else max(earliest, profile.origin)
+    first = origin if earliest is None else max(earliest, origin)
     for start in [first, *sorted({t for t in times if t > first + 1e-9})]:
         if frees(start, start + duration):
-            assert profile.earliest_start(request, duration, earliest) == start
+            assert earliest_start(duration, earliest) == start
             return
     with pytest.raises(NoFeasibleStart):
-        profile.earliest_start(request, duration, earliest)
+        earliest_start(duration, earliest)
 
 
 @settings(max_examples=400, deadline=None)
@@ -103,7 +112,7 @@ def test_scalar_earliest_start_matches_oracle_on_raw_steps(data):
     profile = _from_steps(16, times, free)
     processors = data.draw(st.integers(1, 16))
     _check_earliest_start(
-        data, profile, processors, times,
+        data, profile.origin, partial(profile.earliest_start, processors), times,
         lambda t, end: profile.min_free_between(t, end) >= processors,
     )
 
@@ -140,7 +149,8 @@ def test_scalar_profile_built_through_the_api_matches_oracle(origin, ops, data):
     _apply(profile, ops, origin)
     processors = data.draw(st.integers(1, 16))
     _check_earliest_start(
-        data, profile, processors, [t for t, _ in profile.steps()],
+        data, profile.origin, partial(profile.earliest_start, processors),
+        [t for t, _ in profile.steps()],
         lambda t, end: profile.min_free_between(t, end) >= processors,
     )
 
@@ -148,20 +158,22 @@ def test_scalar_profile_built_through_the_api_matches_oracle(origin, ops, data):
 @settings(max_examples=400, deadline=None)
 @given(data=st.data())
 def test_reserve_earliest_is_earliest_start_then_reserve(data):
-    """The fused step leaves the floats and steps of the two calls it replaces, and
-    reserves nothing when the start it found is past ``latest``."""
+    """On the scalar machine's layout the fused step leaves the floats and steps of
+    the two calls it replaces, and reserves nothing when the start it found is past
+    ``latest``."""
     total = 16
     times, free = data.draw(_step_lists(total))
-    fused = _from_steps(total, times, free)
+    fused = _scalar_layout(total, times, free)
     apart = _from_steps(total, times, free)
     for _ in range(data.draw(st.integers(1, 4))):
         processors = data.draw(st.integers(1, total))
         duration = data.draw(_DURATIONS)
+        ask = partial(fused.reserve_earliest, (processors, 0, 0), duration, ["all"])
         try:
             start = apart.earliest_start(processors, duration)
         except NoFeasibleStart:
             with pytest.raises(NoFeasibleStart):
-                fused.reserve_earliest(processors, duration)
+                ask()
             continue
         latest = data.draw(st.sampled_from([math.inf, start, start - 1.0]))
         before = apart.steps()
@@ -170,47 +182,95 @@ def test_reserve_earliest_is_earliest_start_then_reserve(data):
                 apart.reserve(start, duration, processors)
         except RuntimeError:  # breakpoints within eps of the end: both must refuse, untouched
             with pytest.raises(RuntimeError, match="over-subscribed"):
-                fused.reserve_earliest(processors, duration, latest)
-            assert fused.steps() == before
+                ask(latest)
+            assert fused.step_function().steps() == before
             continue
-        assert fused.reserve_earliest(processors, duration, latest) == start
-        assert fused.steps() == apart.steps()
+        assert ask(latest) == (start, "all")
+        assert fused.step_function().steps() == apart.steps()
 
 
 def test_a_start_the_sweep_finds_is_reservable_at_the_eps_boundary():
     """The job ends a float hair over eps after a breakpoint the sweep ends its
     window at (a whole conservative run raised ``over-subscribed`` here)."""
-    profile = _from_steps(32, [5533.625000001, 5563.625000001, 5963.625000001], [15, 2, 32])
-    assert profile.reserve_earliest(13, 30.000000001) == 5533.625000001
-    assert [free for _, free in profile.steps()] == [2, 2, 32]
+    profile = _scalar_layout(32, [5533.625000001, 5563.625000001, 5963.625000001], [15, 2, 32])
+    assert profile.reserve_earliest((13, 0, 0), 30.000000001, ["all"]) == (5533.625000001, "all")
+    assert [free for _, free in profile.step_function().steps()] == [2, 2, 32]
 
 
-_CAPACITY = ResourceVector(cpus=16, memory=64, gpus=4)
+#: One group with every resource: a step function each.
+_GROUP = ClusterTopology((NodeGroup("g", cpus=16, memory=64, gpus=4),))
 _VECTORS = st.builds(
     ResourceVector, cpus=st.integers(1, 16), memory=st.integers(0, 64), gpus=st.integers(0, 4)
 )
 
 
+def _parts(profile, group="g"):
+    """``group``'s step functions by resource index."""
+    return dict(profile._groups[group][1])
+
+
+def _earliest_in(profile, amounts, duration, groups, earliest=None):
+    """The earliest ``(start, group)`` at or after ``earliest``: the sweep
+    ``reserve_earliest`` reserves at, without reserving."""
+    first = profile.origin if earliest is None else max(earliest, profile.origin)
+    return profile._earliest(amounts, duration, groups, first)[:2]
+
+
 @settings(max_examples=400, deadline=None)
 @given(data=st.data())
 def test_vector_earliest_start_matches_oracle_on_raw_steps(data):
-    """The same definition on components with their own breakpoints, some within
-    eps of each other."""
+    """The same definition on a group's step functions with their own breakpoints,
+    some within eps of each other."""
     origin = data.draw(_ORIGINS)
-    profile = VectorProfile(_CAPACITY, origin=origin)
+    profile = ReservationProfile(_GROUP, origin=origin)
     every_time = [origin]
-    for name, component in profile._profiles.items():
-        times, free = data.draw(_step_lists(_CAPACITY.component(name), st.just(origin)))
-        component._times, component._free = times, free
+    for i, part in _parts(profile).items():
+        times, free = data.draw(_step_lists(part.total, st.just(origin)))
+        part._times, part._free = times, free
         every_time.extend(times)
-    vector = data.draw(_VECTORS)
+    amounts = data.draw(_VECTORS).amounts
     _check_earliest_start(
-        data, profile, vector, every_time,
+        data, origin, lambda d, e: _earliest_in(profile, amounts, d, ["g"], e)[0], every_time,
         lambda t, end: all(
-            component.min_free_between(t, end) >= vector.component(name)
-            for name, component in profile._profiles.items()
+            part.min_free_between(t, end) >= amounts[i] for i, part in _parts(profile).items()
         ),
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_group_reserve_earliest_is_earliest_start_then_reserve(data):
+    """The steps the sweep stopped at reserve every step function of the group it
+    chose, as a second lookup would: the same floats and steps, or the same refusal."""
+    topology = ClusterTopology((*_GROUP.groups, NodeGroup("h", cpus=16)))
+    origin = data.draw(_ORIGINS)
+    fused, apart = ReservationProfile(topology, origin), ReservationProfile(topology, origin)
+    for group in ("g", "h"):
+        for i, part in _parts(fused, group).items():
+            times, free = data.draw(_step_lists(part.total, st.just(origin)))
+            part._times, part._free = times, free
+            _parts(apart, group)[i]._times, _parts(apart, group)[i]._free = times[:], free[:]
+    for _ in range(data.draw(st.integers(1, 3))):
+        amounts, duration = data.draw(_VECTORS).amounts, data.draw(_DURATIONS)
+        groups = data.draw(st.sampled_from([["g"], ["h", "g"], ["g", "h"]]))
+        if amounts[1] or amounts[2]:
+            groups = ["g"]
+        try:
+            start, group = _earliest_in(apart, amounts, duration, groups)
+        except NoFeasibleStart:
+            with pytest.raises(NoFeasibleStart):
+                fused.reserve_earliest(amounts, duration, groups)
+            continue
+        before = _steps(apart)
+        try:
+            apart.reserve(group, start, duration, amounts)
+        except RuntimeError:
+            with pytest.raises(RuntimeError, match="over-subscribed"):
+                fused.reserve_earliest(amounts, duration, groups)
+            assert _steps(fused) == before
+            continue
+        assert fused.reserve_earliest(amounts, duration, groups) == (start, group)
+        assert _steps(fused) == _steps(apart)
 
 
 def test_a_breakpoint_within_eps_before_a_shortage_ends_is_the_earliest_start():
@@ -218,10 +278,11 @@ def test_a_breakpoint_within_eps_before_a_shortage_ends_is_the_earliest_start():
     the sweeps walk back to ``t`` instead of starting where the shortage ends."""
     t = 10.0 - 5e-10
     assert _from_steps(16, [0.0, t, 10.0], [4, 4, 16]).earliest_start(8, 5.0) == t
-    vector = VectorProfile(_CAPACITY)
-    vector._profiles["cpus"]._times, vector._profiles["cpus"]._free = [0.0, 10.0], [4, 16]
-    vector._profiles["memory"]._times, vector._profiles["memory"]._free = [0.0, t], [64, 64]
-    assert vector.earliest_start(ResourceVector(cpus=8), 5.0) == t
+    vector = ReservationProfile(_GROUP)
+    cpus, memory, _ = _parts(vector).values()
+    cpus._times, cpus._free = [0.0, 10.0], [4, 16]
+    memory._times, memory._free = [0.0, t], [64, 64]
+    assert _earliest_in(vector, (8, 0, 0), 5.0, ["g"]) == (t, "g")
 
 
 def test_earliest_start_infeasible_is_typed_and_only_that_is_skipped():
@@ -229,21 +290,16 @@ def test_earliest_start_infeasible_is_typed_and_only_that_is_skipped():
     profile.drain(0.0, math.inf, 6)
     with pytest.raises(NoFeasibleStart):
         profile.earliest_start(4, 10.0)
-    topology = ClusterTopology((NodeGroup("a", cpus=8), NodeGroup("b", cpus=8)))
-    groups = GroupReservationProfile(topology)
-    groups.drain("a", 0.0, math.inf, ResourceVector(cpus=6))
+    topology = ClusterTopology((NodeGroup("a", cpus=8), NodeGroup("b", cpus=8, memory=8)))
+    groups = ReservationProfile(topology)
+    groups.drain("a", 0.0, math.inf, (6, 0, 0))
     # Group "a" never frees 4 cpus: skipped, "b" answers.
-    assert groups.earliest_start(ResourceVector(cpus=4), 10.0, ["a", "b"]) == (0.0, "b")
+    assert _earliest_in(groups, (4, 0, 0), 10.0, ["a", "b"]) == (0.0, "b")
     with pytest.raises(NoFeasibleStart):
-        groups.earliest_start(ResourceVector(cpus=4), 10.0, ["a"])
-
-    class Broken(VectorProfile):
-        def earliest_start(self, vector, duration, earliest=None):
-            raise RuntimeError("not an infeasibility")
-
-    groups._groups["a"] = Broken(ResourceVector(cpus=8))
-    with pytest.raises(RuntimeError, match="not an infeasibility"):
-        groups.earliest_start(ResourceVector(cpus=4), 10.0, ["a", "b"])
+        groups.reserve_earliest((4, 0, 0), 10.0, ["a"])
+    # Group "a" has no memory at all: that is a wrong request, not an infeasibility.
+    with pytest.raises(ValueError, match="exceeds group 'a'"):
+        groups.reserve_earliest((4, 1, 0), 10.0, ["a", "b"])
 
 
 # -- atomic reserve, independent clones ----------------------------------------
@@ -272,12 +328,12 @@ def test_raised_reserve_is_not_half_applied():
 
 
 def test_raised_vector_reserve_debits_no_component():
-    profile = VectorProfile(ResourceVector(cpus=8, memory=32))
-    profile.reserve(0.0, 100.0, ResourceVector(cpus=2, memory=30))
-    before = {name: p.steps() for name, p in profile._profiles.items()}
+    profile = ReservationProfile(ClusterTopology((NodeGroup("g", cpus=8, memory=32),)))
+    profile.reserve("g", 0.0, 100.0, (2, 30, 0))
+    before = _steps(profile)
     with pytest.raises(RuntimeError, match="over-subscribed"):  # cpus fit, memory does not
-        profile.reserve(10.0, 50.0, ResourceVector(cpus=4, memory=8))
-    assert {name: p.steps() for name, p in profile._profiles.items()} == before
+        profile.reserve("g", 10.0, 50.0, (4, 8, 0))
+    assert _steps(profile) == before
 
 
 @settings(max_examples=100, deadline=None)
@@ -292,18 +348,14 @@ def test_copies_are_independent_of_their_source(origin, ops, more):
     assert base.steps() == before
 
     topology = ClusterTopology((NodeGroup("a", cpus=16, memory=64), NodeGroup("b", cpus=8)))
-    groups = GroupReservationProfile(topology, origin=origin)
-    groups.reserve("a", origin + 5.0, 20.0, ResourceVector(cpus=4, memory=16))
-    snapshot = {
-        (g, name): p.steps() for g in "ab" for name, p in groups.group(g)._profiles.items()
-    }
+    groups = ReservationProfile(topology, origin=origin)
+    groups.reserve("a", origin + 5.0, 20.0, (4, 16, 0))
+    snapshot = _steps(groups)
     twin = groups.copy()
-    twin.reserve("a", origin, 100.0, ResourceVector(cpus=8, memory=8))
-    twin.drain("b", origin, math.inf, ResourceVector(cpus=8))
-    assert snapshot == {
-        (g, name): p.steps() for g in "ab" for name, p in groups.group(g)._profiles.items()
-    }
-    assert twin.group("a")._profiles["memory"].free_at(origin + 6.0) == 64 - 16 - 8
+    twin.reserve("a", origin, 100.0, (8, 8, 0))
+    twin.drain("b", origin, math.inf, (8, 0, 0))
+    assert _steps(groups) == snapshot
+    assert _parts(twin, "a")[1].free_at(origin + 6.0) == 64 - 16 - 8
 
 
 def test_copy_is_not_counted_as_a_build():
@@ -317,8 +369,8 @@ def test_copy_is_not_counted_as_a_build():
         base = ResourceProfile(8)
         built = counter.value
         base.copy()
-        VectorProfile(ResourceVector(cpus=8)).copy()
-        assert counter.value == built + 1  # the VectorProfile's one component
+        ReservationProfile(ClusterTopology.homogeneous(8)).copy()
+        assert counter.value == built + 1  # the one step function of the one group
     finally:
         if not was_enabled:
             registry.disable()
@@ -338,21 +390,23 @@ _ENDS = st.one_of(
 @settings(max_examples=400, deadline=None)
 @given(now=_ORIGINS, running=st.lists(st.tuples(_ENDS, st.integers(1, 6)), max_size=10))
 def test_from_releases_is_from_running_jobs_or_stands_back(now, running):
-    running = [(now + offset, processors) for offset, processors in running]
+    """On the scalar machine's layout: one group, its cpus."""
+    machine = ClusterTopology.homogeneous(32)
+    running = [("all", now + offset, (processors, 0, 0)) for offset, processors in running]
     try:
-        expected = ResourceProfile.from_running_jobs(32, now, running)
+        expected = ReservationProfile.from_running_jobs(machine, now, running)
     except RuntimeError:  # over-subscribed: the direct form leaves the raising to ``reserve``
-        assert ResourceProfile.from_releases(32, now, running) is None
+        assert ReservationProfile.from_releases(machine, now, running) is None
         return
-    direct = ResourceProfile.from_releases(32, now, running)
-    ends = sorted({now + (max(end, now + 1.0) - now) for end, _ in running})
+    direct = ReservationProfile.from_releases(machine, now, running)
+    ends = sorted({now + (max(end, now + 1.0) - now) for _, end, _ in running})
     close = any(later - sooner <= 4e-9 for sooner, later in zip(ends, ends[1:]))
     # ``None`` only where two distinct ends could merge, and always in every order otherwise.
     assert (direct is None) <= close
     if direct is not None:
-        assert direct.steps() == expected.steps()
-        assert ResourceProfile.from_releases(32, now, running[::-1]).steps() == expected.steps()
-        assert (direct.total, direct.origin) == (expected.total, expected.origin)
+        assert _steps(direct) == _steps(expected)
+        assert _steps(ReservationProfile.from_releases(machine, now, running[::-1])) == _steps(expected)
+        assert direct.origin == expected.origin and direct.step_function().total == 32
 
 
 @settings(max_examples=200, deadline=None)
@@ -363,34 +417,57 @@ def test_from_releases_is_from_running_jobs_or_stands_back(now, running):
 def test_group_from_releases_is_one_reserve_per_grant_or_stands_back(now, grants):
     topology = _TOPOLOGIES["resources"]
     grants = [
-        (group, now + offset, vector)
+        (group, now + offset, vector.amounts)
         for group, offset, vector in grants
         if vector.fits_in(topology.group(group).capacity)
     ]
-    expected = GroupReservationProfile(topology, origin=now)
     try:
-        for group, end, vector in grants:
-            expected.reserve(group, now, max(end, now + 1.0) - now, vector)
+        expected = ReservationProfile.from_running_jobs(topology, now, grants)
     except RuntimeError:
-        assert GroupReservationProfile.from_releases(topology, now, grants) is None
+        assert ReservationProfile.from_releases(topology, now, grants) is None
         return
-    direct = GroupReservationProfile.from_releases(topology, now, grants)
+    direct = ReservationProfile.from_releases(topology, now, grants)
     if direct is not None:
         assert _steps(direct) == _steps(expected) and direct.origin == expected.origin
-        assert direct.group("gpu").capacity == expected.group("gpu").capacity
+        assert direct._groups["gpu"][0] == expected._groups["gpu"][0] == (12, 96, 4)
+
+
+def test_the_scalar_machine_answers_as_its_one_group_layout():
+    """What conservative plans from -- held grants, drains ahead, a job's need and
+    eligible groups, where a job would be placed now, where a running job is --
+    is the same on the scalar machine and on the one-group cpu-only topology."""
+    estimator = FirstAsks()
+    jobs = [Job(job_id=i, submit_time=0.0, runtime=10.0 * i, requested_processors=3 * i,
+                requested_time=12.0 * i) for i in range(1, 6)]
+    answers = []
+    for topology in (None, ClusterTopology.homogeneous(32)):
+        machine = Machine(32, capacity_schedule=[DowntimeWindow(5.0, 50.0, 40)], topology=topology)
+        for job in jobs[:3]:
+            machine.start(job, now=0.0)
+        machine.advance_to(2.0)
+        needs = [machine.job_need(job) for job in jobs]
+        answers.append((
+            [(group.name, group.capacity) for group in machine.layout.groups],
+            machine.held_grants(estimator), machine.held_grants(estimator, by_end=True),
+            machine.capacity_drains(2.0),
+            [(request.amounts, [group.name for group in eligible]) for request, eligible in needs],
+            [machine.placement_group(job) for job in jobs],
+            [machine.running_group(job.job_id) for job in jobs],
+        ))
+    assert answers[0] == answers[1]
+    assert answers[0][5] == ["all", "all", "all", "all", None]  # 14 of 32 cpus free: 15 do not fit
+    assert answers[0][3] == [(5.0, 50.0, "all", (32, 0, 0))]  # an oversized drain takes the group
 
 
 # -- (ii) select_backfill: same job at every decision of a simulation ----------
 
 
 def _steps(profile) -> object:
-    """Every breakpoint of a scalar or a node-group profile."""
-    if isinstance(profile, ResourceProfile):
-        return profile.steps()
+    """Every breakpoint of every group's step functions."""
     return {
-        (group, name): component.steps()
-        for group, vector in profile._groups.items()
-        for name, component in vector._profiles.items()
+        (group, i): part.steps()
+        for group, (_, parts) in profile._groups.items()
+        for i, part in parts
     }
 
 
@@ -413,9 +490,9 @@ class _Instrumented(ConservativeBackfill):
         self._point = (decision, estimator)
         return super().select_backfill(decision, estimator)
 
-    def _from_scratch(self, decision, estimator, queue, hetero):
+    def _from_scratch(self, decision, estimator, queue):
         self.plans[id(decision.machine), decision.time] += 1
-        return super()._from_scratch(decision, estimator, queue, hetero)
+        return super()._from_scratch(decision, estimator, queue)
 
     def _untried(self, plan, now, need, placed, group, graceful):
         self._verdict = verdict = super()._untried(plan, now, need, placed, group, graceful)
@@ -427,9 +504,9 @@ class _Instrumented(ConservativeBackfill):
         tried = super()._trial(plan, now, candidate, need, group, graceful)
         if self._verdict is None:
             self.tally["trial"] += 1
-            end = now + need.duration
+            end, cpus = now + need.duration, plan.base.step_function()
             clips = graceful and (
-                group is not None or plan.base.min_free_between(now, end) < need.amount
+                cpus is None or cpus.min_free_between(now, end) < need.amounts[0]
             )
             spaced = plan.instants is not None and clear_of(plan.instants, end, 2e-6)
             self.trials.append((candidate.job_id in plan.placed, clips, spaced))
@@ -443,8 +520,7 @@ class _Instrumented(ConservativeBackfill):
         plan = super()._carried(kept, decision, estimator, queue)
         self.tally["C" if plan is not None else "dropped"] += 1
         if plan is not None and self.check:
-            hetero = getattr(decision.machine, "topology", None) is not None
-            fresh = super()._from_scratch(decision, estimator, queue, hetero)
+            fresh = super()._from_scratch(decision, estimator, queue)
             assert _steps(plan.base) == _steps(fresh.base)
             assert _steps(plan.planned) == _steps(fresh.planned)
             assert (plan.queue, plan.placed) == (fresh.queue, fresh.placed)
@@ -538,7 +614,7 @@ def test_select_backfill_matches_full_replan_oracle(topology_name, data, knobs, 
         topology=topology,
     )
     assert len(result.records) == len(jobs)
-    if topology is not None:
+    if topology is not None and len(topology.groups) > 1:
         assert paired.fast.tally["R"] == 0  # a displaced job may land in another group
 
 
@@ -550,11 +626,12 @@ def _contended_jobs() -> List[Job]:
     ]
 
 
-def _paired_contended_run(check: bool) -> _Paired:
+def _paired_contended_run(check: bool, topology: ClusterTopology | None = None) -> _Paired:
     paired = _Paired(check=check)
     run_schedule(
         _contended_jobs(), 32, backfill=paired, estimator=UserEstimate(),
         capacity_schedule=[DowntimeWindow(start=30.0, end=400.0, processors=8)],
+        topology=topology,
     )
     assert paired.accepted > 0 and paired.decisions > paired.accepted
     tally = paired.fast.tally
@@ -573,6 +650,12 @@ def test_paired_run_exercises_accepts_rejects_and_graceful_drains():
 def test_paired_run_cross_checked():
     """The same run with every skipped trial run and every plan taken over re-planned."""
     _paired_contended_run(check=True)
+
+
+def test_paired_run_cross_checked_on_one_group():
+    """The one-group cpu-only topology plans on the same one step function as the
+    scalar machine, so (R) answers there too -- and agrees with every trial it skips."""
+    _paired_contended_run(check=True, topology=ClusterTopology.homogeneous(32))
 
 
 def test_one_baseline_plan_per_instant():

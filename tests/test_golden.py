@@ -28,3 +28,16 @@ def test_one_ppo_epoch_ends_at_the_committed_weights():
         f"the weight statistics of {moved} moved beyond rtol {corpus.TRAINING_RTOL} "
         "(rerun scripts/update_golden.py if the change is meant to move them)"
     )
+
+
+def test_scalar_cells_match_their_one_group_twins():
+    """The scalar machine is the one-group, cpu-only topology: every scalar cell that
+    has a one-group twin has its digest (read from the committed file, not rerun)."""
+    committed = corpus.load()
+    twins = {
+        key: twin
+        for key in committed
+        if key.startswith("scalar/") and (twin := "one-group/" + key.removeprefix("scalar/")) in committed
+    }
+    drifted = [key for key, twin in twins.items() if committed[key] != committed[twin]]
+    assert twins and not drifted, f"{len(drifted)} of {len(twins)} scalar cells differ from their twin"
