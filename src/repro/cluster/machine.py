@@ -12,7 +12,7 @@ processors are out of service.  Drains are *graceful*: jobs already running
 keep their processors until they finish, but no new job may start if doing so
 would push the busy count above the effective capacity
 ``total - drained(now)``.  Every availability query (``free_processors``,
-``free_fraction``, :meth:`can_start`, :meth:`earliest_start_estimate`) is
+``free_fraction``, :meth:`can_start`, :meth:`reservation`) is
 evaluated against the effective capacity at the machine's current simulated
 time, so schedulers -- and the RL observation encoder, which reads
 ``free_fraction`` and the reservation features off the machine -- see the
@@ -26,7 +26,7 @@ snapshot per instant -- are specified in docs/cluster.md):
 
 * completion queries go through a lazily-invalidated min-heap of
   ``(end_time, job_id)`` entries instead of scanning every running job, and
-* the estimated-release plan consumed by :meth:`Machine.earliest_start_estimate`
+* the estimated-release plan consumed by :meth:`Machine.reservation`
   is memoized per (estimator, running-set version) so repeated backfilling
   decisions at one instant do not re-query the runtime estimator.
 """
@@ -395,9 +395,21 @@ class Machine:
             entry = self._needs[job.job_id] = (job, need)
         return entry[1]
 
+    def fit_rule(self) -> Callable[[Job], bool]:
+        """:meth:`can_start` as of this instant, kept (node-group machines only):
+        the predicate places on the current free-map snapshot, so it gives the
+        same answers after the machine has moved on."""
+        free, place, need = self._free_now(), self._allocator.place, self.job_need
+
+        def fits(job: Job) -> bool:
+            request, eligible = need(job)
+            return request.cpus > 0 and place(request, free, eligible) is not None
+
+        return fits
+
     def fits_beside(self, job: Job, spare_vectors: Mapping[str, ResourceVector]) -> bool:
         """Whether some eligible group holds ``job``'s full vector both right
-        now and within ``spare_vectors`` (the envelope :meth:`hetero_reservation`
+        now and within ``spare_vectors`` (the envelope :meth:`reservation`
         leaves beside the reserved job)."""
         request, eligible = self.job_need(job)
         free_now = self._free_now()
@@ -715,34 +727,33 @@ class Machine:
         self._release_plan = (self._version, estimator, releases)
         return releases
 
-    def earliest_start_estimate(
+    def reservation(
         self, job: Job, now: float, estimator: Callable[[Job], float]
-    ) -> tuple[float, int]:
-        """Estimate when ``job`` could start and the spare processors at that time.
+    ) -> Tuple[float, int, Optional[Dict[str, ResourceVector]]]:
+        """When ``job`` could start, and what is spare beside it then.
 
-        Walks running jobs in order of their *estimated* completion times,
-        accumulating released processors until ``job`` fits.  Returns
-        ``(reservation_time, extra_processors)`` where ``extra_processors`` is
-        the number of processors that would remain free at the reservation
-        time after setting aside the reserved job's processors -- the classic
-        EASY "extra nodes" that backfilled jobs may hold past the reservation.
+        Returns ``(reservation_time, extra_processors, spare_vectors)``:
+        ``extra_processors`` is the number of processors that would remain
+        free at the reservation time after setting aside the reserved job's
+        -- the classic EASY "extra nodes" that backfilled jobs may hold past
+        the reservation -- and ``spare_vectors`` the same per group on a
+        node-group machine (:meth:`_group_reservation`), ``None`` on the
+        scalar machine.
 
-        With a capacity schedule the walk additionally honours scheduled
+        The scalar walk visits running jobs in order of their *estimated*
+        completion times, accumulating released processors until ``job``
+        fits.  With a capacity schedule it additionally honours scheduled
         drains: effective availability can *drop* at a window start and
         *recover* at a window end, so every window boundary is an event in the
         merged timeline and the returned reservation is the earliest instant
         at which the job fits within the in-service capacity.
-
-        Heterogeneous machines delegate to :meth:`hetero_reservation` (same
-        event walk over group vectors) and return its first two components.
         """
         if self._allocator is not None:
-            reservation_time, extra, _ = self.hetero_reservation(job, now, estimator)
-            return reservation_time, extra
+            return self._group_reservation(job, now, estimator)
         needed = job.requested_processors
         free = self.free_processors
         if needed <= free:
-            return now, free - needed
+            return now, free - needed, None
         if self.capacity_schedule and (
             self.drained_processors(now) > 0 or self.next_capacity_event(now) is not None
         ):
@@ -766,7 +777,7 @@ class Machine:
         for end_time, processors in releases:
             free += processors
             if free >= needed:
-                return end_time, free - needed
+                return end_time, free - needed, None
         raise RuntimeError(
             f"job {job.job_id} requests {needed} processors but the machine only has "
             f"{self.num_processors}"
@@ -774,7 +785,7 @@ class Machine:
 
     def _earliest_start_with_capacity(
         self, job: Job, now: float, estimator: Callable[[Job], float]
-    ) -> tuple[float, int]:
+    ) -> Tuple[float, int, None]:
         """Merged release/capacity-boundary walk for machines with drains."""
         needed = job.requested_processors
         raw_free = self.pool.free
@@ -795,32 +806,27 @@ class Machine:
                 index += 1
             effective = raw_free + released - self.drained_processors(event_time)
             if effective >= needed:
-                return event_time, effective - needed
+                return event_time, effective - needed, None
         raise RuntimeError(
             f"job {job.job_id} requests {needed} processors but the machine never frees "
             f"enough in-service capacity (total {self.num_processors})"
         )
 
-    def hetero_reservation(
+    def _group_reservation(
         self, job: Job, now: float, estimator: Callable[[Job], float]
-    ) -> tuple[float, int, Dict[str, ResourceVector]]:
-        """Vector reservation walk: when and where ``job`` could start.
+    ) -> Tuple[float, int, Dict[str, ResourceVector]]:
+        """:meth:`reservation` on a node-group machine: when and where ``job`` could start.
 
-        The heterogeneous analogue of :meth:`earliest_start_estimate`: walk
-        the merged timeline of estimated job releases and drain-window
+        Walks the merged timeline of estimated job releases and drain-window
         boundaries, accumulating freed vectors per group, until the
         allocator's placement policy finds a group that fits the request.
-
-        Returns ``(reservation_time, extra_processors, spare_vectors)``:
         ``extra_processors`` is the aggregate spare cpu count at the
-        reservation instant after setting the reserved job aside (the scalar
-        EASY "extra nodes" number), and ``spare_vectors`` maps each group to
-        the vector that would remain free then -- the per-resource envelope
-        backfilled jobs may occupy without delaying the reservation
-        (:meth:`DecisionPoint.would_delay` checks candidates against it).
+        reservation instant after setting the reserved job aside, and
+        ``spare_vectors`` maps each group to the vector that would remain free
+        then -- the per-resource envelope backfilled jobs may occupy without
+        delaying the reservation (:meth:`DecisionPoint.would_delay` checks
+        candidates against it).
         """
-        if self._allocator is None:
-            raise RuntimeError("hetero_reservation requires a heterogeneous machine")
         request, eligible = self.job_need(job)
         allocator = self._allocator
         if not eligible:

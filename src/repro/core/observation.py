@@ -214,7 +214,7 @@ class ObservationBuilder:
                 features[base + 1] = min(request.component(name) / total, 1.0)
 
     # -- the window ----------------------------------------------------------
-    def _window(self, decision: DecisionPoint) -> Tuple[List[Job], List[int], List[Optional[Job]]]:
+    def window(self, decision: DecisionPoint) -> Tuple[List[Job], List[int], List[Optional[Job]]]:
         """``(queue, slots, slot_jobs)``: the sorted, truncated slot queue, the
         slots of its candidates (ascending) and the slot -> job map."""
         size = self.config.max_queue_size
@@ -243,7 +243,7 @@ class ObservationBuilder:
         and the vectorized engine uses it to defer encoding until the
         observations of every lane can be batched into one numpy pass.
         """
-        queue, slots, slot_jobs = self._window(decision)
+        queue, slots, slot_jobs = self.window(decision)
         mask = np.zeros(self.config.max_queue_size, dtype=np.float64)
         if slots:
             mask[slots] = 1.0
@@ -285,7 +285,7 @@ class ObservationBuilder:
         return observation.reshape(batch, -1)
 
     def build(
-        self, decision: DecisionPoint
+        self, decision: DecisionPoint, window: Optional[tuple] = None
     ) -> Tuple[List[int], Optional[np.ndarray], List[Optional[Job]]]:
         """What a deployed decision reads: ``(slots, rows, slot_jobs)``.
 
@@ -296,9 +296,10 @@ class ObservationBuilder:
         is how an action index is mapped back to the job to backfill.  With
         no candidate inside the queue window there is nothing to choose:
         ``slots`` is empty, ``rows`` is ``None`` and the caller passes, as the
-        environment does on :meth:`prepare` alone.
+        environment does on :meth:`prepare` alone.  ``window`` is
+        :meth:`window`'s answer for ``decision``, when the caller has cut it.
         """
-        queue, slots, slot_jobs = self._window(decision)
+        queue, slots, slot_jobs = self.window(decision) if window is None else window
         if not slots:
             return slots, None, slot_jobs
         jobs = [queue[slot] for slot in slots]

@@ -14,6 +14,8 @@ the window's candidate slots and nothing else, and
 network on arrays -- no value network, no autograd graph -- and takes the
 candidate with the largest score.  The floats are those the rollouts and the
 batched :meth:`~repro.rl.ppo.ActorCritic.step` compute for the same slots.
+A greedy decision whose window holds one candidate encodes and scores
+nothing: the most probable of one action is that action.
 """
 
 from __future__ import annotations
@@ -71,11 +73,15 @@ class RLBackfillPolicy(BackfillStrategy):
     def select_backfill(
         self, decision: DecisionPoint, estimator: RuntimeEstimator
     ) -> Optional[Job]:
-        slots, rows, slot_jobs = self.builder.build(decision)
+        window = self.builder.window(decision)
+        _, slots, slot_jobs = window
         if not slots:
             # No real candidate fits in the observed queue window (e.g. every
             # fitting job sits beyond the MAX_OBSV_SIZE cut-off): pass.
             return None
+        if self.deterministic and len(slots) == 1:
+            return slot_jobs[slots[0]]  # the argmax of one score, whatever it is
+        slots, rows, slot_jobs = self.builder.build(decision, window)
         action = self.agent.act(
             rows, slots, len(slot_jobs), rng=self.rng, deterministic=self.deterministic
         )

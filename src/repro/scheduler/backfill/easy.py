@@ -19,7 +19,7 @@ order (``order="fcfs"``).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Iterable, Optional
 
 from repro.prediction.predictors import RuntimeEstimator
 from repro.scheduler.backfill.base import BackfillStrategy
@@ -33,11 +33,13 @@ _ORDERS = ("fcfs", "sjf", "widest", "narrowest")
 
 def _order_candidates(
     decision: DecisionPoint, order: str, estimator: RuntimeEstimator
-) -> List[Job]:
+) -> Iterable[Job]:
+    if order == "fcfs" and decision.queue_sorted:
+        # A subsequence of a queue in arrival order, derived as far as the
+        # scan walks it.
+        return decision.iter_candidates()
     candidates = decision.candidates
     if order == "fcfs":
-        if decision.queue_sorted:
-            return candidates  # a subsequence of a queue in arrival order
         return sorted(candidates, key=arrival_key)
     if order == "sjf":
         return sorted(candidates, key=lambda j: (estimator(j), j.submit_time, j.job_id))
@@ -87,8 +89,7 @@ class GreedyBackfill(BackfillStrategy):
     def select_backfill(
         self, decision: DecisionPoint, estimator: RuntimeEstimator
     ) -> Optional[Job]:
-        ordered = _order_candidates(decision, self.order, estimator)
-        return ordered[0] if ordered else None
+        return next(iter(_order_candidates(decision, self.order, estimator)), None)
 
     def __repr__(self) -> str:
         return f"GreedyBackfill(order={self.order!r})"

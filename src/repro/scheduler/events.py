@@ -11,8 +11,9 @@ EASY baselines use.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from operator import attrgetter
-from typing import TYPE_CHECKING, List, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, List, Mapping, Optional, Sequence
 
 from repro.workloads.job import Job
 
@@ -20,7 +21,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers onl
     from repro.cluster.machine import Machine
     from repro.cluster.resources import ResourceVector
 
-__all__ = ["JobArrival", "JobCompletion", "DecisionPoint", "arrival_key"]
+__all__ = ["JobArrival", "JobCompletion", "DecisionPoint", "StaleDecisionError", "arrival_key"]
 
 #: Waiting-queue order: the sort key ``(submit_time, job_id)`` of a job.
 arrival_key = attrgetter("submit_time", "job_id")
@@ -43,6 +44,10 @@ class JobCompletion:
     start_time: float
 
 
+class StaleDecisionError(RuntimeError):
+    """A decision point's deferred reservation was read after the point was answered."""
+
+
 class DecisionPoint:
     """A backfilling opportunity.
 
@@ -60,17 +65,30 @@ class DecisionPoint:
         Processors that remain free at ``reservation_time`` after setting the
         rjob's processors aside; jobs at most this wide can never delay the
         reservation regardless of how long they run.
+    spare_vectors:
+        Node-group machines only: per-group resource vectors that remain free
+        at ``reservation_time`` after setting the rjob aside.  ``None`` on
+        scalar machines, where ``extra_processors`` carries the whole story.
+        The three fields are one :meth:`Machine.reservation
+        <repro.cluster.machine.Machine.reservation>` answer, which a producer
+        may pass whole as ``reservation=`` -- or a call that returns it, made
+        on the first read of any of the three and never if no reader asks.
+        The call is valid only while the machine is where the point left it:
+        once the producer calls :meth:`expire` (the simulator does when it
+        resumes), an unread reservation raises :class:`StaleDecisionError`.
     candidates:
         Waiting jobs (excluding the rjob) that could be started immediately,
         **in queue order** -- a subsequence of ``queue``.  This class owns the
         rule (:meth:`candidate_slots`): unless the producer listed them, a
-        candidate is a job of the ``queue`` snapshot, other than the rjob, no
-        wider than the free processor count *captured when the point was
-        built*.  The list is derived on first read and kept, so a reader that
-        never asks (the RL encoder reads its window only) never pays for it,
-        and a point read after it was answered still returns the same list.
-        A producer for which fitting is not a width comparison (node-group
-        placement) passes ``candidates=`` and that list is the rule.
+        candidate is a job of the ``queue`` snapshot, other than the rjob,
+        that fits the machine *as captured when the point was built* -- no
+        wider than the free processor count on a scalar machine, placeable on
+        the free-map snapshot of a node-group machine
+        (:meth:`Machine.fit_rule <repro.cluster.machine.Machine.fit_rule>`).
+        The list is derived on first read and kept, so a reader that never
+        asks (the RL encoder reads its window only) never pays for it, and a
+        point read after it was answered still returns the same list.  A
+        producer that passes ``candidates=`` makes that list the rule.
     queue:
         Snapshot of the full waiting queue (including the rjob), sorted by
         submission time -- the observation the RL agent sees.
@@ -82,60 +100,97 @@ class DecisionPoint:
         the arrival-order strategies skip their defensive re-sort.  Leave
         ``False`` for hand-built decision points unless the ordering is
         guaranteed.
-    spare_vectors:
-        Heterogeneous clusters only: per-group resource vectors that remain
-        free at ``reservation_time`` after setting the rjob aside (from
-        :meth:`Machine.hetero_reservation`).  ``None`` on scalar machines,
-        where ``extra_processors`` carries the whole story.
     """
 
     __slots__ = (
         "time",
         "reserved_job",
-        "reservation_time",
-        "extra_processors",
         "queue",
         "machine",
         "queue_sorted",
-        "spare_vectors",
+        "_reservation",
+        "_reserve",
         "_candidates",
         "_free",
+        "_fits",
     )
 
     def __init__(
         self,
         time: float,
         reserved_job: Job,
-        reservation_time: float,
-        extra_processors: int,
+        reservation_time: Optional[float] = None,
+        extra_processors: Optional[int] = None,
         candidates: Optional[List[Job]] = None,
         queue: Optional[List[Job]] = None,
         machine: Optional["Machine"] = None,
         queue_sorted: bool = False,
         spare_vectors: Optional[Mapping[str, "ResourceVector"]] = None,
+        reservation: Optional[tuple | Callable[[], tuple]] = None,
     ):
         self.time = time
         self.reserved_job = reserved_job
-        self.reservation_time = reservation_time
-        self.extra_processors = extra_processors
         self.queue: List[Job] = [] if queue is None else queue
         self.machine = machine
         self.queue_sorted = queue_sorted
-        self.spare_vectors = spare_vectors
+        if reservation is None:
+            reservation = (reservation_time, extra_processors, spare_vectors)
+        deferred = callable(reservation)
+        self._reserve = reservation if deferred else None
+        self._reservation = None if deferred else tuple(reservation)
         self._candidates = candidates
-        # The free count the width rule compares against; ``None`` when the
-        # producer's own list is the rule.  Captured now: the machine moves on
-        # once the point is answered.
+        # The rule the candidates are derived by, captured now: the machine
+        # moves on once the point is answered.  ``_free`` is the free count
+        # of the width rule, ``_fits`` a node-group machine's placement rule;
+        # both ``None`` when the producer's own list is the rule.
         self._free: Optional[int] = None
+        self._fits: Optional[Callable[[Job], bool]] = None
         if candidates is None:
-            self._free = machine.free_processors if machine is not None else 0
+            if machine is None:
+                self._free = 0
+            elif machine.allocator is None:
+                self._free = machine.free_processors
+            else:
+                self._fits = machine.fit_rule()
 
     def __repr__(self) -> str:
+        reservation = self._reservation
+        if reservation is None:
+            shown = "deferred" if self._reserve is not None else "expired"
+        else:
+            shown = f"reservation_time={reservation[0]!r}, extra_processors={reservation[1]}"
         return (
             f"DecisionPoint(time={self.time!r}, reserved_job={self.reserved_job.job_id}, "
-            f"reservation_time={self.reservation_time!r}, "
-            f"extra_processors={self.extra_processors}, queue={len(self.queue)} jobs)"
+            f"{shown}, queue={len(self.queue)} jobs)"
         )
+
+    def _reserved(self) -> tuple:
+        reservation = self._reservation
+        if reservation is None:
+            if self._reserve is None:
+                raise StaleDecisionError(
+                    f"{self!r}: the reservation was first read after the point was "
+                    f"answered, and the machine has moved on since"
+                )
+            reservation = self._reservation = self._reserve()
+            self._reserve = None
+        return reservation
+
+    def expire(self) -> None:
+        """The machine is moving on: an unread deferred reservation can no longer be made."""
+        self._reserve = None
+
+    @property
+    def reservation_time(self) -> float:
+        return self._reserved()[0]
+
+    @property
+    def extra_processors(self) -> int:
+        return self._reserved()[1]
+
+    @property
+    def spare_vectors(self) -> Optional[Mapping[str, "ResourceVector"]]:
+        return self._reserved()[2]
 
     @property
     def free_processors(self) -> int:
@@ -161,6 +216,11 @@ class DecisionPoint:
                 for slot, job in enumerate(jobs)
                 if job.requested_processors <= free and job.job_id != reserved_id
             ]
+        fits = self._fits
+        if fits is not None:
+            return [
+                slot for slot, job in enumerate(jobs) if job.job_id != reserved_id and fits(job)
+            ]
         listed = {job.job_id for job in self._candidates}
         return [
             slot
@@ -175,23 +235,27 @@ class DecisionPoint:
             self._candidates = [queue[slot] for slot in self.candidate_slots(queue)]
         return self._candidates
 
-    def first_candidates(self, limit: Optional[int]) -> List[Job]:
-        """``candidates[:limit]`` without deriving the candidates past ``limit``.
-
-        The snapshot is asked :meth:`candidate_slots` a stretch at a time; a
-        walk that reaches its end has derived the whole list, which is kept.
-        """
-        if limit is None or self._candidates is not None:
-            return self.candidates[:limit]
-        queue, found = self.queue, []
-        stretch = 4 * limit
-        for lo in range(0, len(queue), stretch):
-            part = queue[lo : lo + stretch]
-            found += [part[slot] for slot in self.candidate_slots(part)]
-            if len(found) >= limit:
-                return found[:limit]
+    def iter_candidates(self) -> Iterator[Job]:
+        """``candidates``, derived job by job as the reader walks them: a reader
+        that stops at an early candidate never asks about the rest of the
+        snapshot.  A walk that reaches the end keeps the list it derived."""
+        if self._candidates is not None:
+            yield from self._candidates
+            return
+        reserved_id, free, fits, found = self.reserved_job.job_id, self._free, self._fits, []
+        for job in self.queue:
+            if job.job_id != reserved_id and (
+                job.requested_processors <= free if free is not None else fits(job)
+            ):
+                found.append(job)
+                yield job
         self._candidates = found
-        return found
+
+    def first_candidates(self, limit: Optional[int]) -> List[Job]:
+        """``candidates[:limit]`` without deriving the candidates past ``limit``."""
+        if limit is None:
+            return self.candidates
+        return list(islice(self.iter_candidates(), limit))
 
     def candidate_ids(self) -> Sequence[int]:
         return [job.job_id for job in self.candidates]
@@ -200,16 +264,15 @@ class DecisionPoint:
         """Whether backfilling ``job`` (believed to run ``estimated_runtime``)
         would delay the reserved job under the EASY rules.
 
-        On heterogeneous machines (``spare_vectors`` set) the "fits beside the
+        On node-group machines (``spare_vectors`` set) the "fits beside the
         reservation" arm is per-resource: some eligible group must hold the
         candidate's full vector both right now and within the spare envelope
         at the reservation instant, so a long-running backfill can never eat
         into the resources the reservation counts on.
         """
-        finishes_in_time = self.time + estimated_runtime <= self.reservation_time + 1e-9
-        if self.spare_vectors is not None and self.machine is not None:
-            if finishes_in_time:
-                return False
-            return not self.machine.fits_beside(job, self.spare_vectors)
-        fits_beside_reservation = job.requested_processors <= self.extra_processors
-        return not (finishes_in_time or fits_beside_reservation)
+        reservation_time, extra, spares = self._reserved()
+        if self.time + estimated_runtime <= reservation_time + 1e-9:
+            return False
+        if spares is not None and self.machine is not None:
+            return not self.machine.fits_beside(job, spares)
+        return job.requested_processors > extra

@@ -26,6 +26,7 @@ import math
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, Generator, Iterable, Iterator, List, Optional, Sequence
 
 from repro.cluster.allocator import job_request, make_allocator
@@ -427,51 +428,40 @@ class Simulator:
     def _backfill_opportunity(
         self, state: _SimState, rjob: Job
     ) -> Generator[DecisionPoint, Optional[Job], None]:
-        hetero = self.topology is not None
-        # Node-group machines only: fitting is a placement question, so the
-        # candidates are found by asking the machine about each queued job but
-        # the reserved one -- and, after an accepted backfill (same instant,
-        # less free, one job gone), about the previous candidates only.
-        pool, skip_id = state.queue, rjob.job_id
+        machine, estimator = state.machine, self.estimator
+        # A stateless estimator's reservation is worked out when a reader
+        # first asks (conservative never does); a stateful one is asked now,
+        # in the order it always was.
+        deferred = getattr(estimator, "stateless", False)
         while True:
-            candidates = spares = None
-            if hetero:
-                candidates = [
-                    job
-                    for job in pool
-                    if job.job_id != skip_id and state.machine.can_start(job)
-                ]
-                if not candidates:
-                    return
-                reservation_time, extra, spares = state.machine.hetero_reservation(
-                    rjob, state.now, self.estimator
-                )
-            else:
+            if machine.allocator is None:
                 # The census answers "is there a candidate" without visiting
                 # the queue.  The reserved job is counted in it but is blocked,
                 # so it is wider than the free count and never the reason for
                 # a yes; which jobs the candidates are is the decision point's
                 # business, derived from its snapshot if a reader asks.
-                if not state.any_queued_fits(state.machine.free_processors):
+                if not state.any_queued_fits(machine.free_processors):
                     return
-                reservation_time, extra = state.machine.earliest_start_estimate(
-                    rjob, state.now, self.estimator
-                )
+            elif not any(
+                job.job_id != rjob.job_id and machine.can_start(job) for job in state.queue
+            ):
+                # Node-group machines: fitting is a placement question, asked
+                # until some queued job says yes.
+                return
+            reservation = partial(machine.reservation, rjob, state.now, estimator)
             # ``state.queue`` is kept sorted by (submit_time, job_id), so the
             # snapshot is a plain copy.
             decision = DecisionPoint(
                 time=state.now,
                 reserved_job=rjob,
-                reservation_time=reservation_time,
-                extra_processors=extra,
-                candidates=candidates,
                 queue=list(state.queue),
-                machine=state.machine,
+                machine=machine,
                 queue_sorted=True,
-                spare_vectors=spares,
+                reservation=reservation if deferred else reservation(),
             )
             state.decision_count += 1
             choice = yield decision
+            decision.expire()
             if choice is None:
                 return
             chosen_id = choice.job_id
@@ -483,7 +473,6 @@ class Simulator:
                 )
             self._start(state, choice, backfilled=True)
             state.dequeue(index)
-            pool, skip_id = candidates, chosen_id
 
     def _next_failure_time(self, state: _SimState) -> float:
         """Time of the next node failure that can still affect the run.

@@ -17,7 +17,7 @@ from tests.conftest import make_job
 
 def make_decision(machine, rjob, candidates, queue=None, now=0.0, estimator=None):
     estimator = estimator or UserEstimate()
-    reservation, extra = machine.earliest_start_estimate(rjob, now, estimator)
+    reservation, extra, _ = machine.reservation(rjob, now, estimator)
     return DecisionPoint(
         time=now,
         reserved_job=rjob,

@@ -104,7 +104,7 @@ class TestMachineCapacity:
 
     def test_earliest_start_waits_for_window_end(self):
         machine = Machine(10, capacity_schedule=[DowntimeWindow(0.0, 100.0, 8)])
-        reservation, extra = machine.earliest_start_estimate(
+        reservation, extra, _ = machine.reservation(
             _job(1, 0, 10, 6), now=0.0, estimator=UserEstimate()
         )
         assert reservation == 100.0
@@ -116,13 +116,13 @@ class TestMachineCapacity:
         machine.start(_job(1, 0, 30, 6, requested=30), now=0.0)
         # Needs 8: at t=30 the release frees 6 (free 10 - 4 drained = 6 < 8);
         # only the window end at t=100 brings effective free to 10.
-        reservation, extra = machine.earliest_start_estimate(
+        reservation, extra, _ = machine.reservation(
             _job(2, 0, 10, 8), now=0.0, estimator=estimator
         )
         assert reservation == 100.0
         assert extra == 2
         # Needs 6: the release at t=30 suffices.
-        reservation, extra = machine.earliest_start_estimate(
+        reservation, extra, _ = machine.reservation(
             _job(3, 0, 10, 6), now=0.0, estimator=estimator
         )
         assert reservation == 30.0

@@ -135,14 +135,14 @@ class TestMachine:
 class TestEarliestStartEstimate:
     def test_immediate_when_fits(self):
         machine = Machine(16)
-        start, extra = machine.earliest_start_estimate(make_job(1, processors=8), 0.0, ActualRuntime())
+        start, extra, _ = machine.reservation(make_job(1, processors=8), 0.0, ActualRuntime())
         assert start == 0.0
         assert extra == 8
 
     def test_waits_for_release(self):
         machine = Machine(16)
         machine.start(make_job(1, runtime=100, processors=12), now=0.0)
-        start, extra = machine.earliest_start_estimate(
+        start, extra, _ = machine.reservation(
             make_job(2, processors=8), 0.0, ActualRuntime()
         )
         assert start == 100.0
@@ -151,20 +151,20 @@ class TestEarliestStartEstimate:
     def test_user_estimate_extends_reservation(self):
         machine = Machine(16)
         machine.start(make_job(1, runtime=100, requested_time=500, processors=12), now=0.0)
-        start, _ = machine.earliest_start_estimate(make_job(2, processors=8), 0.0, UserEstimate())
+        start, _, _ = machine.reservation(make_job(2, processors=8), 0.0, UserEstimate())
         assert start == 500.0
 
     def test_accumulates_multiple_releases(self):
         machine = Machine(16)
         machine.start(make_job(1, runtime=100, processors=6), now=0.0)
         machine.start(make_job(2, runtime=200, processors=6), now=0.0)
-        start, _ = machine.earliest_start_estimate(make_job(3, processors=14), 0.0, ActualRuntime())
+        start, _, _ = machine.reservation(make_job(3, processors=14), 0.0, ActualRuntime())
         assert start == 200.0
 
     def test_impossible_job_raises(self):
         machine = Machine(16)
         with pytest.raises(RuntimeError):
-            machine.earliest_start_estimate(make_job(1, processors=32), 0.0, ActualRuntime())
+            machine.reservation(make_job(1, processors=32), 0.0, ActualRuntime())
 
 
 def test_total_requested_processors():

@@ -22,7 +22,7 @@ def build_decision(num_queued=5, machine_size=32, running_procs=24, queue_window
         job = make_job(i, submit_time=float(i), runtime=50, requested_time=60, processors=2)
         queue.append(job)
         candidates.append(job)
-    reservation, extra = machine.earliest_start_estimate(rjob, 10.0, UserEstimate())
+    reservation, extra, _ = machine.reservation(rjob, 10.0, UserEstimate())
     return DecisionPoint(
         time=10.0,
         reserved_job=rjob,

@@ -6,7 +6,22 @@ the rewritten ``tests/golden/*.json`` with it.
 
 import json
 
+from repro.scheduler.simulator import Simulator, capture_decisions
 from tests.golden import corpus
+
+#: Cells that pin the order in which a stateful estimator (``noisy``,
+#: ``first-asks``) is asked about jobs: one per layout with each strategy
+#: family.  The simulator asks such an estimator for the reservation when it
+#: builds a decision point; deferring that call to the first read, as it does
+#: for a stateless estimator, moves each of these (and 486 more cells).
+STATEFUL_DRAW_ORDER_CELLS = (
+    "scalar/whole101/plain/FCFS/noisy/easy-fcfs",
+    "scalar/whole101/fail-requeue/SJF/first-asks/easy-sjf",
+    "scalar/frac202/fail-checkpoint/FCFS/noisy/cons-sjf-dall-call",
+    "one-group/whole101/plain/FCFS/first-asks/none",
+    "partitions/frac202/plain/SJF/first-asks/none",
+    "resources/frac202/drain/SJF/noisy/cons-sjf-d3-c2",
+)
 
 
 def test_every_golden_stream_is_unchanged():
@@ -41,3 +56,18 @@ def test_scalar_cells_match_their_one_group_twins():
     }
     drifted = [key for key, twin in twins.items() if committed[key] != committed[twin]]
     assert twins and not drifted, f"{len(drifted)} of {len(twins)} scalar cells differ from their twin"
+
+
+def test_the_stateful_estimator_draw_order_is_pinned():
+    """Each named cell is committed, still yields its digest, and that digest
+    hashes the estimator's asks (``a`` lines), so their order is pinned."""
+    committed, thunks = corpus.load(), dict(corpus.cells())
+    for key in STATEFUL_DRAW_ORDER_CELLS:
+        assert thunks[key]() == committed[key]
+        jobs, kwargs, priority, estimator_name, make_strategy = thunks[key].args
+        estimator = corpus.ESTIMATORS[estimator_name]()
+        simulator = Simulator(
+            corpus.CPUS, policy=priority, backfill=make_strategy(), estimator=estimator, **kwargs
+        )
+        capture_decisions(simulator, jobs)
+        assert corpus._asks(estimator), key

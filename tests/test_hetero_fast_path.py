@@ -99,7 +99,7 @@ def test_spare_vectors_are_in_declaration_order():
     groups = (NodeGroup("z", cpus=4), NodeGroup("a", cpus=8), NodeGroup("m", cpus=4))
     machine = Machine(16, topology=ClusterTopology(groups))
     machine.start(_job(1, processors=4), 0.0)
-    _, _, spares = machine.hetero_reservation(_job(2, processors=8), 0.0, UserEstimate())
+    _, _, spares = machine.reservation(_job(2, processors=8), 0.0, UserEstimate())
     assert list(spares) == ["z", "a", "m"]
 
 

@@ -3,10 +3,13 @@
 A served decision costs what it uses: ``ObservationBuilder.build`` declines
 before it encodes and encodes the feature rows of its candidate slots only,
 the policy scores them on arrays (``ActorCritic.act``: no value forward, no
-``Tensor``), an accepted backfill costs the simulator one pass over the
+``Tensor``) -- or, greedy with one window candidate, encodes and scores
+nothing -- the reservation is made on its first read and expires when the
+simulator resumes, an accepted backfill costs the simulator one pass over the
 candidates, and the replay log is read as a stream.  The candidate rule
 lives in :class:`DecisionPoint` (derived on first read from the snapshot and
-the free count captured at construction), the simulator asks a census of
+the free count, or a node-group machine's fit rule, captured at
+construction), the simulator asks a census of
 queued widths instead of scanning the queue, and a session counts its
 decisions instead of keeping them.
 
@@ -25,9 +28,11 @@ import contextlib
 import copy
 import gc
 import json
+import re
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -40,7 +45,7 @@ from repro.cluster.resources import ClusterTopology, NodeGroup
 from repro.core.agent import RLBackfillAgent
 from repro.core.observation import ObservationBuilder, ObservationConfig
 from repro.core.rlbackfill import RLBackfillPolicy
-from repro.prediction.predictors import UserEstimate
+from repro.prediction.predictors import NoisyPrediction, UserEstimate
 from repro.faults.plan import NodeFailure
 from repro.rl import ppo
 from repro.rl.autograd import Tensor, no_grad
@@ -49,7 +54,7 @@ from repro.scheduler.backfill.base import BackfillStrategy
 from repro.scheduler.backfill.conservative import ConservativeBackfill
 from repro.scheduler.backfill.easy import EasyBackfill
 from repro.scheduler.backfill.none import NoBackfill
-from repro.scheduler.events import DecisionPoint
+from repro.scheduler.events import DecisionPoint, StaleDecisionError
 from repro.scheduler.simulator import ServedDecision, Simulator, capture_decisions
 from repro.service.replay import (
     ReplayLogWriter,
@@ -299,8 +304,8 @@ class _AgainstTheRollout(BackfillStrategy):
     """Decides with ``build`` + ``act``; checks every decision against the
     rollout's ``encode_batch`` + ``step`` and keeps what it encoded.  The
     policy, asked the same decision, must choose the same job, encoding the
-    rows of the window's candidates once (or nothing when there are none),
-    with no ``Tensor`` and no value forward."""
+    rows of the window's candidates once (or nothing when there are none, or
+    when a greedy decision has one), with no ``Tensor`` and no value forward."""
 
     name = "against-the-rollout"
 
@@ -337,7 +342,9 @@ class _AgainstTheRollout(BackfillStrategy):
         assert slots == np.flatnonzero(mask).tolist()
         assert len(built_slot_jobs) == len(slot_jobs)
         assert all(a is b for a, b in zip(built_slot_jobs, slot_jobs))
-        assert [len(rows) for _, rows in encoded] == ([len(slots)] if slots else [])
+        # A greedy decision with one window candidate takes it and encodes nothing.
+        encodes = len(slots) > 1 or (len(slots) == 1 and not self.deterministic)
+        assert [len(rows) for _, rows in encoded] == ([len(slots)] if encodes else [])
         if not slots:
             self.declined += 1
             assert chosen is None
@@ -687,6 +694,153 @@ def test_a_hand_built_point_derives_from_its_snapshot_or_takes_the_list_it_is_gi
             assert lazy._candidates is None
         assert lazy.candidates == fitting
     assert DecisionPoint(3.0, queue[0], 60.0, 0, queue=queue).candidates == []  # no machine, none free
+
+
+# -- what a decision point computes, and when -------------------------------------------
+
+
+def _one_window_candidate():
+    """A point on a 16-processor machine with 4 free: its 3-slot window holds one
+    candidate (job 3), a second one (job 4) waits behind the window."""
+    machine = Machine(16)
+    machine.start(_job(99, 0.0, processors=12), now=0.0)
+    queue = [_job(1, 0.0, 6), _job(2, 1.0, 8), _job(3, 1.0, 4), _job(4, 2.0, 1)]
+    decision = DecisionPoint(
+        time=3.0, reserved_job=queue[0], queue=queue, machine=machine, queue_sorted=True,
+        reservation=partial(machine.reservation, queue[0], 3.0, UserEstimate()),
+    )
+    return decision, queue
+
+
+def test_a_greedy_decision_with_one_window_candidate_encodes_and_scores_nothing():
+    agent = RLBackfillAgent(ObservationConfig(max_queue_size=3), seed=5)
+    greedy = RLBackfillPolicy(agent, row_block=1)
+    decision, queue = _one_window_candidate()
+    with _calls(greedy.builder, "feature_rows") as encoded, \
+            _calls(greedy.agent.kernel, "infer") as scored:
+        assert greedy.select_backfill(decision, UserEstimate()) is queue[2]
+    assert encoded == [] and scored == []
+    assert "deferred" in repr(decision)  # nothing read the reservation either
+
+
+def test_a_sampled_decision_with_one_candidate_still_encodes_and_draws_one_uniform():
+    agent = RLBackfillAgent(ObservationConfig(max_queue_size=3), seed=5)
+    sampled = RLBackfillPolicy(agent, deterministic=False, seed=9, row_block=1)
+    expected = copy.deepcopy(sampled.rng)
+    decision, queue = _one_window_candidate()
+    with _calls(sampled.builder, "feature_rows") as encoded, \
+            _calls(sampled.agent.kernel, "infer") as scored:
+        assert sampled.select_backfill(decision, UserEstimate()) is queue[2]
+    assert [len(rows) for _, rows in encoded] == [1] and len(scored) == 1
+    expected.random()
+    assert sampled.rng.bit_generator.state == expected.bit_generator.state
+
+
+class _Counted(BackfillStrategy):
+    """Answers as ``inner`` does; per decision, the window's candidate count (for
+    a window of ``window`` slots) and the reservations the answer computed."""
+
+    def __init__(self, inner, calls, window: int = 4):
+        self.inner, self.name, self.calls = inner, inner.name, calls
+        self.builder = ObservationBuilder(ObservationConfig(max_queue_size=window))
+        self.seen: List[Tuple[int, int]] = []
+
+    def on_sequence_start(self):
+        self.inner.on_sequence_start()
+
+    def select_backfill(self, decision, estimator):
+        before = len(self.calls)
+        choice = self.inner.select_backfill(decision, estimator)
+        in_window = len(self.builder.window(decision)[1])
+        self.seen.append((in_window, len(self.calls) - before))
+        return choice
+
+
+@pytest.mark.parametrize("kind", ["scalar", "multi-group"])
+def test_who_asks_the_machine_for_a_reservation(kind):
+    """With a stateless estimator the reservation is made on the first read:
+    conservative never reads it, EASY once per decision, and greedy RL only
+    where its window holds two candidates or more (then once)."""
+    jobs = _contended_jobs(np.random.default_rng(3), 16, 60)
+    agent = RLBackfillAgent(ObservationConfig(max_queue_size=4), seed=5)
+    strategies = {
+        "conservative": ConservativeBackfill(),
+        "easy": EasyBackfill(order="fcfs"),
+        "rl": RLBackfillPolicy(agent, row_block=1),
+    }
+    for name, strategy in strategies.items():
+        with _calls(Machine, "reservation") as calls:
+            counted = _Counted(strategy, calls)
+            result = Simulator(
+                16, backfill=counted, estimator=UserEstimate(), topology=_MACHINES[kind]
+            ).run(jobs)
+        assert len(calls) == sum(made for _, made in counted.seen)  # all made inside answers
+        assert result.decision_count == len(counted.seen) > 20
+        if name == "conservative":
+            assert calls == []
+        elif name == "easy":
+            assert [made for _, made in counted.seen] == [1] * result.decision_count
+        else:
+            assert [made for _, made in counted.seen] == [
+                int(in_window > 1) for in_window, _ in counted.seen
+            ]
+            assert {in_window > 1 for in_window, _ in counted.seen} == {True, False}
+
+
+def test_an_unread_reservation_expires_when_the_simulator_resumes():
+    jobs = _contended_jobs(np.random.default_rng(3), 16, 40)
+    with _calls(Machine, "reservation") as calls:
+        generator = Simulator(16, estimator=UserEstimate()).decision_points(jobs)
+        first = next(generator)
+        assert "deferred" in repr(first) and calls == []  # repr does not force it
+        second = generator.send(None)
+        assert "expired" in repr(first) and calls == []
+        for read in (
+            lambda: first.reservation_time, lambda: first.extra_processors,
+            lambda: first.spare_vectors, lambda: first.would_delay(first.queue[-1], 1.0),
+        ):
+            named = re.escape(f"time={first.time!r}, reserved_job={first.reserved_job.job_id},")
+            with pytest.raises(StaleDecisionError, match=named + ".*answered"):
+                read()
+        assert calls == []
+        # A reservation read before the answer stays readable afterwards.
+        kept = (second.reservation_time, second.extra_processors, second.spare_vectors)
+        assert len(calls) == 1
+        generator.send(None)
+        assert (second.reservation_time, second.extra_processors, second.spare_vectors) == kept
+        assert len(calls) == 1
+        assert first.candidates  # derived from what was captured, after the answer too
+    generator.close()
+
+
+def test_a_stateful_estimator_is_asked_for_the_reservation_when_the_point_is_built():
+    jobs = _contended_jobs(np.random.default_rng(3), 16, 40)
+    with _calls(Machine, "reservation") as calls:
+        generator = Simulator(16, estimator=NoisyPrediction(0.3, seed=1)).decision_points(jobs)
+        first = next(generator)
+        assert len(calls) == 1 and "deferred" not in repr(first)
+        reservation = calls[0][1]
+        generator.send(None)
+    assert (first.reservation_time, first.extra_processors, first.spare_vectors) == reservation
+    generator.close()
+
+
+def test_a_node_group_point_keeps_the_fit_rule_of_its_instant():
+    """The candidates of a node-group point are placed on the free map of the
+    instant it was built at, whenever they are first read."""
+    machine = Machine(16, topology=_MACHINES["multi-group"])
+    machine.start(_job(99, 0.0, processors=8), now=0.0)  # cpu: 2 free, gpu: 6 free
+    queue = [_job(1, 0.0, 9), _job(2, 1.0, 3), _job(3, 1.0, 2, gpus=1), _job(4, 2.0, 7)]
+    point = DecisionPoint(
+        time=3.0, reserved_job=queue[0], queue=queue, machine=machine, queue_sorted=True,
+        reservation=(60.0, 0, None),
+    )
+    fitting = [job for job in queue[1:] if machine.can_start(job)]
+    assert [job.job_id for job in fitting] == [2, 3]
+    machine.start(_job(98, 3.0, 6), now=3.0)  # the machine moves on: nothing fits now
+    assert not any(machine.can_start(job) for job in queue)
+    assert point.candidates == fitting and list(point.iter_candidates()) == fitting
+    assert point.candidate_slots([queue[3], queue[2]]) == [1]
 
 
 # -- what a session and the verifier retain (ISSUE 19) -----------------------------------------
