@@ -10,7 +10,7 @@ steps in lockstep across environments.
 
 * :mod:`~repro.scheduler.backfill.none` -- never backfill (base-policy lower bound).
 * :mod:`~repro.scheduler.backfill.easy` -- EASY (single reservation) and a
-  greedy variant; candidate order configurable (fcfs/sjf/widest/narrowest).
+  greedy variant; candidate order configurable (fcfs/sjf).
 * :mod:`~repro.scheduler.backfill.conservative` -- every waiting job holds a
   reservation; backfills may delay no one.
 * :mod:`~repro.scheduler.backfill.profile` -- the reservation profile behind

@@ -28,7 +28,7 @@ from repro.workloads.job import Job
 
 __all__ = ["EasyBackfill", "GreedyBackfill"]
 
-_ORDERS = ("fcfs", "sjf", "widest", "narrowest")
+_ORDERS = ("fcfs", "sjf")
 
 
 def _order_candidates(
@@ -43,10 +43,6 @@ def _order_candidates(
         return sorted(candidates, key=arrival_key)
     if order == "sjf":
         return sorted(candidates, key=lambda j: (estimator(j), j.submit_time, j.job_id))
-    if order == "widest":
-        return sorted(candidates, key=lambda j: (-j.requested_processors, j.submit_time, j.job_id))
-    if order == "narrowest":
-        return sorted(candidates, key=lambda j: (j.requested_processors, j.submit_time, j.job_id))
     raise ValueError(f"unknown candidate order {order!r}; expected one of {_ORDERS}")
 
 

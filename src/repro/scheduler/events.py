@@ -94,6 +94,12 @@ class DecisionPoint:
         submission time -- the observation the RL agent sees.
     machine:
         Live machine state (read-only use expected).
+    free_processors, free_fraction:
+        The free processor count at the point's instant, and its share of the
+        machine.  A scalar machine's count is captured when the point is
+        built; a node-group machine's is read on first ask and kept, under
+        the reservation's rule: a first read after :meth:`expire` raises
+        :class:`StaleDecisionError`.
     queue_sorted:
         Producer's promise that ``queue`` (and so ``candidates``) is already
         sorted by ``(submit_time, job_id)``; lets the observation encoder and
@@ -113,6 +119,8 @@ class DecisionPoint:
         "_candidates",
         "_free",
         "_fits",
+        "_count",
+        "_expired",
     )
 
     def __init__(
@@ -138,7 +146,17 @@ class DecisionPoint:
         deferred = callable(reservation)
         self._reserve = reservation if deferred else None
         self._reservation = None if deferred else tuple(reservation)
+        self._expired = False
         self._candidates = candidates
+        # The free count of the point's instant: captured now on a scalar
+        # machine, where the width rule holds it anyway; on a node-group
+        # machine, where no rule needs it, read when first asked for
+        # (``_live``).
+        self._count: Optional[int] = None
+        if machine is None:
+            self._count = 0
+        elif machine.allocator is None:
+            self._count = machine.free_processors
         # The rule the candidates are derived by, captured now: the machine
         # moves on once the point is answered.  ``_free`` is the free count
         # of the width rule, ``_fits`` a node-group machine's placement rule;
@@ -146,17 +164,15 @@ class DecisionPoint:
         self._free: Optional[int] = None
         self._fits: Optional[Callable[[Job], bool]] = None
         if candidates is None:
-            if machine is None:
-                self._free = 0
-            elif machine.allocator is None:
-                self._free = machine.free_processors
+            if self._count is not None:
+                self._free = self._count
             else:
                 self._fits = machine.fit_rule()
 
     def __repr__(self) -> str:
         reservation = self._reservation
         if reservation is None:
-            shown = "deferred" if self._reserve is not None else "expired"
+            shown = "expired" if self._expired else "deferred"
         else:
             shown = f"reservation_time={reservation[0]!r}, extra_processors={reservation[1]}"
         return (
@@ -164,21 +180,25 @@ class DecisionPoint:
             f"{shown}, queue={len(self.queue)} jobs)"
         )
 
+    def _live(self, what: str) -> None:
+        """Guard a first read of ``what`` off the live machine: valid only
+        until the point is answered."""
+        if self._expired:
+            raise StaleDecisionError(
+                f"{self!r}: the {what} was first read after the point was "
+                f"answered, and the machine has moved on since"
+            )
+
     def _reserved(self) -> tuple:
         reservation = self._reservation
         if reservation is None:
-            if self._reserve is None:
-                raise StaleDecisionError(
-                    f"{self!r}: the reservation was first read after the point was "
-                    f"answered, and the machine has moved on since"
-                )
+            self._live("reservation")
             reservation = self._reservation = self._reserve()
-            self._reserve = None
         return reservation
 
     def expire(self) -> None:
-        """The machine is moving on: an unread deferred reservation can no longer be made."""
-        self._reserve = None
+        """The machine is moving on: what has not been read off it can no longer be."""
+        self._expired = True
 
     @property
     def reservation_time(self) -> float:
@@ -194,11 +214,19 @@ class DecisionPoint:
 
     @property
     def free_processors(self) -> int:
-        return self.machine.free_processors if self.machine is not None else 0
+        """Processors free at the point's instant (0 without a machine)."""
+        count = self._count
+        if count is None:
+            self._live("free count")
+            count = self._count = self.machine.free_processors
+        return count
 
     @property
     def free_fraction(self) -> float:
-        return self.machine.free_fraction if self.machine is not None else 0.0
+        """``free_processors`` over the machine's size (0.0 without a machine)."""
+        if self.machine is None:
+            return 0.0
+        return self.free_processors / self.machine.num_processors
 
     def candidate_slots(self, jobs: Sequence[Job]) -> List[int]:
         """Positions in ``jobs`` -- queued jobs, in any order -- that hold a candidate.

@@ -173,6 +173,13 @@ class _SimState:
     # (no zero entries).  ``enqueue`` / ``dequeue`` are the only code that
     # changes ``queue``, so the two cannot drift apart.
     queued_widths: Dict[int, int] = field(default_factory=dict)
+    # The event loop's position (Simulator._events): whether the clock has
+    # started, whether the current instant's scheduling pass is still to
+    # run, and the job that pass left blocked (``None`` if it drained the
+    # queue).
+    started: bool = False
+    schedule_due: bool = False
+    blocked: Optional[Job] = None
 
     def enqueue(self, job: Job) -> None:
         """Add ``job`` to the waiting queue at its ``(submit_time, job_id)`` place.
@@ -305,50 +312,9 @@ class Simulator:
         """Generator form of the simulation: yields decision points, expects a
         candidate job (or ``None``) back via ``send``; returns the
         :class:`SimulationResult` when the sequence completes."""
-        job_list = self._validated(jobs)
-        state = _SimState(
-            machine=Machine(
-                self.num_processors,
-                capacity_schedule=self.capacity_schedule,
-                topology=self.topology,
-                allocator=self.allocator_policy,
-            ),
-            pending=deque(sorted(job_list, key=arrival_key)),
-            failures=deque(self.node_failures),
-        )
-        state.now = state.pending[0].submit_time if state.pending else 0.0
-        # Sync the machine clock so availability queries made before the first
-        # start already see the capacity windows active at the first arrival.
-        state.machine.advance_to(state.now)
-        self._admit(state)
-        # Failures dated at or before the first arrival hit an empty machine
-        # but still inject their repair windows before the first decision.
-        self._process_failures(state)
-
-        # The flush in ``finally`` publishes the run's event tallies whether
-        # the sequence completes, raises, or the caller closes the generator
-        # early (lane steals discard in-flight episodes).
-        try:
-            while state.pending or state.queue or state.machine.num_running:
-                if state.queue:
-                    blocked = yield from self._schedule_now(state)
-                else:
-                    blocked = False
-                advanced = self._advance_time(state)
-                if not advanced and not blocked and not state.queue and not state.pending:
-                    break
-                if not advanced and state.queue and not blocked:
-                    # Defensive: the queue is non-empty, nothing is running and no
-                    # arrivals remain, yet the head job could not start -- this
-                    # means a job is wider than the machine.
-                    widest = max(state.queue, key=lambda j: j.requested_processors)
-                    raise RuntimeError(
-                        f"simulation deadlocked: job {widest.job_id} requests "
-                        f"{widest.requested_processors} of {self.num_processors} processors"
-                    )
-            return self._finalize(state)
-        finally:
-            _flush_sim_counters(state)
+        state = self._new_state(sorted(self._validated(jobs), key=arrival_key))
+        yield from self._events(state, math.inf, final=True)
+        return self._finalize(state)
 
     # -- internals ----------------------------------------------------------
     def _check_fits_machine(self, job: Job) -> None:
@@ -379,6 +345,107 @@ class Simulator:
             seen.add(job.job_id)
         return job_list
 
+    def _new_state(self, pending: Iterable[Job] = ()) -> _SimState:
+        """A run's state before its first event: an idle machine, the
+        ``pending`` arrivals (already in arrival order) and the failure plan."""
+        return _SimState(
+            machine=Machine(
+                self.num_processors,
+                capacity_schedule=self.capacity_schedule,
+                topology=self.topology,
+                allocator=self.allocator_policy,
+            ),
+            pending=deque(pending),
+            failures=deque(self.node_failures),
+        )
+
+    def _events(
+        self, state: _SimState, horizon: float, final: bool
+    ) -> Generator[DecisionPoint, Optional[Job], None]:
+        """The event loop: process every event with time <= ``horizon``,
+        yielding each decision point it meets.
+
+        The clock starts at the first arrival.  Each event instant gets one
+        scheduling pass, then the clock jumps to the next event.  ``final``
+        says no further arrival can be submitted: only then does an idle
+        queue let the clock jump to the machine's last completion, and a
+        waiting queue with no event ahead -- it can never start -- raise.
+        The loop's position lives on ``state``, so a later call picks up
+        where this one stopped.  The event tallies are published however the
+        loop ends.
+        """
+        try:
+            if not state.started:
+                if not state.pending or state.pending[0].submit_time > horizon:
+                    return
+                state.started = state.schedule_due = True
+                state.now = state.pending[0].submit_time
+                # Sync the machine clock so availability queries made before
+                # the first start already see the capacity windows active at
+                # the first arrival.
+                state.machine.advance_to(state.now)
+                self._admit(state)
+                # Failures dated at or before the first arrival hit an empty
+                # machine but still inject their repair windows before the
+                # first decision.
+                self._process_failures(state)
+            while True:
+                if state.schedule_due:
+                    state.schedule_due = False
+                    state.blocked = (
+                        (yield from self._schedule_now(state)) if state.queue else None
+                    )
+                next_time = self._next_event_time(state, final)
+                if math.isinf(next_time):
+                    if final and state.queue:
+                        raise RuntimeError(
+                            f"job {state.blocked.job_id} can never start: it waits at "
+                            f"t={state.now} with no running job, arrival, failure or "
+                            f"capacity boundary ahead"
+                        )
+                    return
+                if next_time > horizon:
+                    return
+                state.now = max(state.now, next_time)
+                state.machine.release_completed(state.now)
+                self._admit(state)
+                self._process_failures(state)
+                state.schedule_due = True
+        finally:
+            _flush_sim_counters(state)
+
+    def _next_event_time(self, state: _SimState, final: bool) -> float:
+        """The next event instant after the current one, or ``inf`` if none is known."""
+        next_arrival = state.pending[0].submit_time if state.pending else math.inf
+        next_failure = self._next_failure_time(state)
+        if not state.queue:
+            # With an empty waiting queue, intermediate completions cannot
+            # enable any scheduling decision, so skip the event gap in one
+            # jump -- straight to the next arrival or node failure, or (when
+            # neither remains and none can be submitted) to the last
+            # completion, draining the machine.  Utilization accounting stays
+            # exact because ``release_completed`` integrates each release at
+            # its own completion instant.
+            next_time = min(next_arrival, next_failure)
+            if final and math.isinf(next_time):
+                last_completion = state.machine.last_completion_time()
+                if last_completion is not None:
+                    next_time = last_completion
+            return next_time
+        next_completion = state.machine.next_completion_time()
+        next_completion = math.inf if next_completion is None else next_completion
+        next_time = min(next_arrival, next_completion, next_failure)
+        if state.machine.capacity_schedule:
+            # A capacity boundary can unblock (window end) or further
+            # constrain (window start) the waiting queue, so it is a
+            # scheduling event whenever jobs are waiting.  The machine's
+            # schedule (not the simulator's) is consulted so the repair
+            # windows injected by earlier failures produce events too.
+            next_capacity = state.machine.next_capacity_event(state.now)
+            if next_capacity is not None:
+                next_time = min(next_time, next_capacity)
+        return next_time
+
     def _admit(self, state: _SimState) -> None:
         while state.pending and state.pending[0].submit_time <= state.now + _EPS:
             state.enqueue(state.pending.popleft())
@@ -401,12 +468,11 @@ class Simulator:
 
     def _schedule_now(
         self, state: _SimState
-    ) -> Generator[DecisionPoint, Optional[Job], bool]:
+    ) -> Generator[DecisionPoint, Optional[Job], Optional[Job]]:
         """Start every job that can start at the current instant.
 
-        Returns ``True`` if the highest-priority job ended up blocked (i.e. a
-        reservation exists and time must advance), ``False`` if the queue was
-        drained.
+        Returns the highest-priority job if it ended up blocked (a reservation
+        exists and time must advance), ``None`` if the queue was drained.
         """
         state.schedule_passes += 1
         while state.queue:
@@ -422,8 +488,8 @@ class Simulator:
                 continue
             # Backfilling opportunity: the selected job is blocked.
             yield from self._backfill_opportunity(state, rjob)
-            return True
-        return False
+            return rjob
+        return None
 
     def _backfill_opportunity(
         self, state: _SimState, rjob: Job
@@ -498,7 +564,7 @@ class Simulator:
         """Apply every node failure due at or before the current instant.
 
         Completions at the failure instant have already been released by
-        :meth:`_advance_time`, so a job finishing exactly when the nodes die
+        :meth:`_events`, so a job finishing exactly when the nodes die
         is never a victim.  Victims are removed from the records (their final
         record is re-created when they restart), charged elapsed-runtime
         credit, and requeued at their original ``(submit_time, job_id)``
@@ -523,42 +589,6 @@ class Simulator:
                 state.enqueue(job)
             state.preemption_count += len(victims)
             state.requeue_count += len(victims)
-
-    def _advance_time(self, state: _SimState) -> bool:
-        next_arrival = state.pending[0].submit_time if state.pending else math.inf
-        next_failure = self._next_failure_time(state)
-        if not state.queue:
-            # Fast path: with an empty waiting queue, intermediate completions
-            # cannot enable any scheduling decision, so skip the event gap in
-            # one jump -- straight to the next arrival or node failure, or
-            # (when neither remains) to the last completion, draining the
-            # machine.  Utilization accounting stays exact because
-            # ``release_completed`` integrates each release at its own
-            # completion instant.
-            next_time = min(next_arrival, next_failure)
-            if math.isinf(next_time):
-                last_completion = state.machine.last_completion_time()
-                next_time = math.inf if last_completion is None else last_completion
-        else:
-            next_completion = state.machine.next_completion_time()
-            next_completion = math.inf if next_completion is None else next_completion
-            next_time = min(next_arrival, next_completion, next_failure)
-            if state.machine.capacity_schedule:
-                # A capacity boundary can unblock (window end) or further
-                # constrain (window start) the waiting queue, so it is a
-                # scheduling event whenever jobs are waiting.  The machine's
-                # schedule (not the simulator's) is consulted so the repair
-                # windows injected by earlier failures produce events too.
-                next_capacity = state.machine.next_capacity_event(state.now)
-                if next_capacity is not None:
-                    next_time = min(next_time, next_capacity)
-        if math.isinf(next_time):
-            return False
-        state.now = max(state.now, next_time)
-        state.machine.release_completed(state.now)
-        self._admit(state)
-        self._process_failures(state)
-        return True
 
     def _finalize(self, state: _SimState) -> SimulationResult:
         records = tuple(
@@ -660,9 +690,8 @@ class OnlineSession:
     :meth:`Simulator.decision_points` takes the whole job sequence up front
     and runs the event loop to completion; a long-lived scheduling service
     instead receives submissions *over time* and must only process events up
-    to "now".  ``OnlineSession`` reuses the simulator's own scheduling
-    internals (``_schedule_now`` / ``_backfill_opportunity`` /
-    ``_advance_time``) but exposes them incrementally:
+    to "now".  ``OnlineSession`` runs the same loop (``Simulator._events``)
+    to a horizon at a time, keeping its position on the session's state:
 
     * :meth:`submit` inserts a job into the pending arrivals (its submit time
       must be strictly after every event already processed);
@@ -683,29 +712,16 @@ class OnlineSession:
     * events are endogenous (completions, capacity boundaries) or logged
       (arrival times), so the wall-clock granularity of ``advance_to`` calls
       never shifts *when* anything happens in event time;
-    * scheduling runs at most once per distinct event instant
-      (``_schedule_due``), matching the offline loop's strict
-      schedule/advance alternation -- calling ``advance_to`` twice with no
-      intervening event serves no duplicate decision points.
+    * the loop runs one scheduling pass per event instant and remembers
+      whether the current instant's pass has run -- calling ``advance_to``
+      twice with no intervening event serves no duplicate decision points.
     """
 
     def __init__(self, simulator: Simulator):
         self.sim = simulator
-        self.state = _SimState(
-            machine=Machine(
-                simulator.num_processors,
-                capacity_schedule=simulator.capacity_schedule,
-                topology=simulator.topology,
-                allocator=simulator.allocator_policy,
-            ),
-            pending=deque(),
-            failures=deque(simulator.node_failures),
-        )
+        self.state = simulator._new_state()
         self._submitted_ids: set[int] = set()
-        self._started = False
         self._drained = False
-        self._schedule_due = False
-        self._blocked = False
         self._result: Optional[SimulationResult] = None
         simulator.backfill.on_sequence_start()
         simulator.estimator.reset()
@@ -746,7 +762,7 @@ class OnlineSession:
         self.sim._check_fits_machine(job)
         if job.job_id in self._submitted_ids:
             raise ValueError(f"duplicate job id {job.job_id} in session")
-        if self._started and job.submit_time <= self.state.now:
+        if self.state.started and job.submit_time <= self.state.now:
             raise ValueError(
                 f"job {job.job_id} submitted at event time {job.submit_time} but events "
                 f"up to {self.state.now} were already processed"
@@ -762,67 +778,11 @@ class OnlineSession:
             pending.append(job)
 
     # -- event processing ---------------------------------------------------
-    def _ensure_started(self, limit: float) -> bool:
-        """Process the session's first arrival if it is due by ``limit``.
-
-        Mirrors the prologue of :meth:`Simulator.decision_points`: the clock
-        starts at the first submit time, with the machine's capacity windows
-        synchronized before the first scheduling pass.
-        """
-        if self._started:
-            return True
+    def _serve_to(self, horizon: float, final: bool) -> Iterator[ServedDecision]:
+        """Run the event loop to ``horizon``, serving each decision point
+        with the simulator's configured strategy as it comes."""
         state = self.state
-        if not state.pending or state.pending[0].submit_time > limit:
-            return False
-        state.now = state.pending[0].submit_time
-        state.machine.advance_to(state.now)
-        self.sim._admit(state)
-        self.sim._process_failures(state)
-        self._started = True
-        self._schedule_due = True
-        return True
-
-    def _drive_schedule(self) -> Iterator[ServedDecision]:
-        """Run the scheduling pass that is due at the current instant,
-        yielding each decision as it is served.
-
-        Drives the same generator :meth:`Simulator.run` drives, with the
-        simulator's configured backfill strategy answering each yielded
-        :class:`~repro.scheduler.events.DecisionPoint`, and keeps the
-        generator's ``blocked`` flag.
-        """
-        self._schedule_due = False
-        if not self.state.queue:
-            self._blocked = False
-            return
-        gen = self.sim._schedule_now(self.state)
-        self._blocked = bool((yield from _serve(gen, self.sim, self.state.decision_count)))
-
-    def _next_event_time(self, state: _SimState) -> Optional[float]:
-        """The next live event instant, or ``None`` if nothing is knowable yet.
-
-        Identical to :meth:`Simulator._advance_time`'s event selection except
-        for the final drain: with an empty queue and no *known* arrivals the
-        offline loop jumps to the machine's last completion, but a live
-        session must keep waiting -- a later submission may still arrive
-        before that completion.  :meth:`drain` performs the final jump.
-        """
-        next_arrival = state.pending[0].submit_time if state.pending else math.inf
-        next_failure = self.sim._next_failure_time(state)
-        if not state.queue:
-            # Same fast path as offline: with an empty waiting queue,
-            # completions cannot enable decisions, so jump straight to the
-            # next known arrival or node failure.
-            next_time = min(next_arrival, next_failure)
-        else:
-            next_completion = state.machine.next_completion_time()
-            next_completion = math.inf if next_completion is None else next_completion
-            next_time = min(next_arrival, next_completion, next_failure)
-            if state.machine.capacity_schedule:
-                next_capacity = state.machine.next_capacity_event(state.now)
-                if next_capacity is not None:
-                    next_time = min(next_time, next_capacity)
-        return None if math.isinf(next_time) else next_time
+        return _serve(self.sim._events(state, horizon, final), self.sim, state.decision_count)
 
     def advance_to(self, event_time: float) -> List[ServedDecision]:
         """Process every event with time <= ``event_time``.
@@ -830,35 +790,20 @@ class OnlineSession:
         Returns the decisions served by this call -- the only copy: the
         session counts them (:attr:`decisions_served`) and keeps none.
         Idempotent between events: re-advancing to the same (or an earlier)
-        time serves nothing new.
+        time serves nothing new.  A live session never makes the final jump
+        to the machine's last completion: a later submission may be dated
+        before it.
         """
         if self._drained:
             raise RuntimeError("session is drained")
-        served: List[ServedDecision] = []
-        if not self._ensure_started(event_time):
-            return served
-        state = self.state
-        while True:
-            if self._schedule_due:
-                served.extend(self._drive_schedule())
-            next_time = self._next_event_time(state)
-            if next_time is None or next_time > event_time:
-                break
-            state.now = max(state.now, next_time)
-            state.machine.release_completed(state.now)
-            self.sim._admit(state)
-            self.sim._process_failures(state)
-            self._schedule_due = True
-        _flush_sim_counters(state)
-        return served
+        return list(self._serve_to(event_time, final=False))
 
     def drain(self) -> List[ServedDecision]:
         """Run the event loop to completion (no further submissions accepted).
 
-        This is the offline loop's epilogue: schedule, advance (now including
-        the final jump to the machine's last completion), repeat until the
-        pending/queue/machine are all empty.  After draining,
-        :meth:`result` returns the finalized :class:`SimulationResult`.
+        Raises ``RuntimeError`` if a waiting job can never start.  After
+        draining, :meth:`result` returns the finalized
+        :class:`SimulationResult`.
         """
         return list(self.iter_drain())
 
@@ -869,25 +814,8 @@ class OnlineSession:
         session is drained once the iterator is exhausted."""
         if self._drained:
             return
-        self._ensure_started(math.inf)
-        state = self.state
-        while state.pending or state.queue or state.machine.num_running:
-            if self._schedule_due:
-                yield from self._drive_schedule()
-            advanced = self.sim._advance_time(state)
-            if advanced:
-                self._schedule_due = True
-                continue
-            if not self._blocked and not state.queue and not state.pending:
-                break
-            if state.queue and not self._blocked:  # pragma: no cover - defensive
-                widest = max(state.queue, key=lambda j: j.requested_processors)
-                raise RuntimeError(
-                    f"session deadlocked: job {widest.job_id} requests "
-                    f"{widest.requested_processors} of {self.sim.num_processors} processors"
-                )
+        yield from self._serve_to(math.inf, final=True)
         self._drained = True
-        _flush_sim_counters(state)
 
     def result(self) -> SimulationResult:
         """Finalize and return the session's :class:`SimulationResult`."""
@@ -898,30 +826,3 @@ class OnlineSession:
         if self._result is None:
             self._result = self.sim._finalize(self.state)
         return self._result
-
-
-def run_schedule(
-    jobs: Sequence[Job],
-    num_processors: int,
-    policy: PriorityPolicy | str = "FCFS",
-    backfill: BackfillStrategy | None = None,
-    estimator: RuntimeEstimator | None = None,
-    capacity_schedule: Sequence[DowntimeWindow] | None = None,
-    node_failures: Sequence[NodeFailure] | None = None,
-    restart_policy: RestartPolicy | str | None = None,
-    topology: ClusterTopology | None = None,
-    allocator: str = "first_fit",
-) -> SimulationResult:
-    """One-shot convenience wrapper around :class:`Simulator`."""
-    simulator = Simulator(
-        num_processors=num_processors,
-        policy=policy,
-        backfill=backfill,
-        estimator=estimator,
-        capacity_schedule=capacity_schedule,
-        node_failures=node_failures,
-        restart_policy=restart_policy,
-        topology=topology,
-        allocator=allocator,
-    )
-    return simulator.run(jobs)

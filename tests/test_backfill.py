@@ -112,8 +112,9 @@ class TestEasyBackfill:
         assert EasyBackfill().select_backfill(decision, ActualRuntime()) is not None
 
     def test_invalid_order(self):
-        with pytest.raises(ValueError):
-            EasyBackfill(order="magic")
+        for order in ("magic", "widest"):
+            with pytest.raises(ValueError):
+                EasyBackfill(order=order)
 
     def test_name(self):
         assert EasyBackfill().name == "EASY"

@@ -10,7 +10,7 @@ from repro.prediction.predictors import UserEstimate
 from repro.scheduler.backfill.conservative import ConservativeBackfill
 from repro.scheduler.backfill.easy import EasyBackfill
 from repro.scheduler.backfill.profile import ResourceProfile
-from repro.scheduler.simulator import Simulator, run_schedule
+from repro.scheduler.simulator import Simulator
 from repro.workloads.job import Job
 
 
@@ -169,7 +169,7 @@ class TestSimulatorWithDowntime:
             _job(3, 61, 10, 2),
         ]
         for backfill in (EasyBackfill(), ConservativeBackfill()):
-            result = run_schedule(jobs, 10, backfill=backfill, capacity_schedule=windows)
+            result = Simulator(10, backfill=backfill, capacity_schedule=windows).run(jobs)
             starts = {r.job.job_id: r.start_time for r in result.records}
             assert starts[1] == 0.0
             assert starts[2] == 150.0  # 6 procs never fit beside the 8-proc drain
@@ -178,14 +178,14 @@ class TestSimulatorWithDowntime:
     def test_full_drain_blocks_everything(self):
         windows = [DowntimeWindow(0.0, 100.0, 4)]
         jobs = [_job(1, 0, 10, 2), _job(2, 1, 10, 4)]
-        result = run_schedule(jobs, 4, capacity_schedule=windows)
+        result = Simulator(4, capacity_schedule=windows).run(jobs)
         for record in result.records:
             assert record.start_time >= 100.0
 
     def test_window_before_first_arrival_is_ignored(self):
         windows = [DowntimeWindow(0.0, 50.0, 4)]
         jobs = [_job(1, 100, 10, 4)]
-        result = run_schedule(jobs, 4, capacity_schedule=windows)
+        result = Simulator(4, capacity_schedule=windows).run(jobs)
         assert result.records[0].start_time == 100.0
 
     def test_capacity_event_wakes_idle_machine(self):
@@ -193,13 +193,34 @@ class TestSimulatorWithDowntime:
         # window: the simulator must advance to the window end, not deadlock.
         windows = [DowntimeWindow(0.0, 500.0, 7)]
         jobs = [_job(1, 10, 10, 5)]
-        result = run_schedule(jobs, 8, capacity_schedule=windows)
+        result = Simulator(8, capacity_schedule=windows).run(jobs)
         assert result.records[0].start_time == 500.0
+
+    _NEVER = "job 1 can never start.*no running job, arrival, failure or capacity boundary"
+
+    def _drained_for_good(self):
+        return Simulator(
+            8, backfill=EasyBackfill(), capacity_schedule=[DowntimeWindow(0.0, math.inf, 8)]
+        )
+
+    def test_queue_that_can_never_start_raises_in_run(self):
+        # The window never ends: no event lies ahead of the blocked job.
+        with pytest.raises(RuntimeError, match=self._NEVER):
+            self._drained_for_good().run([_job(1, 10, 5, 4, 10)])
+
+    def test_queue_that_can_never_start_raises_in_drain(self):
+        session = self._drained_for_good().open_session()
+        session.submit(_job(1, 10, 5, 4, 10))
+        # A live session cannot know no submission will come: it waits.
+        assert session.advance_to(math.inf) == []
+        assert session.queue_depth == 1
+        with pytest.raises(RuntimeError, match=self._NEVER):
+            session.drain()
 
     def test_no_schedule_unchanged(self):
         jobs = [_job(1, 0, 10, 4), _job(2, 0, 20, 4)]
-        with_param = run_schedule(jobs, 8, capacity_schedule=None)
-        without = run_schedule(jobs, 8)
+        with_param = Simulator(8, capacity_schedule=None).run(jobs)
+        without = Simulator(8).run(jobs)
         assert [r.start_time for r in with_param.records] == [
             r.start_time for r in without.records
         ]
@@ -216,9 +237,9 @@ class TestSimulatorWithDowntime:
         horizon = t + 500.0
         window = DowntimeWindow(horizon * 0.2, horizon * 0.6, 8)
         for backfill in (EasyBackfill(), ConservativeBackfill(), None):
-            result = run_schedule(
-                jobs, 16, backfill=backfill, capacity_schedule=[window]
-            )
+            result = Simulator(
+                16, backfill=backfill, capacity_schedule=[window]
+            ).run(jobs)
             busy = 0.0
             for record in result.records:
                 overlap = min(record.end_time, window.end) - max(record.start_time, window.start)

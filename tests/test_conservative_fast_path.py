@@ -35,7 +35,7 @@ from repro.scheduler.backfill import (
 from repro.scheduler.backfill.base import BackfillStrategy
 from repro.scheduler.backfill.profile import ReservationProfile, clear_of
 from repro.scheduler.events import DecisionPoint
-from repro.scheduler.simulator import run_schedule
+from repro.scheduler.simulator import Simulator
 from repro.workloads.job import Job
 from tests.golden.corpus import DRAINED_GROUP, FirstAsks, trace
 from tests.golden.corpus import TOPOLOGIES as _TOPOLOGIES
@@ -605,14 +605,13 @@ def test_select_backfill_matches_full_replan_oracle(topology_name, data, knobs, 
     compared with a plan from scratch; either way, reversed lists answer alike."""
     jobs, topology, windows = data.draw(_workloads(topology_name))
     paired = _Paired(check=check, **knobs)
-    result = run_schedule(
-        jobs,
+    result = Simulator(
         32,
         backfill=paired,
         estimator=UserEstimate(),
         capacity_schedule=windows,
         topology=topology,
-    )
+    ).run(jobs)
     assert len(result.records) == len(jobs)
     if topology is not None and len(topology.groups) > 1:
         assert paired.fast.tally["R"] == 0  # a displaced job may land in another group
@@ -628,11 +627,11 @@ def _contended_jobs() -> List[Job]:
 
 def _paired_contended_run(check: bool, topology: ClusterTopology | None = None) -> _Paired:
     paired = _Paired(check=check)
-    run_schedule(
-        _contended_jobs(), 32, backfill=paired, estimator=UserEstimate(),
+    Simulator(
+        32, backfill=paired, estimator=UserEstimate(),
         capacity_schedule=[DowntimeWindow(start=30.0, end=400.0, processors=8)],
         topology=topology,
-    )
+    ).run(_contended_jobs())
     assert paired.accepted > 0 and paired.decisions > paired.accepted
     tally = paired.fast.tally
     assert all(tally[rule] > 0 for rule in ("A", "R", "C", "trial", "dropped")), tally
@@ -661,10 +660,10 @@ def test_paired_run_cross_checked_on_one_group():
 def test_one_baseline_plan_per_instant():
     """Alone (no second call per decision), a spaced scalar run plans once per instant."""
     fast = _Instrumented()
-    result = run_schedule(
-        _contended_jobs(), 32, backfill=fast, estimator=UserEstimate(),
+    result = Simulator(
+        32, backfill=fast, estimator=UserEstimate(),
         capacity_schedule=[DowntimeWindow(start=30.0, end=400.0, processors=8)],
-    )
+    ).run(_contended_jobs())
     assert fast.tally["C"] > 0 and set(fast.plans.values()) == {1}
     assert sum(fast.plans.values()) + fast.tally["C"] == result.decision_count
     assert all(planned and clips for planned, clips, _ in fast.trials)
@@ -879,10 +878,10 @@ def test_noisy_estimator_cache_fills_in_the_same_order(topology_name, data, knob
     runs = []
     for strategy in (ConservativeBackfill(**knobs), _Fresh(**knobs)):
         estimator = NoisyPrediction(0.4, seed=seed)
-        result = run_schedule(
-            jobs, 32, backfill=strategy, estimator=estimator,
+        result = Simulator(
+            32, backfill=strategy, estimator=estimator,
             capacity_schedule=windows, topology=topology,
-        )
+        ).run(jobs)
         runs.append((list(estimator._cache.items()), result.records))
         assert strategy._kept is None and not strategy._needs_memo
     assert runs[0] == runs[1]

@@ -28,7 +28,7 @@ from repro.rl.buffer import TrajectoryBuffer
 from repro.rl.lane_pool import ProcessLanePool
 from repro.rl.vec_env import VecBackfillEnv
 from repro.scheduler.backfill.easy import EasyBackfill
-from repro.scheduler.simulator import Simulator, capture_decisions, run_schedule
+from repro.scheduler.simulator import Simulator, capture_decisions
 from repro.workloads.job import Job
 from tests.test_parity_matrix import OBS_CONFIG, make_training_env
 
@@ -125,14 +125,13 @@ class TestSimulatorFailures:
     PROCS = 32
 
     def run(self, jobs, **kwargs):
-        return run_schedule(
-            jobs,
+        return Simulator(
             num_processors=self.PROCS,
             policy="FCFS",
             backfill=EasyBackfill(),
             estimator=UserEstimate(),
             **kwargs,
-        )
+        ).run(jobs)
 
     def test_node_failure_preempts_and_requeues(self):
         jobs = contended_jobs()

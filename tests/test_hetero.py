@@ -19,7 +19,7 @@ from repro.core.observation import JOB_FEATURES, ObservationConfig
 from repro.prediction.predictors import UserEstimate
 from repro.scheduler.backfill.conservative import ConservativeBackfill
 from repro.scheduler.backfill.easy import EasyBackfill
-from repro.scheduler.simulator import Simulator, run_schedule
+from repro.scheduler.simulator import Simulator
 from repro.scenarios.registry import (
     HETERO_SUITE,
     ClusterSpec,
@@ -68,21 +68,19 @@ def test_trivial_topology_schedules_bit_identically(backfill, with_drain):
     windows = (
         [DowntimeWindow(start=500.0, end=5_000.0, processors=64)] if with_drain else None
     )
-    scalar = run_schedule(
-        jobs,
+    scalar = Simulator(
         trace.num_processors,
         backfill=backfill(),
         estimator=UserEstimate(),
         capacity_schedule=windows,
-    )
-    vector = run_schedule(
-        jobs,
+    ).run(jobs)
+    vector = Simulator(
         trace.num_processors,
         backfill=backfill(),
         estimator=UserEstimate(),
         capacity_schedule=windows,
         topology=ClusterTopology.homogeneous(trace.num_processors),
-    )
+    ).run(jobs)
     assert scalar.records == vector.records
     assert scalar.metrics == vector.metrics
     assert scalar.decision_count == vector.decision_count
@@ -206,9 +204,9 @@ class TestHeteroSimulator:
             make_job(6, submit_time=5.0, runtime=50.0, processors=24),
         ]
         for backfill in (EasyBackfill(), ConservativeBackfill()):
-            result = run_schedule(
-                jobs, 32, backfill=backfill, estimator=UserEstimate(), topology=topology
-            )
+            result = Simulator(
+                32, backfill=backfill, estimator=UserEstimate(), topology=topology
+            ).run(jobs)
             assert len(result.records) == len(jobs)
             # At most two 4-gpu jobs can overlap on the 8-gpu group.
             gpu_spans = sorted(
@@ -243,7 +241,7 @@ class TestHeteroSimulator:
         was_enabled = metrics_enabled()
         enable_metrics()
         try:
-            run_schedule(jobs, 32, estimator=UserEstimate(), topology=topology)
+            Simulator(32, estimator=UserEstimate(), topology=topology).run(jobs)
             samples = parse_prometheus_text(get_metrics().to_prometheus())
         finally:
             if not was_enabled:

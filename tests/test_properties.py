@@ -8,7 +8,7 @@ from repro.scheduler.backfill.easy import EasyBackfill
 from repro.scheduler.backfill.none import NoBackfill
 from repro.scheduler.backfill.profile import ResourceProfile
 from repro.scheduler.metrics import bounded_slowdown
-from repro.scheduler.simulator import run_schedule
+from repro.scheduler.simulator import Simulator
 from repro.workloads.job import Job, Trace
 from repro.workloads.swf import parse_swf_lines, iter_swf_records
 
@@ -47,20 +47,20 @@ class TestSchedulingInvariants:
     @given(job_lists())
     @settings(max_examples=40, deadline=None)
     def test_every_job_scheduled_exactly_once(self, jobs):
-        result = run_schedule(jobs, num_processors=16, backfill=EasyBackfill())
+        result = Simulator(num_processors=16, backfill=EasyBackfill()).run(jobs)
         assert {r.job.job_id for r in result.records} == {j.job_id for j in jobs}
 
     @given(job_lists())
     @settings(max_examples=40, deadline=None)
     def test_no_job_starts_before_submission(self, jobs):
-        result = run_schedule(jobs, num_processors=16, backfill=EasyBackfill())
+        result = Simulator(num_processors=16, backfill=EasyBackfill()).run(jobs)
         for record in result.records:
             assert record.start_time >= record.job.submit_time - 1e-9
 
     @given(job_lists())
     @settings(max_examples=40, deadline=None)
     def test_machine_never_oversubscribed(self, jobs):
-        result = run_schedule(jobs, num_processors=16, backfill=EasyBackfill())
+        result = Simulator(num_processors=16, backfill=EasyBackfill()).run(jobs)
         events = []
         for record in result.records:
             events.append((record.start_time, record.job.requested_processors))
@@ -76,13 +76,13 @@ class TestSchedulingInvariants:
     @given(job_lists())
     @settings(max_examples=30, deadline=None)
     def test_bsld_at_least_one(self, jobs):
-        result = run_schedule(jobs, num_processors=16, backfill=NoBackfill())
+        result = Simulator(num_processors=16, backfill=NoBackfill()).run(jobs)
         assert result.bsld >= 1.0
 
     @given(job_lists(), st.sampled_from(["FCFS", "SJF", "WFP3", "F1"]))
     @settings(max_examples=30, deadline=None)
     def test_all_policies_complete_all_jobs(self, jobs, policy):
-        result = run_schedule(jobs, num_processors=16, policy=policy, backfill=EasyBackfill())
+        result = Simulator(num_processors=16, policy=policy, backfill=EasyBackfill()).run(jobs)
         assert len(result.records) == len(jobs)
 
     @given(job_lists())
@@ -90,8 +90,8 @@ class TestSchedulingInvariants:
     def test_easy_never_delays_more_than_no_backfill_for_whole_schedule(self, jobs):
         """Backfilling can only change who waits, not lose or duplicate work:
         the total processor-seconds completed must be identical."""
-        easy = run_schedule(jobs, num_processors=16, backfill=EasyBackfill())
-        none = run_schedule(jobs, num_processors=16, backfill=NoBackfill())
+        easy = Simulator(num_processors=16, backfill=EasyBackfill()).run(jobs)
+        none = Simulator(num_processors=16, backfill=NoBackfill()).run(jobs)
         assert sum(r.job.area for r in easy.records) == sum(r.job.area for r in none.records)
 
 

@@ -813,6 +813,42 @@ def test_an_unread_reservation_expires_when_the_simulator_resumes():
     generator.close()
 
 
+def test_a_points_free_count_is_of_its_instant():
+    jobs = _contended_jobs(np.random.default_rng(3), 16, 40)
+    generator = Simulator(16).decision_points(jobs)
+    point = next(generator)
+    while not point.candidates:
+        point = generator.send(None)
+    at_instant = point.machine.free_processors  # off the machine, not the point
+    generator.send(point.candidates[0])
+    # Sending the candidate started it, so the live machine has moved on.
+    assert point.machine.free_processors < at_instant
+    assert point.free_processors == at_instant
+    assert point.free_fraction == at_instant / 16
+    assert point.candidates == [
+        job for job in point.queue
+        if job is not point.reserved_job and job.requested_processors <= at_instant
+    ]
+    generator.close()
+
+    # A node-group point reads its count on first ask: kept if asked before
+    # the answer, stale if first asked after it.
+    topology = ClusterTopology((NodeGroup(name="cpu", cpus=10), NodeGroup(name="big", cpus=6)))
+    generator = Simulator(16, topology=topology).decision_points(jobs)
+    point = next(generator)
+    while not point.candidates:
+        point = generator.send(None)
+    kept = point.free_processors, point.free_fraction
+    unread = generator.send(point.candidates[0])
+    assert (point.free_processors, point.free_fraction) == kept
+    generator.send(None)
+    with pytest.raises(StaleDecisionError, match="free count.*answered"):
+        unread.free_processors
+    with pytest.raises(StaleDecisionError, match="free count.*answered"):
+        unread.free_fraction
+    generator.close()
+
+
 def test_a_stateful_estimator_is_asked_for_the_reservation_when_the_point_is_built():
     jobs = _contended_jobs(np.random.default_rng(3), 16, 40)
     with _calls(Machine, "reservation") as calls:

@@ -153,6 +153,29 @@ class TestOnlineSession:
                 )
             )
 
+    def test_only_drain_jumps_to_the_last_completion(self):
+        """A live advance past an idle machine's last completion stays at the
+        last event, so an arrival dated before that completion is still
+        accepted and served as the offline run serves it."""
+        first = Job(job_id=1, submit_time=0.0, runtime=100.0, requested_processors=60,
+                    requested_time=100.0)
+        later = [
+            Job(job_id=2, submit_time=50.0, runtime=80.0, requested_processors=8,
+                requested_time=80.0),
+            Job(job_id=3, submit_time=60.0, runtime=10.0, requested_processors=2,
+                requested_time=10.0),
+        ]
+        session = make_simulator().open_session()
+        session.submit(first)
+        assert session.advance_to(200.0) == []
+        assert session.now == 0.0
+        for job in later:
+            session.submit(job)
+        served = session.advance_to(200.0) + session.drain()
+        offline_decisions, offline_result = capture_decisions(make_simulator(), [first, *later])
+        assert served == offline_decisions and served
+        assert session.result().records == offline_result.records
+
     def test_duplicate_ids_rejected(self):
         session = make_simulator().open_session()
         job = make_jobs(1, seed=1)[0]
