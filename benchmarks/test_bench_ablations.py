@@ -1,4 +1,4 @@
-"""Ablation benchmarks: design choices DESIGN.md calls out.
+"""Ablation benchmarks: the design parameters the paper fixes without ablation.
 
 * heuristic backfilling comparison (no-backfill / EASY / EASY-AR / EASY-SJF /
   conservative / greedy) -- frames the headroom available to a learned policy;

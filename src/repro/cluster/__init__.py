@@ -1,12 +1,6 @@
-"""Cluster model: processor pool, node groups, allocator layer, running-job registry."""
+"""Cluster model: the machine and its running-job registry, node groups, allocator layer."""
 
-from repro.cluster.resources import (
-    Allocation,
-    ClusterTopology,
-    NodeGroup,
-    ResourcePool,
-    ResourceVector,
-)
+from repro.cluster.resources import ClusterTopology, NodeGroup, ResourceVector
 from repro.cluster.allocator import (
     ALLOCATOR_POLICIES,
     Allocator,
@@ -19,8 +13,6 @@ from repro.cluster.allocator import (
 from repro.cluster.machine import DowntimeWindow, Machine, RunningJob
 
 __all__ = [
-    "Allocation",
-    "ResourcePool",
     "ResourceVector",
     "NodeGroup",
     "ClusterTopology",

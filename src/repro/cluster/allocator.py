@@ -13,12 +13,11 @@ Two policies are provided behind one interface:
 * :class:`BestFitAllocator` -- place in the fitting group with the fewest
   cpus left over (deterministic tie-break: declaration order).
 
-Accounting mirrors :class:`~repro.cluster.resources.ResourcePool` exactly:
-explicit :class:`GroupAllocation` tokens, raising ``RuntimeError`` on
-oversubscription, double release, and foreign tokens.  A one-group cpu-only
-topology performs the scalar pool's integer arithmetic bit for bit (the
-homogeneous-reduction contract, property-tested by
-``tests/test_allocator.py``).
+Accounting hands out explicit :class:`GroupAllocation` tokens, raising
+``RuntimeError`` on oversubscription, double release, and foreign tokens.  A
+one-group cpu-only topology performs the integer arithmetic of the machine's
+scalar free count bit for bit (the homogeneous-reduction contract,
+property-tested by ``tests/test_allocator.py``).
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ class GroupAllocation:
 
     @property
     def processors(self) -> int:
-        """Cpu count of the grant (mirrors :attr:`Allocation.processors`)."""
+        """Cpu count of the grant."""
         return self.vector.cpus
 
 

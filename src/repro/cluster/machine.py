@@ -1,4 +1,4 @@
-"""Machine model: the processor pool plus the set of currently running jobs.
+"""Machine model: the busy-processor count plus the set of currently running jobs.
 
 The scheduler simulator interacts with the cluster exclusively through this
 class: start a job, ask which running job finishes next, release completed
@@ -20,15 +20,21 @@ capacity loss the moment a window opens.  Utilization accounting integrates
 *busy* processors only, so a drained machine correctly reports reduced
 utilization against its full nameplate capacity.
 
-Internal caches keep the hot simulator loop cheap without changing any
+Starting and releasing a job moves one int, the busy count, on every layout
+(a node-group machine's allocator books the placement beside it), and a
+running job is one slotted :class:`RunningJob` whose end time is worked out
+once.  Internal caches keep the hot simulator loop cheap without changing any
 observable behaviour (the heterogeneous ones -- per-job needs, one free-map
 snapshot per instant -- are specified in docs/cluster.md):
 
 * completion queries go through a lazily-invalidated min-heap of
-  ``(end_time, job_id)`` entries instead of scanning every running job, and
+  ``(end_time, job_id)`` entries instead of scanning every running job,
 * the estimated-release plan consumed by :meth:`Machine.reservation`
   is memoized per (estimator, running-set version) so repeated backfilling
-  decisions at one instant do not re-query the runtime estimator.
+  decisions at one instant do not re-query the runtime estimator, and
+* the drained count is worked out once per (instant, schedule tuple), and the
+  window boundaries are sorted once per schedule tuple, so availability and
+  next-event queries do not walk the capacity schedule.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.cluster.allocator import (
     Allocator,
@@ -44,7 +50,7 @@ from repro.cluster.allocator import (
     job_request,
     make_allocator,
 )
-from repro.cluster.resources import Allocation, ClusterTopology, NodeGroup, ResourcePool, ResourceVector
+from repro.cluster.resources import ClusterTopology, NodeGroup, ResourceVector
 from repro.workloads.job import Job
 
 __all__ = ["RunningJob", "Machine", "DowntimeWindow"]
@@ -89,45 +95,52 @@ class DowntimeWindow:
         return self.start - _EPS <= time < self.end - _EPS
 
 
-@dataclass(frozen=True, slots=True)
 class RunningJob:
     """A job currently executing on the machine.
 
-    ``runtime_override`` replaces the job's actual runtime for this run --
-    the checkpoint-credit restart policy uses it to run only the *remaining*
-    runtime after a preemption (see :mod:`repro.faults`).  ``None`` (the
-    default, and the only value a first start ever uses) means the job runs
-    its full actual runtime.
+    ``processors`` is the width the job holds.  ``runtime_override`` replaces
+    the job's actual runtime for this run -- the checkpoint-credit restart
+    policy uses it to run only the *remaining* runtime after a preemption (see
+    :mod:`repro.faults`).  ``None`` (the default, and the only value a first
+    start ever uses) means the job runs its full actual runtime.
+    ``end_time``, the true completion time, is worked out once at start:
+    ``start_time`` plus the run's runtime.
     """
 
-    job: Job
-    start_time: float
-    allocation: Allocation
-    runtime_override: Optional[float] = None
+    __slots__ = ("job", "start_time", "processors", "runtime_override", "end_time")
 
-    @property
-    def runtime(self) -> float:
-        """Wall time this run occupies the machine."""
-        return self.job.runtime if self.runtime_override is None else self.runtime_override
-
-    @property
-    def end_time(self) -> float:
-        """True completion time (start + actual runtime for this run)."""
-        return self.start_time + self.runtime
+    def __init__(
+        self, job: Job, start_time: float, processors: int, runtime_override: Optional[float] = None
+    ):
+        self.job = job
+        self.start_time = start_time
+        self.processors = processors
+        self.runtime_override = runtime_override
+        self.end_time = start_time + (job.runtime if runtime_override is None else runtime_override)
 
     def estimated_end_time(self, estimator: Callable[[Job], float]) -> float:
-        """Completion time as believed by the scheduler under ``estimator``.
-
-        The estimate is never allowed to fall before the job's start time and,
-        if the job has already exceeded a short estimate, the scheduler learns
-        nothing new until it actually finishes, so the estimate is clamped to
-        the true end time's past only by the caller-supplied ``now`` if needed.
-        """
+        """Completion time as believed by the scheduler under ``estimator``:
+        the start time plus the estimate, never taken below zero.  Callers
+        clamp it to their ``now``, so a job that has overrun its estimate is
+        planned to release at ``now`` at the earliest, never in the past."""
         return self.start_time + max(float(estimator(self.job)), 0.0)
 
 
+class _ScheduleFacts(NamedTuple):
+    """What one ``capacity_schedule`` tuple implies, derived once per tuple
+    (it is replaced, never edited)."""
+
+    schedule: Tuple[DowntimeWindow, ...]
+    #: ``(window, group name, drain vector)`` per window, in schedule order.
+    drains: List[Tuple[DowntimeWindow, str, ResourceVector]]
+    #: The instants at which the active set changes (boundaries less ``_EPS``), sorted.
+    edges: List[float]
+    #: Every window boundary (start and end), sorted.
+    boundaries: List[float]
+
+
 class Machine:
-    """Homogeneous cluster with running-job bookkeeping and utilization accounting."""
+    """Cluster with running-job bookkeeping and utilization accounting."""
 
     def __init__(
         self,
@@ -136,12 +149,18 @@ class Machine:
         topology: ClusterTopology | None = None,
         allocator: str | Allocator = "first_fit",
     ):
-        self.pool = ResourcePool(total=num_processors)
+        if num_processors <= 0:
+            raise ValueError(f"cluster must have a positive number of processors, got {num_processors}")
+        self.num_processors = num_processors
+        #: Processors held by running jobs: the one count every start and
+        #: release moves, on both layouts.
+        self._used = 0
         #: Heterogeneous topology, or ``None`` for the scalar machine.  Every
         #: hetero branch below is guarded on this so the scalar path performs
         #: exactly the pre-topology arithmetic.
         self.topology = topology
-        self._allocator: Optional[Allocator] = None
+        #: The placement policy, or ``None`` on a scalar machine (read only).
+        self.allocator: Optional[Allocator] = None
         self._group_allocs: Dict[int, GroupAllocation] = {}
         if topology is not None:
             if topology.total_cpus != num_processors:
@@ -149,7 +168,7 @@ class Machine:
                     f"topology supplies {topology.total_cpus} cpus but the machine "
                     f"was sized at {num_processors}"
                 )
-            self._allocator = (
+            self.allocator = (
                 allocator if isinstance(allocator, Allocator) else make_allocator(allocator, topology)
             )
         #: The node groups reservations are planned on: the scalar machine is one
@@ -181,17 +200,14 @@ class Machine:
         self._sorted_plan: Optional[List[Tuple[float, int]]] = None
         self._sorted_plan_estimator: Optional[object] = None
         self._sorted_plan_entries: Dict[int, Tuple[float, int]] = {}
-        # Hetero facts computed once at the scope where they are constant
+        # Facts computed once at the scope where they are constant
         # (docs/cluster.md): per job, per instant, per schedule tuple.
         self._needs: Dict[int, Tuple[Job, Tuple[ResourceVector, Tuple[NodeGroup, ...]]]] = {}
         self._free_snapshot: Optional[tuple] = None
-        self._schedule_facts: Optional[tuple] = None
+        self._drained: Optional[Tuple[float, Tuple[DowntimeWindow, ...], int]] = None
+        self._schedule_facts: Optional[_ScheduleFacts] = None
 
     # -- properties -------------------------------------------------------
-    @property
-    def num_processors(self) -> int:
-        return self.pool.total
-
     @property
     def free_processors(self) -> int:
         """Processors a new job could occupy right now.
@@ -205,16 +221,16 @@ class Machine:
         undrained one.
         """
         if not self.capacity_schedule:
-            return self.pool.free
-        if self._allocator is not None:
+            return self.num_processors - self._used
+        if self.allocator is not None:
             return sum(vector.cpus for vector in self._free_now().values())
-        return max(self.pool.free - self.drained_processors(), 0)
+        return max(self.num_processors - self._used - self.drained_processors(), 0)
 
     @property
     def free_fraction(self) -> float:
-        if not self.capacity_schedule:
-            return self.pool.free_fraction
-        return self.free_processors / self.pool.total
+        """Fraction of the machine a new job could occupy (the observation
+        feature in §3.2)."""
+        return self.free_processors / self.num_processors
 
     @property
     def num_running(self) -> int:
@@ -227,13 +243,11 @@ class Machine:
         return self._version
 
     def can_start(self, job: Job) -> bool:
-        if self._allocator is not None:
+        if self.allocator is not None:
             request, eligible = self.job_need(job)
             return request.cpus > 0 and (
-                self._allocator.place(request, self._free_now(), eligible) is not None
+                self.allocator.place(request, self._free_now(), eligible) is not None
             )
-        if not self.capacity_schedule:
-            return self.pool.can_allocate(job.requested_processors)
         return 0 < job.requested_processors <= self.free_processors
 
     # -- capacity schedule --------------------------------------------------
@@ -253,37 +267,44 @@ class Machine:
             self._account(now)
 
     def drained_processors(self, time: float | None = None) -> int:
-        """Processors out of service at ``time`` (default: the current clock)."""
-        if not self.capacity_schedule:
+        """Processors out of service at ``time`` (default: the current clock).
+
+        Worked out once per (instant, schedule tuple): every availability
+        query at one instant reads the same count.
+        """
+        schedule = self.capacity_schedule
+        if not schedule:
             return 0
         at = self._last_accounting_time if time is None else time
+        memo = self._drained
+        if memo is not None and memo[0] == at and memo[1] is schedule:
+            return memo[2]
         drained = 0
-        for window in self.capacity_schedule:
+        for window in schedule:
             if window.start - _EPS > at:
                 break  # schedule is sorted by start; nothing later is active
             if window.active_at(at):
                 drained += window.processors
-        return min(drained, self.pool.total)
+        drained = min(drained, self.num_processors)
+        self._drained = (at, schedule, drained)
+        return drained
 
     def effective_capacity(self, time: float | None = None) -> int:
         """Processors in service at ``time``: ``total - drained``."""
-        return self.pool.total - self.drained_processors(time)
+        return self.num_processors - self.drained_processors(time)
 
     def next_capacity_event(self, now: float) -> Optional[float]:
         """Earliest window boundary (start or end) strictly after ``now``."""
-        nxt: Optional[float] = None
-        for window in self.capacity_schedule:
-            for boundary in (window.start, window.end):
-                if boundary > now + _EPS and (nxt is None or boundary < nxt):
-                    nxt = boundary
-        return nxt
+        boundaries = self._window_facts().boundaries
+        index = bisect_right(boundaries, now + _EPS)
+        return boundaries[index] if index < len(boundaries) else None
+
+    def _boundaries_after(self, now: float) -> List[float]:
+        """Every window boundary strictly after ``now``, sorted."""
+        boundaries = self._window_facts().boundaries
+        return boundaries[bisect_right(boundaries, now + _EPS):]
 
     # -- heterogeneous topology ---------------------------------------------
-    @property
-    def allocator(self) -> Optional[Allocator]:
-        """The placement policy, or ``None`` on a scalar machine."""
-        return self._allocator
-
     def _validate_window(self, window: DowntimeWindow) -> None:
         if self.topology is None:
             if window.group is not None:
@@ -318,24 +339,24 @@ class Machine:
             gpus=group.gpus * procs // group.cpus,
         )
 
-    def _window_facts(self) -> Tuple[List[Tuple[DowntimeWindow, str, ResourceVector]], List[float]]:
-        """Per-window ``(window, group name, drain vector)`` and the sorted
-        instants at which the active set changes, derived once per
-        ``capacity_schedule`` tuple (it is replaced, never edited)."""
+    def _window_facts(self) -> _ScheduleFacts:
+        """The current ``capacity_schedule`` tuple's facts, derived on first use."""
         facts = self._schedule_facts
-        if facts is None or facts[0] is not self.capacity_schedule:
-            schedule = self.capacity_schedule
-            facts = self._schedule_facts = (
+        schedule = self.capacity_schedule
+        if facts is None or facts.schedule is not schedule:
+            boundaries = sorted(edge for window in schedule for edge in (window.start, window.end))
+            facts = self._schedule_facts = _ScheduleFacts(
                 schedule,
                 [(window, *self._window_drain(window)) for window in schedule],
-                sorted(edge - _EPS for window in schedule for edge in (window.start, window.end)),
+                [edge - _EPS for edge in boundaries],
+                boundaries,
             )
-        return facts[1], facts[2]
+        return facts
 
     def _group_drains(self, at: float) -> Dict[str, ResourceVector]:
         """Drained vector per group at instant ``at`` (capped at group capacity)."""
         drains: Dict[str, ResourceVector] = {}
-        for window, name, vector in self._window_facts()[0]:
+        for window, name, vector in self._window_facts().drains:
             if window.start - _EPS > at:
                 break  # schedule is sorted by start; nothing later is active
             if window.active_at(at):
@@ -352,11 +373,11 @@ class Machine:
         The result is the caller's own dict; an explicit ``time`` is always
         computed afresh, the current instant is a copy of the snapshot.
         """
-        if self._allocator is None:
+        if self.allocator is None:
             raise RuntimeError("hetero_free_map requires a heterogeneous machine")
         if time is None:
             return dict(self._free_now())
-        free = self._allocator.free_map()
+        free = self.allocator.free_map()
         for name, drained in self._group_drains(time).items():
             free[name] = free[name].clamped_sub(drained)
         return free
@@ -368,7 +389,7 @@ class Machine:
         shared by every availability query made at that instant.
         """
         snapshot = self._free_snapshot
-        version, clock = self._allocator.version, self._last_accounting_time
+        version, clock = self.allocator.version, self._last_accounting_time
         if (
             snapshot is None or snapshot[0] != version or snapshot[1] != clock
             or snapshot[2] is not self.capacity_schedule
@@ -385,13 +406,13 @@ class Machine:
         dropped when the job's run is released.  The scalar machine answers
         afresh: its processors, and its one group where they fit.
         """
-        if self._allocator is None:
+        if self.allocator is None:
             request = ResourceVector(cpus=job.requested_processors)
-            return request, self.layout.groups if request.cpus <= self.pool.total else ()
+            return request, self.layout.groups if request.cpus <= self.num_processors else ()
         entry = self._needs.get(job.job_id)
         if entry is None or entry[0] is not job:
             request = job_request(job)
-            need = (request, self._allocator.eligible_groups(request, job.partition))
+            need = (request, self.allocator.eligible_groups(request, job.partition))
             entry = self._needs[job.job_id] = (job, need)
         return entry[1]
 
@@ -399,7 +420,7 @@ class Machine:
         """:meth:`can_start` as of this instant, kept (node-group machines only):
         the predicate places on the current free-map snapshot, so it gives the
         same answers after the machine has moved on."""
-        free, place, need = self._free_now(), self._allocator.place, self.job_need
+        free, place, need = self._free_now(), self.allocator.place, self.job_need
 
         def fits(job: Job) -> bool:
             request, eligible = need(job)
@@ -428,7 +449,7 @@ class Machine:
         """
         return [
             (max(window.start, now), window.end, name, vector.amounts)
-            for window, name, vector in self._window_facts()[0]
+            for window, name, vector in self._window_facts().drains
             if window.end > now + _EPS
         ]
 
@@ -448,9 +469,9 @@ class Machine:
         records = self._running.values()
         if by_end:
             records = sorted(records, key=lambda r: (r.end_time, r.job.job_id))
-        if self._allocator is None:
+        if self.allocator is None:
             g = self.layout.groups[0].name
-            grants = [(g, r.estimated_end_time(estimator), (r.allocation.processors, 0, 0)) for r in records]
+            grants = [(g, r.estimated_end_time(estimator), (r.processors, 0, 0)) for r in records]
         else:
             grants = [
                 (grant.group, r.estimated_end_time(estimator), grant.vector.amounts)
@@ -467,20 +488,20 @@ class Machine:
         Read-only what-if query: the conservative discipline uses it to pick
         the group a backfill candidate's trial reservation debits.
         """
-        if self._allocator is None:
+        if self.allocator is None:
             return self.layout.groups[0].name if self.can_start(job) else None
         request, eligible = self.job_need(job)
-        return self._allocator.place(request, self._free_now(), eligible)
+        return self.allocator.place(request, self._free_now(), eligible)
 
     def running_group(self, job_id: int) -> Optional[str]:
         """The group running ``job_id`` holds its grant in, or ``None`` if it is not running."""
         if job_id not in self._running:
             return None
-        return self.layout.groups[0].name if self._allocator is None else self._group_allocs[job_id].group
+        return self.layout.groups[0].name if self.allocator is None else self._group_allocs[job_id].group
 
     def free_resource_vector(self) -> ResourceVector:
         """Aggregate drain-adjusted free vector (scalar machines report cpus only)."""
-        if self._allocator is None:
+        if self.allocator is None:
             return ResourceVector(cpus=self.free_processors)
         total = ResourceVector()
         for vector in self._free_now().values():
@@ -497,7 +518,7 @@ class Machine:
             raise ValueError(
                 f"time moved backwards: {now} < {self._last_accounting_time}"
             )
-        self._busy_area += self.pool.used * (now - self._last_accounting_time)
+        self._busy_area += self._used * (now - self._last_accounting_time)
         self._last_accounting_time = now
 
     def utilization(self, now: float | None = None) -> float:
@@ -505,7 +526,7 @@ class Machine:
         end = self._last_accounting_time if now is None else max(now, self._last_accounting_time)
         if end <= 0:
             return 0.0
-        pending = self.pool.used * (end - self._last_accounting_time)
+        pending = self._used * (end - self._last_accounting_time)
         return (self._busy_area + pending) / (end * self.num_processors)
 
     # -- lifecycle ---------------------------------------------------------
@@ -524,53 +545,54 @@ class Machine:
         reservation query needs no re-sort.  ``runtime`` (optional) overrides
         the job's actual runtime for this run -- the checkpoint-credit restart
         of a preempted job runs only its remaining runtime.
+
+        A width that is not positive or is wider than the machine is a
+        ``ValueError``; one the in-service free count cannot hold right now
+        is a ``RuntimeError``.
         """
-        if job.job_id in self._running:
-            raise RuntimeError(f"job {job.job_id} is already running")
+        job_id, width = job.job_id, job.requested_processors
+        if job_id in self._running:
+            raise RuntimeError(f"job {job_id} is already running")
         self._account(now)
-        if self._allocator is not None:
+        if self.allocator is not None:
             request, eligible = self.job_need(job)
-            self._group_allocs[job.job_id] = self._allocator.grant(
+            self._group_allocs[job_id] = self.allocator.grant(
                 request, self._free_now(), eligible, job.partition
             )
-        elif self.capacity_schedule and job.requested_processors > self.free_processors:
-            raise RuntimeError(
-                f"job {job.job_id} requests {job.requested_processors} processors but only "
-                f"{self.free_processors} are in service at t={now} "
-                f"({self.drained_processors()} drained by the capacity schedule)"
-            )
-        allocation = self.pool.allocate(job.requested_processors)
-        record = RunningJob(
-            job=job, start_time=now, allocation=allocation, runtime_override=runtime
-        )
-        self._running[job.job_id] = record
-        heapq.heappush(self._completion_heap, (record.end_time, job.job_id))
+        elif not 0 < width <= self.free_processors:
+            raise self._refusal(job, now)
+        self._used += width
+        record = RunningJob(job, now, width, runtime)
+        self._running[job_id] = record
+        heapq.heappush(self._completion_heap, (record.end_time, job_id))
         self._version += 1
         if self._sorted_plan is not None:
             if estimator is self._sorted_plan_estimator:
-                entry = (record.estimated_end_time(estimator), allocation.processors)
+                entry = (record.estimated_end_time(estimator), width)
                 insort(self._sorted_plan, entry)
-                self._sorted_plan_entries[job.job_id] = entry
+                self._sorted_plan_entries[job_id] = entry
             else:
                 self._drop_sorted_plan()
         return record
+
+    def _refusal(self, job: Job, now: float) -> Exception:
+        """Why the scalar machine cannot start ``job`` at ``now``."""
+        width = job.requested_processors
+        if not 0 < width <= self.num_processors:
+            return ValueError(
+                f"job {job.job_id} requests {width} processors; the machine has "
+                f"{self.num_processors}"
+            )
+        return RuntimeError(
+            f"job {job.job_id} requests {width} processors but only {self.free_processors} "
+            f"are free at t={now} ({self.drained_processors()} drained by the capacity schedule)"
+        )
 
     # -- sorted release plan ------------------------------------------------
     def _drop_sorted_plan(self) -> None:
         self._sorted_plan = None
         self._sorted_plan_estimator = None
         self._sorted_plan_entries.clear()
-
-    def _sorted_plan_remove(self, job_id: int) -> None:
-        entry = self._sorted_plan_entries.pop(job_id, None)
-        if entry is None or self._sorted_plan is None:
-            return
-        index = bisect_left(self._sorted_plan, entry)
-        # Equal entries are interchangeable for reservation queries; remove
-        # the first exact match in the equal run.
-        while self._sorted_plan[index] != entry:  # pragma: no cover - defensive
-            index += 1
-        del self._sorted_plan[index]
 
     def _sorted_releases(
         self, estimator: Callable[[Job], float]
@@ -583,7 +605,7 @@ class Machine:
         """
         if self._sorted_plan is None or self._sorted_plan_estimator is not estimator:
             entries = {
-                job_id: (record.estimated_end_time(estimator), record.allocation.processors)
+                job_id: (record.estimated_end_time(estimator), record.processors)
                 for job_id, record in self._running.items()
             }
             self._sorted_plan = sorted(entries.values())
@@ -591,16 +613,21 @@ class Machine:
             self._sorted_plan_entries = entries
         return self._sorted_plan
 
-    def _heap_entry_live(self, end_time: float, job_id: int) -> bool:
-        record = self._running.get(job_id)
-        return record is not None and record.end_time == end_time
-
     def next_completion_time(self) -> Optional[float]:
-        """Earliest true completion time among running jobs, or ``None`` if idle."""
-        heap = self._completion_heap
-        while heap and not self._heap_entry_live(*heap[0]):
+        """Earliest true completion time among running jobs, or ``None`` if idle.
+
+        A heap entry is live while its job runs with that end time; a job
+        released early (and perhaps restarted since) leaves a stale entry,
+        dropped here.
+        """
+        heap, running = self._completion_heap, self._running
+        while heap:
+            end_time, job_id = heap[0]
+            record = running.get(job_id)
+            if record is not None and record.end_time == end_time:
+                return end_time
             heapq.heappop(heap)
-        return heap[0][0] if heap else None
+        return None
 
     def last_completion_time(self) -> Optional[float]:
         """Latest true completion time among running jobs, or ``None`` if idle.
@@ -615,22 +642,18 @@ class Machine:
     def release_completed(self, now: float) -> List[RunningJob]:
         """Release every running job whose true end time is <= ``now``."""
         finished: List[RunningJob] = []
-        heap = self._completion_heap
+        heap, running = self._completion_heap, self._running
         while heap and heap[0][0] <= now + 1e-9:
             end_time, job_id = heapq.heappop(heap)
-            if not self._heap_entry_live(end_time, job_id):
-                continue
-            record = self._running[job_id]
+            record = running.get(job_id)
+            if record is None or record.end_time != end_time:
+                continue  # stale: released early (see next_completion_time)
             # Account utilization up to the completion instant (clamped so a
             # completion that technically precedes the last accounting point,
             # e.g. released late within the same timestep, never rewinds time).
-            self._account(max(min(record.end_time, now), self._last_accounting_time))
-            self.pool.release(record.allocation)
-            if self._allocator is not None:
-                self._allocator.release(self._group_allocs.pop(job_id))
-                self._needs.pop(job_id, None)
-            del self._running[job_id]
-            self._sorted_plan_remove(job_id)
+            self._account(max(min(end_time, now), self._last_accounting_time))
+            del running[job_id]
+            self._unbook(job_id, record)
             finished.append(record)
         if finished:
             self._version += 1
@@ -638,17 +661,31 @@ class Machine:
         return finished
 
     def release(self, job_id: int) -> RunningJob:
-        """Forcefully release a single running job (used by tests and what-if analysis)."""
+        """Forcefully release a single running job (node failures, tests and
+        what-if analysis); raises ``KeyError`` if it is not running."""
         record = self._running.pop(job_id, None)
         if record is None:
             raise KeyError(f"job {job_id} is not running")
-        self.pool.release(record.allocation)
-        if self._allocator is not None:
-            self._allocator.release(self._group_allocs.pop(job_id))
-            self._needs.pop(job_id, None)
+        self._unbook(job_id, record)
         self._version += 1
-        self._sorted_plan_remove(job_id)
         return record
+
+    def _unbook(self, job_id: int, record: RunningJob) -> None:
+        """Return a released run's processors: the busy count, the node-group
+        grant, and the sorted release plan's entry."""
+        self._used -= record.processors
+        if self.allocator is not None:
+            self.allocator.release(self._group_allocs.pop(job_id))
+            self._needs.pop(job_id, None)
+        plan = self._sorted_plan
+        if plan is not None:
+            entry = self._sorted_plan_entries.pop(job_id)
+            index = bisect_left(plan, entry)
+            # Equal entries are interchangeable for reservation queries; remove
+            # the first exact match in the equal run.
+            while plan[index] != entry:  # pragma: no cover - defensive
+                index += 1
+            del plan[index]
 
     # -- failures -----------------------------------------------------------
     def add_capacity_window(self, window: DowntimeWindow) -> None:
@@ -667,7 +704,7 @@ class Machine:
     def fail_nodes(
         self, now: float, processors: int, repair_end: float, start: float | None = None
     ) -> List[RunningJob]:
-        """``processors`` nodes fail; they rejoin the pool at ``repair_end``.
+        """``processors`` nodes fail; they return to service at ``repair_end``.
 
         Unlike a graceful drain, a failure **preempts**: running jobs are
         killed -- youngest start first, ties broken by job id, the Slurm-like
@@ -693,10 +730,10 @@ class Machine:
             raise ValueError(f"repair_end must lie after the failure instant, got {repair_end} <= {start}")
         self._account(now)
         self.add_capacity_window(
-            DowntimeWindow(start=start, end=repair_end, processors=min(processors, self.pool.total))
+            DowntimeWindow(start=start, end=repair_end, processors=min(processors, self.num_processors))
         )
         victims: List[RunningJob] = []
-        while self._running and self.pool.used > self.effective_capacity(now):
+        while self._running and self._used > self.effective_capacity(now):
             youngest = max(
                 self._running.values(), key=lambda r: (r.start_time, r.job.job_id)
             )
@@ -721,7 +758,7 @@ class Machine:
         if cached is not None and cached[0] == self._version and cached[1] is estimator:
             return cached[2]
         releases = [
-            (r.estimated_end_time(estimator), r.allocation.processors)
+            (r.estimated_end_time(estimator), r.processors)
             for r in self._running.values()
         ]
         self._release_plan = (self._version, estimator, releases)
@@ -748,7 +785,7 @@ class Machine:
         merged timeline and the returned reservation is the earliest instant
         at which the job fits within the in-service capacity.
         """
-        if self._allocator is not None:
+        if self.allocator is not None:
             return self._group_reservation(job, now, estimator)
         needed = job.requested_processors
         free = self.free_processors
@@ -788,16 +825,13 @@ class Machine:
     ) -> Tuple[float, int, None]:
         """Merged release/capacity-boundary walk for machines with drains."""
         needed = job.requested_processors
-        raw_free = self.pool.free
+        raw_free = self.num_processors - self._used
         releases = sorted(
             (max(end_time, now), processors)
             for end_time, processors in self.estimated_releases(estimator)
         )
         events = {t for t, _ in releases}
-        for window in self.capacity_schedule:
-            for boundary in (window.start, window.end):
-                if boundary > now + _EPS:
-                    events.add(boundary)
+        events.update(self._boundaries_after(now))
         released = 0
         index = 0
         for event_time in sorted(events):
@@ -828,7 +862,7 @@ class Machine:
         candidates against it).
         """
         request, eligible = self.job_need(job)
-        allocator = self._allocator
+        allocator = self.allocator
         if not eligible:
             raise RuntimeError(
                 f"job {job.job_id} requests {request.as_dict()} (partition "
@@ -840,15 +874,12 @@ class Machine:
         )
         events = {now}
         events.update(time for time, _ in releases)
-        for window in self.capacity_schedule:
-            for boundary in (window.start, window.end):
-                if boundary > now + _EPS:
-                    events.add(boundary)
+        events.update(self._boundaries_after(now))
         # ``plan`` holds each group's books plus the grants released so far;
         # only the eligible groups are turned into availability per event, the
         # all-groups map (declaration order) only at the instant found.
         plan = allocator.free_map()
-        edges = self._window_facts()[1]
+        edges = self._window_facts().edges
         drains: Optional[Dict[str, ResourceVector]] = None
         edge = 0
 
@@ -885,9 +916,9 @@ class Machine:
 
     def reset(self) -> None:
         self._running.clear()
-        self.pool.reset()
-        if self._allocator is not None:
-            self._allocator.reset()
+        self._used = 0
+        if self.allocator is not None:
+            self.allocator.reset()
             self._group_allocs.clear()
             self._needs.clear()
         self._busy_area = 0.0

@@ -1,31 +1,25 @@
-"""Resource accounting: the scalar processor pool and the typed resource vector.
+"""Resource types: the typed resource vector, node groups and topologies.
 
 The paper assumes a homogeneous HPC machine, so resource availability reduces
 to a count of free processors (§3.2: "the availability is a percentage of
-available computing nodes").  :class:`ResourcePool` is that scalar model and
-stays the zero-overhead fast path for every homogeneous configuration.  The
-pool hands out explicit :class:`Allocation` tokens so double-releases and
-foreign releases are caught immediately instead of silently corrupting the
-free count.
+available computing nodes"); :class:`~repro.cluster.machine.Machine` keeps
+that count as one int busy count on every layout.
 
 Heterogeneous clusters generalize the scalar to a :class:`ResourceVector`
 (cpus, memory, gpus) over named :class:`NodeGroup` partitions collected into a
 :class:`ClusterTopology`; placement over groups is the allocator layer's job
 (:mod:`repro.cluster.allocator`).  The homogeneous-reduction contract
 (docs/cluster.md): a one-group cpu-only topology performs exactly the integer
-arithmetic of :class:`ResourcePool`, so scalar configurations stay
+arithmetic of the machine's free count, so scalar configurations stay
 bit-identical.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 __all__ = [
-    "Allocation",
-    "ResourcePool",
     "ResourceVector",
     "NodeGroup",
     "ClusterTopology",
@@ -197,82 +191,3 @@ class ClusterTopology:
             if group.partition == partition:
                 return group
         return None
-
-
-@dataclass(frozen=True, slots=True)
-class Allocation:
-    """A granted set of processors; opaque token returned by :meth:`ResourcePool.allocate`."""
-
-    allocation_id: int
-    processors: int
-
-
-@dataclass
-class ResourcePool:
-    """Counting allocator over ``total`` identical processors."""
-
-    total: int
-    _free: int = field(init=False)
-    _live: dict[int, int] = field(init=False, default_factory=dict)
-    _ids: "itertools.count[int]" = field(init=False, default_factory=itertools.count, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.total <= 0:
-            raise ValueError(f"cluster must have a positive number of processors, got {self.total}")
-        self._free = self.total
-
-    @property
-    def free(self) -> int:
-        """Number of currently unallocated processors."""
-        return self._free
-
-    @property
-    def used(self) -> int:
-        return self.total - self._free
-
-    @property
-    def free_fraction(self) -> float:
-        """Fraction of the machine that is idle (the observation feature in §3.2)."""
-        return self._free / self.total
-
-    def can_allocate(self, processors: int) -> bool:
-        return 0 < processors <= self._free
-
-    def allocate(self, processors: int) -> Allocation:
-        """Reserve ``processors`` processors, raising if they are not available."""
-        if processors <= 0:
-            raise ValueError(f"cannot allocate a non-positive processor count: {processors}")
-        if processors > self.total:
-            raise ValueError(
-                f"request for {processors} processors exceeds the machine size {self.total}"
-            )
-        if processors > self._free:
-            raise RuntimeError(
-                f"insufficient processors: requested {processors}, only {self._free} free"
-            )
-        allocation = Allocation(allocation_id=next(self._ids), processors=processors)
-        self._live[allocation.allocation_id] = processors
-        self._free -= processors
-        return allocation
-
-    def release(self, allocation: Allocation) -> None:
-        """Return an allocation's processors to the pool."""
-        stored = self._live.pop(allocation.allocation_id, None)
-        if stored is None:
-            raise RuntimeError(
-                f"allocation {allocation.allocation_id} is not live (double release or foreign token)"
-            )
-        if stored != allocation.processors:
-            raise RuntimeError(
-                f"allocation {allocation.allocation_id} size mismatch: "
-                f"recorded {stored}, token says {allocation.processors}"
-            )
-        self._free += stored
-
-    def reset(self) -> None:
-        """Release everything (used when a simulation is restarted)."""
-        self._live.clear()
-        self._free = self.total
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ResourcePool(total={self.total}, free={self._free}, live={len(self._live)})"

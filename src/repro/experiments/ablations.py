@@ -2,8 +2,8 @@
 
 The paper fixes several design parameters without ablation (the delay-violation
 penalty, the observation size MAX_OBSV_SIZE, and the heuristic baseline used
-in the reward).  These drivers quantify their impact so the design choices
-recorded in DESIGN.md are backed by measurements:
+in the reward).  These drivers quantify their impact, so that each of those
+choices is backed by a measurement:
 
 * ``delay_penalty`` -- how strongly the agent is punished for backfills that
   would delay the reserved job.

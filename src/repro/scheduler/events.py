@@ -152,11 +152,13 @@ class DecisionPoint:
         # machine, where the width rule holds it anyway; on a node-group
         # machine, where no rule needs it, read when first asked for
         # (``_live``).
-        self._count: Optional[int] = None
         if machine is None:
-            self._count = 0
+            count = 0
         elif machine.allocator is None:
-            self._count = machine.free_processors
+            count = machine.free_processors
+        else:
+            count = None
+        self._count: Optional[int] = count
         # The rule the candidates are derived by, captured now: the machine
         # moves on once the point is answered.  ``_free`` is the free count
         # of the width rule, ``_fits`` a node-group machine's placement rule;
@@ -164,8 +166,8 @@ class DecisionPoint:
         self._free: Optional[int] = None
         self._fits: Optional[Callable[[Job], bool]] = None
         if candidates is None:
-            if self._count is not None:
-                self._free = self._count
+            if count is not None:
+                self._free = count
             else:
                 self._fits = machine.fit_rule()
 
@@ -298,7 +300,7 @@ class DecisionPoint:
         at the reservation instant, so a long-running backfill can never eat
         into the resources the reservation counts on.
         """
-        reservation_time, extra, spares = self._reserved()
+        reservation_time, extra, spares = self._reservation or self._reserved()
         if self.time + estimated_runtime <= reservation_time + 1e-9:
             return False
         if spares is not None and self.machine is not None:

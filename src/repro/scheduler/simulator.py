@@ -23,7 +23,7 @@ Simulation rules (matching the paper's setting):
 from __future__ import annotations
 
 import math
-from bisect import insort
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
@@ -195,11 +195,13 @@ class _SimState:
         width = job.requested_processors
         self.queued_widths[width] = self.queued_widths.get(width, 0) + 1
 
-    def queue_index(self, job_id: int) -> Optional[int]:
-        """Position of the queued job with ``job_id``, or ``None``."""
-        for index, queued in enumerate(self.queue):
-            if queued.job_id == job_id:
-                return index
+    def queue_index(self, job: Job) -> Optional[int]:
+        """Position of ``job`` in the queue, found by its ``(submit_time,
+        job_id)`` place, or ``None`` if it is not queued there."""
+        queue = self.queue
+        index = bisect_left(queue, arrival_key(job), key=arrival_key)
+        if index < len(queue) and queue[index].job_id == job.job_id:
+            return index
         return None
 
     def dequeue(self, index: int) -> None:
@@ -388,7 +390,8 @@ class Simulator:
                 # Failures dated at or before the first arrival hit an empty
                 # machine but still inject their repair windows before the
                 # first decision.
-                self._process_failures(state)
+                if state.failures:
+                    self._process_failures(state)
             while True:
                 if state.schedule_due:
                     state.schedule_due = False
@@ -409,15 +412,24 @@ class Simulator:
                 state.now = max(state.now, next_time)
                 state.machine.release_completed(state.now)
                 self._admit(state)
-                self._process_failures(state)
+                if state.failures:
+                    self._process_failures(state)
                 state.schedule_due = True
         finally:
             _flush_sim_counters(state)
 
     def _next_event_time(self, state: _SimState, final: bool) -> float:
         """The next event instant after the current one, or ``inf`` if none is known."""
-        next_arrival = state.pending[0].submit_time if state.pending else math.inf
-        next_failure = self._next_failure_time(state)
+        machine = state.machine
+        next_time = state.pending[0].submit_time if state.pending else math.inf
+        if state.queue:
+            next_completion = machine.next_completion_time()
+            if next_completion is not None and next_completion < next_time:
+                next_time = next_completion
+        if state.failures:
+            next_failure = self._next_failure_time(state)
+            if next_failure < next_time:
+                next_time = next_failure
         if not state.queue:
             # With an empty waiting queue, intermediate completions cannot
             # enable any scheduling decision, so skip the event gap in one
@@ -426,24 +438,20 @@ class Simulator:
             # completion, draining the machine.  Utilization accounting stays
             # exact because ``release_completed`` integrates each release at
             # its own completion instant.
-            next_time = min(next_arrival, next_failure)
             if final and math.isinf(next_time):
-                last_completion = state.machine.last_completion_time()
+                last_completion = machine.last_completion_time()
                 if last_completion is not None:
                     next_time = last_completion
             return next_time
-        next_completion = state.machine.next_completion_time()
-        next_completion = math.inf if next_completion is None else next_completion
-        next_time = min(next_arrival, next_completion, next_failure)
-        if state.machine.capacity_schedule:
+        if machine.capacity_schedule:
             # A capacity boundary can unblock (window end) or further
             # constrain (window start) the waiting queue, so it is a
             # scheduling event whenever jobs are waiting.  The machine's
             # schedule (not the simulator's) is consulted so the repair
             # windows injected by earlier failures produce events too.
-            next_capacity = state.machine.next_capacity_event(state.now)
-            if next_capacity is not None:
-                next_time = min(next_time, next_capacity)
+            next_capacity = machine.next_capacity_event(state.now)
+            if next_capacity is not None and next_capacity < next_time:
+                next_time = next_capacity
         return next_time
 
     def _admit(self, state: _SimState) -> None:
@@ -451,17 +459,13 @@ class Simulator:
             state.enqueue(state.pending.popleft())
 
     def _start(self, state: _SimState, job: Job, backfilled: bool) -> None:
-        remaining = state.remaining.pop(job.job_id, None)
-        record = state.machine.start(
-            job, state.now, estimator=self.estimator, runtime=remaining
-        )
-        state.records[job.job_id] = JobRecord(
-            job=job,
-            start_time=state.now,
-            end_time=record.end_time,
-            backfilled=backfilled,
-            restarts=state.restarts.get(job.job_id, 0),
-            runtime_override=remaining,
+        job_id, now = job.job_id, state.now
+        # Only a job preempted by a node failure has a remaining runtime or
+        # a restart count.
+        remaining = state.remaining.pop(job_id, None) if state.remaining else None
+        record = state.machine.start(job, now, self.estimator, remaining)
+        state.records[job_id] = JobRecord(
+            job, now, record.end_time, backfilled, state.restarts.get(job_id, 0), remaining
         )
         if backfilled:
             state.backfill_count += 1
@@ -475,16 +479,16 @@ class Simulator:
         exists and time must advance), ``None`` if the queue was drained.
         """
         state.schedule_passes += 1
-        while state.queue:
+        queue, machine, policy = state.queue, state.machine, self.policy
+        by_arrival = policy.selects_by_arrival
+        while queue:
             # state.queue is sorted by (submit_time, job_id), so arrival-order
-            # policies (FCFS) take the head directly instead of scanning.
-            if self.policy.selects_by_arrival:
-                rjob = state.queue[0]
-            else:
-                rjob = self.policy.select(state.queue, state.now)
-            if state.machine.can_start(rjob):
+            # policies (FCFS) take -- and dequeue -- the head directly instead
+            # of scanning.
+            rjob = queue[0] if by_arrival else policy.select(queue, state.now)
+            if machine.can_start(rjob):
                 self._start(state, rjob, backfilled=False)
-                state.dequeue(state.queue_index(rjob.job_id))
+                state.dequeue(0 if by_arrival else state.queue_index(rjob))
                 continue
             # Backfilling opportunity: the selected job is blocked.
             yield from self._backfill_opportunity(state, rjob)
@@ -499,8 +503,9 @@ class Simulator:
         # first asks (conservative never does); a stateful one is asked now,
         # in the order it always was.
         deferred = getattr(estimator, "stateless", False)
+        scalar = machine.allocator is None
         while True:
-            if machine.allocator is None:
+            if scalar:
                 # The census answers "is there a candidate" without visiting
                 # the queue.  The reserved job is counted in it but is blocked,
                 # so it is wider than the free count and never the reason for
@@ -530,11 +535,10 @@ class Simulator:
             decision.expire()
             if choice is None:
                 return
-            chosen_id = choice.job_id
-            index = state.queue_index(chosen_id)
+            index = state.queue_index(choice)
             if index is None or not decision.candidate_slots((state.queue[index],)):
                 raise ValueError(
-                    f"backfill strategy returned job {chosen_id} which is not a candidate "
+                    f"backfill strategy returned job {choice.job_id} which is not a candidate "
                     f"(candidates: {sorted(decision.candidate_ids())})"
                 )
             self._start(state, choice, backfilled=True)

@@ -3,8 +3,9 @@
 ``load_trace("SDSC-SP2")`` returns the trace used throughout the experiments.
 When the environment variable ``REPRO_SWF_DIR`` points at a directory with
 the original archive files (``SDSC-SP2-1998-4.2-cln.swf`` etc.), those are
-parsed and used.  Otherwise the calibrated synthetic substitutes documented
-in DESIGN.md §4 are generated deterministically from the trace name.
+parsed and used.  Otherwise the calibrated synthetic substitutes described in
+docs/scenarios.md ("Base traces") are generated deterministically from the
+trace name.
 
 The registry is extensible: :func:`register_trace` adds a new named loader,
 which the experiment drivers then accept anywhere a built-in name is used.

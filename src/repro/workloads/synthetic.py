@@ -20,9 +20,10 @@ The generators model the properties that matter to backfilling research:
   inflated by a random factor and snapped to "round" wall-clock values, the
   behaviour documented for real users by Mu'alem & Feitelson (2001).
 
-The substitution is recorded in DESIGN.md §4.  Real SWF files, when
-available, can be loaded with :func:`repro.workloads.swf.read_swf` and used
-everywhere a synthetic trace is used.
+The substitution is described in docs/scenarios.md ("Base traces").  Real
+SWF files, when available, can be loaded with
+:func:`repro.workloads.swf.read_swf` and used everywhere a synthetic trace is
+used.
 """
 
 from __future__ import annotations

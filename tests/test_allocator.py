@@ -7,7 +7,7 @@ Property tests (hypothesis) for the contracts ``docs/cluster.md`` promises:
 * **no oversubscription** -- under any feasible request stream, no group's
   live grants ever exceed its capacity in any resource component;
 * **homogeneous reduction** -- a one-group cpu-only allocator performs the
-  scalar :class:`ResourcePool` arithmetic bit for bit, op for op.
+  scalar free-count arithmetic bit for bit, op for op.
 """
 
 import pytest
@@ -23,7 +23,6 @@ from repro.cluster.allocator import (
 from repro.cluster.resources import (
     ClusterTopology,
     NodeGroup,
-    ResourcePool,
     ResourceVector,
 )
 from repro.workloads.job import Job
@@ -140,25 +139,27 @@ def test_no_group_oversubscription(case):
     st.sampled_from(ALLOCATOR_POLICIES),
 )
 def test_homogeneous_reduction_matches_resource_pool(total, ops, policy):
-    """One cpu-only group == the scalar pool: same outcomes, same free counts."""
+    """One cpu-only group == a scalar free count: same outcomes, same free counts."""
     topology = ClusterTopology.homogeneous(total)
     allocator = make_allocator(policy, topology)
-    pool = ResourcePool(total=total)
+    free = total
     vector_live = []
     scalar_live = []
     for is_alloc, value in ops:
         if is_alloc:
             request = ResourceVector(cpus=value)
-            assert allocator.can_allocate(request) == pool.can_allocate(value)
-            if pool.can_allocate(value):
+            fits = 0 < value <= free
+            assert allocator.can_allocate(request) == fits
+            if fits:
                 vector_live.append(allocator.allocate(request))
-                scalar_live.append(pool.allocate(value))
+                scalar_live.append(value)
+                free -= value
         elif scalar_live:
             index = value % len(scalar_live)
             allocator.release(vector_live.pop(index))
-            pool.release(scalar_live.pop(index))
-        assert allocator.total_free.cpus == pool.free
-        assert allocator.free("all").cpus == pool.free
+            free += scalar_live.pop(index)
+        assert allocator.total_free.cpus == free
+        assert allocator.free("all").cpus == free
 
 
 # -- deterministic unit tests ------------------------------------------------

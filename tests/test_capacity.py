@@ -94,6 +94,19 @@ class TestMachineCapacity:
         assert machine.next_capacity_event(10.0) == 20.0
         assert machine.next_capacity_event(20.0) is None
 
+    def test_injected_window_renews_the_schedule_caches(self):
+        machine = Machine(16, capacity_schedule=[DowntimeWindow(100.0, 200.0, 4)])
+        machine.advance_to(10.0)
+        # Fill both caches: the drained count of t=10 and the sorted boundaries.
+        assert machine.free_processors == 16
+        assert machine.next_capacity_event(10.0) == 100.0
+        victims = machine.fail_nodes(now=10.0, processors=6, repair_end=50.0)
+        assert victims == []
+        assert machine.drained_processors() == 6
+        assert machine.free_processors == 10
+        assert machine.next_capacity_event(10.0) == 50.0
+        assert machine.next_capacity_event(50.0) == 100.0
+
     def test_utilization_counts_busy_only(self):
         machine = Machine(10, capacity_schedule=[DowntimeWindow(0.0, 100.0, 5)])
         machine.start(_job(1, 0, 100, 5), now=0.0)

@@ -1,63 +1,76 @@
-"""Tests for the resource pool and machine model."""
+"""Tests for the machine model: its processor count and running jobs."""
 
 import pytest
 
 from repro.cluster.machine import Machine, total_requested_processors
-from repro.cluster.resources import ResourcePool
 from repro.prediction.predictors import ActualRuntime, UserEstimate
 from tests.conftest import make_job
 
 
+def _zero_width_job():
+    """A job no trace can hold (``Job`` rejects a non-positive width), for the
+    machine's own guard."""
+    job = make_job(1)
+    object.__setattr__(job, "requested_processors", 0)
+    return job
+
+
 class TestResourcePool:
+    """The machine's processor pool: one busy count over identical processors,
+    and the guards every start and release keeps."""
+
     def test_initial_state(self):
-        pool = ResourcePool(total=64)
-        assert pool.free == 64
-        assert pool.used == 0
-        assert pool.free_fraction == 1.0
+        machine = Machine(64)
+        assert machine.free_processors == 64
+        assert machine.num_running == 0
+        assert machine.free_fraction == 1.0
 
     def test_allocate_release(self):
-        pool = ResourcePool(total=16)
-        alloc = pool.allocate(10)
-        assert pool.free == 6
-        pool.release(alloc)
-        assert pool.free == 16
+        machine = Machine(16)
+        machine.start(make_job(1, processors=10), now=0.0)
+        assert machine.free_processors == 6
+        machine.release(1)
+        assert machine.free_processors == 16
 
     def test_allocate_too_many(self):
-        pool = ResourcePool(total=8)
-        pool.allocate(6)
-        with pytest.raises(RuntimeError):
-            pool.allocate(3)
+        machine = Machine(8)
+        machine.start(make_job(1, processors=6), now=0.0)
+        with pytest.raises(RuntimeError, match="only 2 are free"):
+            machine.start(make_job(2, processors=3), now=0.0)
+        assert machine.free_processors == 2
+        assert machine.num_running == 1
 
     def test_allocate_more_than_machine(self):
-        with pytest.raises(ValueError):
-            ResourcePool(total=8).allocate(9)
+        with pytest.raises(ValueError, match="the machine has 8"):
+            Machine(8).start(make_job(1, processors=9), now=0.0)
 
     def test_allocate_non_positive(self):
-        with pytest.raises(ValueError):
-            ResourcePool(total=8).allocate(0)
+        with pytest.raises(ValueError, match="requests 0 processors"):
+            Machine(8).start(_zero_width_job(), now=0.0)
 
     def test_double_release(self):
-        pool = ResourcePool(total=8)
-        alloc = pool.allocate(4)
-        pool.release(alloc)
-        with pytest.raises(RuntimeError):
-            pool.release(alloc)
+        machine = Machine(8)
+        machine.start(make_job(1, processors=4), now=0.0)
+        machine.release(1)
+        with pytest.raises(KeyError):
+            machine.release(1)
+        assert machine.free_processors == 8
 
     def test_can_allocate(self):
-        pool = ResourcePool(total=8)
-        assert pool.can_allocate(8)
-        assert not pool.can_allocate(9)
-        assert not pool.can_allocate(0)
+        machine = Machine(8)
+        assert machine.can_start(make_job(1, processors=8))
+        assert not machine.can_start(make_job(2, processors=9))
+        assert not machine.can_start(_zero_width_job())
 
     def test_invalid_total(self):
         with pytest.raises(ValueError):
-            ResourcePool(total=0)
+            Machine(0)
 
     def test_reset(self):
-        pool = ResourcePool(total=8)
-        pool.allocate(5)
-        pool.reset()
-        assert pool.free == 8
+        machine = Machine(8)
+        machine.start(make_job(1, processors=5), now=0.0)
+        machine.reset()
+        assert machine.free_processors == 8
 
 
 class TestMachine:

@@ -71,3 +71,31 @@ def test_the_stateful_estimator_draw_order_is_pinned():
         )
         capture_decisions(simulator, jobs)
         assert corpus._asks(estimator), key
+
+
+def test_utilization_is_the_busy_area_the_records_hold():
+    """``metrics.utilization``, which no digest hashes, is the busy area the
+    records hold over the nameplate capacity up to the last completion.  Cells
+    with node failures are left out: a killed run adds busy area no record
+    holds."""
+    checked = 0
+    for key, thunk in corpus.cells():
+        _, _, variant, priority, estimator_name, strategy = key.split("/")
+        if variant not in ("plain", "drain") or (priority, estimator_name) != ("FCFS", "user"):
+            continue
+        if strategy not in ("none", "easy-fcfs", "cons-fcfs-dall-call"):
+            continue
+        jobs, kwargs, priority, estimator_name, make_strategy = thunk.args
+        simulator = Simulator(
+            corpus.CPUS, policy=priority, backfill=make_strategy(),
+            estimator=corpus.ESTIMATORS[estimator_name](), **kwargs,
+        )
+        result = simulator.run(jobs)
+        busy = sum(
+            r.job.requested_processors * (r.end_time - r.start_time) for r in result.records
+        )
+        expected = busy / (max(r.end_time for r in result.records) * corpus.CPUS)
+        utilization = result.metrics.utilization
+        assert abs(utilization - expected) <= 1e-12 * utilization, (key, utilization, expected)
+        checked += 1
+    assert checked == 48
