@@ -3,7 +3,8 @@
 The lane pool exchanges a round with every worker in milliseconds, which is
 what this module exists for; scenario evaluation, whose cells run for
 seconds, uses :class:`concurrent.futures.ProcessPoolExecutor` and takes only
-:func:`worker_context` and :func:`available_worker_count` from here.
+:func:`worker_context` and :func:`available_worker_count` from here, and the
+PPO update's forked actor takes :func:`worker_context` and :func:`blas_threads`.
 
 The parent process and each lane-pool worker exchange **fixed-layout frames**
 through :class:`ShmRing`, a single-producer/single-consumer ring buffer laid
@@ -27,6 +28,8 @@ unlinks the segment.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import multiprocessing
 import os
 import time
@@ -43,15 +46,17 @@ __all__ = [
     "RingClosed",
     "RingTimeout",
     "available_worker_count",
+    "blas_threads",
     "worker_context",
 ]
 
 
 def worker_context():
-    """The :mod:`multiprocessing` context both worker pools start from.
+    """The :mod:`multiprocessing` context the worker pools and the PPO update
+    start their processes from.
 
-    ``fork`` where the platform has it (workers inherit the lane environments
-    or scenario specs without pickling them), ``spawn`` otherwise.
+    ``fork`` where the platform has it (workers inherit the lane environments,
+    scenario specs or update inputs without pickling them), ``spawn`` otherwise.
     """
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
@@ -63,6 +68,52 @@ def available_worker_count() -> int:
         return max(1, len(os.sched_getaffinity(0)))
     except AttributeError:  # pragma: no cover - non-Linux
         return max(1, os.cpu_count() or 1)
+
+
+#: ``get_num_threads`` of the OpenBLAS builds numpy ships with: numpy's own
+#: wheels (``scipy_openblas``, 64- and 32-bit integer) and a system OpenBLAS.
+_OPENBLAS_THREAD_QUERIES = (
+    "scipy_openblas_get_num_threads64_",
+    "scipy_openblas_get_num_threads",
+    "openblas_get_num_threads64_",
+    "openblas_get_num_threads",
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas_thread_query():
+    """The thread-count query of the OpenBLAS loaded into this process, or
+    ``None`` where none is found (another BLAS, or no ``/proc/self/maps``)."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = {
+                line.split(None, 5)[-1].strip() for line in maps if "openblas" in line.lower()
+            }
+    except OSError:
+        return None
+    for path in sorted(paths):
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _OPENBLAS_THREAD_QUERIES:
+            query = getattr(library, name, None)
+            if query is not None:
+                query.restype = ctypes.c_int
+                return query
+    return None
+
+
+def blas_threads() -> Optional[int]:
+    """Threads numpy's BLAS runs a large product on, read from the library
+    itself, or ``None`` where it cannot be read (only OpenBLAS is queried).
+
+    It is what ``OPENBLAS_NUM_THREADS`` / ``OMP_NUM_THREADS`` said when numpy
+    loaded, else one per core.  Two processes that each run more than one
+    BLAS thread oversubscribe the cores.
+    """
+    query = _openblas_thread_query()
+    return None if query is None else int(query())
 
 
 class RingClosed(RuntimeError):

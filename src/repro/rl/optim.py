@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -116,3 +116,20 @@ class Adam(Optimizer):
             m_hat = m / (1 - self.beta1**t)
             v_hat = v / (1 - self.beta2**t)
             param.data = param.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+    def moments(self) -> Tuple[int, List[Optional[np.ndarray]], List[Optional[np.ndarray]]]:
+        """``(step count, m, v)``, the moments in parameter order (``None``
+        for a parameter that has not been stepped yet)."""
+        m = [self._m.get(id(param)) for param in self.parameters]
+        v = [self._v.get(id(param)) for param in self.parameters]
+        return self._step_count, m, v
+
+    def load_moments(
+        self, step_count: int, m: Sequence[Optional[np.ndarray]], v: Sequence[Optional[np.ndarray]]
+    ) -> None:
+        """Install what :meth:`moments` returned (by another copy of this optimizer)."""
+        self._step_count = step_count
+        for param, m_i, v_i in zip(self.parameters, m, v):
+            if m_i is not None:
+                self._m[id(param)] = m_i
+                self._v[id(param)] = v_i

@@ -12,19 +12,35 @@ Only the update differentiates, so only the update builds a
 (:meth:`ActorCritic.infer_slot_scores`, :meth:`ActorCritic.infer_values`)
 and the same masked log-softmax
 (:func:`_masked_log_softmax`), so their floats equal the graph's bit for bit.
+
+The actor (kernel network) and the critic (value network) share nothing in an
+update but its inputs, so when numpy's BLAS runs one thread :meth:`PPO.update`
+forks one child per update to run the actor iterations while the parent runs
+the critic's.  The child computes the floats the same loop computes in-process
+and sends back the kernel weights, the policy Adam moments, the actor's stats
+and its iteration timings, which the parent installs and records; the weights
+are bit-identical either way.  A BLAS that runs more than one thread (OpenBLAS's
+default is one per core), one whose thread count cannot be read, or a platform
+without ``fork`` runs the same loop in-process, before the critic's: two
+processes of two BLAS threads each oversubscribe the cores, and on a 2-core box
+the overlap then made training 0.55-0.67x as fast as the loops back to back.
 """
 
 from __future__ import annotations
 
+import os
 import time
+import traceback
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from repro.obs import get_metrics, get_tracer
 from repro.rl.autograd import Tensor
+from repro.rl.ipc import blas_threads, worker_context
 from repro.rl.optim import Adam
 from repro.utils.rng import SeedLike, as_rng
 
@@ -99,11 +115,17 @@ class ActorCritic(ABC):
 
     @abstractmethod
     def policy_parameters(self) -> List[Tensor]:
-        ...
+        """The actor's trainable tensors; none of them is also in :meth:`value_parameters`."""
 
     @abstractmethod
     def value_parameters(self) -> List[Tensor]:
-        ...
+        """The critic's trainable tensors.
+
+        Disjoint from :meth:`policy_parameters` (:class:`PPO` checks): the
+        update may run the actor's iterations in another process and install
+        its weights after the critic's, which would overwrite a shared tensor's
+        critic steps.
+        """
 
     # -- the graph forward of the update ----------------------------------------
     def compact_slots(
@@ -285,6 +307,19 @@ class PPOUpdateStats:
     explained_variance: float
 
 
+class _PolicyRun(NamedTuple):
+    """What one update's actor loop leaves besides the weights and Adam moments."""
+
+    iterations_run: int
+    policy_loss: float
+    #: Policy-gradient L2 norm before clipping, last iteration run.
+    grad_norm: float
+    #: ``approximate_kl``, ``entropy`` and ``clip_fraction`` of the last iteration.
+    stats: Dict[str, float]
+    #: ``(start_ns, duration_ns)`` of each iteration run; empty unless observing.
+    timings: List[Tuple[int, int]]
+
+
 class PPO:
     """Clipped-surrogate PPO over an :class:`ActorCritic` model."""
 
@@ -292,6 +327,9 @@ class PPO:
         self.actor_critic = actor_critic
         self.config = config or PPOConfig()
         self.rng = as_rng(seed)
+        policy_ids = {id(param) for param in actor_critic.policy_parameters()}
+        if any(id(param) in policy_ids for param in actor_critic.value_parameters()):
+            raise ValueError("the policy and value parameters must not share a tensor")
         self.policy_optimizer = Adam(actor_critic.policy_parameters(), lr=self.config.policy_lr)
         self.value_optimizer = Adam(actor_critic.value_parameters(), lr=self.config.value_lr)
 
@@ -331,7 +369,16 @@ class PPO:
 
     # -- update ----------------------------------------------------------------
     def update(self, data: Dict[str, np.ndarray]) -> PPOUpdateStats:
-        """Run the PPO update on one epoch of trajectories (output of ``TrajectoryBuffer.get``)."""
+        """Run the PPO update on one epoch of trajectories (output of ``TrajectoryBuffer.get``).
+
+        The actor and the critic share nothing but these inputs, so when
+        numpy's BLAS runs one thread (:func:`~repro.rl.ipc.blas_threads`) the
+        actor loop (:meth:`_policy_iterations`) runs in a forked child while
+        this process runs the critic's (:meth:`_fork_actor`).  Otherwise, or
+        where ``fork`` is not a start method, the same loop runs here, before
+        the critic's.  Either way every float comes from the same code on the
+        same inputs.
+        """
         cfg = self.config
         # Update timing is diagnostic only: clocks are read when collection
         # or tracing is on, and nothing below feeds a timestamp back into the
@@ -340,14 +387,10 @@ class PPO:
         tracer = get_tracer()
         observing = registry.enabled or tracer.enabled
         if observing:
-            policy_hist = registry.histogram("ppo_policy_iteration_seconds")
-            value_hist = registry.histogram("ppo_value_iteration_seconds")
             t_update = time.perf_counter_ns()
 
-        # Everything the iterations share is built once: the tensors, the
-        # one-hot of the taken actions and the compacted policy inputs.
-        observations = Tensor(data["observations"])
-        returns = Tensor(data["returns"])
+        # Everything the actor's iterations share is built once: the one-hot
+        # of the taken actions and the compacted policy inputs.
         one_hot = np.zeros(data["masks"].shape, dtype=np.float64)
         one_hot[np.arange(one_hot.shape[0]), data["actions"]] = 1.0
         policy_inputs = (
@@ -356,11 +399,63 @@ class PPO:
             Tensor(data["advantages"]),
             Tensor(data["log_probs"]),
         )
+        critic = partial(self._value_iterations, data, observing)
 
-        max_grad_norm = np.inf if cfg.max_grad_norm is None else cfg.max_grad_norm
+        context = worker_context()
+        if context.get_start_method() == "fork" and blas_threads() == 1:
+            actor, (value_loss, explained_variance) = self._fork_actor(
+                context, policy_inputs, observing, critic
+            )
+        else:
+            actor = self._policy_iterations(policy_inputs, observing)
+            value_loss, explained_variance = critic()
+
+        if observing:
+            # The actor timed its iterations where it ran; ``perf_counter_ns``
+            # is the one monotonic clock of every process, so its spans sit
+            # inside this update's, beside the critic's.
+            policy_hist = registry.histogram("ppo_policy_iteration_seconds")
+            for start, duration in actor.timings:
+                policy_hist.observe(duration / 1e9)
+                tracer.complete("ppo.policy_iteration", start, duration, cat="train")
+            registry.counter("ppo_updates_total").inc()
+            registry.counter("ppo_policy_iterations_total").inc(actor.iterations_run)
+            registry.counter("ppo_value_iterations_total").inc(cfg.value_iterations)
+            tracer.complete(
+                "ppo.update",
+                t_update,
+                time.perf_counter_ns() - t_update,
+                cat="train",
+                args={"policy_iterations_run": actor.iterations_run},
+            )
+
+        return PPOUpdateStats(
+            policy_loss=actor.policy_loss,
+            value_loss=value_loss,
+            approximate_kl=actor.stats["approximate_kl"],
+            entropy=actor.stats["entropy"],
+            clip_fraction=actor.stats["clip_fraction"],
+            policy_iterations_run=actor.iterations_run,
+            grad_norm=actor.grad_norm,
+            explained_variance=explained_variance,
+        )
+
+    @property
+    def _max_grad_norm(self) -> float:
+        return np.inf if self.config.max_grad_norm is None else self.config.max_grad_norm
+
+    def _policy_iterations(self, policy_inputs: tuple, observing: bool) -> _PolicyRun:
+        """The actor loop of one update, KL early stop included.
+
+        Steps the kernel network and its Adam and records nothing: when
+        ``observing`` it returns each completed iteration's
+        ``(start_ns, duration_ns)`` for :meth:`update` to record.
+        """
+        cfg = self.config
         policy_loss_value = grad_norm = 0.0
         last_stats = {"approximate_kl": 0.0, "entropy": 0.0, "clip_fraction": 0.0}
         iterations_run = 0
+        timings: List[Tuple[int, int]] = []
         for _ in range(cfg.policy_iterations):
             t_iter = time.perf_counter_ns() if observing else 0
             self.policy_optimizer.zero_grad()
@@ -372,18 +467,24 @@ class PPO:
                 # off-policy.
                 break
             loss.backward()
-            grad_norm = self.policy_optimizer.clip_grad_norm(max_grad_norm)
+            grad_norm = self.policy_optimizer.clip_grad_norm(self._max_grad_norm)
             self.policy_optimizer.step()
             policy_loss_value = float(loss.numpy())
             iterations_run += 1
             if observing:
-                dt = time.perf_counter_ns() - t_iter
-                policy_hist.observe(dt / 1e9)
-                tracer.complete("ppo.policy_iteration", t_iter, dt, cat="train")
+                timings.append((t_iter, time.perf_counter_ns() - t_iter))
+        return _PolicyRun(iterations_run, policy_loss_value, grad_norm, last_stats, timings)
 
-        value_loss_value = explained_variance = 0.0
+    def _value_iterations(self, data: Dict[str, np.ndarray], observing: bool) -> Tuple[float, float]:
+        """The critic loop of one update: ``(last value loss, explained variance)``."""
+        observations = Tensor(data["observations"])
+        returns = Tensor(data["returns"])
         returns_variance = float(data["returns"].var())
-        for iteration in range(cfg.value_iterations):
+        if observing:
+            value_hist = get_metrics().histogram("ppo_value_iteration_seconds")
+            tracer = get_tracer()
+        value_loss_value = explained_variance = 0.0
+        for iteration in range(self.config.value_iterations):
             t_iter = time.perf_counter_ns() if observing else 0
             self.value_optimizer.zero_grad()
             diff = self.actor_critic.value(observations) - returns
@@ -392,33 +493,83 @@ class PPO:
                 explained_variance = 1.0 - float(diff.numpy().var()) / returns_variance
             value_loss = (diff * diff).mean()
             value_loss.backward()
-            self.value_optimizer.clip_grad_norm(max_grad_norm)
+            self.value_optimizer.clip_grad_norm(self._max_grad_norm)
             self.value_optimizer.step()
             value_loss_value = float(value_loss.numpy())
             if observing:
                 dt = time.perf_counter_ns() - t_iter
                 value_hist.observe(dt / 1e9)
                 tracer.complete("ppo.value_iteration", t_iter, dt, cat="train")
+        return value_loss_value, explained_variance
 
-        if observing:
-            registry.counter("ppo_updates_total").inc()
-            registry.counter("ppo_policy_iterations_total").inc(iterations_run)
-            registry.counter("ppo_value_iterations_total").inc(cfg.value_iterations)
-            tracer.complete(
-                "ppo.update",
-                t_update,
-                time.perf_counter_ns() - t_update,
-                cat="train",
-                args={"policy_iterations_run": iterations_run},
-            )
+    def _fork_actor(
+        self,
+        context,
+        policy_inputs: tuple,
+        observing: bool,
+        critic: Callable[[], Tuple[float, float]],
+    ) -> Tuple[_PolicyRun, Tuple[float, float]]:
+        """Run :meth:`_policy_iterations` in a forked child while ``critic()`` runs here.
 
-        return PPOUpdateStats(
-            policy_loss=policy_loss_value,
-            value_loss=value_loss_value,
-            approximate_kl=last_stats["approximate_kl"],
-            entropy=last_stats["entropy"],
-            clip_fraction=last_stats["clip_fraction"],
-            policy_iterations_run=iterations_run,
-            grad_norm=grad_norm,
-            explained_variance=explained_variance,
+        Installs the kernel weights and policy Adam moments the child sends
+        back and returns ``(the actor's run, critic())``.  The child is joined
+        on every path, and terminated first if this side raised.  An
+        exception in the child is re-raised here with its type; a child that
+        exits without sending is a ``RuntimeError`` naming its exit code.
+        """
+        receiver, sender = context.Pipe(duplex=False)
+        child = context.Process(
+            target=_actor_child,
+            args=(sender, self, policy_inputs, observing),
+            name="ppo-actor",
+            daemon=True,
         )
+        child.start()
+        sender.close()
+        try:
+            critic_result = critic()
+            try:
+                status, *payload = receiver.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(
+                    f"the PPO actor process exited with code {child.exitcode} "
+                    "without sending its result"
+                ) from None
+        except BaseException:
+            child.terminate()
+            raise
+        finally:
+            child.join()
+            receiver.close()
+        if status == "error":
+            error, child_traceback = payload
+            raise error from RuntimeError(f"in the PPO actor process:\n{child_traceback}")
+        run, weights, moments = payload
+        for param, array in zip(self.policy_optimizer.parameters, weights):
+            param.data = array
+        self.policy_optimizer.load_moments(*moments)
+        return run, critic_result
+
+
+def _actor_child(sender, ppo: PPO, policy_inputs: tuple, observing: bool) -> None:
+    """Body of :meth:`PPO._fork_actor`'s child: the actor loop, its outcome sent back.
+
+    Sends ``("ok", run, kernel weights, policy Adam moments)`` or
+    ``("error", exception, traceback text)``.  Touches no tracer, registry or
+    file, and leaves through ``os._exit`` so no finalizer or exit hook
+    inherited from the parent runs here; a result that cannot be sent exits
+    with code 1.
+    """
+    code = 1
+    try:
+        try:
+            run = ppo._policy_iterations(policy_inputs, observing)
+            optimizer = ppo.policy_optimizer
+            message = ("ok", run, [p.data for p in optimizer.parameters], optimizer.moments())
+        except BaseException as exc:
+            message = ("error", exc, traceback.format_exc())
+        sender.send(message)
+        code = 0
+    finally:
+        os._exit(code)

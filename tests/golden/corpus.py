@@ -14,10 +14,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import signal
+import subprocess
+import sys
 from functools import partial
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -312,3 +315,25 @@ def dumps(entries: dict) -> str:
 
 def load(path: Path = GOLDEN_FILE) -> dict:
     return json.loads(path.read_text())
+
+
+REPORTS_FILE = Path(__file__).with_name("reports.json")
+
+#: The evaluation workloads of ``bench/run.py`` whose report digest is recorded.
+REPORT_WORKLOADS = ("eval-rl-paper", "eval-conservative", "eval-hetero")
+
+_BENCH_RUN = Path(__file__).resolve().parents[2] / "bench" / "run.py"
+_REPORT_DIGEST = re.compile(r"^\s*\. report_digest = ([0-9a-f]+)\s*$", re.MULTILINE)
+
+
+def report_digest(workload: str, seed: int = 0) -> Tuple[Optional[str], str]:
+    """``(report_digest or None, the run's output)`` of one one-second untraced
+    ``bench/run.py`` run.  A digest covers every cell's schedule, so a change
+    that moves one decision of one cell moves it."""
+    command = [
+        sys.executable, str(_BENCH_RUN), "--workload", workload,
+        "--seed", str(seed), "--seconds", "1", "--trace", "0",
+    ]
+    run = subprocess.run(command, cwd=_BENCH_RUN.parents[1], capture_output=True, text=True)
+    found = _REPORT_DIGEST.findall(run.stdout)
+    return (found[-1] if run.returncode == 0 and found else None), run.stdout + run.stderr

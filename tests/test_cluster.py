@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cluster import ClusterTopology
 from repro.cluster.machine import Machine, total_requested_processors
 from repro.prediction.predictors import ActualRuntime, UserEstimate
 from tests.conftest import make_job
@@ -178,6 +179,27 @@ class TestEarliestStartEstimate:
         machine = Machine(16)
         with pytest.raises(RuntimeError):
             machine.reservation(make_job(1, processors=32), 0.0, ActualRuntime())
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 2: the scalar walk returns at the first release that "
+        "makes the job fit, missing the other releases at that instant",
+    )
+    def test_releases_at_one_instant_all_count_as_extra(self):
+        """Two 14-wide jobs estimated to end together free 28 at t=100, so a
+        20-wide reservation leaves 24 extra, as the one-group layout says."""
+
+        def reserve(machine):
+            for job_id in (1, 2):
+                machine.start(
+                    make_job(job_id, runtime=100, requested_time=100, processors=14), now=0.0
+                )
+            start, extra, _ = machine.reservation(make_job(3, processors=20), 0.0, UserEstimate())
+            return start, extra
+
+        one_group = reserve(Machine(44, topology=ClusterTopology.homogeneous(44)))
+        assert one_group == (100.0, 24)
+        assert reserve(Machine(44)) == one_group
 
 
 def test_total_requested_processors():
