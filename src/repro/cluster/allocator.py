@@ -14,7 +14,10 @@ Two policies are provided behind one interface:
   cpus left over (deterministic tie-break: declaration order).
 
 Accounting hands out explicit :class:`GroupAllocation` tokens, raising
-``RuntimeError`` on oversubscription, double release, and foreign tokens.  A
+``RuntimeError`` on oversubscription, double release, and foreign tokens.  The
+books are plain ``(cpus, memory, gpus)`` int triples per group, and a policy's
+placement rule (:meth:`Allocator.pick`) reads triples too; vectors are built
+only at the API edge (``free``, ``free_map``, ``place``, the tokens).  A
 one-group cpu-only topology performs the integer arithmetic of the machine's
 scalar free count bit for bit (the homogeneous-reduction contract,
 property-tested by ``tests/test_allocator.py``).
@@ -26,8 +29,11 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
-from repro.cluster.resources import ClusterTopology, NodeGroup, ResourceVector
+from repro.cluster.resources import _RESOURCE_NAMES, ClusterTopology, NodeGroup, ResourceVector
 from repro.workloads.job import Job
+
+#: ``(cpus, memory, gpus)``: a resource vector's components as plain ints.
+Amounts = Tuple[int, int, int]
 
 __all__ = [
     "GroupAllocation",
@@ -72,7 +78,7 @@ class GroupAllocation:
 class Allocator:
     """Group-placement policy plus per-group vector accounting.
 
-    Subclasses override :meth:`place`; everything else -- eligibility,
+    Subclasses override :meth:`pick`; everything else -- eligibility,
     conservation accounting, token discipline -- is shared.
     """
 
@@ -83,29 +89,31 @@ class Allocator:
         #: Bumped whenever the books change; keys readers' snapshots of them
         #: (``Machine`` may be handed an allocator that is also debited elsewhere).
         self.version = 0
-        self._free: Dict[str, ResourceVector] = {
-            group.name: group.capacity for group in topology.groups
+        self._free: Dict[str, Amounts] = {
+            group.name: group.capacity.amounts for group in topology.groups
         }
         self._live: Dict[int, GroupAllocation] = {}
         self._ids = itertools.count()
 
     # -- queries -------------------------------------------------------------
     def free(self, group: str) -> ResourceVector:
-        return self._free[group]
+        return ResourceVector(*self._free[group])
 
     def free_map(self) -> Dict[str, ResourceVector]:
-        """Current free vector per group (a copy; safe to adjust for drains)."""
-        return dict(self._free)
+        """Current free vector per group (the caller's own dict)."""
+        return {name: ResourceVector(*amounts) for name, amounts in self._free.items()}
+
+    def books(self) -> Mapping[str, Amounts]:
+        """The free ``(cpus, memory, gpus)`` per group, declaration order: the
+        books themselves, read only, moved by every grant and release."""
+        return self._free
 
     def used(self, group: str) -> ResourceVector:
-        return self.topology.group(group).capacity - self._free[group]
+        return self.topology.group(group).capacity - self.free(group)
 
     @property
     def total_free(self) -> ResourceVector:
-        total = ResourceVector()
-        for vector in self._free.values():
-            total = total + vector
-        return total
+        return ResourceVector(*(sum(column) for column in zip(*self._free.values())))
 
     def eligible_groups(self, request: ResourceVector, partition: int = -1) -> Tuple[NodeGroup, ...]:
         """Groups that could *ever* host ``request``, in declaration order.
@@ -123,15 +131,22 @@ class Allocator:
         """Whether some eligible group could host ``request`` on an empty machine."""
         return bool(self.eligible_groups(request, partition))
 
+    def pick(
+        self, amounts: Amounts, free: Mapping[str, Amounts], eligible: Tuple[NodeGroup, ...]
+    ) -> Optional[str]:
+        """The policy's placement rule: the group among ``eligible`` to place
+        ``amounts`` in, given free ``(cpus, memory, gpus)`` per group; ``None``
+        when none of them currently fits."""
+        raise NotImplementedError
+
     def place(
         self,
         request: ResourceVector,
         free: Mapping[str, ResourceVector],
         eligible: Tuple[NodeGroup, ...],
     ) -> Optional[str]:
-        """Pick the group among ``eligible`` to place ``request`` in, given
-        per-group free vectors; ``None`` when none of them currently fits."""
-        raise NotImplementedError
+        """:meth:`pick` for a request and free map given as vectors."""
+        return self.pick(request.amounts, _amounts(free, eligible), eligible)
 
     def select_group(
         self,
@@ -154,7 +169,9 @@ class Allocator:
     ) -> bool:
         if request.is_zero or request.cpus <= 0:
             return False
-        return self.select_group(request, free if free is not None else self._free, partition) is not None
+        eligible = self.eligible_groups(request, partition)
+        rows = self._free if free is None else _amounts(free, eligible)
+        return self.pick(request.amounts, rows, eligible) is not None
 
     # -- mutation ------------------------------------------------------------
     def allocate(
@@ -171,16 +188,18 @@ class Allocator:
         stale adjusted map can never corrupt the books.
         """
         eligible = self.eligible_groups(request, partition)
-        return self.grant(request, free if free is not None else self._free, eligible, partition)
+        rows = self._free if free is None else _amounts(free, eligible)
+        return self.grant(request, rows, eligible, partition)
 
     def grant(
         self,
         request: ResourceVector,
-        free: Mapping[str, ResourceVector],
+        free: Mapping[str, Amounts],
         eligible: Tuple[NodeGroup, ...],
         partition: int = -1,
     ) -> GroupAllocation:
-        """:meth:`allocate` for a caller that already holds ``eligible_groups(request, partition)``."""
+        """:meth:`allocate` for a caller that already holds ``eligible_groups(request,
+        partition)`` and a free ``(cpus, memory, gpus)`` per group to place on."""
         if request.cpus <= 0:
             raise ValueError(f"cannot allocate a non-positive cpu count: {request.cpus}")
         if not eligible:
@@ -188,21 +207,23 @@ class Allocator:
                 f"request {request.as_dict()} (partition {partition}) exceeds every "
                 f"node group's capacity"
             )
-        group = self.place(request, free, eligible)
+        cpus, memory, gpus = amounts = request.amounts
+        group = self.pick(amounts, free, eligible)
         if group is None:
             raise RuntimeError(
                 f"insufficient resources: no eligible group currently fits {request.as_dict()}"
             )
-        if not request.fits_in(self._free[group]):
+        free_cpus, free_memory, free_gpus = books = self._free[group]
+        if cpus > free_cpus or memory > free_memory or gpus > free_gpus:
             raise RuntimeError(
-                f"group {group!r} over-subscribed: free {self._free[group].as_dict()}, "
+                f"group {group!r} over-subscribed: free {dict(zip(_RESOURCE_NAMES, books))}, "
                 f"allocating {request.as_dict()}"
             )
         allocation = GroupAllocation(
             allocation_id=next(self._ids), group=group, vector=request
         )
         self._live[allocation.allocation_id] = allocation
-        self._free[group] = self._free[group] - request
+        self._free[group] = (free_cpus - cpus, free_memory - memory, free_gpus - gpus)
         self.version += 1
         return allocation
 
@@ -213,18 +234,20 @@ class Allocator:
                 f"allocation {allocation.allocation_id} is not live "
                 f"(double release or foreign token)"
             )
-        if stored != allocation:
+        if stored is not allocation and stored != allocation:
             raise RuntimeError(
                 f"allocation {allocation.allocation_id} token mismatch: "
                 f"recorded {stored}, token says {allocation}"
             )
-        self._free[allocation.group] = self._free[allocation.group] + allocation.vector
+        vector, group = allocation.vector, allocation.group
+        cpus, memory, gpus = self._free[group]
+        self._free[group] = (cpus + vector.cpus, memory + vector.memory, gpus + vector.gpus)
         self.version += 1
 
     def reset(self) -> None:
         self._live.clear()
         for group in self.topology.groups:
-            self._free[group.name] = group.capacity
+            self._free[group.name] = group.capacity.amounts
         self.version += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -239,14 +262,13 @@ class FirstFitAllocator(Allocator):
 
     name = "first_fit"
 
-    def place(
-        self,
-        request: ResourceVector,
-        free: Mapping[str, ResourceVector],
-        eligible: Tuple[NodeGroup, ...],
+    def pick(
+        self, amounts: Amounts, free: Mapping[str, Amounts], eligible: Tuple[NodeGroup, ...]
     ) -> Optional[str]:
+        cpus, memory, gpus = amounts
         for group in eligible:
-            if request.fits_in(free[group.name]):
+            free_cpus, free_memory, free_gpus = free[group.name]
+            if cpus <= free_cpus and memory <= free_memory and gpus <= free_gpus:
                 return group.name
         return None
 
@@ -260,23 +282,26 @@ class BestFitAllocator(Allocator):
 
     name = "best_fit"
 
-    def place(
-        self,
-        request: ResourceVector,
-        free: Mapping[str, ResourceVector],
-        eligible: Tuple[NodeGroup, ...],
+    def pick(
+        self, amounts: Amounts, free: Mapping[str, Amounts], eligible: Tuple[NodeGroup, ...]
     ) -> Optional[str]:
+        cpus, memory, gpus = amounts
         best: Optional[str] = None
         best_leftover = -1
         for group in eligible:
-            available = free[group.name]
-            if not request.fits_in(available):
+            free_cpus, free_memory, free_gpus = free[group.name]
+            if cpus > free_cpus or memory > free_memory or gpus > free_gpus:
                 continue
-            leftover = available.cpus - request.cpus
+            leftover = free_cpus - cpus
             if best is None or leftover < best_leftover:
                 best = group.name
                 best_leftover = leftover
         return best
+
+
+def _amounts(free: Mapping[str, ResourceVector], groups: Tuple[NodeGroup, ...]) -> Dict[str, Amounts]:
+    """``free``'s vectors of ``groups`` as ``(cpus, memory, gpus)`` triples."""
+    return {group.name: free[group.name].amounts for group in groups}
 
 
 #: Registered allocator policy names, in the order ``make_allocator`` accepts.

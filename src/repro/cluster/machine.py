@@ -21,16 +21,18 @@ capacity loss the moment a window opens.  Utilization accounting integrates
 utilization against its full nameplate capacity.
 
 Starting and releasing a job moves one int, the busy count, on every layout
-(a node-group machine's allocator books the placement beside it), and a
-running job is one slotted :class:`RunningJob` whose end time is worked out
-once.  Internal caches keep the hot simulator loop cheap without changing any
-observable behaviour (the heterogeneous ones -- per-job needs, one free-map
-snapshot per instant -- are specified in docs/cluster.md):
+(a node-group machine's allocator books the placement beside it, as int
+triples), and a running job is one slotted :class:`RunningJob` whose end time
+is worked out once.  Internal caches keep the hot simulator loop cheap without
+changing any observable behaviour (the heterogeneous ones -- per-job needs,
+the drain-adjusted free snapshot -- are specified in docs/cluster.md):
 
 * completion queries go through a lazily-invalidated min-heap of
   ``(end_time, job_id)`` entries instead of scanning every running job,
-* the estimated-release plan consumed by :meth:`Machine.reservation`
-  is memoized per (estimator, running-set version) so repeated backfilling
+* for a stateless estimator, the ``(estimated_end, processors, job_id)``
+  release plan :meth:`Machine.reservation` walks is kept sorted by
+  :meth:`Machine.start` and the releases, on both layouts; a stateful one's is
+  memoized per (estimator, running-set version), so repeated backfilling
   decisions at one instant do not re-query the runtime estimator, and
 * the drained count is worked out once per (instant, schedule tuple), and the
   window boundaries are sorted once per schedule tuple, so availability and
@@ -40,12 +42,15 @@ snapshot per instant -- are specified in docs/cluster.md):
 from __future__ import annotations
 
 import heapq
+import math
 from bisect import bisect_left, bisect_right, insort
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.cluster.allocator import (
     Allocator,
+    Amounts,
     GroupAllocation,
     job_request,
     make_allocator,
@@ -53,9 +58,23 @@ from repro.cluster.allocator import (
 from repro.cluster.resources import ClusterTopology, NodeGroup, ResourceVector
 from repro.workloads.job import Job
 
-__all__ = ["RunningJob", "Machine", "DowntimeWindow"]
+__all__ = ["RunningJob", "Machine", "DowntimeWindow", "SpareVectors"]
 
 _EPS = 1e-9
+
+#: The scalar machine's one group, as the census counts it (``eligible_positions``).
+_ONE_GROUP = (0,)
+
+
+def _clip(amounts: Amounts, drained: Optional[Amounts]) -> Amounts:
+    """``amounts`` less ``drained``, each component clipped at zero (drain semantics)."""
+    if drained is None:
+        return amounts
+    return (
+        max(amounts[0] - drained[0], 0),
+        max(amounts[1] - drained[1], 0),
+        max(amounts[2] - drained[2], 0),
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,13 +145,44 @@ class RunningJob:
         return self.start_time + max(float(estimator(self.job)), 0.0)
 
 
+class SpareVectors(Mapping):
+    """A node-group reservation's ``spare_vectors``: what each group has left
+    beside the reserved job, in declaration order.
+
+    Kept as ``(cpus, memory, gpus)`` rows (``rows``, read only) and read as a
+    :class:`ResourceVector` per group, built on the first read of that group:
+    most readers (:meth:`Machine.fits_beside`) compare the rows and never ask.
+    """
+
+    __slots__ = ("rows", "_vectors")
+
+    def __init__(self, rows: Dict[str, Amounts]):
+        self.rows = rows
+        self._vectors: Dict[str, ResourceVector] = {}
+
+    def __getitem__(self, name: str) -> ResourceVector:
+        vector = self._vectors.get(name)
+        if vector is None:
+            vector = self._vectors[name] = ResourceVector(*self.rows[name])
+        return vector
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.rows)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __repr__(self) -> str:
+        return f"SpareVectors({dict(self.items())!r})"
+
+
 class _ScheduleFacts(NamedTuple):
     """What one ``capacity_schedule`` tuple implies, derived once per tuple
     (it is replaced, never edited)."""
 
     schedule: Tuple[DowntimeWindow, ...]
-    #: ``(window, group name, drain vector)`` per window, in schedule order.
-    drains: List[Tuple[DowntimeWindow, str, ResourceVector]]
+    #: ``(window, group name, drained (cpus, memory, gpus))`` per window, in schedule order.
+    drains: List[Tuple[DowntimeWindow, str, Amounts]]
     #: The instants at which the active set changes (boundaries less ``_EPS``), sorted.
     edges: List[float]
     #: Every window boundary (start and end), sorted.
@@ -161,7 +211,8 @@ class Machine:
         self.topology = topology
         #: The placement policy, or ``None`` on a scalar machine (read only).
         self.allocator: Optional[Allocator] = None
-        self._group_allocs: Dict[int, GroupAllocation] = {}
+        #: Per running job: its allocator token and the ``(cpus, memory, gpus)`` it holds.
+        self._grants: Dict[int, Tuple[GroupAllocation, Amounts]] = {}
         if topology is not None:
             if topology.total_cpus != num_processors:
                 raise ValueError(
@@ -174,6 +225,17 @@ class Machine:
         #: The node groups reservations are planned on: the scalar machine is one
         #: cpu-only group.
         self.layout = topology if topology is not None else ClusterTopology.homogeneous(num_processors)
+        # Per group of ``layout``: whether it holds cpus only, so that a job's
+        # width alone decides whether it fits there (``census_fits``).
+        self._cpu_only: Tuple[bool, ...] = tuple(
+            not group.memory and not group.gpus for group in self.layout.groups
+        )
+        self._capacity: Dict[str, Amounts] = {
+            group.name: group.capacity.amounts for group in self.layout.groups
+        }
+        self._positions: Dict[str, int] = {
+            group.name: position for position, group in enumerate(self.layout.groups)
+        }
         #: Scheduled drains, sorted by start time; empty tuple = always full
         #: capacity (the default, and the zero-overhead fast path everywhere).
         self.capacity_schedule: Tuple[DowntimeWindow, ...] = tuple(
@@ -191,21 +253,32 @@ class Machine:
         # Version counter for the running set, bumped on every start/release;
         # keys the estimated-release-plan cache below.
         self._version = 0
-        self._release_plan: Optional[Tuple[int, object, List[Tuple[float, int]]]] = None
+        self._release_plan: Optional[Tuple[int, object, List[Tuple[float, int, int]]]] = None
         self._held_grants: Optional[Tuple[int, object, List[Tuple[str, float, tuple]]]] = None
-        # Incrementally-maintained *sorted* (estimated_end, processors) plan,
+        # The release plan, (estimated_end, processors, job_id) kept *sorted*,
         # valid only for a stateless estimator (one whose estimate is a pure
         # function of the job): entries are inserted at job start and removed
-        # at release, so reservation queries skip the per-decision sort.
-        self._sorted_plan: Optional[List[Tuple[float, int]]] = None
+        # at release, so reservation queries skip the per-decision sort.  Both
+        # walks read it: the scalar one the widths, the group one the grants.
+        self._sorted_plan: Optional[List[Tuple[float, int, int]]] = None
         self._sorted_plan_estimator: Optional[object] = None
-        self._sorted_plan_entries: Dict[int, Tuple[float, int]] = {}
+        self._sorted_plan_entries: Dict[int, Tuple[float, int, int]] = {}
         # Facts computed once at the scope where they are constant
         # (docs/cluster.md): per job, per instant, per schedule tuple.
-        self._needs: Dict[int, Tuple[Job, Tuple[ResourceVector, Tuple[NodeGroup, ...]]]] = {}
-        self._free_snapshot: Optional[tuple] = None
+        self._needs: Dict[int, tuple] = {}
         self._drained: Optional[Tuple[float, Tuple[DowntimeWindow, ...], int]] = None
         self._schedule_facts: Optional[_ScheduleFacts] = None
+        # The drain-adjusted free (cpus, memory, gpus) per group of a
+        # node-group machine, moved by the machine's own grants and releases
+        # and rebuilt when its key goes stale: the allocator's books version
+        # (a debit from outside), the schedule tuple, or the clock leaving the
+        # span of edge instants over which ``_drain`` (the active drains per
+        # group) holds.  Each update replaces the dict, never edits it.
+        self._avail: Dict[str, Amounts] = {}
+        self._avail_version: Optional[int] = None
+        self._avail_schedule: Optional[Tuple[DowntimeWindow, ...]] = None
+        self._span: Tuple[float, float] = (math.inf, -math.inf)
+        self._drain: Dict[str, Amounts] = {}
 
     # -- properties -------------------------------------------------------
     @property
@@ -223,7 +296,7 @@ class Machine:
         if not self.capacity_schedule:
             return self.num_processors - self._used
         if self.allocator is not None:
-            return sum(vector.cpus for vector in self._free_now().values())
+            return sum(row[0] for row in self._free_rows().values())
         return max(self.num_processors - self._used - self.drained_processors(), 0)
 
     @property
@@ -244,9 +317,12 @@ class Machine:
 
     def can_start(self, job: Job) -> bool:
         if self.allocator is not None:
-            request, eligible = self.job_need(job)
-            return request.cpus > 0 and (
-                self.allocator.place(request, self._free_now(), eligible) is not None
+            entry = self._needs.get(job.job_id)  # ``_need``'s memo, read inline
+            if entry is None or entry[0] is not job:
+                entry = self._need(job)
+            amounts = entry[2]
+            return amounts[0] > 0 and (
+                self.allocator.pick(amounts, self._free_rows(), entry[1][1]) is not None
             )
         return 0 < job.requested_processors <= self.free_processors
 
@@ -322,8 +398,8 @@ class Machine:
             return
         self.topology.group(window.group)  # raises KeyError on unknown names
 
-    def _window_drain(self, window: DowntimeWindow) -> Tuple[str, ResourceVector]:
-        """The group a window drains and the resource vector it takes out of it.
+    def _window_drain(self, window: DowntimeWindow) -> Tuple[str, Amounts]:
+        """The group a window drains and the ``(cpus, memory, gpus)`` it takes out of it.
 
         Nodes leave with their proportional share of the group's memory and
         GPUs (floor division -- draining half a group's cpus drains at most
@@ -333,11 +409,7 @@ class Machine:
         layout = self.layout
         group = layout.groups[0] if window.group is None else layout.group(window.group)
         procs = min(window.processors, group.cpus)
-        return group.name, ResourceVector(
-            cpus=procs,
-            memory=group.memory * procs // group.cpus,
-            gpus=group.gpus * procs // group.cpus,
-        )
+        return group.name, (procs, group.memory * procs // group.cpus, group.gpus * procs // group.cpus)
 
     def _window_facts(self) -> _ScheduleFacts:
         """The current ``capacity_schedule`` tuple's facts, derived on first use."""
@@ -353,16 +425,18 @@ class Machine:
             )
         return facts
 
-    def _group_drains(self, at: float) -> Dict[str, ResourceVector]:
-        """Drained vector per group at instant ``at`` (capped at group capacity)."""
-        drains: Dict[str, ResourceVector] = {}
-        for window, name, vector in self._window_facts().drains:
+    def _drains_at(self, at: float) -> Dict[str, Amounts]:
+        """Drained ``(cpus, memory, gpus)`` per group at instant ``at`` (capped
+        at group capacity; groups with no active window are absent)."""
+        drains: Dict[str, Amounts] = {}
+        for window, name, amounts in self._window_facts().drains:
             if window.start - _EPS > at:
                 break  # schedule is sorted by start; nothing later is active
             if window.active_at(at):
-                drains[name] = drains[name] + vector if name in drains else vector
-        for name, vector in drains.items():
-            drains[name] = vector.minimum(self.topology.group(name).capacity)
+                held = drains.get(name)
+                drains[name] = amounts if held is None else tuple(map(sum, zip(held, amounts)))
+        for name, amounts in drains.items():
+            drains[name] = tuple(map(min, amounts, self._capacity[name]))
         return drains
 
     def hetero_free_map(self, time: float | None = None) -> Dict[str, ResourceVector]:
@@ -371,33 +445,73 @@ class Machine:
         Each group's free vector is clipped independently: subtract the
         group's active drains from its free resources, never going negative.
         The result is the caller's own dict; an explicit ``time`` is always
-        computed afresh, the current instant is a copy of the snapshot.
+        computed afresh, the current instant is read off the snapshot.
         """
         if self.allocator is None:
             raise RuntimeError("hetero_free_map requires a heterogeneous machine")
         if time is None:
-            return dict(self._free_now())
-        free = self.allocator.free_map()
-        for name, drained in self._group_drains(time).items():
-            free[name] = free[name].clamped_sub(drained)
-        return free
+            rows = self._free_rows()
+        else:
+            drains = self._drains_at(time)
+            rows = {
+                name: _clip(amounts, drains.get(name))
+                for name, amounts in self.allocator.books().items()
+            }
+        return {name: ResourceVector(*row) for name, row in rows.items()}
 
-    def _free_now(self) -> Mapping[str, ResourceVector]:
-        """The drain-adjusted free map at the current instant, read-only.
+    def _free_rows(self) -> Mapping[str, Amounts]:
+        """The drain-adjusted free ``(cpus, memory, gpus)`` per group at the
+        current instant, declaration order, read only.
 
-        Built once per (allocator books version, clock, schedule tuple) and
-        shared by every availability query made at that instant.
+        Moved by the machine's own grants and releases (:meth:`_rebook`) and
+        rebuilt only when its key goes stale: the books' version (a debit
+        made from outside the machine), the schedule tuple, or the clock
+        crossing an edge instant of the schedule.
         """
-        snapshot = self._free_snapshot
-        version, clock = self.allocator.version, self._last_accounting_time
+        clock, (low, high) = self._last_accounting_time, self._span
         if (
-            snapshot is None or snapshot[0] != version or snapshot[1] != clock
-            or snapshot[2] is not self.capacity_schedule
+            self._avail_version != self.allocator.version
+            or not low <= clock < high
+            or self._avail_schedule is not self.capacity_schedule
         ):
-            snapshot = self._free_snapshot = (
-                version, clock, self.capacity_schedule, self.hetero_free_map(clock)
+            edges = self._window_facts().edges
+            crossed = bisect_right(edges, clock)
+            self._span = (
+                edges[crossed - 1] if crossed else -math.inf,
+                edges[crossed] if crossed < len(edges) else math.inf,
             )
-        return snapshot[3]
+            self._avail_schedule = self.capacity_schedule
+            drains = self._drain = self._drains_at(clock)
+            self._avail = {
+                name: _clip(amounts, drains.get(name))
+                for name, amounts in self.allocator.books().items()
+            }
+            self._avail_version = self.allocator.version
+        return self._avail
+
+    def _rebook(self, group: str, version: int) -> None:
+        """The machine moved ``group``'s books from ``version``: move the snapshot's
+        row with them, if the snapshot was of that version (else it is stale anyway)."""
+        if self._avail_version == version:
+            avail = dict(self._avail)
+            avail[group] = _clip(self.allocator.books()[group], self._drain.get(group))
+            self._avail = avail
+            self._avail_version = self.allocator.version
+
+    def _need(self, job: Job) -> tuple:
+        """``(job, (request vector, eligible groups), request amounts, eligible
+        positions)`` on a node-group machine; see :meth:`job_need`."""
+        entry = self._needs.get(job.job_id)
+        if entry is None or entry[0] is not job:
+            request = job_request(job)
+            eligible = self.allocator.eligible_groups(request, job.partition)
+            entry = self._needs[job.job_id] = (
+                job,
+                (request, eligible),
+                request.amounts,
+                tuple(self._positions[group.name] for group in eligible),
+            )
+        return entry
 
     def job_need(self, job: Job) -> Tuple[ResourceVector, Tuple[NodeGroup, ...]]:
         """``job``'s request vector and the groups that could ever host it.
@@ -409,22 +523,44 @@ class Machine:
         if self.allocator is None:
             request = ResourceVector(cpus=job.requested_processors)
             return request, self.layout.groups if request.cpus <= self.num_processors else ()
-        entry = self._needs.get(job.job_id)
-        if entry is None or entry[0] is not job:
-            request = job_request(job)
-            need = (request, self.allocator.eligible_groups(request, job.partition))
-            entry = self._needs[job.job_id] = (job, need)
-        return entry[1]
+        return self._need(job)[1]
+
+    def eligible_positions(self, job: Job) -> Tuple[int, ...]:
+        """Positions in ``layout.groups`` of the groups that could ever host
+        ``job`` (the scalar machine: its one group, for any job it accepts)."""
+        return _ONE_GROUP if self.allocator is None else self._need(job)[3]
+
+    def census_fits(self, census: Sequence[Mapping[int, int]]) -> Optional[bool]:
+        """Whether a job counted in ``census`` -- queued jobs per width, per
+        group of ``layout``, over the jobs eligible there -- could start now.
+
+        ``True`` where one is no wider than a cpu-only group's free cpus (the
+        width decides), ``None`` where only groups with memory or GPUs have
+        room for one (placement decides), ``False`` where no group has.
+        """
+        if self.allocator is None:
+            widths = census[0]
+            return bool(widths) and min(widths) <= self.free_processors
+        maybe = False
+        for widths, row, cpu_only in zip(census, self._free_rows().values(), self._cpu_only):
+            if widths and min(widths) <= row[0]:
+                if cpu_only:
+                    return True
+                maybe = None
+        return maybe
 
     def fit_rule(self) -> Callable[[Job], bool]:
         """:meth:`can_start` as of this instant, kept (node-group machines only):
-        the predicate places on the current free-map snapshot, so it gives the
-        same answers after the machine has moved on."""
-        free, place, need = self._free_now(), self.allocator.place, self.job_need
+        the predicate places on the current free snapshot, which is replaced,
+        never edited, so it gives the same answers after the machine has moved on."""
+        free, pick, needs, need = self._free_rows(), self.allocator.pick, self._needs, self._need
 
         def fits(job: Job) -> bool:
-            request, eligible = need(job)
-            return request.cpus > 0 and place(request, free, eligible) is not None
+            entry = needs.get(job.job_id)  # ``_need``'s memo, read inline: one call per job
+            if entry is None or entry[0] is not job:
+                entry = need(job)
+            amounts = entry[2]
+            return amounts[0] > 0 and pick(amounts, free, entry[1][1]) is not None
 
         return fits
 
@@ -432,12 +568,18 @@ class Machine:
         """Whether some eligible group holds ``job``'s full vector both right
         now and within ``spare_vectors`` (the envelope :meth:`reservation`
         leaves beside the reserved job)."""
-        request, eligible = self.job_need(job)
-        free_now = self._free_now()
+        _, (_, eligible), (cpus, memory, gpus), _ = self._need(job)
+        free = self._free_rows()
+        if isinstance(spare_vectors, SpareVectors):
+            spares = spare_vectors.rows
+        else:
+            spares = {name: vector.amounts for name, vector in spare_vectors.items()}
         for group in eligible:
-            spare = spare_vectors.get(group.name)
-            if spare is not None and request.fits_in(spare) and request.fits_in(free_now[group.name]):
-                return True
+            spare = spares.get(group.name)
+            if spare is not None and cpus <= spare[0] and memory <= spare[1] and gpus <= spare[2]:
+                free_cpus, free_memory, free_gpus = free[group.name]
+                if cpus <= free_cpus and memory <= free_memory and gpus <= free_gpus:
+                    return True
         return False
 
     # -- what reservations are planned from (both layouts; see ``layout``) ----
@@ -448,8 +590,8 @@ class Machine:
         windows already over are dropped and the start is clamped to ``now``.
         """
         return [
-            (max(window.start, now), window.end, name, vector.amounts)
-            for window, name, vector in self._window_facts().drains
+            (max(window.start, now), window.end, name, amounts)
+            for window, name, amounts in self._window_facts().drains
             if window.end > now + _EPS
         ]
 
@@ -474,9 +616,9 @@ class Machine:
             grants = [(g, r.estimated_end_time(estimator), (r.processors, 0, 0)) for r in records]
         else:
             grants = [
-                (grant.group, r.estimated_end_time(estimator), grant.vector.amounts)
+                (allocation.group, r.estimated_end_time(estimator), amounts)
                 for r in records
-                for grant in (self._group_allocs[r.job.job_id],)
+                for allocation, amounts in (self._grants[r.job.job_id],)
             ]
         if not by_end:
             self._held_grants = (self._version, estimator, grants)
@@ -490,23 +632,20 @@ class Machine:
         """
         if self.allocator is None:
             return self.layout.groups[0].name if self.can_start(job) else None
-        request, eligible = self.job_need(job)
-        return self.allocator.place(request, self._free_now(), eligible)
+        _, (_, eligible), amounts, _ = self._need(job)
+        return self.allocator.pick(amounts, self._free_rows(), eligible)
 
     def running_group(self, job_id: int) -> Optional[str]:
         """The group running ``job_id`` holds its grant in, or ``None`` if it is not running."""
         if job_id not in self._running:
             return None
-        return self.layout.groups[0].name if self.allocator is None else self._group_allocs[job_id].group
+        return self.layout.groups[0].name if self.allocator is None else self._grants[job_id][0].group
 
     def free_resource_vector(self) -> ResourceVector:
         """Aggregate drain-adjusted free vector (scalar machines report cpus only)."""
         if self.allocator is None:
             return ResourceVector(cpus=self.free_processors)
-        total = ResourceVector()
-        for vector in self._free_now().values():
-            total = total + vector
-        return total
+        return ResourceVector(*(sum(column) for column in zip(*self._free_rows().values())))
 
     def total_resource_vector(self) -> ResourceVector:
         """Aggregate nameplate capacity vector."""
@@ -554,11 +693,13 @@ class Machine:
         if job_id in self._running:
             raise RuntimeError(f"job {job_id} is already running")
         self._account(now)
-        if self.allocator is not None:
-            request, eligible = self.job_need(job)
-            self._group_allocs[job_id] = self.allocator.grant(
-                request, self._free_now(), eligible, job.partition
-            )
+        allocator = self.allocator
+        if allocator is not None:
+            _, (request, eligible), amounts, _ = self._need(job)
+            free, version = self._free_rows(), allocator.version
+            allocation = allocator.grant(request, free, eligible, job.partition)
+            self._grants[job_id] = (allocation, amounts)
+            self._rebook(allocation.group, version)
         elif not 0 < width <= self.free_processors:
             raise self._refusal(job, now)
         self._used += width
@@ -568,7 +709,7 @@ class Machine:
         self._version += 1
         if self._sorted_plan is not None:
             if estimator is self._sorted_plan_estimator:
-                entry = (record.estimated_end_time(estimator), width)
+                entry = (record.estimated_end_time(estimator), width, job_id)
                 insort(self._sorted_plan, entry)
                 self._sorted_plan_entries[job_id] = entry
             else:
@@ -596,16 +737,17 @@ class Machine:
 
     def _sorted_releases(
         self, estimator: Callable[[Job], float]
-    ) -> List[Tuple[float, int]]:
-        """Sorted ``(estimated_end, processors)`` plan for a stateless estimator.
+    ) -> List[Tuple[float, int, int]]:
+        """Sorted ``(estimated_end, processors, job_id)`` plan for a stateless estimator.
 
         Built once from the running set and maintained incrementally by
         :meth:`start` / :meth:`release_completed`; statelessness guarantees
-        the entries cannot go stale between queries.
+        the entries cannot go stale between queries.  The scalar walk reads
+        the widths in this order; the group walk finds each grant by job id.
         """
         if self._sorted_plan is None or self._sorted_plan_estimator is not estimator:
             entries = {
-                job_id: (record.estimated_end_time(estimator), record.processors)
+                job_id: (record.estimated_end_time(estimator), record.processors, job_id)
                 for job_id, record in self._running.items()
             }
             self._sorted_plan = sorted(entries.values())
@@ -674,18 +816,17 @@ class Machine:
         """Return a released run's processors: the busy count, the node-group
         grant, and the sorted release plan's entry."""
         self._used -= record.processors
-        if self.allocator is not None:
-            self.allocator.release(self._group_allocs.pop(job_id))
+        allocator = self.allocator
+        if allocator is not None:
+            allocation, _ = self._grants.pop(job_id)
+            version = allocator.version
+            allocator.release(allocation)
+            self._rebook(allocation.group, version)
             self._needs.pop(job_id, None)
         plan = self._sorted_plan
         if plan is not None:
-            entry = self._sorted_plan_entries.pop(job_id)
-            index = bisect_left(plan, entry)
-            # Equal entries are interchangeable for reservation queries; remove
-            # the first exact match in the equal run.
-            while plan[index] != entry:  # pragma: no cover - defensive
-                index += 1
-            del plan[index]
+            # Entries carry the job id, so the one found is the job's own.
+            del plan[bisect_left(plan, self._sorted_plan_entries.pop(job_id))]
 
     # -- failures -----------------------------------------------------------
     def add_capacity_window(self, window: DowntimeWindow) -> None:
@@ -744,8 +885,8 @@ class Machine:
     # -- reservations -------------------------------------------------------
     def estimated_releases(
         self, estimator: Callable[[Job], float]
-    ) -> List[Tuple[float, int]]:
-        """``(estimated_end_time, processors)`` for every running job (read only).
+    ) -> List[Tuple[float, int, int]]:
+        """``(estimated_end_time, processors, job_id)`` for every running job (read only).
 
         Memoized per (estimator, running-set version): consecutive backfilling
         decisions at the same instant re-plan the same running set many times,
@@ -758,15 +899,15 @@ class Machine:
         if cached is not None and cached[0] == self._version and cached[1] is estimator:
             return cached[2]
         releases = [
-            (r.estimated_end_time(estimator), r.processors)
-            for r in self._running.values()
+            (r.estimated_end_time(estimator), r.processors, job_id)
+            for job_id, r in self._running.items()
         ]
         self._release_plan = (self._version, estimator, releases)
         return releases
 
     def reservation(
         self, job: Job, now: float, estimator: Callable[[Job], float]
-    ) -> Tuple[float, int, Optional[Dict[str, ResourceVector]]]:
+    ) -> Tuple[float, int, Optional[SpareVectors]]:
         """When ``job`` could start, and what is spare beside it then.
 
         Returns ``(reservation_time, extra_processors, spare_vectors)``:
@@ -777,9 +918,15 @@ class Machine:
         node-group machine (:meth:`_group_reservation`), ``None`` on the
         scalar machine.
 
-        The scalar walk visits running jobs in order of their *estimated*
-        completion times, accumulating released processors until ``job``
-        fits.  With a capacity schedule it additionally honours scheduled
+        Both walks read one release plan, ``(estimated_end, processors,
+        job_id)`` per running job in order of the *estimated* completion
+        times: kept sorted across queries for a stateless estimator, asked in
+        running-set order and sorted per query for a stateful one.  The
+        scalar walk accumulates released processors until ``job`` fits,
+        returning at the first release that makes it fit (so a release that
+        shares that instant but comes later in the plan is not counted in
+        ``extra_processors``; ROADMAP item 2).  With a capacity schedule it
+        additionally honours scheduled
         drains: effective availability can *drop* at a window start and
         *recover* at a window end, so every window boundary is an event in the
         merged timeline and the returned reservation is the earliest instant
@@ -805,13 +952,13 @@ class Machine:
                 # is the clamped, sorted release sequence as-is.
                 releases = plan
             else:
-                releases = sorted((max(t, now), p) for t, p in plan)
+                releases = sorted((max(t, now), p, j) for t, p, j in plan)
         else:
             releases = sorted(
-                (max(end_time, now), processors)
-                for end_time, processors in self.estimated_releases(estimator)
+                (max(end_time, now), processors, job_id)
+                for end_time, processors, job_id in self.estimated_releases(estimator)
             )
-        for end_time, processors in releases:
+        for end_time, processors, _ in releases:
             free += processors
             if free >= needed:
                 return end_time, free - needed, None
@@ -828,7 +975,7 @@ class Machine:
         raw_free = self.num_processors - self._used
         releases = sorted(
             (max(end_time, now), processors)
-            for end_time, processors in self.estimated_releases(estimator)
+            for end_time, processors, _ in self.estimated_releases(estimator)
         )
         events = {t for t, _ in releases}
         events.update(self._boundaries_after(now))
@@ -848,78 +995,104 @@ class Machine:
 
     def _group_reservation(
         self, job: Job, now: float, estimator: Callable[[Job], float]
-    ) -> Tuple[float, int, Dict[str, ResourceVector]]:
+    ) -> Tuple[float, int, SpareVectors]:
         """:meth:`reservation` on a node-group machine: when and where ``job`` could start.
 
-        Walks the merged timeline of estimated job releases and drain-window
-        boundaries, accumulating freed vectors per group, until the
-        allocator's placement policy finds a group that fits the request.
-        ``extra_processors`` is the aggregate spare cpu count at the
-        reservation instant after setting the reserved job aside, and
-        ``spare_vectors`` maps each group to the vector that would remain free
-        then -- the per-resource envelope backfilled jobs may occupy without
-        delaying the reservation (:meth:`DecisionPoint.would_delay` checks
-        candidates against it).
+        Walks the release plan merged with the window boundaries ahead,
+        instant by instant, adding each released grant to its group's books
+        (every release within ``_EPS`` of an instant counts at it), until the
+        allocator's placement policy finds an eligible group that fits the
+        request.  It places again only where a release in an eligible group
+        or a crossed window edge changed something, on ``(cpus, memory,
+        gpus)`` ints.  ``extra_processors`` is the aggregate spare cpu count
+        at the reservation instant after setting the reserved job aside, and
+        ``spare_vectors`` maps each group to the vector that would remain
+        free then -- the per-resource envelope backfilled jobs may occupy
+        without delaying the reservation (:meth:`DecisionPoint.would_delay`
+        checks candidates against it); both are built once, at that instant.
         """
-        request, eligible = self.job_need(job)
-        allocator = self.allocator
+        _, (request, eligible), amounts, _ = self._need(job)
         if not eligible:
             raise RuntimeError(
                 f"job {job.job_id} requests {request.as_dict()} (partition "
                 f"{job.partition}) but no node group can ever host it"
             )
-        releases = sorted(
-            (max(record.estimated_end_time(estimator), now), job_id)
-            for job_id, record in self._running.items()
-        )
-        events = {now}
-        events.update(time for time, _ in releases)
-        events.update(self._boundaries_after(now))
-        # ``plan`` holds each group's books plus the grants released so far;
-        # only the eligible groups are turned into availability per event, the
-        # all-groups map (declaration order) only at the instant found.
-        plan = allocator.free_map()
-        edges = self._window_facts().edges
-        drains: Optional[Dict[str, ResourceVector]] = None
-        edge = 0
-
-        def available(group: NodeGroup) -> ResourceVector:
-            vector = plan[group.name].minimum(group.capacity)
-            drained = drains.get(group.name)
-            return vector if drained is None else vector.clamped_sub(drained)
-
-        index = 0
-        for event_time in sorted(events):
-            while index < len(releases) and releases[index][0] <= event_time + _EPS:
-                grant = self._group_allocs[releases[index][1]]
-                plan[grant.group] = plan[grant.group] + grant.vector
-                index += 1
-            if drains is None or (edge < len(edges) and edges[edge] <= event_time):
+        if getattr(estimator, "stateless", False):
+            plan = self._sorted_releases(estimator)
+        else:
+            plan = sorted(self.estimated_releases(estimator))
+        if now == self._last_accounting_time:
+            self._free_rows()  # brings the drains of the clock's instant up to date
+            drains = self._drain
+        else:
+            drains = self._drains_at(now)
+        books, grants, pick = self.allocator.books(), self._grants, self.allocator.pick
+        rows = {group.name: _clip(books[group.name], drains.get(group.name)) for group in eligible}
+        facts = self._window_facts()
+        edges, boundaries = facts.edges, facts.boundaries
+        # A group's books plus the grants released so far, for the groups a
+        # release has reached.  They never exceed the group's capacity: the
+        # machine's grants are live in the books until it releases them.
+        held: Dict[str, Amounts] = {}
+        released = visited = 0
+        edge = bisect_right(edges, now)
+        boundary = bisect_right(boundaries, now + _EPS)
+        time, changed = now, True
+        while True:
+            limit = time + _EPS
+            while released < len(plan) and plan[released][0] <= limit:
+                allocation, (cpus, memory, gpus) = grants[plan[released][2]]
+                name = allocation.group
+                free_cpus, free_memory, free_gpus = held.get(name) or books[name]
+                row = held[name] = (free_cpus + cpus, free_memory + memory, free_gpus + gpus)
+                if name in rows:
+                    rows[name] = _clip(row, drains.get(name))
+                    changed = True
+                released += 1
+            if edge < len(edges) and edges[edge] <= time:
                 # The active windows change only where an edge is crossed.
-                drains = self._group_drains(event_time)
-                edge = bisect_right(edges, event_time, edge)
-            target = allocator.place(
-                request, {group.name: available(group) for group in eligible}, eligible
-            )
-            if target is None:
-                continue
-            spares = {
-                group.name: available(group) - request if group.name == target else available(group)
-                for group in self.topology.groups
-            }
-            extra = sum(vector.cpus for vector in spares.values())
-            return event_time, extra, spares
-        raise RuntimeError(
-            f"job {job.job_id} requests {request.as_dict()} but the machine never "
-            f"frees enough in-service capacity in any eligible group"
-        )
+                drains = self._drains_at(time)
+                edge = bisect_right(edges, time, edge)
+                for name in rows:
+                    rows[name] = _clip(held.get(name) or books[name], drains.get(name))
+                changed = True
+            if changed:
+                target = pick(amounts, rows, eligible)
+                if target is not None:
+                    break
+                changed = False
+            # The next instant: the first release time or window boundary after this one.
+            while visited < released and plan[visited][0] <= time:
+                visited += 1
+            while boundary < len(boundaries) and boundaries[boundary] <= time:
+                boundary += 1
+            if visited < len(plan):
+                time = plan[visited][0]
+                if boundary < len(boundaries) and boundaries[boundary] < time:
+                    time = boundaries[boundary]
+            elif boundary < len(boundaries):
+                time = boundaries[boundary]
+            else:
+                raise RuntimeError(
+                    f"job {job.job_id} requests {request.as_dict()} but the machine never "
+                    f"frees enough in-service capacity in any eligible group"
+                )
+        spares: Dict[str, Amounts] = {}
+        extra = 0
+        for name in books:
+            row = rows.get(name) or _clip(held.get(name) or books[name], drains.get(name))
+            if name == target:
+                row = (row[0] - amounts[0], row[1] - amounts[1], row[2] - amounts[2])
+            spares[name] = row
+            extra += row[0]
+        return time, extra, SpareVectors(spares)
 
     def reset(self) -> None:
         self._running.clear()
         self._used = 0
         if self.allocator is not None:
             self.allocator.reset()
-            self._group_allocs.clear()
+            self._grants.clear()
             self._needs.clear()
         self._busy_area = 0.0
         self._last_accounting_time = 0.0

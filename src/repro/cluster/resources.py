@@ -73,21 +73,6 @@ class ResourceVector:
             gpus=self.gpus - other.gpus,
         )
 
-    def clamped_sub(self, other: "ResourceVector") -> "ResourceVector":
-        """Elementwise ``max(self - other, 0)`` (drain semantics: clip, never go negative)."""
-        return ResourceVector(
-            cpus=max(self.cpus - other.cpus, 0),
-            memory=max(self.memory - other.memory, 0),
-            gpus=max(self.gpus - other.gpus, 0),
-        )
-
-    def minimum(self, other: "ResourceVector") -> "ResourceVector":
-        return ResourceVector(
-            cpus=min(self.cpus, other.cpus),
-            memory=min(self.memory, other.memory),
-            gpus=min(self.gpus, other.gpus),
-        )
-
     @property
     def is_zero(self) -> bool:
         return self.cpus == 0 and self.memory == 0 and self.gpus == 0

@@ -1,8 +1,14 @@
-"""Gradient-descent optimizers for autograd tensors."""
+"""Gradient-descent optimizers for autograd tensors.
+
+Per-parameter state (momentum velocity, Adam's moments) is kept by the
+parameter's position in the optimizer's list, so a deep copy or a pickle of
+an optimizer -- or of the trainer holding it -- keeps it paired with the
+copied parameters.
+"""
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,19 +64,19 @@ class SGD(Optimizer):
         if not 0.0 <= momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
         self.momentum = float(momentum)
-        self._velocity: Dict[int, np.ndarray] = {}
+        self._velocity: List[Optional[np.ndarray]] = [None] * len(self.parameters)
 
     def step(self) -> None:
-        for param in self.parameters:
+        for index, param in enumerate(self.parameters):
             if param.grad is None:
                 continue
             update = param.grad
             if self.momentum > 0.0:
-                velocity = self._velocity.get(id(param))
+                velocity = self._velocity[index]
                 velocity = (
                     self.momentum * velocity + update if velocity is not None else update.copy()
                 )
-                self._velocity[id(param)] = velocity
+                self._velocity[index] = velocity
                 update = velocity
             param.data = param.data - self.lr * update
 
@@ -93,26 +99,26 @@ class Adam(Optimizer):
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self._step_count = 0
-        self._m: Dict[int, np.ndarray] = {}
-        self._v: Dict[int, np.ndarray] = {}
+        self._m: List[Optional[np.ndarray]] = [None] * len(self.parameters)
+        self._v: List[Optional[np.ndarray]] = [None] * len(self.parameters)
 
     def step(self) -> None:
         self._step_count += 1
         t = self._step_count
-        for param in self.parameters:
+        for index, param in enumerate(self.parameters):
             if param.grad is None:
                 continue
             grad = param.grad
-            m = self._m.get(id(param))
-            v = self._v.get(id(param))
+            m = self._m[index]
+            v = self._v[index]
             m = self.beta1 * m + (1 - self.beta1) * grad if m is not None else (1 - self.beta1) * grad
             v = (
                 self.beta2 * v + (1 - self.beta2) * grad**2
                 if v is not None
                 else (1 - self.beta2) * grad**2
             )
-            self._m[id(param)] = m
-            self._v[id(param)] = v
+            self._m[index] = m
+            self._v[index] = v
             m_hat = m / (1 - self.beta1**t)
             v_hat = v / (1 - self.beta2**t)
             param.data = param.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
@@ -120,16 +126,14 @@ class Adam(Optimizer):
     def moments(self) -> Tuple[int, List[Optional[np.ndarray]], List[Optional[np.ndarray]]]:
         """``(step count, m, v)``, the moments in parameter order (``None``
         for a parameter that has not been stepped yet)."""
-        m = [self._m.get(id(param)) for param in self.parameters]
-        v = [self._v.get(id(param)) for param in self.parameters]
-        return self._step_count, m, v
+        return self._step_count, list(self._m), list(self._v)
 
     def load_moments(
         self, step_count: int, m: Sequence[Optional[np.ndarray]], v: Sequence[Optional[np.ndarray]]
     ) -> None:
         """Install what :meth:`moments` returned (by another copy of this optimizer)."""
         self._step_count = step_count
-        for param, m_i, v_i in zip(self.parameters, m, v):
+        for index, m_i, v_i in zip(range(len(self.parameters)), m, v):
             if m_i is not None:
-                self._m[id(param)] = m_i
-                self._v[id(param)] = v_i
+                self._m[index] = m_i
+                self._v[index] = v_i

@@ -169,10 +169,12 @@ class _SimState:
     published_backfills: int = 0
     published_preemptions: int = 0
     published_requeues: int = 0
-    # Census of the waiting queue: queued jobs per ``requested_processors``
-    # (no zero entries).  ``enqueue`` / ``dequeue`` are the only code that
-    # changes ``queue``, so the two cannot drift apart.
-    queued_widths: Dict[int, int] = field(default_factory=dict)
+    # Census of the waiting queue, per group of the machine's layout: queued
+    # jobs per ``requested_processors``, over the jobs eligible in that group
+    # (no zero entries); the scalar machine is its one-group case.
+    # ``enqueue`` / ``dequeue`` are the only code that changes ``queue``, so
+    # the two cannot drift apart.
+    queued_widths: List[Dict[int, int]] = field(init=False)
     # The event loop's position (Simulator._events): whether the clock has
     # started, whether the current instant's scheduling pass is still to
     # run, and the job that pass left blocked (``None`` if it drained the
@@ -180,6 +182,9 @@ class _SimState:
     started: bool = False
     schedule_due: bool = False
     blocked: Optional[Job] = None
+
+    def __post_init__(self) -> None:
+        self.queued_widths = [{} for _ in self.machine.layout.groups]
 
     def enqueue(self, job: Job) -> None:
         """Add ``job`` to the waiting queue at its ``(submit_time, job_id)`` place.
@@ -193,7 +198,9 @@ class _SimState:
         else:
             queue.append(job)
         width = job.requested_processors
-        self.queued_widths[width] = self.queued_widths.get(width, 0) + 1
+        for position in self.machine.eligible_positions(job):
+            widths = self.queued_widths[position]
+            widths[width] = widths.get(width, 0) + 1
 
     def queue_index(self, job: Job) -> Optional[int]:
         """Position of ``job`` in the queue, found by its ``(submit_time,
@@ -206,17 +213,15 @@ class _SimState:
 
     def dequeue(self, index: int) -> None:
         """Remove the job at ``queue[index]``."""
-        width = self.queue.pop(index).requested_processors
-        left = self.queued_widths[width] - 1
-        if left:
-            self.queued_widths[width] = left
-        else:
-            del self.queued_widths[width]
-
-    def any_queued_fits(self, free: int) -> bool:
-        """Whether some queued job is no wider than ``free`` processors."""
-        widths = self.queued_widths
-        return bool(widths) and min(widths) <= free
+        job = self.queue.pop(index)
+        width = job.requested_processors
+        for position in self.machine.eligible_positions(job):
+            widths = self.queued_widths[position]
+            left = widths[width] - 1
+            if left:
+                widths[width] = left
+            else:
+                del widths[width]
 
 
 class Simulator:
@@ -503,21 +508,20 @@ class Simulator:
         # first asks (conservative never does); a stateful one is asked now,
         # in the order it always was.
         deferred = getattr(estimator, "stateless", False)
-        scalar = machine.allocator is None
         while True:
-            if scalar:
-                # The census answers "is there a candidate" without visiting
-                # the queue.  The reserved job is counted in it but is blocked,
-                # so it is wider than the free count and never the reason for
-                # a yes; which jobs the candidates are is the decision point's
-                # business, derived from its snapshot if a reader asks.
-                if not state.any_queued_fits(machine.free_processors):
-                    return
-            elif not any(
-                job.job_id != rjob.job_id and machine.can_start(job) for job in state.queue
-            ):
-                # Node-group machines: fitting is a placement question, asked
-                # until some queued job says yes.
+            # The census answers "is there a candidate" without visiting the
+            # queue.  The reserved job is counted in it but is blocked, so in
+            # a cpu-only group it is wider than the free cpus and never the
+            # reason for a yes; which jobs the candidates are is the decision
+            # point's business, derived from its snapshot if a reader asks.
+            fits = machine.census_fits(state.queued_widths)
+            if fits is None:
+                # A group with memory or GPUs: fitting is a placement question,
+                # asked until some queued job says yes.
+                fits = any(
+                    job.job_id != rjob.job_id and machine.can_start(job) for job in state.queue
+                )
+            if not fits:
                 return
             reservation = partial(machine.reservation, rjob, state.now, estimator)
             # ``state.queue`` is kept sorted by (submit_time, job_id), so the

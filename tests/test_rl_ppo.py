@@ -206,6 +206,38 @@ def assert_bit_identical(a, b):
             assert left == right
 
 
+def test_a_deep_copy_after_an_update_updates_alike():
+    """A copied PPO keeps both optimizers' moments paired with its own
+    parameters, so its next update is the original's, bit for bit."""
+    ac, data = bandit_data(32, seed=5)
+    original = PPO(ac, PPOConfig(policy_iterations=4, value_iterations=3), seed=2)
+    original.update({k: v.copy() for k, v in data.items()})
+    twin = copy.deepcopy(original)
+    stats = [ppo.update({k: v.copy() for k, v in data.items()}) for ppo in (original, twin)]
+
+    assert repr(astuple(stats[0])) == repr(astuple(stats[1]))
+    assert_bit_identical(policy_state(original), policy_state(twin))
+    assert_bit_identical(original.value_optimizer.moments(), twin.value_optimizer.moments())
+    assert all(m is not None for m in twin.value_optimizer.moments()[1])
+
+
+def test_sgd_momentum_survives_a_deep_copy():
+    from repro.rl.optim import SGD
+
+    net = MLP([3, 4, 1], seed=0)
+    optimizer = SGD(net.parameters(), lr=0.1, momentum=0.9)
+    for param in optimizer.parameters:
+        param.grad = np.ones_like(param.data)
+    optimizer.step()
+    twin = copy.deepcopy(optimizer)
+    for opt in (optimizer, twin):
+        for param in opt.parameters:
+            param.grad = np.full_like(param.data, 0.5)
+        opt.step()
+    for left, right in zip(optimizer.parameters, twin.parameters, strict=True):
+        assert left.data.tobytes() == right.data.tobytes()
+
+
 def test_blas_threads_reads_the_pinned_count():
     if blas_threads() is None:
         pytest.skip("numpy's BLAS thread count cannot be read here")

@@ -511,18 +511,35 @@ def test_an_equal_copy_of_a_candidate_is_accepted_and_leaves_the_candidates():
 # -- the census, the derived candidates, the session's count (ISSUE 19) -----------------------
 
 
+def _census_recount(state) -> List[Counter]:
+    """Queued widths per group of the machine's layout, over the jobs eligible there."""
+    groups = state.machine.layout.groups
+    recount = [Counter() for _ in groups]
+    for job in state.queue:
+        for group in state.machine.job_need(job)[1]:
+            recount[groups.index(group)][job.requested_processors] += 1
+    return recount
+
+
 class CensusCheckedSimulator(Simulator):
-    """The simulator under test, recounting its queue at every decision point."""
+    """The simulator under test, recounting its queue per group at every
+    decision point, and checking each census answer against a scan: a point
+    is yielded only where some queued job other than the reserved one can
+    start, and the opportunity closes unanswered only where none can."""
 
     def _backfill_opportunity(self, state, rjob):
         inner = super()._backfill_opportunity(state, rjob)
+        machine, choice = state.machine, rjob
         try:
-            decision = next(inner)
             while True:
-                recount = Counter(job.requested_processors for job in state.queue)
-                assert state.queued_widths == recount
-                decision = inner.send((yield decision))
+                assert state.queued_widths == _census_recount(state)
+                decision = inner.send(None) if choice is rjob else inner.send(choice)
+                assert any(job is not rjob and machine.can_start(job) for job in state.queue)
+                choice = yield decision
         except StopIteration:
+            assert state.queued_widths == _census_recount(state)
+            if choice is not None:  # the census said no, not the strategy
+                assert not any(job is not rjob and machine.can_start(job) for job in state.queue)
             return
 
 
@@ -657,6 +674,39 @@ def test_the_differential_runs_reach_every_arm():
         assert (totals["backfilled", strategy] > 10) == (strategy != "pass")
     assert totals["requeued", "failures"] > 5 and totals["requeued", "none"] == 0
     assert totals["candidates"] > 1000 and totals["same instant"] > 50
+
+
+#: The node-group corpus cells the census is checked on: every layout with node
+#: groups, plain and drained, under EASY, RL and conservative backfilling.
+_CORPUS_STRATEGIES = (
+    "easy-fcfs", "easy-sjf", "cons-fcfs-dall-call", "cons-sjf-d3-c2", "rl-greedy", "rl-resources",
+)
+
+
+def test_the_census_holds_on_the_node_group_corpus_cells():
+    from tests.golden import corpus
+
+    committed, checked = corpus.load(), Counter()
+    for topology_name in ("one-group", "partitions", "resources"):
+        made = corpus.strategies(topology_name)
+        for timing, seed in (("whole", 101), ("frac", 202)):
+            jobs = corpus.trace(topology_name, timing == "frac", seed)
+            for variant, kwargs in corpus.variants(topology_name).items():
+                for priority in ("FCFS", "SJF"):
+                    for name in _CORPUS_STRATEGIES:
+                        if name not in made:
+                            continue
+                        key = f"{topology_name}/{timing}{seed}/{variant}/{priority}/user/{name}"
+                        simulator = CensusCheckedSimulator(
+                            corpus.CPUS, policy=priority, backfill=made[name](),
+                            estimator=UserEstimate(), topology=corpus.TOPOLOGIES[topology_name],
+                            **kwargs,
+                        )
+                        decisions, result = capture_decisions(simulator, jobs)
+                        digest = corpus._short(corpus.render(decisions, result, []).encode())
+                        assert digest == committed[key], key
+                        checked[variant] += len(decisions)
+    assert checked["plain"] > 300 and checked["drain"] > 300
 
 
 def test_a_hand_built_point_derives_from_its_snapshot_or_takes_the_list_it_is_given():
